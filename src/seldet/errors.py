@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class SeldetError(Exception):
     """Base class for all errors raised by this package."""
@@ -40,12 +42,14 @@ class PatternMismatchError(SeldetError, ValueError):
 
 
 class NonPositivePivotError(SeldetError, ArithmeticError):
-    """A pivot d_i fell below the rejection threshold (matrix not SPD)."""
+    """A pivot d_i fell below the rejection threshold (matrix not SPD) or
+    is not finite (the matrix holds NaN or inf)."""
 
     def __init__(self, index: int, value: float):
         self.index = index
         self.value = value
-        super().__init__(f"non-positive pivot d[{index}] = {value!r}")
+        kind = "non-positive" if math.isfinite(value) else "non-finite"
+        super().__init__(f"{kind} pivot d[{index}] = {value!r}")
 
 
 class NearSingularWarning(UserWarning):
@@ -77,4 +81,5 @@ class PatternNotCoveredError(SeldetError, ValueError):
 
 
 class InvalidConfigError(SeldetError, ValueError):
-    """A benchmark-generator configuration violates its constraints."""
+    """A configuration value violates its constraints: a benchmark-generator
+    setting, or an environment variable such as SELDET_PIVOT_TOL."""

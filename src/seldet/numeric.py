@@ -1,22 +1,29 @@
 """Numeric LDL^T factorization on a precomputed symbolic pattern.
 
-The factorization is left-looking: column j of L is produced by applying
-the Schur updates of all earlier columns k with L_jk != 0, then dividing
-by the pivot.  Those source columns are found with the classic row-list
-scheme — each still-active column is filed under the row index of its
-next unconsumed pattern entry, so no row structure is ever searched for.
+The factorization is left-looking and runs one Python iteration per
+column.  Column j of L is produced by applying the Schur updates of all
+earlier columns k with L_jk != 0, then dividing by the pivot.  Column k
+contributes L_jk times its pending segment (D L)[i, k], i >= j: the
+storage range from the position of L_jk to the end of column k.  The row
+structure of L (the positions of every L_jk, grouped by row j, k
+ascending) is built once per call by a stable argsort of the row indices,
+so column j's segments are one slice of it.  They are concatenated into
+one index array, gathered once, and scattered into the dense workspace
+with one ``np.subtract.at``, which applies repeated rows one after the
+other.
 
 A multiply-add counter is maintained and must come out equal to the
-symbolic prediction sum(m_i^2) - n on every input: each segment update
-costs two FLOPs per touched entry (one multiply, one subtract) and each
-column finalization costs one division per below-diagonal entry.  The
-per-position products d_k * L_ik needed by the updates are kept from the
-pre-division column values rather than recomputed, which is what keeps
-the count exact.
+symbolic prediction sum(m_i^2) - n on every input.  It adds what the
+loop performs: two FLOPs per gathered segment entry (one multiply, one
+subtract) and one division per below-diagonal entry of each finalized
+column.  The per-position products d_k * L_ik needed by the updates are
+kept from the pre-division column values rather than recomputed, which
+is what keeps the count exact.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -24,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    InvalidConfigError,
     NearSingularWarning,
     NonPositivePivotError,
     PatternMismatchError,
@@ -41,10 +49,11 @@ PIVOT_TOL_ENV = "SELDET_PIVOT_TOL"
 class LdlFactor:
     """Unit-lower-triangular L and diagonal D with PAP^T = LDL^T.
 
-    ``l_values`` aligns with the strictly-lower symbolic pattern;
+    ``l_values`` aligns with the strictly-lower symbolic pattern and is
+    all that :func:`solve` and the selected inversion read.
     ``ld_values`` holds the matching entries of D*L (the pre-division
-    column values), kept because both the factorization itself and the
-    solver's forward sweep consume them.
+    column values); only the factorization itself consumes them, as the
+    update segments of later columns.
     """
 
     sym: SymbolicFactor
@@ -62,13 +71,20 @@ class LdlFactor:
         return self.sym.perm
 
 
-def _near_singular_threshold(a: SparseSymmetric) -> float:
-    """Default warning threshold: 1e-13 times the largest diagonal entry."""
+def _near_singular_threshold(diag: np.ndarray) -> float:
+    """Default warning threshold: 1e-13 times the largest diagonal entry,
+    unless SELDET_PIVOT_TOL gives a finite value >= 0."""
     env = os.environ.get(PIVOT_TOL_ENV)
     if env is not None:
-        return float(env)
-    diag = a.diagonal()
-    scale = float(np.max(np.abs(diag))) if a.n else 0.0
+        try:
+            tol = float(env)
+        except ValueError:
+            tol = math.nan
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise InvalidConfigError(
+                f"{PIVOT_TOL_ENV}={env!r} is not a finite number >= 0")
+        return tol
+    scale = float(np.max(np.abs(diag))) if diag.size else 0.0
     return 1e-13 * scale
 
 
@@ -77,67 +93,81 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor,
                    near_tol: float | None = None) -> LdlFactor:
     """Factor PAP^T = LDL^T on the pattern prepared by ``sym``.
 
-    Raises NonPositivePivotError as soon as a pivot d_j <= pivot_tol
-    (default 0: the input was not positive definite), and emits a single
-    NearSingularWarning if any accepted pivot falls below ``near_tol``
-    (default 1e-13 * max |A_ii|, overridable via SELDET_PIVOT_TOL).
+    Raises NonPositivePivotError as soon as a pivot d_j is not finite or
+    d_j <= pivot_tol (default 0: the input was not positive definite, or
+    it held NaN or inf).  Emits a single NearSingularWarning if any
+    accepted pivot falls below ``near_tol``.  That warning threshold
+    defaults to 1e-13 * max |A_ii|; the SELDET_PIVOT_TOL environment
+    variable replaces the default (it never sets ``pivot_tol``), and an
+    explicit ``near_tol`` wins over both.  A value of SELDET_PIVOT_TOL that
+    is not a finite number >= 0 raises InvalidConfigError.
     """
     if sym.n != a.n:
         raise SizeMismatchError(f"symbolic factor is for n={sym.n}, matrix has n={a.n}")
     ap = permute_symmetric(a, sym.perm)
-    if near_tol is None:
-        near_tol = _near_singular_threshold(ap)
     n = sym.n
+    a_rows, a_cols, a_vals = ap.triplets()
+    on_diag = a_rows == a_cols
+    a_diag = np.zeros(n)
+    a_diag[a_rows[on_diag]] = a_vals[on_diag]
+    if near_tol is None:
+        near_tol = _near_singular_threshold(a_diag)
     colptr, rows = sym.l_col_ptr, sym.l_row_idx
+
+    # ld_values starts as the strictly-lower part of PAP^T placed on L's
+    # pattern.  Column j is overwritten with (D L)[:, j] when it is
+    # finalized, and the updates read finalized columns only.
+    below = ~on_diag
+    want = a_cols[below] * n + a_rows[below]
+    keys = sym.lower_keys()
+    at = np.searchsorted(keys, want)
+    stray = np.flatnonzero(keys[at] != want)
+    if stray.size:
+        raise PatternMismatchError(
+            "matrix entry outside the symbolic pattern in column "
+            f"{a_cols[below][stray[0]]}")
+    ld_values = np.zeros(rows.size)
+    ld_values[at] = a_vals[below]
+    del keys, at  # before the row structure, to keep the peak down
     l_values = np.empty(rows.size)
-    ld_values = np.empty(rows.size)
     d = np.empty(n)
     x = np.zeros(n)
 
-    # Row lists: head[i] = first column whose next pattern entry has row i,
-    # linked through nxt[]; pos[k] = offset of that entry in column k.
-    head = np.full(n, -1, dtype=np.int64)
-    nxt = np.full(n, -1, dtype=np.int64)
-    pos = np.empty(n, dtype=np.int64)
+    # Row structure of L: the storage positions of every L_jk grouped by
+    # row j, k ascending.
+    by_row = np.argsort(rows, kind="stable")
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
+    col_start, row_start = colptr.tolist(), row_ptr.tolist()
     flops = 0
     near_count = 0
     first_near = -1
 
     for j in range(n):
-        lo, hi = colptr[j], colptr[j + 1]
+        lo, hi = col_start[j], col_start[j + 1]
         pattern = rows[lo:hi]
-        # load column j of the permuted matrix into the scatter workspace
-        x[pattern] = 0.0
-        x[j] = 0.0
-        arows, avals = ap.column(j)
-        below = arows[1:] if (arows.size and arows[0] == j) else arows
-        if below.size:
-            at = np.searchsorted(pattern, below)
-            if np.any(at >= pattern.size) or np.any(
-                    pattern[np.minimum(at, pattern.size - 1)] != below):
-                raise PatternMismatchError(
-                    f"matrix entry outside the symbolic pattern in column {j}")
-        x[arows] = avals
+        # load column j of PAP^T into the workspace; updates from earlier
+        # columns touch only row j and the rows of this pattern
+        x[pattern] = ld_values[lo:hi]
+        x[j] = a_diag[j]
 
-        # apply every pending column update that reaches row j
-        k = head[j]
-        while k != -1:
-            knext = nxt[k]
-            pk, pend = pos[k], colptr[k + 1]
-            seg_rows = rows[pk:pend]
-            x[seg_rows] -= l_values[pk] * ld_values[pk:pend]
-            flops += 2 * (pend - pk)
-            pk += 1
-            if pk < pend:
-                pos[k] = pk
-                r = rows[pk]
-                nxt[k] = head[r]
-                head[r] = k
-            k = knext
+        # every segment (D L)[p_jk:end_k] that reaches row j, as one
+        # index array: one gather, one scatter
+        p = by_row[row_start[j]:row_start[j + 1]]
+        if p.size:
+            # each segment runs to the end of its column: the first
+            # column start past p
+            lens = colptr[np.searchsorted(colptr, p, side="right")] - p
+            ends = np.cumsum(lens)
+            total = int(ends[-1])
+            idx = np.arange(total) + np.repeat(p - (ends - lens), lens)
+            np.subtract.at(x, rows[idx],
+                           np.repeat(l_values[p], lens) * ld_values[idx])
+            flops += 2 * total
 
-        dj = x[j]
-        if dj <= pivot_tol:
-            raise NonPositivePivotError(j, float(dj))
+        dj = float(x[j])
+        if not (dj > pivot_tol and math.isfinite(dj)):
+            raise NonPositivePivotError(j, dj)
         if dj < near_tol:
             near_count += 1
             if first_near < 0:
@@ -147,11 +177,6 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor,
         ld_values[lo:hi] = col
         l_values[lo:hi] = col / dj
         flops += hi - lo
-        if hi > lo:
-            pos[j] = lo
-            r = pattern[0]
-            nxt[j] = head[r]
-            head[r] = j
 
     if near_count:
         warnings.warn(

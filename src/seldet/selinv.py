@@ -8,15 +8,23 @@ Those entries satisfy a closed recurrence in terms of L and D alone:
     Z_ij = -sum_{k in pattern(col j)} Z_ik * L_kj          (i in pattern(col j))
     Z_jj = 1/d_j - sum_{k in pattern(col j)} L_kj * Z_kj
 
-swept over columns right to left.  Every Z_ik the recurrence reads lies
-on the already-computed part of the pattern: for i, k both in column j's
-pattern with i > k, position (i, k) is structural in column k — the same
-closure that creates fill during factorization guarantees it here.
+swept over columns right to left, one Python iteration per column.  Every
+Z_ik the recurrence reads lies on the already-computed part of the
+pattern: for i, k both in column j's pattern with i > k, position (i, k)
+is structural in column k — the same closure that creates fill during
+factorization guarantees it here.  So column j gathers its whole q-by-q
+block Z[pat, pat] at once: the keys col*n + row of the pattern are built
+once per call (they are sorted by the storage order), and one
+``searchsorted`` of the q(q-1)/2 pair keys finds every off-diagonal
+entry.  A pair key that is not found means the pattern is not closed, and
+raises PatternMismatchError.  The column is then one dense product.
 
-Instrumented cost per column with q below-diagonal entries: the gather
-product costs 2q^2 (multiply-accumulate from zero), the sign flip q, and
-the diagonal update 2q — in total 2q^2 + 3q, which summed over columns
-equals the symbolic prediction 2*(sum m^2 - n) - (nnz_L - n) exactly.
+Instrumented cost per column with q below-diagonal entries, added as the
+loop performs it: the block product costs 2q^2 (multiply-accumulate from
+zero), the sign flip q, and the diagonal update 2q — in total 2q^2 + 3q,
+which summed over columns equals the symbolic prediction
+2*(sum m^2 - n) - (nnz_L - n) exactly.  The gather moves values and is
+not counted.
 """
 
 from __future__ import annotations
@@ -67,44 +75,45 @@ def selected_inverse(f: LdlFactor) -> SelectedInverse:
     """Compute the selected inverse from an LDL^T factor."""
     sym = f.sym
     n = sym.n
-    colptr, rows = sym.l_col_ptr, sym.l_row_idx
+    colptr, rows = sym.l_col_ptr.tolist(), sym.l_row_idx
     lv = f.l_values
     z = np.empty(rows.size)
-    z_diag = np.empty(n)
+    z_diag = 1.0 / f.d
+    keys = sym.lower_keys()
+    # The pairs of tril_indices(q_max, -1) come row by row, so those of any
+    # q <= q_max are its first q(q-1)/2: one array, the size of the largest
+    # block, serves every column.
+    q_max = int(np.diff(sym.l_col_ptr).max(initial=0))
+    pair_a, pair_b = np.tril_indices(q_max, -1)
     flops = 0
 
     for j in range(n - 1, -1, -1):
         lo, hi = colptr[j], colptr[j + 1]
         q = hi - lo
         if q == 0:
-            z_diag[j] = 1.0 / f.d[j]
             continue
         pat = rows[lo:hi]
         lcol = lv[lo:hi]
         # Gather the symmetric q-by-q block Z[pat, pat] from the columns
-        # already computed (all have index > j).
+        # already computed (all have index > j): one search of the keys of
+        # its strictly-lower pairs (pat[a], pat[b]), a > b.
+        m = q * (q - 1) // 2
+        ia, ib = pair_a[:m], pair_b[:m]
+        want = pat[ib] * n + pat[ia]
+        at = np.searchsorted(keys, want)
+        if (keys[at] != want).any():
+            raise PatternMismatchError(
+                "selected pattern is not closed under the recurrence")
         block = np.empty((q, q))
+        block[ia, ib] = block[ib, ia] = z[at]
         idx = np.arange(q)
         block[idx, idx] = z_diag[pat]
-        for t in range(q - 1):
-            k = pat[t]
-            sub = pat[t + 1:]
-            klo, khi = colptr[k], colptr[k + 1]
-            krows = rows[klo:khi]
-            off = np.searchsorted(krows, sub)
-            if np.any(off >= krows.size) or not np.array_equal(
-                    krows[np.minimum(off, krows.size - 1)], sub):
-                raise PatternMismatchError(
-                    "selected pattern is not closed under the recurrence")
-            vals = z[klo + off]
-            block[t + 1:, t] = vals
-            block[t, t + 1:] = vals
         w = block @ lcol
         flops += 2 * q * q
         zcol = -w
         flops += q
         z[lo:hi] = zcol
-        z_diag[j] = 1.0 / f.d[j] - lcol @ zcol
+        z_diag[j] -= lcol @ zcol
         flops += 2 * q
 
     return SelectedInverse(sym=sym, z_values=z, z_diag=z_diag, flops=flops)

@@ -154,6 +154,24 @@ class SymbolicFactor:
     def selinv_flops(self) -> int:
         return predict_flops(self)[1]
 
+    def lower_keys(self) -> np.ndarray:
+        """Keys ``col * n + row`` of the strictly-lower pattern in storage
+        order, closed by the sentinel ``n * n``.
+
+        Columns are stored in order with ascending rows, so the keys come
+        out sorted.  Every position below the diagonal has a key below the
+        sentinel: ``np.searchsorted`` of such keys always yields an index
+        into this array, and a position is in the pattern exactly when the
+        key found there equals its own.
+        """
+        n = self.n
+        keys = np.empty(self.l_row_idx.size + 1, dtype=np.int64)
+        col_base = np.repeat(np.arange(n, dtype=np.int64) * n,
+                             np.diff(self.l_col_ptr))
+        np.add(col_base, self.l_row_idx, out=keys[:-1])
+        keys[-1] = n * n
+        return keys
+
 
 def symbolic_factor(a: SparseSymmetric, p: Permutation) -> SymbolicFactor:
     """Full symbolic analysis of ``a`` under the ordering ``p``."""

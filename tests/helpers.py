@@ -159,6 +159,11 @@ def dense_ldlt(a_dense):
     return l_mat, d
 
 
+def dense_inverse(a_dense):
+    """Full inverse by numpy's dense LU solver; no sparse code involved."""
+    return np.linalg.solve(a_dense, np.eye(a_dense.shape[0]))
+
+
 def spearman(x, y):
     """Spearman rank correlation with average ranks for ties."""
     def ranks(v):

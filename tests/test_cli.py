@@ -107,6 +107,15 @@ def test_selinv_indefinite_input_fails(tmp_path, capsys):
     assert "non-positive pivot" in capsys.readouterr().err
 
 
+def test_selinv_bad_pivot_tol_env_is_one_line(matrix_file, monkeypatch, capsys):
+    path, _ = matrix_file
+    monkeypatch.setenv("SELDET_PIVOT_TOL", "abc")
+    assert main(["selinv", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SELDET_PIVOT_TOL='abc'")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # -------------------------------------------------------------------- reml
 
 

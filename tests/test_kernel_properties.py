@@ -1,0 +1,89 @@
+"""Property tests of both numeric kernels against the dense oracles.
+
+Hypothesis draws SPD matrices on random patterns — empty and 1-by-1
+matrices, diagonal matrices, disconnected forests, columns with no entry
+below the diagonal, and a dense trailing block — and factors each under
+both orderings.  For every draw the exact counters must equal the symbolic
+forecasts, D and L must match dense LDL^T, and the selected entries must
+match the dense inverse.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import seldet as sd
+from helpers import dense_inverse, dense_ldlt
+
+SHAPES = ("random", "diagonal", "forest", "empty_columns", "dense_tail")
+
+
+@st.composite
+def lower_pairs(draw, n, shape):
+    """Strictly-lower positions (i, j), i > j, of one pattern shape."""
+    if n < 2 or shape == "diagonal":
+        return set()
+    pair = st.integers(1, n - 1).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(0, i - 1)))
+    if shape == "forest":
+        # each node links to at most one earlier node: a forest whose
+        # roots (parent -1) split it into components
+        pairs = set()
+        for i in range(1, n):
+            p = draw(st.integers(-1, i - 1))
+            if p >= 0:
+                pairs.add((i, p))
+        return pairs
+    pairs = draw(st.sets(pair, max_size=3 * n))
+    if shape == "empty_columns":
+        empty = draw(st.sets(st.integers(0, n - 2), min_size=1))
+        pairs = {(i, j) for i, j in pairs if j not in empty}
+    elif shape == "dense_tail":
+        t = draw(st.integers(2, n))
+        pairs |= {(i, j) for i in range(n - t, n) for j in range(n - t, i)}
+    return pairs
+
+
+@st.composite
+def spd_matrices(draw):
+    n = draw(st.integers(0, 24))
+    shape = draw(st.sampled_from(SHAPES))
+    pairs = sorted(draw(lower_pairs(n, shape)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    i = np.array([p[0] for p in pairs], dtype=np.int64)
+    j = np.array([p[1] for p in pairs], dtype=np.int64)
+    v = rng.uniform(-1.0, 1.0, size=i.size)
+    # strict diagonal dominance makes the matrix SPD
+    diag = rng.uniform(0.5, 2.0, size=n)
+    np.add.at(diag, i, np.abs(v))
+    np.add.at(diag, j, np.abs(v))
+    rows = np.concatenate([i, np.arange(n)])
+    cols = np.concatenate([j, np.arange(n)])
+    return sd.from_coo_arrays(n, rows, cols, scale * np.concatenate([v, diag]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(a=spd_matrices(), ordering=st.sampled_from(["natural", "amd"]))
+def test_kernels_match_forecasts_and_dense_oracles(a, ordering):
+    n = a.n
+    p = sd.amd_order(a) if ordering == "amd" else sd.natural_order(n)
+    sym = sd.symbolic_factor(a, p)
+    f = sd.ldlt_factorize(a, sym)
+    z = sd.selected_inverse(f)
+    assert (f.flops, z.flops) == sd.predict_flops(sym)
+
+    perm = p.perm
+    ap = a.to_dense()[np.ix_(perm, perm)]
+    l_ref, d_ref = dense_ldlt(ap)
+    np.testing.assert_allclose(f.d, d_ref, rtol=1e-12)
+    l_mat = np.eye(n)
+    cols = np.repeat(np.arange(n), np.diff(sym.l_col_ptr))
+    l_mat[sym.l_row_idx, cols] = f.l_values
+    # the pattern holds every nonzero of the dense factor
+    np.testing.assert_allclose(l_mat, l_ref, rtol=0, atol=1e-12)
+
+    inv = dense_inverse(ap)
+    np.testing.assert_allclose(z.z_diag, np.diag(inv), rtol=1e-10)
+    scale = np.sqrt(np.diag(inv)[sym.l_row_idx] * np.diag(inv)[cols])
+    err = np.abs(z.z_values - inv[sym.l_row_idx, cols])
+    assert np.all(err <= 1e-10 * scale)

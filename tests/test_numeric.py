@@ -5,6 +5,7 @@ import pytest
 
 import seldet as sd
 from seldet.errors import (
+    InvalidConfigError,
     NearSingularWarning,
     NonPositivePivotError,
     PatternMismatchError,
@@ -190,3 +191,49 @@ def test_factorize_accepts_subpattern_matrix():
     f = sd.ldlt_factorize(sd.identity_matrix(3), sym)
     assert np.array_equal(f.d, [1.0, 1.0, 1.0])
     assert sd.log_det(f) == 0.0
+
+
+# ------------------------------------------------------ non-finite values
+
+
+def test_nan_entry_fails_with_typed_error():
+    a = sd.from_coo_arrays(2, np.array([0, 1, 1]), np.array([0, 0, 1]),
+                           np.array([2.0, np.nan, 2.0]))
+    sym = sd.symbolic_factor(a, sd.natural_order(2))
+    with pytest.raises(NonPositivePivotError) as exc:
+        sd.ldlt_factorize(a, sym)
+    assert exc.value.index == 1
+    assert np.isnan(exc.value.value)
+    assert "non-finite pivot" in str(exc.value)
+
+
+def test_inf_diagonal_fails_without_warning():
+    a = sd.from_coo_arrays(2, np.array([0, 1, 1]), np.array([0, 0, 1]),
+                           np.array([np.inf, 1.0, 2.0]))
+    sym = sd.symbolic_factor(a, sd.natural_order(2))
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NearSingularWarning fails the test
+        with pytest.raises(NonPositivePivotError) as exc:
+            sd.ldlt_factorize(a, sym)
+    assert exc.value.index == 0
+    assert exc.value.value == np.inf
+
+
+@pytest.mark.parametrize("value", ["abc", "", "nan", "inf", "-1e-3"])
+def test_pivot_tol_env_rejects_bad_values(monkeypatch, value):
+    a = sd.identity_matrix(2)
+    sym = sd.symbolic_factor(a, sd.natural_order(2))
+    monkeypatch.setenv(PIVOT_TOL_ENV, value)
+    with pytest.raises(InvalidConfigError, match=PIVOT_TOL_ENV):
+        sd.ldlt_factorize(a, sym)
+
+
+def test_pivot_tol_env_sets_only_the_warning_threshold(monkeypatch):
+    # pivots of 1.0 sit below a threshold of 2: a warning, not a rejection
+    a = sd.identity_matrix(2)
+    sym = sd.symbolic_factor(a, sd.natural_order(2))
+    monkeypatch.setenv(PIVOT_TOL_ENV, "2")
+    with pytest.warns(NearSingularWarning):
+        f = sd.ldlt_factorize(a, sym)
+    assert np.array_equal(f.d, [1.0, 1.0])

@@ -6,9 +6,12 @@ import pytest
 import seldet as sd
 from seldet.errors import (
     IndexOutOfRangeError,
+    PatternMismatchError,
     SingularMatrixError,
     TooLargeError,
 )
+from seldet.numeric import LdlFactor
+from seldet.symbolic import SymbolicFactor
 from helpers import random_spd, tridiag
 
 
@@ -106,3 +109,21 @@ def test_oracle_at_size_limit():
     a = sd.identity_matrix(500, 2.0)
     inv = sd.dense_inverse_oracle(a)
     assert np.allclose(np.diag(inv), 0.5)
+
+
+def test_unclosed_pattern_is_rejected():
+    # the chain's pattern plus an arrow entry (3, 0), without the fill
+    # (3, 1) it implies: column 0's block needs Z_31, which is not stored
+    sym = SymbolicFactor(
+        n=4, perm=sd.natural_order(4),
+        parent=np.array([1, 2, 3, -1]),
+        col_counts=np.array([3, 2, 2, 1]),
+        l_col_ptr=np.array([0, 2, 3, 4, 4]),
+        l_row_idx=np.array([1, 3, 2, 3]),
+        nnz_L=8,
+    )
+    lv = np.full(4, -0.25)
+    f = LdlFactor(sym=sym, l_values=lv, ld_values=4.0 * lv, d=np.full(4, 4.0),
+                  flops=0)
+    with pytest.raises(PatternMismatchError, match="not closed"):
+        sd.selected_inverse(f)
