@@ -24,7 +24,9 @@ from .errors import (
     EmptyFactorError,
     IndexOutOfRangeError,
     InvalidConfigError,
+    InvalidParameterError,
     NearSingularWarning,
+    NonFiniteValueError,
     NonPositivePivotError,
     NotAPermutationError,
     ParseError,
@@ -39,16 +41,25 @@ from .errors import (
     UnsupportedFormatError,
 )
 from .numeric import LdlFactor, ldlt_factorize, log_det, solve
-from .ordering import amd_order, load_order, natural_order, write_order
+from .ordering import (
+    amd_order,
+    load_order,
+    natural_order,
+    resolve_ordering,
+    write_order,
+)
 from .reml import (
     MixedModelDataset,
     MmeSystem,
     RandomFactor,
+    RemlPlan,
     RemlReport,
     VarianceParams,
+    analyze,
     assemble_mme,
     logdet_gradient,
     pev_diagonal,
+    plan_for,
     read_dataset,
     reml_report,
     restricted_loglik,
@@ -92,6 +103,7 @@ __all__ = [
     "read_matrix_market", "write_matrix_market",
     "permute_symmetric", "is_subpattern",
     "natural_order", "amd_order", "load_order", "write_order",
+    "resolve_ordering",
     "SymbolicFactor", "elimination_tree", "postorder", "column_counts",
     "symbolic_factor", "predict_flops", "selinv_flops_from_ldlt",
     "LdlFactor", "ldlt_factorize", "log_det", "solve",
@@ -99,6 +111,7 @@ __all__ = [
     "RandomFactor", "MixedModelDataset", "VarianceParams", "MmeSystem",
     "assemble_mme", "solve_mme", "restricted_loglik", "trace_product",
     "logdet_gradient", "pev_diagonal", "RemlReport", "reml_report",
+    "RemlPlan", "analyze", "plan_for",
     "read_dataset", "write_dataset",
     "TrialConfig", "generate", "DesignSummary", "design_summary",
     "RANDOM_TERMS", "PRESETS", "preset_config",
@@ -108,5 +121,6 @@ __all__ = [
     "NonPositivePivotError", "NearSingularWarning", "SingularMatrixError",
     "TooLargeError", "TooLargeForDenseFormError", "RankDeficientDesignError",
     "EmptyFactorError", "PatternNotCoveredError", "InvalidConfigError",
+    "InvalidParameterError", "NonFiniteValueError",
     "__version__",
 ]

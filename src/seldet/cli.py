@@ -23,16 +23,15 @@ import time
 import numpy as np
 
 from . import datagen, reml
-from .errors import SeldetError, TooLargeError
+from .errors import InvalidParameterError, SeldetError, TooLargeError
 from .numeric import ldlt_factorize, log_det, solve
-from .ordering import amd_order, load_order, natural_order
+from .ordering import resolve_ordering
 from .selinv import (
     DENSE_ORACLE_LIMIT,
     dense_inverse_oracle,
     selected_inverse,
 )
 from .sparse_core import (
-    Permutation,
     SparseSymmetric,
     from_coo_arrays,
     read_matrix_market,
@@ -46,17 +45,6 @@ __all__ = ["main"]
 def _read_matrix(path: str) -> SparseSymmetric:
     with open(path, encoding="utf-8") as fh:
         return read_matrix_market(fh)
-
-
-def _ordering_perm(flag: str, a: SparseSymmetric) -> Permutation:
-    if flag == "natural":
-        return natural_order(a.n)
-    if flag == "amd":
-        return amd_order(a)
-    if flag.startswith("file:"):
-        with open(flag[len("file:"):], encoding="utf-8") as fh:
-            return load_order(fh, a.n)
-    raise SeldetError(f"unknown ordering {flag!r}; use natural, amd, or file:<path>")
 
 
 def _add_ordering_flag(p: argparse.ArgumentParser):
@@ -80,7 +68,7 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]):
 
 def cmd_analyze(args) -> int:
     a = _read_matrix(args.matrix)
-    perm = _ordering_perm(args.ordering, a)
+    perm = resolve_ordering(args.ordering, a)
     sym = symbolic_factor(a, perm)
     ldlt, selinv_f = predict_flops(sym)
     n = a.n
@@ -126,7 +114,7 @@ def _selected_to_matrix(zsel) -> SparseSymmetric:
 def cmd_selinv(args) -> int:
     a = _read_matrix(args.matrix)
     t0 = time.perf_counter()
-    perm = _ordering_perm(args.ordering, a)
+    perm = resolve_ordering(args.ordering, a)
     t_order = time.perf_counter() - t0
     t0 = time.perf_counter()
     sym = symbolic_factor(a, perm)
@@ -179,10 +167,15 @@ def cmd_selinv(args) -> int:
 # ------------------------------------------------------------------- reml
 
 
-def _parse_param_list(text: str | None, count: int, default: float) -> np.ndarray:
+def _parse_param_list(flag: str, text: str | None, count: int,
+                      default: float) -> np.ndarray:
     if text is None:
         return np.full(count, default)
-    vals = [float(tok) for tok in text.split(",")]
+    try:
+        vals = [float(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise InvalidParameterError(
+            f"{flag} expects comma-separated numbers, got {text!r}") from exc
     if len(vals) == 1:
         return np.full(count, vals[0])
     if len(vals) != count:
@@ -194,16 +187,11 @@ def _parse_param_list(text: str | None, count: int, default: float) -> np.ndarra
 def cmd_reml(args) -> int:
     with open(args.dataset, encoding="utf-8") as fh:
         d = reml.read_dataset(fh)
-    gamma = _parse_param_list(args.gamma, len(d.factors), 1.0)
-    phi = _parse_param_list(args.phi, d.n_residual_blocks, 1.0)
+    gamma = _parse_param_list("--gamma", args.gamma, len(d.factors), 1.0)
+    phi = _parse_param_list("--phi", args.phi, d.n_residual_blocks, 1.0)
     v = reml.VarianceParams(sigma2=args.sigma2, gamma=gamma, phi=phi)
-    if args.ordering.startswith("file:"):
-        m = reml.assemble_mme(d, v)
-        with open(args.ordering[len("file:"):], encoding="utf-8") as fh:
-            ordering: str | Permutation = load_order(fh, m.C.n)
-    else:
-        ordering = args.ordering
-    rep = reml.reml_report(d, v, ordering=ordering)
+    plan = reml.plan_for(d, args.ordering)
+    rep = plan.evaluate(v)
 
     print(f"observations  : {d.n_obs}   effects (p+b): {rep.dim}")
     print(f"nnz(C)        : {rep.nnz_c}   nnz(L): {rep.nnz_l}")
@@ -240,8 +228,8 @@ def cmd_reml(args) -> int:
         for i, name in enumerate(rep.gradient_names):
             base = v.gamma[i] if i < v.gamma.size else v.phi[i - v.gamma.size]
             h = 1e-5 * base
-            lo = _logdet_at(d, v.perturbed(i, 1.0 - 1e-5))
-            hi = _logdet_at(d, v.perturbed(i, 1.0 + 1e-5))
+            lo = log_det(plan.factorize(v.perturbed(i, 1.0 - 1e-5))[0])
+            hi = log_det(plan.factorize(v.perturbed(i, 1.0 + 1e-5))[0])
             fd = (hi - lo) / (2.0 * h)
             rel = abs(rep.gradient[i] - fd) / max(1.0, abs(fd))
             worst = max(worst, rel)
@@ -260,13 +248,6 @@ def cmd_reml(args) -> int:
                  for name, val in zip(rep.gradient_names, rep.gradient)]
         _write_csv(args.out, header, rows)
     return 0 if ok else 1
-
-
-def _logdet_at(d, v) -> float:
-    m = reml.assemble_mme(d, v)
-    perm = amd_order(m.C)
-    fac = ldlt_factorize(m.C, symbolic_factor(m.C, perm))
-    return log_det(fac)
 
 
 # -------------------------------------------------------------------- gen
@@ -336,7 +317,7 @@ def cmd_bench(args) -> int:
             for flag in orderings:
                 flag = flag.strip()
                 t0 = time.perf_counter()
-                perm = _ordering_perm(flag, m.C)
+                perm = resolve_ordering(flag, m.C)
                 t_order = time.perf_counter() - t0
                 t0 = time.perf_counter()
                 sym = symbolic_factor(m.C, perm)
@@ -372,7 +353,7 @@ def cmd_verify(args) -> int:
     if a.n > DENSE_ORACLE_LIMIT:
         raise TooLargeError(
             f"verify needs n <= {DENSE_ORACLE_LIMIT}, got {a.n}")
-    perm = _ordering_perm(args.ordering, a)
+    perm = resolve_ordering(args.ordering, a)
     sym = symbolic_factor(a, perm)
     pred_ldlt, pred_si = predict_flops(sym)
     fac = ldlt_factorize(a, sym)

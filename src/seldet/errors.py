@@ -80,6 +80,16 @@ class PatternNotCoveredError(SeldetError, ValueError):
     """A matrix has a structural entry outside the selected-inverse pattern."""
 
 
+class InvalidParameterError(SeldetError, ValueError):
+    """A parameter value is outside its domain: a variance parameter that
+    is not a finite positive number, a malformed numeric flag, or an
+    unknown ordering name."""
+
+
+class NonFiniteValueError(SeldetError, ValueError):
+    """An input value is NaN or infinite."""
+
+
 class InvalidConfigError(SeldetError, ValueError):
     """A configuration value violates its constraints: a benchmark-generator
     setting, or an environment variable such as SELDET_PIVOT_TOL."""

@@ -119,7 +119,7 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor,
     # finalized, and the updates read finalized columns only.
     below = ~on_diag
     want = a_cols[below] * n + a_rows[below]
-    keys = sym.lower_keys()
+    keys = sym.lower_keys
     at = np.searchsorted(keys, want)
     stray = np.flatnonzero(keys[at] != want)
     if stray.size:
@@ -128,7 +128,7 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor,
             f"{a_cols[below][stray[0]]}")
     ld_values = np.zeros(rows.size)
     ld_values[at] = a_vals[below]
-    del keys, at  # before the row structure, to keep the peak down
+    del at  # before the row structure, to keep the peak down
     l_values = np.empty(rows.size)
     d = np.empty(n)
     x = np.zeros(n)

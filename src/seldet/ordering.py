@@ -15,10 +15,16 @@ from typing import IO
 
 import numpy as np
 
-from .errors import NotAPermutationError, ParseError, SizeMismatchError
+from .errors import (
+    InvalidParameterError,
+    NotAPermutationError,
+    ParseError,
+    SizeMismatchError,
+)
 from .sparse_core import Permutation, SparseSymmetric
 
-__all__ = ["natural_order", "amd_order", "load_order", "write_order"]
+__all__ = ["natural_order", "amd_order", "load_order", "write_order",
+           "resolve_ordering"]
 
 
 def natural_order(n: int) -> Permutation:
@@ -47,6 +53,27 @@ def write_order(p: Permutation, stream: IO[str]):
     """Write a permutation in the same format load_order reads."""
     stream.write(" ".join(str(int(i)) for i in p.perm))
     stream.write("\n")
+
+
+def resolve_ordering(ordering: str | Permutation,
+                     a: SparseSymmetric) -> Permutation:
+    """The permutation an ordering spec names for the matrix ``a``.
+
+    ``ordering`` is ``"natural"``, ``"amd"``, ``"file:<path>"`` (read with
+    :func:`load_order`) or a Permutation, returned as it is.  Any other
+    name raises InvalidParameterError.
+    """
+    if isinstance(ordering, Permutation):
+        return ordering
+    if ordering == "natural":
+        return natural_order(a.n)
+    if ordering == "amd":
+        return amd_order(a)
+    if isinstance(ordering, str) and ordering.startswith("file:"):
+        with open(ordering[len("file:"):], encoding="utf-8") as fh:
+            return load_order(fh, a.n)
+    raise InvalidParameterError(
+        f"unknown ordering {ordering!r}; use natural, amd, or file:<path>")
 
 
 def _adjacency(a: SparseSymmetric) -> list[list[int]]:

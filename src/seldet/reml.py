@@ -16,31 +16,30 @@ C's factorization and selected inverse.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
-from dataclasses import dataclass
-from typing import IO
+from dataclasses import dataclass, replace
+from typing import IO, NamedTuple
 
 import numpy as np
 
 from .errors import (
     EmptyFactorError,
+    InvalidParameterError,
+    NonFiniteValueError,
     ParseError,
+    PatternMismatchError,
     PatternNotCoveredError,
     RankDeficientDesignError,
     SizeMismatchError,
     TooLargeForDenseFormError,
 )
 from .numeric import LdlFactor, ldlt_factorize, log_det, solve
-from .ordering import amd_order, natural_order
+from .ordering import resolve_ordering
 from .selinv import SelectedInverse, selected_inverse
-from .sparse_core import (
-    Permutation,
-    SparseSymmetric,
-    from_coo_arrays,
-    permute_symmetric,
-)
-from .symbolic import predict_flops, symbolic_factor
+from .sparse_core import Permutation, SparseSymmetric, from_coo_arrays
+from .symbolic import SymbolicFactor, predict_flops, symbolic_factor
 
 __all__ = [
     "RandomFactor",
@@ -54,6 +53,9 @@ __all__ = [
     "logdet_gradient",
     "pev_diagonal",
     "RemlReport",
+    "RemlPlan",
+    "analyze",
+    "plan_for",
     "reml_report",
     "read_dataset",
     "write_dataset",
@@ -131,19 +133,30 @@ class MixedModelDataset:
 
 @dataclass(frozen=True)
 class VarianceParams:
-    """(sigma^2, gamma per random factor, phi per residual block)."""
+    """(sigma^2, gamma per random factor, phi per residual block).
+
+    Every value must be finite and strictly positive; anything else raises
+    InvalidParameterError.
+    """
 
     sigma2: float
     gamma: np.ndarray
     phi: np.ndarray
 
     def __post_init__(self):
+        s2 = float(self.sigma2)
         g = np.atleast_1d(np.asarray(self.gamma, dtype=np.float64))
         p = np.atleast_1d(np.asarray(self.phi, dtype=np.float64))
+        object.__setattr__(self, "sigma2", s2)
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "phi", p)
-        if self.sigma2 <= 0 or np.any(g <= 0) or np.any(p <= 0):
-            raise ValueError("variance parameters must be strictly positive")
+        for name, vals in (("sigma2", np.array([s2])), ("gamma", g), ("phi", p)):
+            bad = np.flatnonzero(~(np.isfinite(vals) & (vals > 0)))
+            if bad.size:
+                where = name if name == "sigma2" else f"{name}[{bad[0]}]"
+                raise InvalidParameterError(
+                    f"{where} = {float(vals[bad[0]])!r}: variance parameters "
+                    "must be finite and strictly positive")
 
     def perturbed(self, index: int, factor: float) -> "VarianceParams":
         """Copy with the index-th (gamma..., phi...) entry scaled — the
@@ -191,12 +204,19 @@ def _check_factors(d: MixedModelDataset):
         raise EmptyFactorError("a residual block has no observations")
 
 
+def _check_design(d: MixedModelDataset):
+    _check_factors(d)
+    if np.linalg.matrix_rank(d.x) < d.p:
+        raise RankDeficientDesignError("fixed-effect design X is rank deficient")
+
+
 def _wtw_lower_triplets(d: MixedModelDataset, w: np.ndarray):
     """Lower-triangle triplets of W' diag(w) W, with W = [X, Z-blocks].
 
     Returns (rows, cols, vals) covering the dense X'X block, every
     X-factor cross block, factor diagonal blocks, and all factor-factor
-    cross blocks, in C's block layout.
+    cross blocks, in C's block layout.  The positions depend on the
+    dataset alone, never on ``w``.
     """
     n, p = d.x.shape
     offs = d.factor_offsets()
@@ -241,95 +261,83 @@ def _wtw_lower_triplets(d: MixedModelDataset, w: np.ndarray):
             np.concatenate(vals_l))
 
 
-def assemble_mme(d: MixedModelDataset, v: VarianceParams) -> MmeSystem:
-    """Build C, the right-hand side, and the dC/d(kappa) templates."""
-    n, p = d.x.shape
+def _assemble_c(d: MixedModelDataset,
+                v: VarianceParams) -> tuple[SparseSymmetric, np.ndarray]:
+    """C and the right-hand side W'R^-1 y at ``v``; the dataset checks are
+    the caller's."""
     if v.gamma.size != len(d.factors):
         raise SizeMismatchError(
             f"{v.gamma.size} gamma values for {len(d.factors)} factors")
     if v.phi.size != d.n_residual_blocks:
         raise SizeMismatchError(
             f"{v.phi.size} phi values for {d.n_residual_blocks} residual blocks")
-    _check_factors(d)
-    if np.linalg.matrix_rank(d.x) < p:
-        raise RankDeficientDesignError("fixed-effect design X is rank deficient")
-
-    offs = d.factor_offsets()
-    dim = p + d.b
     r = 1.0 / v.phi[d.residual_codes]
-
     rows, cols, vals = _wtw_lower_triplets(d, r)
-    # G^-1 on the factor diagonals (summed onto the W'R^-1W diagonal)
-    g_rows = []
-    g_vals = []
-    for fi, f in enumerate(d.factors):
-        lev = offs[fi] + np.arange(f.n_levels, dtype=np.int64)
-        g_rows.append(lev)
-        g_vals.append(np.full(f.n_levels, 1.0 / v.gamma[fi]))
-    if g_rows:
-        gr = np.concatenate(g_rows)
-        rows = np.concatenate([rows, gr])
-        cols = np.concatenate([cols, gr])
-        vals = np.concatenate([vals, np.concatenate(g_vals)])
-    c_mat = from_coo_arrays(dim, rows, cols, vals)
-
+    # G^-1 on the factor diagonals (summed onto the W'R^-1W diagonal); the
+    # factor blocks run contiguously from p to p + b
+    lev = np.arange(d.p, d.p + d.b, dtype=np.int64)
+    g_inv = np.repeat(1.0 / v.gamma, [f.n_levels for f in d.factors])
+    c_mat = from_coo_arrays(d.p + d.b, np.concatenate([rows, lev]),
+                            np.concatenate([cols, lev]),
+                            np.concatenate([vals, g_inv]))
     ry = r * d.y
     rhs = np.concatenate(
         [d.x.T @ ry]
         + [np.bincount(f.codes, weights=ry, minlength=f.n_levels)
            for f in d.factors])
+    return c_mat, rhs
 
-    templates: list[SparseSymmetric] = []
-    names: list[str] = []
-    for fi, f in enumerate(d.factors):
-        lev = offs[fi] + np.arange(f.n_levels, dtype=np.int64)
-        coef = -1.0 / (v.gamma[fi] * v.gamma[fi])
-        templates.append(from_coo_arrays(
-            dim, lev, lev, np.full(f.n_levels, coef)))
-        names.append(f"gamma:{f.name}")
+
+def _unit_templates(d: MixedModelDataset):
+    """(rows, cols, vals) of -kappa^2 dC/d(kappa) for every variance ratio,
+    gammas then phis: the identity on each factor's block, then W'M_kW for
+    the 0/1 mask M_k of each residual block.  Neither depends on the
+    parameter point."""
+    for off, f in zip(d.factor_offsets(), d.factors):
+        lev = off + np.arange(f.n_levels, dtype=np.int64)
+        yield lev, lev, np.ones(f.n_levels)
     for k in range(d.n_residual_blocks):
-        mask = (d.residual_codes == k).astype(np.float64)
-        tr_, tc_, tv_ = _wtw_lower_triplets(d, mask)
-        coef = -1.0 / (v.phi[k] * v.phi[k])
-        templates.append(from_coo_arrays(dim, tr_, tc_, coef * tv_))
-        label = (d.residual_labels[k]
-                 if k < len(d.residual_labels) else str(k))
-        names.append(f"phi:{label}")
+        yield _wtw_lower_triplets(d, (d.residual_codes == k).astype(np.float64))
 
+
+def _template_names(d: MixedModelDataset) -> tuple[str, ...]:
+    res = [d.residual_labels[k] if k < len(d.residual_labels) else str(k)
+           for k in range(d.n_residual_blocks)]
+    return tuple([f"gamma:{f.name}" for f in d.factors]
+                 + [f"phi:{label}" for label in res])
+
+
+def _template_coefs(v: VarianceParams) -> np.ndarray:
+    """-1/kappa^2 per variance ratio, gammas then phis."""
+    return -1.0 / np.concatenate([v.gamma, v.phi]) ** 2
+
+
+def assemble_mme(d: MixedModelDataset, v: VarianceParams) -> MmeSystem:
+    """Build C, the right-hand side, and the dC/d(kappa) templates."""
+    _check_design(d)
+    c_mat, rhs = _assemble_c(d, v)
+    templates = tuple(
+        from_coo_arrays(c_mat.n, rows, cols, coef * vals)
+        for coef, (rows, cols, vals) in zip(_template_coefs(v),
+                                            _unit_templates(d)))
     return MmeSystem(
         C=c_mat,
         rhs=rhs,
-        templates=tuple(templates),
-        template_names=tuple(names),
-        p=p,
+        templates=templates,
+        template_names=_template_names(d),
+        p=d.p,
         b=d.b,
         factor_names=tuple(f.name for f in d.factors),
-        factor_offsets=tuple(offs),
+        factor_offsets=tuple(d.factor_offsets()),
         factor_sizes=tuple(f.n_levels for f in d.factors),
     )
-
-
-def _resolve_ordering(c_mat: SparseSymmetric,
-                      ordering: str | Permutation) -> Permutation:
-    if isinstance(ordering, Permutation):
-        return ordering
-    if ordering == "amd":
-        return amd_order(c_mat)
-    if ordering == "natural":
-        return natural_order(c_mat.n)
-    raise ValueError(f"unknown ordering {ordering!r}")
-
-
-def _factorize(c_mat: SparseSymmetric, ordering: str | Permutation) -> LdlFactor:
-    perm = _resolve_ordering(c_mat, ordering)
-    return ldlt_factorize(c_mat, symbolic_factor(c_mat, perm))
 
 
 def solve_mme(m: MmeSystem,
               ordering: str | Permutation = "amd") -> tuple[np.ndarray, np.ndarray]:
     """BLUE of the fixed effects and BLUP of the random effects."""
-    f = _factorize(m.C, ordering)
-    x = solve(f, m.rhs)
+    sym = symbolic_factor(m.C, resolve_ordering(ordering, m.C))
+    x = solve(ldlt_factorize(m.C, sym), m.rhs)
     return x[:m.p], x[m.p:]
 
 
@@ -343,6 +351,20 @@ def _logdet_g(d: MixedModelDataset, v: VarianceParams) -> float:
     return float(bj @ np.log(v.gamma))
 
 
+def _ypy(d: MixedModelDataset, v: VarianceParams, rhs: np.ndarray,
+         x: np.ndarray) -> float:
+    """y'Py = y'R^-1 y - rhs' C^-1 rhs, given x = C^-1 rhs."""
+    r = 1.0 / v.phi[d.residual_codes]
+    return float(d.y @ (r * d.y) - rhs @ x)
+
+
+def _loglik(d: MixedModelDataset, v: VarianceParams, ldc: float,
+            ypy: float) -> float:
+    n, p = d.x.shape
+    return -0.5 * ((n - p) * math.log(v.sigma2) + ldc + _logdet_r(d, v)
+                   + _logdet_g(d, v) + ypy / v.sigma2)
+
+
 def restricted_loglik(d: MixedModelDataset, v: VarianceParams,
                       form: str = "c",
                       ordering: str | Permutation = "amd") -> float:
@@ -353,22 +375,19 @@ def restricted_loglik(d: MixedModelDataset, v: VarianceParams,
         -1/2 [ (n-p) ln sigma^2 + logdet C + logdet R + logdet G
                + y'Py / sigma^2 ],
 
-    with y'Py = y'R^-1 y - rhs' C^-1 rhs.  form="h" evaluates the dense
-    formulation -1/2 [ (n-p) ln sigma^2 + logdet H + logdet(X'H^-1X)
-    + y'Py / sigma^2 ] with H = R + ZGZ', guarded to n <= 500; the two
-    agree to rounding and the dense path exists as an oracle.
+    with y'Py = y'R^-1 y - rhs' C^-1 rhs, on the plan of
+    :func:`plan_for`, so repeated calls on one dataset structure analyze
+    it once.  form="h" evaluates the dense formulation
+    -1/2 [ (n-p) ln sigma^2 + logdet H + logdet(X'H^-1X) + y'Py / sigma^2 ]
+    with H = R + ZGZ', guarded to n <= 500; the two agree to rounding and
+    the dense path exists as an oracle.
     """
     n, p = d.x.shape
     if n <= p:
         raise SizeMismatchError(f"need n > p, got n = {n}, p = {p}")
     if form == "c":
-        m = assemble_mme(d, v)
-        f = _factorize(m.C, ordering)
-        ldc = log_det(f)
-        r = 1.0 / v.phi[d.residual_codes]
-        ypy = float(d.y @ (r * d.y) - m.rhs @ solve(f, m.rhs))
-        return -0.5 * ((n - p) * math.log(v.sigma2) + ldc
-                       + _logdet_r(d, v) + _logdet_g(d, v) + ypy / v.sigma2)
+        f, rhs = plan_for(d, ordering).factorize(v)
+        return _loglik(d, v, log_det(f), _ypy(d, v, rhs, solve(f, rhs)))
     if form == "h":
         if n > DENSE_FORM_LIMIT:
             raise TooLargeForDenseFormError(
@@ -395,6 +414,44 @@ def restricted_loglik(d: MixedModelDataset, v: VarianceParams,
     raise ValueError(f"unknown form {form!r}; use 'c' or 'h'")
 
 
+class _Located(NamedTuple):
+    """A symmetric matrix's entries as positions in the storage of a
+    selected inverse on one pattern: diagonal entries index ``z_diag``,
+    the others ``z_values``."""
+
+    diag_pos: np.ndarray
+    diag_vals: np.ndarray
+    off_pos: np.ndarray
+    off_vals: np.ndarray
+
+    def trace(self, zsel: SelectedInverse) -> float:
+        """tr(Z B): diagonal entries once, off-diagonal entries twice."""
+        return float(zsel.z_diag[self.diag_pos] @ self.diag_vals
+                     + 2.0 * (zsel.z_values[self.off_pos] @ self.off_vals))
+
+
+def _locate(sym: SymbolicFactor, rows: np.ndarray, cols: np.ndarray,
+            vals: np.ndarray) -> _Located:
+    """Place entries (rows, cols, vals), original indices, either triangle,
+    on the selected pattern of ``sym``: one ``searchsorted`` against its
+    lower keys.  An entry off the pattern raises PatternNotCoveredError."""
+    inv = sym.perm.inverse
+    pr, pc = inv[rows], inv[cols]
+    lo, hi = np.minimum(pr, pc), np.maximum(pr, pc)
+    on = lo == hi
+    off = ~on
+    want = lo[off] * sym.n + hi[off]
+    keys = sym.lower_keys
+    at = np.searchsorted(keys, want)
+    missing = np.flatnonzero(keys[at] != want)
+    if missing.size:
+        k = np.flatnonzero(off)[missing[0]]
+        raise PatternNotCoveredError(
+            f"entry ({rows[k]},{cols[k]}) is outside the selected-inverse "
+            "pattern")
+    return _Located(hi[on], vals[on], at, vals[off])
+
+
 def trace_product(zsel: SelectedInverse, b_mat: SparseSymmetric) -> float:
     """tr(C^-1 B) for a symmetric B on a subpattern of the selected inverse.
 
@@ -405,27 +462,7 @@ def trace_product(zsel: SelectedInverse, b_mat: SparseSymmetric) -> float:
     """
     if b_mat.n != zsel.n:
         raise SizeMismatchError("dimension mismatch")
-    bp = permute_symmetric(b_mat, zsel.perm)
-    colptr, rows = zsel.sym.l_col_ptr, zsel.sym.l_row_idx
-    total = 0.0
-    for j in range(bp.n):
-        brows, bvals = bp.column(j)
-        if not brows.size:
-            continue
-        if brows[0] == j:
-            total += zsel.z_diag[j] * bvals[0]
-            brows, bvals = brows[1:], bvals[1:]
-        if not brows.size:
-            continue
-        lo, hi = colptr[j], colptr[j + 1]
-        seg = rows[lo:hi]
-        off = np.searchsorted(seg, brows)
-        if np.any(off >= seg.size) or not np.array_equal(
-                seg[np.minimum(off, seg.size - 1)], brows):
-            raise PatternNotCoveredError(
-                f"column {j}: entry outside the selected-inverse pattern")
-        total += 2.0 * float(zsel.z_values[lo + off] @ bvals)
-    return float(total)
+    return _locate(zsel.sym, *b_mat.triplets()).trace(zsel)
 
 
 def logdet_gradient(m: MmeSystem, zsel: SelectedInverse) -> np.ndarray:
@@ -442,7 +479,12 @@ def pev_diagonal(zsel: SelectedInverse, sigma2: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RemlReport:
-    """Everything the full pipeline produces at one parameter point."""
+    """Everything the full pipeline produces at one parameter point.
+
+    ``times`` gives the wall seconds of each phase of the call: assemble,
+    ordering, symbolic, factorize, selinv and derivatives.  Ordering and
+    symbolic read 0 when the call reused an earlier analysis.
+    """
 
     loglik: float
     logdet_c: float
@@ -464,71 +506,206 @@ class RemlReport:
     times: dict[str, float]
 
 
+def _dataset_digest(d: MixedModelDataset) -> bytes:
+    """Digest of the content that decides C's pattern: X, every factor's
+    codes and level count, the residual codes and block count."""
+    h = hashlib.sha256(repr((d.x.shape, [f.n_levels for f in d.factors],
+                             d.n_residual_blocks)).encode())
+    h.update(d.x)
+    for f in d.factors:
+        h.update(f.codes)
+    h.update(d.residual_codes)
+    return h.digest()
+
+
+@dataclass(frozen=True, eq=False)
+class RemlPlan:
+    """The pattern work of the REML pipeline for one dataset structure.
+
+    Built by :func:`analyze`; :meth:`evaluate` then does only the value
+    work at each parameter point.  It holds, besides a reference to the
+    dataset: the permutation and the SymbolicFactor of C (with its lower
+    keys once a kernel has used them, one int64 per stored entry of L),
+    and for every dC/d(kappa) the positions of its nonzero entries in the
+    selected inverse's storage with their values without the -1/kappa^2
+    factor, one int64 and one float64 each.  ``times`` gives the wall seconds of the
+    analysis: assemble (C's pattern), ordering and symbolic (the symbolic
+    factor and the template positions).
+
+    The plan is for the dataset content it was analyzed on: evaluating it
+    after X, a factor's codes or the residual codes were edited in place
+    raises PatternMismatchError.
+    """
+
+    d: MixedModelDataset
+    digest: bytes
+    sym: SymbolicFactor
+    templates: tuple[_Located, ...]
+    predicted_flops: tuple[int, int]
+    times: dict[str, float]
+
+    def _require_current(self):
+        if _dataset_digest(self.d) != self.digest:
+            raise PatternMismatchError(
+                "the dataset changed since it was analyzed; analyze it again")
+
+    def factorize(self, v: VarianceParams) -> tuple[LdlFactor, np.ndarray]:
+        """The LDL^T factor of C at ``v`` and the right-hand side."""
+        self._require_current()
+        c_mat, rhs = _assemble_c(self.d, v)
+        return ldlt_factorize(c_mat, self.sym), rhs
+
+    def evaluate(self, v: VarianceParams) -> RemlReport:
+        """Factor -> selected inverse -> REML quantities at ``v``.
+
+        Per-phase wall times are informational only; both FLOP counters
+        come with their symbolic predictions.
+        """
+        self._require_current()
+        d = self.d
+        times = {"ordering": 0.0, "symbolic": 0.0}
+        t0 = time.perf_counter()
+        c_mat, rhs = _assemble_c(d, v)
+        times["assemble"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        f = ldlt_factorize(c_mat, self.sym)
+        times["factorize"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        zsel = selected_inverse(f)
+        times["selinv"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        x = solve(f, rhs)
+        grad = _template_coefs(v) * np.asarray(
+            [t.trace(zsel) for t in self.templates])
+        times["derivatives"] = time.perf_counter() - t0
+
+        ldc = log_det(f)
+        ypy = _ypy(d, v, rhs, x)
+        pred_ldlt, pred_selinv = self.predicted_flops
+        return RemlReport(
+            loglik=_loglik(d, v, ldc, ypy),
+            logdet_c=ldc,
+            logdet_r=_logdet_r(d, v),
+            logdet_g=_logdet_g(d, v),
+            ypy=ypy,
+            tau=x[:d.p],
+            u=x[d.p:],
+            gradient=grad,
+            gradient_names=_template_names(d),
+            pev=pev_diagonal(zsel, v.sigma2),
+            dim=c_mat.n,
+            nnz_c=c_mat.nnz,
+            nnz_l=self.sym.nnz_L,
+            predicted_ldlt_flops=pred_ldlt,
+            measured_ldlt_flops=f.flops,
+            predicted_selinv_flops=pred_selinv,
+            measured_selinv_flops=zsel.flops,
+            times=times,
+        )
+
+
+def _analyze(d: MixedModelDataset, ordering: str | Permutation,
+             digest: bytes) -> RemlPlan:
+    n, p = d.x.shape
+    if n <= p:
+        raise SizeMismatchError(f"need n > p, got n = {n}, p = {p}")
+    _check_design(d)
+    times: dict[str, float] = {}
+    t0 = time.perf_counter()
+    unit = VarianceParams(1.0, np.ones(len(d.factors)),
+                          np.ones(d.n_residual_blocks))
+    c_mat, _ = _assemble_c(d, unit)
+    times["assemble"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    perm = resolve_ordering(ordering, c_mat)
+    times["ordering"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    sym = symbolic_factor(c_mat, perm)
+    templates = []
+    for rows, cols, vals in _unit_templates(d):
+        keep = vals != 0.0
+        templates.append(_locate(sym, rows[keep], cols[keep], vals[keep]))
+    predicted = predict_flops(sym)
+    times["symbolic"] = time.perf_counter() - t0
+    return RemlPlan(d=d, digest=digest, sym=sym, templates=tuple(templates),
+                    predicted_flops=predicted, times=times)
+
+
+def analyze(d: MixedModelDataset,
+            ordering: str | Permutation = "amd") -> RemlPlan:
+    """Check the dataset, order C and analyze its pattern once.
+
+    ``ordering`` is anything :func:`resolve_ordering` takes.  The result
+    evaluates the REML quantities at any parameter point of this dataset
+    structure without repeating the ordering or the symbolic analysis.
+    """
+    return _analyze(d, ordering, _dataset_digest(d))
+
+
+def _ordering_key(ordering: str | Permutation) -> tuple:
+    if isinstance(ordering, Permutation):
+        return ("perm", ordering.perm.tobytes())
+    if isinstance(ordering, str) and ordering.startswith("file:"):
+        with open(ordering[len("file:"):], "rb") as fh:
+            return ("file", hashlib.sha256(fh.read()).digest())
+    return ("name", ordering)
+
+
+# The one plan held between calls, with its key: (dataset digest, ordering
+# key).  A list so that it is emptied in place before a new analysis.
+_held: list[tuple[tuple, RemlPlan]] = []
+
+
+def _held_plan(d: MixedModelDataset,
+               ordering: str | Permutation) -> tuple[RemlPlan, bool]:
+    """(plan, analyzed now): the held plan when its key matches, else a
+    new analysis, which replaces it."""
+    key = (_dataset_digest(d), _ordering_key(ordering))
+    if _held and _held[0][0] == key:
+        plan = _held[0][1]
+        if plan.d is not d:  # same structure; y and the labels may differ
+            plan = replace(plan, d=d)
+            _held[0] = (key, plan)
+        return plan, False
+    _held.clear()  # so that the old plan is freed before the new one is built
+    plan = _analyze(d, ordering, key[0])
+    _held.append((key, plan))
+    return plan, True
+
+
+def plan_for(d: MixedModelDataset,
+             ordering: str | Permutation = "amd") -> RemlPlan:
+    """The plan of ``d``'s structure under ``ordering``, analyzed at most
+    once in a row.
+
+    One plan is held between calls, keyed by the content that decides it
+    (X, each factor's codes and level count, the residual codes and block
+    count, the ordering name, permutation or file content), never by
+    object identity.  A call with another key frees the held plan and
+    analyzes anew.
+    """
+    return _held_plan(d, ordering)[0]
+
+
 def reml_report(d: MixedModelDataset, v: VarianceParams,
                 ordering: str | Permutation = "amd") -> RemlReport:
     """Assemble -> order -> factor -> selected inverse -> REML quantities.
 
-    One call covering the whole pipeline, with per-phase wall times
-    (informational only) and both FLOP counters alongside their symbolic
-    predictions.
+    One call covering the whole pipeline; the ordering and the symbolic
+    analysis come from :func:`plan_for`, so along a fit path on one
+    dataset only the first call pays for them.
     """
-    n, p = d.x.shape
-    if n <= p:
-        raise SizeMismatchError(f"need n > p, got n = {n}, p = {p}")
-    times: dict[str, float] = {}
-    t0 = time.perf_counter()
-    m = assemble_mme(d, v)
-    times["assemble"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    perm = _resolve_ordering(m.C, ordering)
-    times["ordering"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    sym = symbolic_factor(m.C, perm)
-    times["symbolic"] = time.perf_counter() - t0
-    pred_ldlt, pred_selinv = predict_flops(sym)
-
-    t0 = time.perf_counter()
-    f = ldlt_factorize(m.C, sym)
-    times["factorize"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    zsel = selected_inverse(f)
-    times["selinv"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    x = solve(f, m.rhs)
-    grad = logdet_gradient(m, zsel)
-    times["derivatives"] = time.perf_counter() - t0
-
-    ldc = log_det(f)
-    r = 1.0 / v.phi[d.residual_codes]
-    ypy = float(d.y @ (r * d.y) - m.rhs @ x)
-    ldr = _logdet_r(d, v)
-    ldg = _logdet_g(d, v)
-    loglik = -0.5 * ((n - p) * math.log(v.sigma2) + ldc + ldr + ldg
-                     + ypy / v.sigma2)
-    return RemlReport(
-        loglik=loglik,
-        logdet_c=ldc,
-        logdet_r=ldr,
-        logdet_g=ldg,
-        ypy=ypy,
-        tau=x[:m.p],
-        u=x[m.p:],
-        gradient=grad,
-        gradient_names=m.template_names,
-        pev=pev_diagonal(zsel, v.sigma2),
-        dim=m.C.n,
-        nnz_c=m.C.nnz,
-        nnz_l=sym.nnz_L,
-        predicted_ldlt_flops=pred_ldlt,
-        measured_ldlt_flops=f.flops,
-        predicted_selinv_flops=pred_selinv,
-        measured_selinv_flops=zsel.flops,
-        times=times,
-    )
+    plan, analyzed = _held_plan(d, ordering)
+    rep = plan.evaluate(v)
+    if analyzed:
+        for phase, seconds in plan.times.items():
+            rep.times[phase] += seconds
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +745,11 @@ def _encode_labels(column: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
 
 
 def read_dataset(stream: IO[str]) -> MixedModelDataset:
-    """Parse the tab-separated dataset dialect written by write_dataset."""
+    """Parse the tab-separated dataset dialect written by write_dataset.
+
+    A response or fixed-column value that is NaN or infinite raises
+    NonFiniteValueError naming its line and column.
+    """
     header_line = stream.readline()
     if not header_line:
         raise ParseError("empty dataset stream")
@@ -601,14 +782,19 @@ def read_dataset(stream: IO[str]) -> MixedModelDataset:
             raise ParseError(f"line {lineno}: expected {ncol} columns, got {len(parts)}")
         if "NA" in parts:
             raise ParseError(f"line {lineno}: missing values (NA) are not supported")
+        at = 1 + len(fixed_names)
         try:
-            y_raw.append(float(parts[0]))
-            at = 1
-            for c in range(len(fixed_names)):
-                fixed_raw[c].append(float(parts[at]))
-                at += 1
+            nums = [float(tok) for tok in parts[:at]]
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad numeric field") from exc
+        bad = [c for c, x in enumerate(nums) if not math.isfinite(x)]
+        if bad:
+            raise NonFiniteValueError(
+                f"line {lineno}: column {header[bad[0]]!r} has the value "
+                f"{parts[bad[0]]!r}")
+        y_raw.append(nums[0])
+        for c in range(len(fixed_names)):
+            fixed_raw[c].append(nums[1 + c])
         for c in range(len(random_names)):
             random_raw[c].append(parts[at])
             at += 1

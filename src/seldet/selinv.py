@@ -13,8 +13,8 @@ Z_ik the recurrence reads lies on the already-computed part of the
 pattern: for i, k both in column j's pattern with i > k, position (i, k)
 is structural in column k — the same closure that creates fill during
 factorization guarantees it here.  So column j gathers its whole q-by-q
-block Z[pat, pat] at once: the keys col*n + row of the pattern are built
-once per call (they are sorted by the storage order), and one
+block Z[pat, pat] at once: the keys col*n + row of the pattern are
+sorted by the storage order and built once per symbolic factor, and one
 ``searchsorted`` of the q(q-1)/2 pair keys finds every off-diagonal
 entry.  A pair key that is not found means the pattern is not closed, and
 raises PatternMismatchError.  The column is then one dense product.
@@ -79,7 +79,7 @@ def selected_inverse(f: LdlFactor) -> SelectedInverse:
     lv = f.l_values
     z = np.empty(rows.size)
     z_diag = 1.0 / f.d
-    keys = sym.lower_keys()
+    keys = sym.lower_keys
     # The pairs of tril_indices(q_max, -1) come row by row, so those of any
     # q <= q_max are its first q(q-1)/2: one array, the size of the largest
     # block, serves every column.

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     AsymmetricInputError,
     IndexOutOfRangeError,
+    NonFiniteValueError,
     NotAPermutationError,
     ParseError,
     SizeMismatchError,
@@ -201,13 +202,19 @@ def from_coo_arrays(n: int, rows: np.ndarray, cols: np.ndarray,
 
     Entries given above the diagonal are mirrored into the lower triangle.
     An explicit (i, j)/(j, i) pair must agree to a relative 1e-12 or the
-    input is rejected as asymmetric.
+    input is rejected as asymmetric.  A NaN or infinite value raises
+    NonFiniteValueError naming its (i, j) as given.
     """
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     cols = np.ascontiguousarray(cols, dtype=np.int64)
     vals = np.ascontiguousarray(vals, dtype=np.float64)
     if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
         raise IndexOutOfRangeError("triplet index outside 0..n-1")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        k = bad[0]
+        raise NonFiniteValueError(
+            f"entry ({rows[k]},{cols[k]}) has the value {float(vals[k])!r}")
     upper = rows < cols
     lo_r = np.where(upper, cols, rows)
     lo_c = np.where(upper, rows, cols)
@@ -286,7 +293,9 @@ def read_matrix_market(stream: IO[str] | str) -> SparseSymmetric:
     """Read a symmetric real/pattern coordinate Matrix Market stream.
 
     File indices are 1-based; entries above the diagonal are reflected into
-    the lower triangle.  ``pattern`` entries get the value 1.0.
+    the lower triangle.  ``pattern`` entries get the value 1.0.  A NaN or
+    infinite value raises NonFiniteValueError naming the record and its
+    1-based (i, j).
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -351,6 +360,12 @@ def read_matrix_market(stream: IO[str] | str) -> SparseSymmetric:
         k += 1
     if k != nnz:
         raise ParseError(f"declared {nnz} records, found {k}")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        k = bad[0]
+        raise NonFiniteValueError(
+            f"record {k + 1}: entry ({rows[k] + 1},{cols[k] + 1}) has the "
+            f"value {float(vals[k])!r}")
     return from_coo_arrays(nrows, rows, cols, vals)
 
 

@@ -15,6 +15,7 @@ that the numeric kernels are instrumented to match exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -154,9 +155,11 @@ class SymbolicFactor:
     def selinv_flops(self) -> int:
         return predict_flops(self)[1]
 
+    @cached_property
     def lower_keys(self) -> np.ndarray:
         """Keys ``col * n + row`` of the strictly-lower pattern in storage
-        order, closed by the sentinel ``n * n``.
+        order, closed by the sentinel ``n * n``; built on first use and
+        kept (read-only) for the life of this factor.
 
         Columns are stored in order with ascending rows, so the keys come
         out sorted.  Every position below the diagonal has a key below the
@@ -170,6 +173,7 @@ class SymbolicFactor:
                              np.diff(self.l_col_ptr))
         np.add(col_base, self.l_row_idx, out=keys[:-1])
         keys[-1] = n * n
+        keys.flags.writeable = False
         return keys
 
 

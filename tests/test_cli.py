@@ -162,6 +162,47 @@ def test_reml_wrong_parameter_count_fails(dataset_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, says", [
+    (["--gamma", "1,x"], "--gamma expects comma-separated numbers"),
+    (["--phi", "abc"], "--phi expects comma-separated numbers"),
+    (["--gamma", "nan"], "gamma[0] = nan"),
+    (["--sigma2", "inf"], "sigma2 = inf"),
+    (["--sigma2", "-1"], "sigma2 = -1.0"),
+    (["--ordering", "foo"], "unknown ordering 'foo'"),
+])
+def test_reml_bad_parameter_is_one_line(dataset_file, capsys, flags, says):
+    assert main(["reml", dataset_file, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and says in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_reml_non_finite_response_is_one_line(dataset_file, capsys):
+    with open(dataset_file, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    fields = lines[2].split("\t")
+    fields[0] = "nan"
+    lines[2] = "\t".join(fields)
+    with open(dataset_file, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert main(["reml", dataset_file]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: column 'response'")
+    assert err.count("\n") == 1
+
+
+def test_reml_fd_check_orders_once(dataset_file, monkeypatch, capsys):
+    monkeypatch.setattr(sd.reml, "_held", [])
+    calls = []
+    real = sd.ordering.amd_order
+    monkeypatch.setattr(sd.ordering, "amd_order",
+                        lambda a: calls.append(a.n) or real(a))
+    assert main(["reml", dataset_file, "--fd-check"]) == 0
+    assert "fd check      : worst rel" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 # --------------------------------------------------------------------- gen
 
 

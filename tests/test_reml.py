@@ -7,6 +7,7 @@ test.
 """
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ import pytest
 import seldet as sd
 from seldet.errors import (
     EmptyFactorError,
+    InvalidParameterError,
+    NonFiniteValueError,
     ParseError,
+    PatternMismatchError,
     PatternNotCoveredError,
     RankDeficientDesignError,
     SizeMismatchError,
@@ -157,6 +161,18 @@ def test_variance_params_must_be_positive():
         sd.VarianceParams(sigma2=1.0, gamma=(-1.0,), phi=(1.0,))
     with pytest.raises(ValueError):
         sd.VarianceParams(sigma2=1.0, gamma=(1.0,), phi=(0.0,))
+
+
+@pytest.mark.parametrize("sigma2, gamma, phi, where", [
+    (np.nan, (1.0,), (np.inf,), "sigma2"),
+    (1.0, (1.0, np.nan), (1.0,), "gamma[1]"),
+    (1.0, (1.0,), (np.inf,), "phi[0]"),
+    (np.inf, (1.0,), (1.0,), "sigma2"),
+    (1.0, (-np.inf,), (1.0,), "gamma[0]"),
+])
+def test_variance_params_must_be_finite(sigma2, gamma, phi, where):
+    with pytest.raises(InvalidParameterError, match=re.escape(where)):
+        sd.VarianceParams(sigma2=sigma2, gamma=gamma, phi=phi)
 
 
 def test_perturbed_moves_one_coordinate():
@@ -410,6 +426,15 @@ def test_dataset_without_resblock_column():
     assert np.array_equal(d.residual_codes, [0, 0])
 
 
+@pytest.mark.parametrize("row, column", [
+    ("nan\t1\ta", "response"), ("1.0\tinf\ta", "fixed:mean"),
+    ("-inf\t1\ta", "response")])
+def test_dataset_non_finite_value_names_the_line(row, column):
+    text = "response\tfixed:mean\trandom:f\n1.5\t1\ta\n" + row + "\n"
+    with pytest.raises(NonFiniteValueError, match=f"line 3: column '{column}'"):
+        sd.read_dataset(io.StringIO(text))
+
+
 def test_dataset_parse_errors():
     with pytest.raises(ParseError):
         sd.read_dataset(io.StringIO(""))
@@ -426,3 +451,144 @@ def test_dataset_parse_errors():
         sd.read_dataset(io.StringIO("response\tweight:w\n1.0\t2.0\n"))
     with pytest.raises(ParseError):  # response not first
         sd.read_dataset(io.StringIO("fixed:mean\tresponse\n1\t1.0\n"))
+
+
+# ----------------------------------------------------- analyze once, reuse
+
+
+@pytest.fixture
+def no_held_plan(monkeypatch):
+    """An empty plan memo for this test, whatever earlier tests left."""
+    monkeypatch.setattr(sd.reml, "_held", [])
+
+
+@pytest.fixture
+def amd_calls(monkeypatch):
+    calls = []
+    real = sd.ordering.amd_order
+
+    def counting(a):
+        calls.append(a.n)
+        return real(a)
+
+    monkeypatch.setattr(sd.ordering, "amd_order", counting)
+    return calls
+
+
+def path_dataset(seed=211):
+    rng = np.random.default_rng(seed)
+    d = random_dataset(rng, n_obs=60, p=2, level_sizes=[5, 4, 3], n_blocks=3)
+    return d, [random_params(rng, d) for _ in range(5)]
+
+
+def assert_same_report(got, ref):
+    assert got.measured_ldlt_flops == ref.measured_ldlt_flops
+    assert got.measured_selinv_flops == ref.measured_selinv_flops
+    assert got.predicted_ldlt_flops == ref.predicted_ldlt_flops
+    assert got.predicted_selinv_flops == ref.predicted_selinv_flops
+    assert (got.dim, got.nnz_c, got.nnz_l) == (ref.dim, ref.nnz_c, ref.nnz_l)
+    assert got.gradient_names == ref.gradient_names
+    assert abs(got.logdet_c - ref.logdet_c) <= 1e-10 * max(1.0, abs(ref.logdet_c))
+    assert abs(got.loglik - ref.loglik) <= 1e-8 * max(1.0, abs(ref.loglik))
+    assert np.allclose(got.gradient, ref.gradient, rtol=1e-10, atol=0.0)
+    assert np.allclose(got.pev, ref.pev, rtol=1e-10, atol=0.0)
+
+
+def test_fit_path_reuses_one_analysis(no_held_plan, amd_calls):
+    d, path = path_dataset()
+    reports = [sd.reml_report(d, v) for v in path]
+    assert len(amd_calls) == 1
+    assert reports[0].times["ordering"] > 0.0
+    assert all(r.times["ordering"] == 0.0 == r.times["symbolic"]
+               for r in reports[1:])
+    held_perm = sd.plan_for(d).sym.perm.perm
+    for v, rep in zip(path, reports):
+        fresh = sd.analyze(d)
+        assert np.array_equal(fresh.sym.perm.perm, held_perm)
+        assert_same_report(rep, fresh.evaluate(v))
+    assert len(amd_calls) == 1 + len(path)  # analyze never reads the memo
+
+
+def test_plan_gradient_matches_template_traces(no_held_plan):
+    d, path = path_dataset(223)
+    for v in path[:2]:
+        rep = sd.reml_report(d, v)
+        m = sd.assemble_mme(d, v)
+        ci = np.linalg.inv(m.C.to_dense())
+        ref = [float(np.sum(ci * t.to_dense())) for t in m.templates]
+        assert np.allclose(rep.gradient, ref, rtol=1e-10, atol=1e-12)
+        assert rep.gradient_names == m.template_names
+
+
+def test_codes_edited_in_place_give_a_fresh_analysis(no_held_plan, amd_calls):
+    d, path = path_dataset(227)
+    sd.reml_report(d, path[0])
+    codes = d.factors[0].codes
+    # move one observation to another level that keeps every level observed
+    i = int(np.flatnonzero(np.bincount(codes)[codes] > 1)[0])
+    codes[i] = (codes[i] + 1) % d.factors[0].n_levels
+    got = sd.reml_report(d, path[1])
+    assert len(amd_calls) == 2
+    sd.reml._held.clear()
+    assert_same_report(got, sd.reml_report(d, path[1]))
+
+
+def test_a_stale_plan_refuses_to_evaluate():
+    d, path = path_dataset(229)
+    plan = sd.analyze(d)
+    d.x[0, 1] += 1.0
+    with pytest.raises(PatternMismatchError, match="changed"):
+        plan.evaluate(path[0])
+
+
+def test_a_copy_with_another_response_reuses_the_plan(no_held_plan, amd_calls):
+    d, path = path_dataset(233)
+    sd.reml_report(d, path[0])
+    other = sd.MixedModelDataset(
+        y=d.y[::-1].copy(), x=d.x.copy(), fixed_names=d.fixed_names,
+        factors=d.factors, residual_codes=d.residual_codes.copy(),
+        n_residual_blocks=d.n_residual_blocks)
+    got = sd.reml_report(other, path[0])
+    assert len(amd_calls) == 1
+    assert_same_report(got, sd.analyze(other).evaluate(path[0]))
+
+
+def test_orderings_never_share_a_plan(no_held_plan, amd_calls):
+    d, path = path_dataset(239)
+    dim = d.p + d.b
+    reverse = sd.Permutation(np.arange(dim)[::-1])
+    seen = {}
+    for ordering in ("natural", "amd", reverse, "natural"):
+        sd.reml_report(d, path[0], ordering=ordering)
+        perm = sd.plan_for(d, ordering).sym.perm.perm
+        key = ordering if isinstance(ordering, str) else "reverse"
+        seen.setdefault(key, perm)
+        assert np.array_equal(perm, seen[key])
+    assert np.array_equal(seen["natural"], np.arange(dim))
+    assert np.array_equal(seen["reverse"], reverse.perm)
+    assert len(amd_calls) == 1
+
+
+def test_restricted_loglik_shares_the_plan(no_held_plan, amd_calls):
+    d, path = path_dataset(241)
+    for v in path:
+        ll = sd.restricted_loglik(d, v)
+        assert ll == pytest.approx(sd.reml_report(d, v).loglik, rel=1e-12)
+    assert len(amd_calls) == 1
+
+
+def test_unknown_ordering_is_a_typed_error():
+    d, path = path_dataset(251)
+    with pytest.raises(InvalidParameterError, match="unknown ordering"):
+        sd.reml_report(d, path[0], ordering="bogus")
+
+
+def test_lower_keys_are_built_once_and_read_only():
+    rng = np.random.default_rng(257)
+    d = random_dataset(rng, n_obs=30, p=1, level_sizes=[4, 3], n_blocks=1)
+    m = sd.assemble_mme(d, unit_params(d))
+    f, zs = factor_pipeline(m)
+    keys = f.sym.lower_keys
+    assert zs.sym.lower_keys is keys
+    assert not keys.flags.writeable
+    assert keys[-1] == f.n * f.n and np.all(np.diff(keys) > 0)

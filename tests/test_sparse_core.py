@@ -9,6 +9,7 @@ import seldet as sd
 from seldet.errors import (
     AsymmetricInputError,
     IndexOutOfRangeError,
+    NonFiniteValueError,
     NotAPermutationError,
     ParseError,
     SizeMismatchError,
@@ -63,6 +64,13 @@ def test_mirror_entries_within_tolerance_accepted():
     a = sd.from_coo_arrays(2, np.array([0, 1]), np.array([1, 0]),
                            np.array([1.0, 1.0 + 1e-14]))
     assert a.nnz == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_rejected_with_its_entry(bad):
+    with pytest.raises(NonFiniteValueError, match=r"entry \(2,0\)"):
+        sd.from_coo_arrays(3, np.array([0, 1, 2]), np.array([0, 1, 0]),
+                           np.array([1.0, 1.0, bad]))
 
 
 def test_triplet_index_out_of_range():
@@ -213,6 +221,13 @@ def test_matrix_market_parse_errors():
     with pytest.raises(ParseError):  # garbage record
         sd.read_matrix_market(
             "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 x 1.0\n")
+
+
+def test_matrix_market_non_finite_value_names_the_record():
+    text = ("%%MatrixMarket matrix coordinate real symmetric\n"
+            "3 3 3\n1 1 2.0\n3 1 nan\n3 3 inf\n")
+    with pytest.raises(NonFiniteValueError, match=r"record 2: entry \(3,1\)"):
+        sd.read_matrix_market(text)
 
 
 def test_matrix_market_comments_and_blanks_ignored():
