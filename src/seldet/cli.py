@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 import time
 
@@ -61,6 +62,25 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]):
     finally:
         if path:
             out.close()
+
+
+def _factor_and_invert(a: SparseSymmetric, ordering: str):
+    """Order, analyze, factor and invert ``a``.
+
+    Returns the symbolic factor, the LDL^T factor, the selected inverse
+    and the seconds spent ordering, in the symbolic analysis, factorizing
+    and inverting.
+    """
+    clock = [time.perf_counter()]
+    perm = resolve_ordering(ordering, a)
+    clock.append(time.perf_counter())
+    sym = symbolic_factor(a, perm)
+    clock.append(time.perf_counter())
+    fac = ldlt_factorize(a, sym)
+    clock.append(time.perf_counter())
+    zsel = selected_inverse(fac)
+    clock.append(time.perf_counter())
+    return sym, fac, zsel, [clock[i + 1] - clock[i] for i in range(4)]
 
 
 # ---------------------------------------------------------------- analyze
@@ -111,21 +131,29 @@ def _selected_to_matrix(zsel) -> SparseSymmetric:
     return from_coo_arrays(n, rows_o, cols_o, vals)
 
 
+def _require_dense_size(n: int, what: str):
+    if n > DENSE_ORACLE_LIMIT:
+        raise TooLargeError(f"{what} needs n <= {DENSE_ORACLE_LIMIT}, got {n}")
+
+
+def _dense_errors(a: SparseSymmetric, fac, zsel) -> tuple[float, float, bool]:
+    """Checks against dense references: the largest relative error of the
+    selected entries, the relative log-det error, and whether det A > 0."""
+    zd = dense_inverse_oracle(a)
+    rows, cols, vals = _selected_to_matrix(zsel).triplets()
+    scale = np.sqrt(np.abs(np.diag(zd)[rows] * np.diag(zd)[cols]))
+    err = np.abs(vals - zd[rows, cols]) / np.maximum(scale, 1e-300)
+    max_err = float(err.max()) if err.size else 0.0
+    sign, ld_dense = np.linalg.slogdet(a.to_dense())
+    ld_err = abs(log_det(fac) - ld_dense) / max(1.0, abs(ld_dense))
+    return max_err, ld_err, sign > 0
+
+
 def cmd_selinv(args) -> int:
     a = _read_matrix(args.matrix)
-    t0 = time.perf_counter()
-    perm = resolve_ordering(args.ordering, a)
-    t_order = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sym = symbolic_factor(a, perm)
-    t_sym = time.perf_counter() - t0
+    sym, fac, zsel, (t_order, t_sym, t_fac, t_si) = _factor_and_invert(
+        a, args.ordering)
     pred_ldlt, pred_si = predict_flops(sym)
-    t0 = time.perf_counter()
-    fac = ldlt_factorize(a, sym)
-    t_fac = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    zsel = selected_inverse(fac)
-    t_si = time.perf_counter() - t0
 
     print(f"n={a.n} nnz={a.nnz} nnz(L)={sym.nnz_L} ordering={args.ordering}")
     print(f"logdet        : {log_det(fac):.12g}")
@@ -143,24 +171,15 @@ def cmd_selinv(args) -> int:
 
     ok = fac.flops == pred_ldlt and zsel.flops == pred_si
     if args.verify:
-        if a.n > DENSE_ORACLE_LIMIT:
-            raise TooLargeError(
-                f"--verify needs n <= {DENSE_ORACLE_LIMIT}, got {a.n}")
-        zd = dense_inverse_oracle(a)
-        zmat = _selected_to_matrix(zsel)
-        rows, cols, vals = zmat.triplets()
-        scale = np.sqrt(np.abs(np.diag(zd)[rows] * np.diag(zd)[cols]))
-        err = np.abs(vals - zd[rows, cols]) / np.maximum(scale, 1e-300)
-        max_err = float(err.max()) if err.size else 0.0
-        sign, ld_dense = np.linalg.slogdet(a.to_dense())
-        ld_err = abs(log_det(fac) - ld_dense) / max(1.0, abs(ld_dense))
+        _require_dense_size(a.n, "--verify")
+        max_err, ld_err, positive = _dense_errors(a, fac, zsel)
         ok_entries = max_err <= 1e-10
         ok_ld = ld_err <= 1e-10
         print(f"verify entries: max rel err {max_err:.3e} "
               f"{'PASS' if ok_entries else 'FAIL'}")
         print(f"verify logdet : rel err {ld_err:.3e} "
               f"{'PASS' if ok_ld else 'FAIL'}")
-        ok = ok and ok_entries and ok_ld and sign > 0
+        ok = ok and ok_entries and ok_ld and positive
     return 0 if ok else 1
 
 
@@ -259,18 +278,15 @@ def cmd_gen(args) -> int:
         if "=" not in spec_:
             raise SeldetError(f"--var expects term=value, got {spec_!r}")
         key, val = spec_.split("=", 1)
-        variances[key] = float(val)
+        try:
+            variances[key] = float(val)
+        except ValueError:
+            raise SeldetError(
+                f"--var expects term=number, got {spec_!r}") from None
     if args.preset:
         cfg = datagen.preset_config(args.preset, seed=args.seed)
         if variances:
-            cfg = datagen.TrialConfig(
-                years=cfg.years, centers=cfg.centers,
-                centers_per_year_fraction=cfg.centers_per_year_fraction,
-                control_varieties=cfg.control_varieties,
-                new_varieties_per_year=cfg.new_varieties_per_year,
-                mean_persistence=cfg.mean_persistence,
-                missing_fraction=cfg.missing_fraction,
-                variance_components=variances, seed=args.seed)
+            cfg = dataclasses.replace(cfg, variance_components=variances)
     else:
         cfg = datagen.TrialConfig(
             years=args.years, centers=args.centers,
@@ -316,19 +332,9 @@ def cmd_bench(args) -> int:
             m = reml.assemble_mme(d, v)
             for flag in orderings:
                 flag = flag.strip()
-                t0 = time.perf_counter()
-                perm = resolve_ordering(flag, m.C)
-                t_order = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                sym = symbolic_factor(m.C, perm)
-                t_sym = time.perf_counter() - t0
+                sym, fac, zsel, (t_order, t_sym, t_fac, t_si) = (
+                    _factor_and_invert(m.C, flag))
                 pred_ldlt, pred_si = predict_flops(sym)
-                t0 = time.perf_counter()
-                fac = ldlt_factorize(m.C, sym)
-                t_fac = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                zsel = selected_inverse(fac)
-                t_si = time.perf_counter() - t0
                 rows.append([name, flag, m.C.n, m.C.nnz, sym.nnz_L,
                              pred_ldlt, fac.flops, pred_si, zsel.flops,
                              round(t_order, 4), round(t_sym, 4),
@@ -350,32 +356,18 @@ def cmd_bench(args) -> int:
 
 def cmd_verify(args) -> int:
     a = _read_matrix(args.matrix)
-    if a.n > DENSE_ORACLE_LIMIT:
-        raise TooLargeError(
-            f"verify needs n <= {DENSE_ORACLE_LIMIT}, got {a.n}")
-    perm = resolve_ordering(args.ordering, a)
-    sym = symbolic_factor(a, perm)
+    _require_dense_size(a.n, "verify")
+    sym, fac, zsel, _ = _factor_and_invert(a, args.ordering)
     pred_ldlt, pred_si = predict_flops(sym)
-    fac = ldlt_factorize(a, sym)
-    zsel = selected_inverse(fac)
-    checks: list[tuple[str, bool, str]] = []
-
-    checks.append(("flop counters", fac.flops == pred_ldlt and zsel.flops == pred_si,
-                   f"ldlt {fac.flops}/{pred_ldlt}, selinv {zsel.flops}/{pred_si}"))
-
-    zd = dense_inverse_oracle(a)
-    zmat = _selected_to_matrix(zsel)
-    rows, cols, vals = zmat.triplets()
-    scale = np.sqrt(np.abs(np.diag(zd)[rows] * np.diag(zd)[cols]))
-    err = np.abs(vals - zd[rows, cols]) / np.maximum(scale, 1e-300)
-    max_err = float(err.max()) if err.size else 0.0
-    checks.append(("selected entries vs dense inverse", max_err <= 1e-10,
-                   f"max rel err {max_err:.3e}"))
-
-    sign, ld_dense = np.linalg.slogdet(a.to_dense())
-    ld_err = abs(log_det(fac) - ld_dense) / max(1.0, abs(ld_dense))
-    checks.append(("logdet vs dense", sign > 0 and ld_err <= 1e-10,
-                   f"rel err {ld_err:.3e}"))
+    max_err, ld_err, positive = _dense_errors(a, fac, zsel)
+    checks = [
+        ("flop counters", fac.flops == pred_ldlt and zsel.flops == pred_si,
+         f"ldlt {fac.flops}/{pred_ldlt}, selinv {zsel.flops}/{pred_si}"),
+        ("selected entries vs dense inverse", max_err <= 1e-10,
+         f"max rel err {max_err:.3e}"),
+        ("logdet vs dense", positive and ld_err <= 1e-10,
+         f"rel err {ld_err:.3e}"),
+    ]
 
     rng = np.random.default_rng(0)
     b = rng.standard_normal(a.n)

@@ -71,8 +71,9 @@ class TrialConfig:
         for key, val in self.variance_components.items():
             if key not in merged:
                 raise InvalidConfigError(f"unknown random term {key!r}")
-            if not val > 0:
-                raise InvalidConfigError(f"variance for {key!r} must be positive")
+            if not 0 < val < math.inf:
+                raise InvalidConfigError(
+                    f"variance for {key!r} must be positive and finite")
             merged[key] = float(val)
         object.__setattr__(self, "variance_components", merged)
         if not isinstance(self.seed, int) or self.seed < 0:

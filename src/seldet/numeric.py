@@ -49,16 +49,14 @@ PIVOT_TOL_ENV = "SELDET_PIVOT_TOL"
 class LdlFactor:
     """Unit-lower-triangular L and diagonal D with PAP^T = LDL^T.
 
-    ``l_values`` aligns with the strictly-lower symbolic pattern and is
-    all that :func:`solve` and the selected inversion read.
-    ``ld_values`` holds the matching entries of D*L (the pre-division
-    column values); only the factorization itself consumes them, as the
-    update segments of later columns.
+    ``l_values`` aligns with the strictly-lower symbolic pattern and, with
+    ``d``, is all that :func:`solve` and the selected inversion read.  The
+    matching entries of D*L that the factorization uses as update
+    segments are a local of :func:`ldlt_factorize` and are not kept.
     """
 
     sym: SymbolicFactor
     l_values: np.ndarray
-    ld_values: np.ndarray
     d: np.ndarray
     flops: int
 
@@ -185,8 +183,7 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor,
             NearSingularWarning,
             stacklevel=2,
         )
-    return LdlFactor(sym=sym, l_values=l_values, ld_values=ld_values,
-                     d=d, flops=flops)
+    return LdlFactor(sym=sym, l_values=l_values, d=d, flops=flops)
 
 
 def log_det(f: LdlFactor) -> float:

@@ -747,8 +747,10 @@ def _encode_labels(column: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
 def read_dataset(stream: IO[str]) -> MixedModelDataset:
     """Parse the tab-separated dataset dialect written by write_dataset.
 
-    A response or fixed-column value that is NaN or infinite raises
-    NonFiniteValueError naming its line and column.
+    ``response`` comes first; the other columns may come in any order, as
+    each field is read by its header role.  A response or fixed-column
+    value that is NaN or infinite raises NonFiniteValueError naming its
+    line and column.
     """
     header_line = stream.readline()
     if not header_line:
@@ -756,21 +758,27 @@ def read_dataset(stream: IO[str]) -> MixedModelDataset:
     header = header_line.rstrip("\n").split("\t")
     if header.count("response") != 1 or header[0] != "response":
         raise ParseError("first column must be 'response'")
-    fixed_names = []
-    random_names = []
-    has_resblock = False
-    for tok in header[1:]:
+    if len(set(header)) != len(header):
+        raise ParseError("dataset header names a column twice")
+    # each role's column positions, in header order
+    fixed_names, fixed_at = [], []
+    random_names, random_at = [], []
+    res_at = None
+    for c, tok in enumerate(header[1:], start=1):
         if tok.startswith("fixed:"):
             fixed_names.append(tok[len("fixed:"):])
+            fixed_at.append(c)
         elif tok.startswith("random:"):
             random_names.append(tok[len("random:"):])
+            random_at.append(c)
         elif tok == "resblock":
-            has_resblock = True
+            res_at = c
         else:
             raise ParseError(f"unrecognized dataset column {tok!r}")
+    num_at = [0] + fixed_at
     ncol = len(header)
     y_raw: list[float] = []
-    fixed_raw: list[list[float]] = [[] for _ in fixed_names]
+    fixed_rows: list[list[float]] = []
     random_raw: list[list[str]] = [[] for _ in random_names]
     res_raw: list[str] = []
     for lineno, line in enumerate(stream, start=2):
@@ -782,27 +790,24 @@ def read_dataset(stream: IO[str]) -> MixedModelDataset:
             raise ParseError(f"line {lineno}: expected {ncol} columns, got {len(parts)}")
         if "NA" in parts:
             raise ParseError(f"line {lineno}: missing values (NA) are not supported")
-        at = 1 + len(fixed_names)
         try:
-            nums = [float(tok) for tok in parts[:at]]
+            nums = [float(parts[c]) for c in num_at]
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad numeric field") from exc
-        bad = [c for c, x in enumerate(nums) if not math.isfinite(x)]
+        bad = [c for c, x in zip(num_at, nums) if not math.isfinite(x)]
         if bad:
             raise NonFiniteValueError(
                 f"line {lineno}: column {header[bad[0]]!r} has the value "
                 f"{parts[bad[0]]!r}")
         y_raw.append(nums[0])
-        for c in range(len(fixed_names)):
-            fixed_raw[c].append(nums[1 + c])
-        for c in range(len(random_names)):
-            random_raw[c].append(parts[at])
-            at += 1
-        res_raw.append(parts[at] if has_resblock else "0")
+        fixed_rows.append(nums[1:])
+        for col, c in zip(random_raw, random_at):
+            col.append(parts[c])
+        res_raw.append(parts[res_at] if res_at is not None else "0")
     n = len(y_raw)
     if n == 0:
         raise ParseError("dataset has no observations")
-    x = (np.asarray(fixed_raw, dtype=np.float64).T
+    x = (np.asarray(fixed_rows, dtype=np.float64)
          if fixed_names else np.ones((n, 1)))
     if not fixed_names:
         fixed_names = ["mean"]

@@ -2,9 +2,15 @@
 
 Everything here looks only at patterns, never at values, under the
 no-cancellation convention: a structural entry whose value happens to be
-zero is treated as nonzero.  The analysis produces the elimination tree,
-per-column nonzero counts m_i of the factor L, the explicit pattern of L,
-and the two a-priori FLOP predictions
+zero is treated as nonzero.  One pass over the rows yields both the
+elimination tree and the explicit pattern of L (Liu 1990; Davis 2006,
+ch. 4).  Row k of L is the row subtree of k: the union of the tree paths
+from each j with A_kj structural, j < k, up toward k.  Walking those
+paths in the tree of the leading k-by-k block appends k to column j of L
+at every node reached; a walk that reaches a node still without a parent
+has reached a root, whose parent is therefore k.  Per-column nonzero
+counts m_i follow from the pattern, and with them the two a-priori FLOP
+predictions
 
     ldlt_flops   = sum(m_i^2) - n
     selinv_flops = 2 * ldlt_flops - (nnz_L - n)
@@ -14,6 +20,7 @@ that the numeric kernels are instrumented to match exactly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,44 +40,48 @@ __all__ = [
 ]
 
 
-def _row_lists(a: SparseSymmetric) -> list[np.ndarray]:
-    """For each row k, the column indices j < k of its stored entries.
+def _row_subtrees(a: SparseSymmetric) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elimination tree and strictly-lower pattern of L for ``a`` as given.
 
-    This is the strictly-lower pattern of ``a`` grouped by row instead of
-    by column — the orientation both the elimination-tree scan and the
-    row-subtree traversals consume.
+    Returns ``(parent, l_col_ptr, l_row_idx)``; roots get parent -1.
+    Since k only grows, each column's row list comes out sorted.
     """
-    if a.n == 0:
-        return []
+    n = a.n
     rows, cols, _ = a.triplets()
-    off = rows != cols
-    rows, cols = rows[off], cols[off]
-    order = np.argsort(rows, kind="stable")  # cols already ascend per row
-    rows, cols = rows[order], cols[order]
-    counts = np.bincount(rows, minlength=a.n)
-    splits = np.cumsum(counts)[:-1]
-    return np.split(cols, splits)
+    below = rows > cols
+    rows, cols = rows[below], cols[below]
+    # group the strictly-lower entries by row; cols already ascend per row
+    by_row = np.argsort(rows, kind="stable")
+    row_cols = cols[by_row].tolist()
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
+    row_ptr = row_ptr.tolist()
+    parent = [-1] * n
+    visited = [-1] * n
+    l_cols: list[list[int]] = [[] for _ in range(n)]
+    for k in range(n):
+        for j in row_cols[row_ptr[k]:row_ptr[k + 1]]:
+            while visited[j] != k:
+                l_cols[j].append(k)
+                visited[j] = k
+                if parent[j] == -1:
+                    parent[j] = k
+                    break
+                j = parent[j]
+    lens = [len(c) for c in l_cols]
+    l_col_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lens, out=l_col_ptr[1:])
+    l_row_idx = np.fromiter(itertools.chain.from_iterable(l_cols),
+                            dtype=np.int64, count=int(l_col_ptr[-1]))
+    return np.asarray(parent, dtype=np.int64), l_col_ptr, l_row_idx
 
 
 def elimination_tree(a: SparseSymmetric) -> np.ndarray:
     """Parent array of the elimination forest of ``a`` (roots get -1).
 
-    parent[j] = min{ i > j : L_ij != 0 } for the no-cancellation factor L,
-    found by the standard path-compression ancestor scan without forming L.
+    parent[j] = min{ i > j : L_ij != 0 } for the no-cancellation factor L.
     """
-    n = a.n
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
-    for k, row in enumerate(_row_lists(a)):
-        for j in row:
-            j = int(j)
-            while j != -1 and j < k:
-                nxt = ancestor[j]
-                ancestor[j] = k
-                if nxt == -1:
-                    parent[j] = k
-                j = int(nxt)
-    return parent
+    return _row_subtrees(a)[0]
 
 
 def postorder(parent: np.ndarray) -> Permutation:
@@ -112,22 +123,10 @@ def postorder(parent: np.ndarray) -> Permutation:
 def column_counts(a: SparseSymmetric, parent: np.ndarray) -> np.ndarray:
     """Nonzero count (diagonal included) of each column of L.
 
-    Computed by walking, for every row k, the row subtree: the paths from
-    each entry j (A_kj structural, j < k) up the elimination tree toward k.
-    Each tree node visited contributes one below-diagonal entry L_kj.
+    ``parent`` stands for the elimination tree of ``a`` and is not read:
+    the counts come from the row-subtree pass that also finds the tree.
     """
-    n = a.n
-    counts = np.ones(n, dtype=np.int64)
-    visited = np.full(n, -1, dtype=np.int64)
-    for k, row in enumerate(_row_lists(a)):
-        visited[k] = k
-        for j in row:
-            j = int(j)
-            while j != -1 and visited[j] != k:
-                counts[j] += 1
-                visited[j] = k
-                j = int(parent[j])
-    return counts
+    return np.diff(_row_subtrees(a)[1]) + 1
 
 
 @dataclass(frozen=True)
@@ -181,30 +180,10 @@ def symbolic_factor(a: SparseSymmetric, p: Permutation) -> SymbolicFactor:
     """Full symbolic analysis of ``a`` under the ordering ``p``."""
     if p.n != a.n:
         raise SizeMismatchError(f"permutation size {p.n} != matrix size {a.n}")
-    ap = permute_symmetric(a, p)
-    n = ap.n
-    parent = elimination_tree(ap)
-    # Row-subtree walk again, this time materializing the pattern: row k
-    # lands in column j of L for every j in k's row subtree.  Since k only
-    # grows, each column's row list comes out already sorted.
-    cols: list[list[int]] = [[] for _ in range(n)]
-    visited = np.full(n, -1, dtype=np.int64)
-    for k, row in enumerate(_row_lists(ap)):
-        visited[k] = k
-        for j in row:
-            j = int(j)
-            while j != -1 and visited[j] != k:
-                cols[j].append(k)
-                visited[j] = k
-                j = int(parent[j])
-    lens = np.asarray([len(c) for c in cols], dtype=np.int64)
-    l_col_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lens, out=l_col_ptr[1:])
-    l_row_idx = (np.concatenate([np.asarray(c, dtype=np.int64) for c in cols])
-                 if n else np.empty(0, dtype=np.int64))
-    counts = lens + 1
+    parent, l_col_ptr, l_row_idx = _row_subtrees(permute_symmetric(a, p))
+    counts = np.diff(l_col_ptr) + 1
     return SymbolicFactor(
-        n=n,
+        n=a.n,
         perm=p,
         parent=parent,
         col_counts=counts,

@@ -97,6 +97,15 @@ def test_selinv_writes_inverse_subset(matrix_file, tmp_path, capsys):
     assert np.allclose(vals, inv[rows, cols], atol=1e-10 * np.abs(inv).max())
 
 
+def test_selinv_verify_rejects_large_input(tmp_path, capsys):
+    path = tmp_path / "big.mtx"
+    with open(path, "w", encoding="utf-8") as fh:
+        sd.write_matrix_market(sd.identity_matrix(501), fh)
+    assert main(["selinv", str(path), "--verify"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --verify needs n <= 500, got 501\n"
+
+
 def test_selinv_indefinite_input_fails(tmp_path, capsys):
     a = sd.from_coo_arrays(2, np.array([0, 1, 1]), np.array([0, 0, 1]),
                            np.array([1.0, 2.0, 1.0]))
@@ -226,6 +235,19 @@ def test_gen_rejects_bad_var_spec(tmp_path, capsys):
     rc = main(["gen", "--years", "2", "--var", "nope=1.0",
                "--out", str(tmp_path / "x.tsv")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("spec, says", [
+    ("year=abc", "--var expects term=number, got 'year=abc'"),
+    ("year=inf", "variance for 'year' must be positive and finite"),
+])
+def test_gen_bad_var_value_is_one_line(tmp_path, capsys, spec, says):
+    out = tmp_path / "x.tsv"
+    assert main(["gen", "--years", "2", "--var", spec, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and says in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- bench

@@ -41,6 +41,7 @@ def factor_by_name(d, name):
     dict(variance_components={"bogus": 1.0}),
     dict(variance_components={"year": 0.0}),
     dict(variance_components={"year": -2.0}),
+    dict(variance_components={"year": float("inf")}),
 ])
 def test_invalid_configs_rejected(overrides):
     with pytest.raises(InvalidConfigError):

@@ -1,9 +1,12 @@
-"""Property tests of both numeric kernels against the dense oracles.
+"""Property tests of the symbolic phase and both numeric kernels against
+the naive oracles.
 
-Hypothesis draws SPD matrices on random patterns — empty and 1-by-1
-matrices, diagonal matrices, disconnected forests, columns with no entry
-below the diagonal, and a dense trailing block — and factors each under
-both orderings.  For every draw the exact counters must equal the symbolic
+Hypothesis draws random patterns — empty and 1-by-1 matrices, diagonal
+matrices, disconnected forests, columns with no entry below the diagonal,
+and a dense trailing block.  Under a random permutation, the elimination
+tree, the pattern of L, the column counts and the FLOP forecasts must
+match the boolean fill of PAP^T.  SPD matrices on such patterns are
+factored under both orderings: the exact counters must equal the symbolic
 forecasts, D and L must match dense LDL^T, and the selected entries must
 match the dense inverse.
 """
@@ -12,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import seldet as sd
-from helpers import dense_inverse, dense_ldlt
+from helpers import dense_inverse, dense_ldlt, etree_from_pattern, fill_pattern
 
 SHAPES = ("random", "diagonal", "forest", "empty_columns", "dense_tail")
 
@@ -41,6 +44,38 @@ def lower_pairs(draw, n, shape):
         t = draw(st.integers(2, n))
         pairs |= {(i, j) for i in range(n - t, n) for j in range(n - t, i)}
     return pairs
+
+
+@st.composite
+def permuted_patterns(draw):
+    n = draw(st.integers(0, 24))
+    pairs = sorted(draw(lower_pairs(n, draw(st.sampled_from(SHAPES)))))
+    rows = np.array([i for i, _ in pairs] + list(range(n)), dtype=np.int64)
+    cols = np.array([j for _, j in pairs] + list(range(n)), dtype=np.int64)
+    a = sd.from_coo_arrays(n, rows, cols, np.ones(rows.size))
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    return a, sd.Permutation(perm)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=permuted_patterns())
+def test_symbolic_phase_matches_fill_oracle(case):
+    a, p = case
+    n = a.n
+    ap = sd.permute_symmetric(a, p)
+    lpat = fill_pattern(ap)
+    sym = sd.symbolic_factor(a, p)
+    parent = etree_from_pattern(lpat)
+    assert np.array_equal(sym.parent, parent)
+    assert np.array_equal(sd.elimination_tree(ap), parent)
+    for j in range(n):
+        segment = sym.l_row_idx[sym.l_col_ptr[j]:sym.l_col_ptr[j + 1]]
+        assert np.array_equal(segment, j + 1 + np.flatnonzero(lpat[j + 1:, j]))
+    m = lpat.sum(axis=0)
+    assert np.array_equal(sym.col_counts, m)
+    assert np.array_equal(sd.column_counts(ap, parent), m)
+    ldlt = int(np.sum(m * m)) - n
+    assert sd.predict_flops(sym) == (ldlt, 2 * ldlt - (int(m.sum()) - n))
 
 
 @st.composite

@@ -33,7 +33,6 @@ def test_two_by_two_by_hand():
     f, sym = factorize(two_by_two())
     assert np.array_equal(f.d, [4.0, 2.0])
     assert np.array_equal(f.l_values, [0.5])
-    assert np.array_equal(f.ld_values, [2.0])
     assert f.flops == 3
     assert sd.predict_flops(sym) == (3, 5)
     assert abs(sd.log_det(f) - np.log(8.0)) < 1e-15

@@ -417,6 +417,29 @@ def test_dataset_round_trip_unlabeled_small():
     assert np.array_equal(back.residual_codes, d.residual_codes)
 
 
+def test_dataset_columns_are_read_by_header_role():
+    rng = np.random.default_rng(151)
+    d = random_dataset(rng, n_obs=20, p=2, level_sizes=[4, 3], n_blocks=2)
+    buf = io.StringIO()
+    sd.write_dataset(d, buf)
+    # written: response, fixed:x0, fixed:x1, random:f0, random:f1, resblock
+    order = [0, 5, 3, 1, 4, 2]
+    shuffled = "".join(
+        "\t".join(line.split("\t")[c] for c in order) + "\n"
+        for line in buf.getvalue().splitlines())
+    assert shuffled.startswith("response\tresblock\trandom:f0\tfixed:x0\t")
+    want = sd.read_dataset(io.StringIO(buf.getvalue()))
+    got = sd.read_dataset(io.StringIO(shuffled))
+    assert np.array_equal(got.y, want.y)
+    assert np.array_equal(got.x, want.x)
+    assert got.fixed_names == want.fixed_names
+    for g, w in zip(got.factors, want.factors, strict=True):
+        assert (g.name, g.n_levels, g.labels) == (w.name, w.n_levels, w.labels)
+        assert np.array_equal(g.codes, w.codes)
+    assert np.array_equal(got.residual_codes, want.residual_codes)
+    assert got.residual_labels == want.residual_labels
+
+
 def test_dataset_without_resblock_column():
     text = ("response\tfixed:mean\trandom:f\n"
             "1.5\t1\ta\n"
@@ -451,6 +474,9 @@ def test_dataset_parse_errors():
         sd.read_dataset(io.StringIO("response\tweight:w\n1.0\t2.0\n"))
     with pytest.raises(ParseError):  # response not first
         sd.read_dataset(io.StringIO("fixed:mean\tresponse\n1\t1.0\n"))
+    with pytest.raises(ParseError):  # one role read from two columns
+        sd.read_dataset(io.StringIO(
+            "response\tresblock\trandom:f\tresblock\n1.0\t0\ta\t1\n"))
 
 
 # ----------------------------------------------------- analyze once, reuse

@@ -123,7 +123,6 @@ def test_unclosed_pattern_is_rejected():
         nnz_L=8,
     )
     lv = np.full(4, -0.25)
-    f = LdlFactor(sym=sym, l_values=lv, ld_values=4.0 * lv, d=np.full(4, 4.0),
-                  flops=0)
+    f = LdlFactor(sym=sym, l_values=lv, d=np.full(4, 4.0), flops=0)
     with pytest.raises(PatternMismatchError, match="not closed"):
         sd.selected_inverse(f)
