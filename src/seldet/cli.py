@@ -151,6 +151,8 @@ def _dense_errors(a: SparseSymmetric, fac, zsel) -> tuple[float, float, bool]:
 
 def cmd_selinv(args) -> int:
     a = _read_matrix(args.matrix)
+    if args.verify:
+        _require_dense_size(a.n, "--verify")
     sym, fac, zsel, (t_order, t_sym, t_fac, t_si) = _factor_and_invert(
         a, args.ordering)
     pred_ldlt, pred_si = predict_flops(sym)
@@ -171,7 +173,6 @@ def cmd_selinv(args) -> int:
 
     ok = fac.flops == pred_ldlt and zsel.flops == pred_si
     if args.verify:
-        _require_dense_size(a.n, "--verify")
         max_err, ld_err, positive = _dense_errors(a, fac, zsel)
         ok_entries = max_err <= 1e-10
         ok_ld = ld_err <= 1e-10

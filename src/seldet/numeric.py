@@ -37,7 +37,7 @@ from .errors import (
     PatternMismatchError,
     SizeMismatchError,
 )
-from .sparse_core import Permutation, SparseSymmetric, permute_symmetric
+from .sparse_core import Permutation, SparseSymmetric
 from .symbolic import SymbolicFactor
 
 __all__ = ["LdlFactor", "ldlt_factorize", "log_det", "solve"]
@@ -91,6 +91,11 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor,
                    near_tol: float | None = None) -> LdlFactor:
     """Factor PAP^T = LDL^T on the pattern prepared by ``sym``.
 
+    ``a`` is given in original indices and never permuted as a whole:
+    :meth:`SymbolicFactor.locate` places each of its stored entries in
+    its slot of L's storage or of the diagonal, and an entry off the
+    pattern raises PatternMismatchError.
+
     Raises NonPositivePivotError as soon as a pivot d_j is not finite or
     d_j <= pivot_tol (default 0: the input was not positive definite, or
     it held NaN or inf).  Emits a single NearSingularWarning if any
@@ -102,31 +107,26 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor,
     """
     if sym.n != a.n:
         raise SizeMismatchError(f"symbolic factor is for n={sym.n}, matrix has n={a.n}")
-    ap = permute_symmetric(a, sym.perm)
     n = sym.n
-    a_rows, a_cols, a_vals = ap.triplets()
-    on_diag = a_rows == a_cols
-    a_diag = np.zeros(n)
-    a_diag[a_rows[on_diag]] = a_vals[on_diag]
+    # the strictly-lower part of PAP^T placed on L's pattern, then the
+    # diagonal: one lookup puts every stored entry of ``a`` in its slot
+    a_rows, a_cols, a_vals = a.triplets()
+    slots = sym.locate(a_rows, a_cols)
+    stray = np.flatnonzero(slots < 0)
+    if stray.size:
+        k = stray[0]
+        raise PatternMismatchError(
+            f"matrix entry ({a_rows[k]},{a_cols[k]}) is outside the symbolic "
+            "pattern")
+    colptr, rows = sym.l_col_ptr, sym.l_row_idx
+    placed = np.zeros(rows.size + n)
+    placed[slots] = a_vals
+    del slots  # before the row structure, to keep the peak down
+    # ld_values: column j is overwritten with (D L)[:, j] when it is
+    # finalized, and the updates read finalized columns only.
+    ld_values, a_diag = placed[:rows.size], placed[rows.size:]
     if near_tol is None:
         near_tol = _near_singular_threshold(a_diag)
-    colptr, rows = sym.l_col_ptr, sym.l_row_idx
-
-    # ld_values starts as the strictly-lower part of PAP^T placed on L's
-    # pattern.  Column j is overwritten with (D L)[:, j] when it is
-    # finalized, and the updates read finalized columns only.
-    below = ~on_diag
-    want = a_cols[below] * n + a_rows[below]
-    keys = sym.lower_keys
-    at = np.searchsorted(keys, want)
-    stray = np.flatnonzero(keys[at] != want)
-    if stray.size:
-        raise PatternMismatchError(
-            "matrix entry outside the symbolic pattern in column "
-            f"{a_cols[below][stray[0]]}")
-    ld_values = np.zeros(rows.size)
-    ld_values[at] = a_vals[below]
-    del at  # before the row structure, to keep the peak down
     l_values = np.empty(rows.size)
     d = np.empty(n)
     x = np.zeros(n)

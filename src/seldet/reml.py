@@ -12,6 +12,18 @@ which is sparse, SPD for full-rank X and positive parameters, and of
 dimension p + b.  The restricted log-likelihood, its log-determinant
 derivative traces, and prediction-error variances are all functionals of
 C's factorization and selected inverse.
+
+C is linear in the inverse variance ratios: with kappa = (gamma, phi),
+
+    C = sum_k B_k / kappa_k,   dC/d(kappa_k) = -B_k / kappa_k^2,
+
+where B_k is the identity on factor k's block for a gamma and W'M_kW for
+the 0/1 mask M_k of residual block k, W = [X, Z_1 ... Z_F].  One table,
+built once per dataset structure, lists every structural entry of every
+B_k with its slot in C's storage.  C's values are one ``bincount`` over
+the slots, weighted by 1/kappa_k, and the log-det gradient
+-tr(C^-1 B_k)/kappa_k^2 is one ``bincount`` over k, weighted by the
+selected inverse at the same slots.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ from .errors import (
 from .numeric import LdlFactor, ldlt_factorize, log_det, solve
 from .ordering import resolve_ordering
 from .selinv import SelectedInverse, selected_inverse
-from .sparse_core import Permutation, SparseSymmetric, from_coo_arrays
+from .sparse_core import Permutation, SparseSymmetric, _from_lower_keys
 from .symbolic import SymbolicFactor, predict_flops, symbolic_factor
 
 __all__ = [
@@ -174,7 +186,7 @@ class MmeSystem:
     """Assembled mixed-model equations and derivative templates.
 
     ``templates`` holds one dC/d(kappa) per variance ratio, gammas first
-    then phis, each on a subpattern of C.
+    then phis, each on its own subpattern of C.
     """
 
     C: SparseSymmetric
@@ -183,9 +195,6 @@ class MmeSystem:
     template_names: tuple[str, ...]
     p: int
     b: int
-    factor_names: tuple[str, ...] = ()
-    factor_offsets: tuple[int, ...] = ()
-    factor_sizes: tuple[int, ...] = ()
 
 
 def _check_factors(d: MixedModelDataset):
@@ -210,94 +219,98 @@ def _check_design(d: MixedModelDataset):
         raise RankDeficientDesignError("fixed-effect design X is rank deficient")
 
 
-def _wtw_lower_triplets(d: MixedModelDataset, w: np.ndarray):
-    """Lower-triangle triplets of W' diag(w) W, with W = [X, Z-blocks].
+class _Table(NamedTuple):
+    """C = sum_k B_k / kappa_k as one table of the templates' entries.
 
-    Returns (rows, cols, vals) covering the dense X'X block, every
-    X-factor cross block, factor diagonal blocks, and all factor-factor
-    cross blocks, in C's block layout.  The positions depend on the
-    dataset alone, never on ``w``.
+    ``col_ptr``/``row_idx`` are C's stored pattern, in original indices.
+    Each structural entry of each B_k is one row: its ``slot`` in C's
+    storage, its template index ``which`` = k (gammas first, then phis)
+    and its ``value``.  The rows are sorted by (k, slot).  Slots and k are
+    held in the smallest unsigned type that fits them.
     """
-    n, p = d.x.shape
-    offs = d.factor_offsets()
-    rows_l: list[np.ndarray] = []
-    cols_l: list[np.ndarray] = []
-    vals_l: list[np.ndarray] = []
 
-    xtwx = d.x.T @ (w[:, None] * d.x)
-    ii, jj = np.tril_indices(p)
-    rows_l.append(ii.astype(np.int64))
-    cols_l.append(jj.astype(np.int64))
-    vals_l.append(xtwx[ii, jj])
+    col_ptr: np.ndarray
+    row_idx: np.ndarray
+    slot: np.ndarray
+    which: np.ndarray
+    value: np.ndarray
 
-    for fi, f in enumerate(d.factors):
-        # X cross block: rows are factor levels (offset), cols are X columns
-        m = np.zeros((f.n_levels, p))
-        np.add.at(m, f.codes, w[:, None] * d.x)
-        li, xi = np.meshgrid(np.arange(f.n_levels, dtype=np.int64),
-                             np.arange(p, dtype=np.int64), indexing="ij")
-        rows_l.append(offs[fi] + li.ravel())
-        cols_l.append(xi.ravel().astype(np.int64))
-        vals_l.append(m.ravel())
+    def c_matrix(self, inv_kappa: np.ndarray) -> SparseSymmetric:
+        """C at the inverse ratios ``1/kappa``: one bincount over the slots."""
+        vals = np.bincount(self.slot, weights=self.value * inv_kappa[self.which],
+                           minlength=self.row_idx.size)
+        return SparseSymmetric(self.col_ptr.size - 1, self.col_ptr,
+                               self.row_idx, vals)
 
-        # diagonal block of this factor (dummy designs make it diagonal)
-        diag = np.bincount(f.codes, weights=w, minlength=f.n_levels)
-        lev = np.arange(f.n_levels, dtype=np.int64)
-        rows_l.append(offs[fi] + lev)
-        cols_l.append(offs[fi] + lev)
-        vals_l.append(diag)
-
-        # cross blocks against every earlier factor
-        for gi in range(fi):
-            g = d.factors[gi]
-            key = f.codes * g.n_levels + g.codes
-            uk, inv = np.unique(key, return_inverse=True)
-            sums = np.bincount(inv, weights=w)
-            rows_l.append(offs[fi] + uk // g.n_levels)
-            cols_l.append(offs[gi] + uk % g.n_levels)
-            vals_l.append(sums)
-
-    return (np.concatenate(rows_l), np.concatenate(cols_l),
-            np.concatenate(vals_l))
+    def templates(self, coefs: np.ndarray) -> tuple[SparseSymmetric, ...]:
+        """coefs[k] * B_k for every k, each on its own subpattern of C,
+        whose slots come sorted."""
+        counts = np.bincount(self.which, minlength=coefs.size)
+        ends = np.cumsum(counts)
+        out = []
+        for lo, hi, coef in zip(ends - counts, ends, coefs):
+            slots = self.slot[lo:hi]
+            out.append(SparseSymmetric(
+                self.col_ptr.size - 1, np.searchsorted(slots, self.col_ptr),
+                self.row_idx[slots], coef * self.value[lo:hi]))
+        return tuple(out)
 
 
-def _assemble_c(d: MixedModelDataset,
-                v: VarianceParams) -> tuple[SparseSymmetric, np.ndarray]:
-    """C and the right-hand side W'R^-1 y at ``v``; the dataset checks are
-    the caller's."""
+def _template_table(d: MixedModelDataset) -> _Table:
+    """Build the template table of ``d``, one pair of W's columns at a
+    time: W = [X, Z_1 ... Z_F] has p + F nonzeros per observation, one in
+    each X column and one in each factor's block.
+
+    Where two of them meet in an observation of residual block k, W'M_kW
+    has a structural entry, their product summed over those observations.
+    So C stores the whole lower X'X block, the whole block of every factor
+    against X, each factor's diagonal and each pair of levels of two
+    factors that share an observation, also where a value sums to zero.
+    """
+    n_obs, p = d.x.shape
+    dim, nf, nb = p + d.b, len(d.factors), d.n_residual_blocks
+    col = np.column_stack([np.broadcast_to(np.arange(p), (n_obs, p))]
+                          + [off + f.codes for off, f in
+                             zip(d.factor_offsets(), d.factors)])
+    val = np.column_stack([d.x, np.ones((n_obs, nf))])
+    rows = []  # (keys col * dim + row, which, values) of the table
+    for t in range(p + nf):
+        for s in range(t + 1):
+            cells, inv = np.unique(
+                (col[:, s] * dim + col[:, t]) * nb + d.residual_codes,
+                return_inverse=True)
+            rows.append((cells // nb, nf + cells % nb,
+                         np.bincount(inv, weights=val[:, s] * val[:, t])))
+    for fi, (off, f) in enumerate(zip(d.factor_offsets(), d.factors)):
+        lev = off + np.arange(f.n_levels, dtype=np.int64)
+        rows.append((lev * dim + lev, np.full(f.n_levels, fi),
+                     np.ones(f.n_levels)))
+    t_keys, which, value = (np.concatenate(c) for c in zip(*rows))
+    keys, slot = np.unique(t_keys, return_inverse=True)
+    pattern = _from_lower_keys(dim, keys, np.zeros(keys.size))
+    order = np.lexsort((slot, which))
+    return _Table(pattern.col_ptr, pattern.row_idx,
+                  slot[order].astype(np.min_scalar_type(keys.size)),
+                  which[order].astype(np.min_scalar_type(nf + nb)),
+                  value[order])
+
+
+def _system(table: _Table, d: MixedModelDataset, v: VarianceParams):
+    """(C, the right-hand side W'R^-1 y, 1/kappa) at ``v``; 1/kappa lists
+    the gammas, then the phis."""
     if v.gamma.size != len(d.factors):
         raise SizeMismatchError(
             f"{v.gamma.size} gamma values for {len(d.factors)} factors")
     if v.phi.size != d.n_residual_blocks:
         raise SizeMismatchError(
             f"{v.phi.size} phi values for {d.n_residual_blocks} residual blocks")
-    r = 1.0 / v.phi[d.residual_codes]
-    rows, cols, vals = _wtw_lower_triplets(d, r)
-    # G^-1 on the factor diagonals (summed onto the W'R^-1W diagonal); the
-    # factor blocks run contiguously from p to p + b
-    lev = np.arange(d.p, d.p + d.b, dtype=np.int64)
-    g_inv = np.repeat(1.0 / v.gamma, [f.n_levels for f in d.factors])
-    c_mat = from_coo_arrays(d.p + d.b, np.concatenate([rows, lev]),
-                            np.concatenate([cols, lev]),
-                            np.concatenate([vals, g_inv]))
-    ry = r * d.y
+    inv_kappa = 1.0 / np.concatenate([v.gamma, v.phi])
+    ry = (1.0 / v.phi[d.residual_codes]) * d.y
     rhs = np.concatenate(
         [d.x.T @ ry]
         + [np.bincount(f.codes, weights=ry, minlength=f.n_levels)
            for f in d.factors])
-    return c_mat, rhs
-
-
-def _unit_templates(d: MixedModelDataset):
-    """(rows, cols, vals) of -kappa^2 dC/d(kappa) for every variance ratio,
-    gammas then phis: the identity on each factor's block, then W'M_kW for
-    the 0/1 mask M_k of each residual block.  Neither depends on the
-    parameter point."""
-    for off, f in zip(d.factor_offsets(), d.factors):
-        lev = off + np.arange(f.n_levels, dtype=np.int64)
-        yield lev, lev, np.ones(f.n_levels)
-    for k in range(d.n_residual_blocks):
-        yield _wtw_lower_triplets(d, (d.residual_codes == k).astype(np.float64))
+    return table.c_matrix(inv_kappa), rhs, inv_kappa
 
 
 def _template_names(d: MixedModelDataset) -> tuple[str, ...]:
@@ -307,29 +320,19 @@ def _template_names(d: MixedModelDataset) -> tuple[str, ...]:
                  + [f"phi:{label}" for label in res])
 
 
-def _template_coefs(v: VarianceParams) -> np.ndarray:
-    """-1/kappa^2 per variance ratio, gammas then phis."""
-    return -1.0 / np.concatenate([v.gamma, v.phi]) ** 2
-
-
 def assemble_mme(d: MixedModelDataset, v: VarianceParams) -> MmeSystem:
-    """Build C, the right-hand side, and the dC/d(kappa) templates."""
+    """Build C, the right-hand side, and the dC/d(kappa) templates, all
+    from one template table."""
     _check_design(d)
-    c_mat, rhs = _assemble_c(d, v)
-    templates = tuple(
-        from_coo_arrays(c_mat.n, rows, cols, coef * vals)
-        for coef, (rows, cols, vals) in zip(_template_coefs(v),
-                                            _unit_templates(d)))
+    table = _template_table(d)
+    c_mat, rhs, inv_kappa = _system(table, d, v)
     return MmeSystem(
         C=c_mat,
         rhs=rhs,
-        templates=templates,
+        templates=table.templates(-inv_kappa ** 2),
         template_names=_template_names(d),
         p=d.p,
         b=d.b,
-        factor_names=tuple(f.name for f in d.factors),
-        factor_offsets=tuple(d.factor_offsets()),
-        factor_sizes=tuple(f.n_levels for f in d.factors),
     )
 
 
@@ -414,42 +417,11 @@ def restricted_loglik(d: MixedModelDataset, v: VarianceParams,
     raise ValueError(f"unknown form {form!r}; use 'c' or 'h'")
 
 
-class _Located(NamedTuple):
-    """A symmetric matrix's entries as positions in the storage of a
-    selected inverse on one pattern: diagonal entries index ``z_diag``,
-    the others ``z_values``."""
-
-    diag_pos: np.ndarray
-    diag_vals: np.ndarray
-    off_pos: np.ndarray
-    off_vals: np.ndarray
-
-    def trace(self, zsel: SelectedInverse) -> float:
-        """tr(Z B): diagonal entries once, off-diagonal entries twice."""
-        return float(zsel.z_diag[self.diag_pos] @ self.diag_vals
-                     + 2.0 * (zsel.z_values[self.off_pos] @ self.off_vals))
-
-
-def _locate(sym: SymbolicFactor, rows: np.ndarray, cols: np.ndarray,
-            vals: np.ndarray) -> _Located:
-    """Place entries (rows, cols, vals), original indices, either triangle,
-    on the selected pattern of ``sym``: one ``searchsorted`` against its
-    lower keys.  An entry off the pattern raises PatternNotCoveredError."""
-    inv = sym.perm.inverse
-    pr, pc = inv[rows], inv[cols]
-    lo, hi = np.minimum(pr, pc), np.maximum(pr, pc)
-    on = lo == hi
-    off = ~on
-    want = lo[off] * sym.n + hi[off]
-    keys = sym.lower_keys
-    at = np.searchsorted(keys, want)
-    missing = np.flatnonzero(keys[at] != want)
-    if missing.size:
-        k = np.flatnonzero(off)[missing[0]]
-        raise PatternNotCoveredError(
-            f"entry ({rows[k]},{cols[k]}) is outside the selected-inverse "
-            "pattern")
-    return _Located(hi[on], vals[on], at, vals[off])
+def _trace_weights(zsel: SelectedInverse) -> np.ndarray:
+    """Z in the slot order of :meth:`SymbolicFactor.locate`, with the
+    entries below the diagonal doubled: tr(Z B) is the sum, over B's
+    stored lower-triangle entries, of each value times this at its slot."""
+    return np.concatenate([2.0 * zsel.z_values, zsel.z_diag])
 
 
 def trace_product(zsel: SelectedInverse, b_mat: SparseSymmetric) -> float:
@@ -462,7 +434,15 @@ def trace_product(zsel: SelectedInverse, b_mat: SparseSymmetric) -> float:
     """
     if b_mat.n != zsel.n:
         raise SizeMismatchError("dimension mismatch")
-    return _locate(zsel.sym, *b_mat.triplets()).trace(zsel)
+    rows, cols, vals = b_mat.triplets()
+    slots = zsel.sym.locate(rows, cols)
+    missing = np.flatnonzero(slots < 0)
+    if missing.size:
+        k = missing[0]
+        raise PatternNotCoveredError(
+            f"entry ({rows[k]},{cols[k]}) is outside the selected-inverse "
+            "pattern")
+    return float(_trace_weights(zsel)[slots] @ vals)
 
 
 def logdet_gradient(m: MmeSystem, zsel: SelectedInverse) -> np.ndarray:
@@ -524,13 +504,23 @@ class RemlPlan:
 
     Built by :func:`analyze`; :meth:`evaluate` then does only the value
     work at each parameter point.  It holds, besides a reference to the
-    dataset: the permutation and the SymbolicFactor of C (with its lower
-    keys once a kernel has used them, one int64 per stored entry of L),
-    and for every dC/d(kappa) the positions of its nonzero entries in the
-    selected inverse's storage with their values without the -1/kappa^2
-    factor, one int64 and one float64 each.  ``times`` gives the wall seconds of the
-    analysis: assemble (C's pattern), ordering and symbolic (the symbolic
-    factor and the template positions).
+    dataset:
+
+    - the permutation and the SymbolicFactor of C, with its lower keys
+      once a kernel has used them (one int64 per stored entry of L);
+    - the template table (:class:`_Table`): C's pattern, one int64 per
+      column and per stored entry, and one row per structural entry of
+      every template, a slot (the smallest unsigned type for nnz(C)), a
+      template index (one byte for up to 255 templates) and a float64;
+    - ``c_to_z``, the slot of each stored entry of C in the selected
+      inverse's storage (the smallest unsigned type for nnz(L)).
+
+    On a prob1 trial with one residual block (nnz(C) = 51 549, 54 847
+    table rows) the table and ``c_to_z`` take 1.25 MB; with one block per
+    year (12 blocks, 76 259 rows) 1.50 MB.  C's values are one bincount over the table's slots and the gradient
+    one bincount over its template indices.  ``times`` gives the wall
+    seconds of the analysis: assemble (the table), ordering and symbolic
+    (the symbolic factor and ``c_to_z``).
 
     The plan is for the dataset content it was analyzed on: evaluating it
     after X, a factor's codes or the residual codes were edited in place
@@ -540,7 +530,8 @@ class RemlPlan:
     d: MixedModelDataset
     digest: bytes
     sym: SymbolicFactor
-    templates: tuple[_Located, ...]
+    table: _Table
+    c_to_z: np.ndarray
     predicted_flops: tuple[int, int]
     times: dict[str, float]
 
@@ -552,7 +543,7 @@ class RemlPlan:
     def factorize(self, v: VarianceParams) -> tuple[LdlFactor, np.ndarray]:
         """The LDL^T factor of C at ``v`` and the right-hand side."""
         self._require_current()
-        c_mat, rhs = _assemble_c(self.d, v)
+        c_mat, rhs, _ = _system(self.table, self.d, v)
         return ldlt_factorize(c_mat, self.sym), rhs
 
     def evaluate(self, v: VarianceParams) -> RemlReport:
@@ -565,7 +556,7 @@ class RemlPlan:
         d = self.d
         times = {"ordering": 0.0, "symbolic": 0.0}
         t0 = time.perf_counter()
-        c_mat, rhs = _assemble_c(d, v)
+        c_mat, rhs, inv_kappa = _system(self.table, d, v)
         times["assemble"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -578,8 +569,10 @@ class RemlPlan:
 
         t0 = time.perf_counter()
         x = solve(f, rhs)
-        grad = _template_coefs(v) * np.asarray(
-            [t.trace(zsel) for t in self.templates])
+        z = _trace_weights(zsel)[self.c_to_z]
+        t = self.table
+        grad = -inv_kappa ** 2 * np.bincount(
+            t.which, weights=t.value * z[t.slot], minlength=inv_kappa.size)
         times["derivatives"] = time.perf_counter() - t0
 
         ldc = log_det(f)
@@ -615,9 +608,8 @@ def _analyze(d: MixedModelDataset, ordering: str | Permutation,
     _check_design(d)
     times: dict[str, float] = {}
     t0 = time.perf_counter()
-    unit = VarianceParams(1.0, np.ones(len(d.factors)),
-                          np.ones(d.n_residual_blocks))
-    c_mat, _ = _assemble_c(d, unit)
+    table = _template_table(d)
+    c_mat = table.c_matrix(np.ones(len(d.factors) + d.n_residual_blocks))
     times["assemble"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -626,13 +618,11 @@ def _analyze(d: MixedModelDataset, ordering: str | Permutation,
 
     t0 = time.perf_counter()
     sym = symbolic_factor(c_mat, perm)
-    templates = []
-    for rows, cols, vals in _unit_templates(d):
-        keep = vals != 0.0
-        templates.append(_locate(sym, rows[keep], cols[keep], vals[keep]))
+    rows, cols, _ = c_mat.triplets()
+    c_to_z = sym.locate(rows, cols).astype(np.min_scalar_type(sym.nnz_L))
     predicted = predict_flops(sym)
     times["symbolic"] = time.perf_counter() - t0
-    return RemlPlan(d=d, digest=digest, sym=sym, templates=tuple(templates),
+    return RemlPlan(d=d, digest=digest, sym=sym, table=table, c_to_z=c_to_z,
                     predicted_flops=predicted, times=times)
 
 

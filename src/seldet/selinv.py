@@ -126,18 +126,11 @@ def get_entry(zsel: SelectedInverse, i: int, j: int) -> float | None:
     n = zsel.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexOutOfRangeError(f"index ({i},{j}) outside 0..{n - 1}")
-    inv = zsel.perm.inverse
-    pi, pj = int(inv[i]), int(inv[j])
-    if pi < pj:
-        pi, pj = pj, pi
-    if pi == pj:
-        return float(zsel.z_diag[pi])
-    colptr, rows = zsel.sym.l_col_ptr, zsel.sym.l_row_idx
-    lo, hi = colptr[pj], colptr[pj + 1]
-    at = lo + np.searchsorted(rows[lo:hi], pi)
-    if at < hi and rows[at] == pi:
-        return float(zsel.z_values[at])
-    return None
+    slot = int(zsel.sym.locate(np.array([i]), np.array([j]))[0])
+    if slot < 0:
+        return None
+    nnz = zsel.z_values.size
+    return float(zsel.z_values[slot] if slot < nnz else zsel.z_diag[slot - nnz])
 
 
 def dense_inverse_oracle(a: SparseSymmetric) -> np.ndarray:

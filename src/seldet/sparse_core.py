@@ -176,24 +176,32 @@ class TripletList:
         )
 
 
-def _compress_lower(n: int, rows: np.ndarray, cols: np.ndarray,
-                    vals: np.ndarray) -> SparseSymmetric:
-    """Build CSC lower-triangle storage from entries already at r >= c.
+def _sum_sorted(keys: np.ndarray,
+                vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort by key and sum the values of equal keys.
 
-    Duplicate positions are summed.
+    Returns the distinct keys ascending and their sums.  The sort is
+    stable, so equal keys are summed in the order they were given.
     """
-    order = np.lexsort((rows, cols))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    if rows.size:
-        keep = np.empty(rows.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        group = np.cumsum(keep) - 1
-        summed = np.bincount(group, weights=vals, minlength=int(group[-1]) + 1)
-        rows, cols, vals = rows[keep], cols[keep], summed
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    if keys.size:
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        first[1:] = keys[1:] != keys[:-1]
+        vals = np.bincount(np.cumsum(first) - 1, weights=vals)
+        keys = keys[first]
+    return keys, vals
+
+
+def _from_lower_keys(n: int, keys: np.ndarray,
+                     vals: np.ndarray) -> SparseSymmetric:
+    """CSC lower-triangle storage from distinct ascending keys col*n + row."""
     col_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=n), out=col_ptr[1:])
-    return SparseSymmetric(n=n, col_ptr=col_ptr, row_idx=rows, values=vals)
+    if keys.size:
+        np.cumsum(np.bincount(keys // n, minlength=n), out=col_ptr[1:])
+        keys = keys % n
+    return SparseSymmetric(n=n, col_ptr=col_ptr, row_idx=keys, values=vals)
 
 
 def from_coo_arrays(n: int, rows: np.ndarray, cols: np.ndarray,
@@ -215,53 +223,26 @@ def from_coo_arrays(n: int, rows: np.ndarray, cols: np.ndarray,
         k = bad[0]
         raise NonFiniteValueError(
             f"entry ({rows[k]},{cols[k]}) has the value {float(vals[k])!r}")
+    # One sort of the keys 2 * (col*n + row) + side, in lower-triangle
+    # coordinates, where side 1 marks an entry given above the diagonal:
+    # duplicates are summed on each side separately, and a position given
+    # on both sides has its lower sum just before its upper one.
     upper = rows < cols
     lo_r = np.where(upper, cols, rows)
     lo_c = np.where(upper, rows, cols)
-
-    # Sum duplicates on each side of the diagonal separately, then compare
-    # the two sides wherever both were given explicitly.
-    def _sum_side(mask):
-        return _collapse(lo_r[mask], lo_c[mask], vals[mask])
-
-    off = lo_r != lo_c
-    low_r, low_c, low_v = _sum_side(off & ~upper)
-    up_r, up_c, up_v = _sum_side(off & upper)
-    if up_r.size and low_r.size:
-        low_keys = low_r * n + low_c
-        up_keys = up_r * n + up_c
-        pos = np.searchsorted(low_keys, up_keys)
-        pos_c = np.minimum(pos, low_keys.size - 1)
-        both = low_keys[pos_c] == up_keys
-        lv, uv = low_v[pos_c[both]], up_v[both]
-        scale = np.maximum(np.abs(lv), np.abs(uv))
-        bad = np.abs(lv - uv) > SYMMETRY_RTOL * np.maximum(scale, 1.0)
-        if np.any(bad):
-            i = int(up_r[both][bad][0])
-            j = int(up_c[both][bad][0])
-            raise AsymmetricInputError(
-                f"entries ({j},{i}) and ({i},{j}) disagree beyond tolerance")
-        up_r, up_c, up_v = up_r[~both], up_c[~both], up_v[~both]
-
-    diag = ~off
-    all_r = np.concatenate([rows[diag], low_r, up_r])
-    all_c = np.concatenate([cols[diag], low_c, up_c])
-    all_v = np.concatenate([vals[diag], low_v, up_v])
-    return _compress_lower(n, all_r, all_c, all_v)
-
-
-def _collapse(r, c, v):
-    """Sum duplicate (r, c) positions; returns entries sorted by (c, r)... key order (r major)."""
-    if not r.size:
-        return r, c, v
-    order = np.lexsort((c, r))
-    r, c, v = r[order], c[order], v[order]
-    keep = np.empty(r.size, dtype=bool)
-    keep[0] = True
-    keep[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-    group = np.cumsum(keep) - 1
-    summed = np.bincount(group, weights=v, minlength=int(group[-1]) + 1)
-    return r[keep], c[keep], summed
+    keys, sums = _sum_sorted(2 * (lo_c * n + lo_r) + upper, vals)
+    pos = keys >> 1
+    mirrored = np.flatnonzero(pos[1:] == pos[:-1]) + 1
+    lv, uv = sums[mirrored - 1], sums[mirrored]
+    scale = np.maximum(np.abs(lv), np.abs(uv))
+    bad = np.flatnonzero(np.abs(lv - uv) > SYMMETRY_RTOL * np.maximum(scale, 1.0))
+    if bad.size:
+        i, j = divmod(int(pos[mirrored[bad[0]]]), n)[::-1]
+        raise AsymmetricInputError(
+            f"entries ({j},{i}) and ({i},{j}) disagree beyond tolerance")
+    keep = np.ones(pos.size, dtype=bool)
+    keep[mirrored] = False  # the lower sum stands for the pair
+    return _from_lower_keys(n, pos[keep], sums[keep])
 
 
 def from_triplets(t: TripletList) -> SparseSymmetric:
@@ -393,10 +374,8 @@ def permute_symmetric(a: SparseSymmetric, p: Permutation) -> SparseSymmetric:
     rows, cols, vals = a.triplets()
     new_r = p.inverse[rows]
     new_c = p.inverse[cols]
-    swap = new_r < new_c
-    new_r2 = np.where(swap, new_c, new_r)
-    new_c2 = np.where(swap, new_r, new_c)
-    return _compress_lower(a.n, new_r2, new_c2, vals)
+    lo, hi = np.minimum(new_r, new_c), np.maximum(new_r, new_c)
+    return _from_lower_keys(a.n, *_sum_sorted(lo * a.n + hi, vals))
 
 
 def is_subpattern(b: SparseSymmetric, a: SparseSymmetric) -> bool:

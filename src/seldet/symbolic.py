@@ -175,6 +175,29 @@ class SymbolicFactor:
         keys.flags.writeable = False
         return keys
 
+    def locate(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Where each entry (rows[k], cols[k]) lives in the factor's storage.
+
+        Indices are original ones, either triangle.  The slots index the
+        strictly-lower storage followed by the diagonal, that is
+        ``np.concatenate([l_values, d])`` of a factor or
+        ``np.concatenate([z_values, z_diag])`` of a selected inverse: an
+        entry below the diagonal gets its position in ``l_row_idx``, a
+        diagonal entry ``nnz_L - n`` plus its permuted index.  An entry off
+        the pattern gets -1; each caller decides what that means.  One
+        ``searchsorted`` against :attr:`lower_keys`.
+        """
+        inv = self.perm.inverse
+        pr, pc = inv[rows], inv[cols]
+        lo, hi = np.minimum(pr, pc), np.maximum(pr, pc)
+        want = lo * self.n + hi
+        keys = self.lower_keys
+        at = np.searchsorted(keys, want)
+        slots = np.where(keys[at] == want, at, -1)
+        on = lo == hi
+        slots[on] = self.l_row_idx.size + lo[on]
+        return slots
+
 
 def symbolic_factor(a: SparseSymmetric, p: Permutation) -> SymbolicFactor:
     """Full symbolic analysis of ``a`` under the ordering ``p``."""

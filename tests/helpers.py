@@ -159,6 +159,32 @@ def dense_ldlt(a_dense):
     return l_mat, d
 
 
+def dense_mme(d, v):
+    """C = W'R^-1W + G^-1 and every template dC/d(kappa), gammas then phis,
+    formed densely from W = [X, Z_1 ... Z_F] with plain numpy."""
+    n = d.n_obs
+    w = [d.x]
+    for f in d.factors:
+        zf = np.zeros((n, f.n_levels))
+        zf[np.arange(n), f.codes] = 1.0
+        w.append(zf)
+    w = np.column_stack(w)
+    phi = np.asarray(v.phi, dtype=float)
+    c = w.T @ (w / phi[d.residual_codes][:, None])
+    templates = []
+    start = d.p
+    for f, g in zip(d.factors, v.gamma):
+        e = np.zeros(c.shape[0])
+        e[start:start + f.n_levels] = 1.0
+        c += np.diag(e / g)
+        templates.append(-np.diag(e) / g ** 2)
+        start += f.n_levels
+    for k, ph in enumerate(phi):
+        mask = (d.residual_codes == k).astype(float)
+        templates.append(-(w.T @ (w * mask[:, None])) / ph ** 2)
+    return c, templates
+
+
 def dense_inverse(a_dense):
     """Full inverse by numpy's dense LU solver; no sparse code involved."""
     return np.linalg.solve(a_dense, np.eye(a_dense.shape[0]))

@@ -99,11 +99,15 @@ def test_selinv_writes_inverse_subset(matrix_file, tmp_path, capsys):
 
 def test_selinv_verify_rejects_large_input(tmp_path, capsys):
     path = tmp_path / "big.mtx"
+    out = tmp_path / "z.mtx"
     with open(path, "w", encoding="utf-8") as fh:
         sd.write_matrix_market(sd.identity_matrix(501), fh)
-    assert main(["selinv", str(path), "--verify"]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: --verify needs n <= 500, got 501\n"
+    assert main(["selinv", str(path), "--verify", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --verify needs n <= 500, got 501\n"
+    # refused before any work: no report lines, no output file
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_selinv_indefinite_input_fails(tmp_path, capsys):

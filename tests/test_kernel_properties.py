@@ -5,10 +5,11 @@ Hypothesis draws random patterns — empty and 1-by-1 matrices, diagonal
 matrices, disconnected forests, columns with no entry below the diagonal,
 and a dense trailing block.  Under a random permutation, the elimination
 tree, the pattern of L, the column counts and the FLOP forecasts must
-match the boolean fill of PAP^T.  SPD matrices on such patterns are
-factored under both orderings: the exact counters must equal the symbolic
-forecasts, D and L must match dense LDL^T, and the selected entries must
-match the dense inverse.
+match the boolean fill of PAP^T, and ``SymbolicFactor.locate`` must
+find every position of that fill and no other.  SPD matrices on such
+patterns are factored under both orderings: the exact counters must equal
+the symbolic forecasts, D and L must match dense LDL^T, and the selected
+entries must match the dense inverse.
 """
 
 import numpy as np
@@ -76,6 +77,17 @@ def test_symbolic_phase_matches_fill_oracle(case):
     assert np.array_equal(sd.column_counts(ap, parent), m)
     ldlt = int(np.sum(m * m)) - n
     assert sd.predict_flops(sym) == (ldlt, 2 * ldlt - (int(m.sum()) - n))
+    # locate: every position, both triangles, original indices
+    i, j = (ix.ravel() for ix in np.indices((n, n)))
+    slots = sym.locate(i, j)
+    lo = np.minimum(p.inverse[i], p.inverse[j])
+    hi = np.maximum(p.inverse[i], p.inverse[j])
+    assert np.array_equal(slots >= 0, lpat[hi, lo])
+    below = (slots >= 0) & (hi > lo)
+    cols = np.repeat(np.arange(n), np.diff(sym.l_col_ptr))
+    assert np.array_equal(sym.l_row_idx[slots[below]], hi[below])
+    assert np.array_equal(cols[slots[below]], lo[below])
+    assert np.array_equal(slots[hi == lo], sym.l_row_idx.size + lo[hi == lo])
 
 
 @st.composite

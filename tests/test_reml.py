@@ -6,6 +6,7 @@ projection P, and slogdet — exercising none of the sparse machinery under
 test.
 """
 
+import dataclasses
 import io
 import re
 
@@ -24,7 +25,7 @@ from seldet.errors import (
     SizeMismatchError,
     TooLargeForDenseFormError,
 )
-from helpers import random_dataset, random_params
+from helpers import dense_mme, random_dataset, random_params
 
 
 def tiny_dataset():
@@ -208,6 +209,40 @@ def test_assembly_matches_dense_construction():
         assert np.allclose(m.rhs, w.T @ r_inv @ d.y)
 
 
+def oracle_dataset(seed):
+    """p = 2 or 3, two or three residual blocks that follow the levels of
+    the first factor, and X column 1 zero over block 0: C then stores
+    exact zeros, at (level of block 0, X column 1)."""
+    rng = np.random.default_rng(seed)
+    p, n_blocks = 2 + seed % 2, 2 + (seed // 2) % 2
+    d = random_dataset(rng, n_obs=int(rng.integers(30, 60)), p=p,
+                       level_sizes=[6, 4, 3], n_blocks=n_blocks)
+    blocks = d.factors[0].codes % n_blocks
+    x = d.x.copy()
+    x[blocks == 0, 1] = 0.0
+    d = dataclasses.replace(d, x=x, residual_codes=blocks)
+    return d, random_params(rng, d)
+
+
+def max_rel_err(got, ref):
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+@pytest.mark.parametrize("seed", range(300, 306))
+def test_mme_and_templates_match_dense_oracle(seed):
+    d, v = oracle_dataset(seed)
+    m = sd.assemble_mme(d, v)
+    c_ref, t_ref = dense_mme(d, v)
+    assert max_rel_err(m.C.to_dense(), c_ref) <= 1e-13
+    assert len(m.templates) == len(t_ref) == len(m.template_names)
+    for t, ref in zip(m.templates, t_ref):
+        assert max_rel_err(t.to_dense(), ref) <= 1e-13
+    # every X column is stored against every row below it, zeros included
+    p, dim = d.p, m.C.n
+    assert np.array_equal(np.diff(m.C.col_ptr)[:p], dim - np.arange(p))
+    assert np.any(m.C.to_dense()[p:, 1] == 0.0)
+
+
 # -------------------------------------------------------------- likelihood
 
 
@@ -374,6 +409,20 @@ def test_report_is_self_consistent():
     m = sd.assemble_mme(d, v)
     x = np.concatenate([rep.tau, rep.u])
     assert np.allclose(m.C.to_dense() @ x, m.rhs, atol=1e-8)
+
+
+@pytest.mark.parametrize("seed", range(310, 314))
+def test_report_matches_dense_oracle(seed):
+    d, v = oracle_dataset(seed)
+    rep = sd.reml_report(d, v)
+    c_ref, t_ref = dense_mme(d, v)
+    sign, logdet = np.linalg.slogdet(c_ref)
+    assert sign > 0
+    assert rep.logdet_c == pytest.approx(logdet, rel=1e-12, abs=1e-12)
+    c_inv = np.linalg.inv(c_ref)
+    grad = [float(np.sum(c_inv * t)) for t in t_ref]
+    assert np.allclose(rep.gradient, grad, rtol=1e-10, atol=1e-12)
+    assert np.allclose(rep.pev, v.sigma2 * np.diag(c_inv), rtol=1e-10)
 
 
 # ----------------------------------------------------------------- file IO
