@@ -53,7 +53,7 @@ f = sd.ldlt_factorize(grid, sym)
 
 print(f"\n{k}x{k} grid operator (n = {n}, nnz = {grid.nnz})")
 print(f"  nnz(L)           = {sym.nnz_L}")
-print(f"  flops            = {f.flops} (forecast {sym.ldlt_flops})")
+print(f"  flops            = {f.flops} (forecast {sd.predict_flops(sym)[0]})")
 print(f"  logdet           = {sd.log_det(f):.6f}")
 
 rng = np.random.default_rng(0)

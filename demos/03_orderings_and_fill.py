@@ -15,8 +15,8 @@ def report(name, a):
     print(f"{name:<22} n={a.n:<6} nnz(A)={a.nnz:<8} "
           f"natural nnz(L)={nat.nnz_L:<9} amd nnz(L)={amd.nnz_L:<9} "
           f"dense={full}")
-    print(f"{'':<22} natural flops={nat.ldlt_flops:<12} "
-          f"amd flops={amd.ldlt_flops}")
+    print(f"{'':<22} natural flops={sd.predict_flops(nat)[0]:<12} "
+          f"amd flops={sd.predict_flops(amd)[0]}")
     return nat, amd
 
 

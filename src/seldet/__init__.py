@@ -20,7 +20,6 @@ from .datagen import (
 )
 from .errors import (
     AsymmetricInputError,
-    CycleDetectedError,
     EmptyFactorError,
     IndexOutOfRangeError,
     InvalidConfigError,
@@ -63,7 +62,6 @@ from .reml import (
     read_dataset,
     reml_report,
     restricted_loglik,
-    solve_mme,
     trace_product,
     write_dataset,
 )
@@ -80,7 +78,6 @@ from .sparse_core import (
     from_coo_arrays,
     from_triplets,
     identity_matrix,
-    is_subpattern,
     permute_symmetric,
     read_matrix_market,
     write_matrix_market,
@@ -89,7 +86,6 @@ from .symbolic import (
     SymbolicFactor,
     column_counts,
     elimination_tree,
-    postorder,
     predict_flops,
     selinv_flops_from_ldlt,
     symbolic_factor,
@@ -101,15 +97,15 @@ __all__ = [
     "SparseSymmetric", "Permutation", "TripletList",
     "from_triplets", "from_coo_arrays", "identity_matrix",
     "read_matrix_market", "write_matrix_market",
-    "permute_symmetric", "is_subpattern",
+    "permute_symmetric",
     "natural_order", "amd_order", "load_order", "write_order",
     "resolve_ordering",
-    "SymbolicFactor", "elimination_tree", "postorder", "column_counts",
+    "SymbolicFactor", "elimination_tree", "column_counts",
     "symbolic_factor", "predict_flops", "selinv_flops_from_ldlt",
     "LdlFactor", "ldlt_factorize", "log_det", "solve",
     "SelectedInverse", "selected_inverse", "get_entry", "dense_inverse_oracle",
     "RandomFactor", "MixedModelDataset", "VarianceParams", "MmeSystem",
-    "assemble_mme", "solve_mme", "restricted_loglik", "trace_product",
+    "assemble_mme", "restricted_loglik", "trace_product",
     "logdet_gradient", "pev_diagonal", "RemlReport", "reml_report",
     "RemlPlan", "analyze", "plan_for",
     "read_dataset", "write_dataset",
@@ -117,7 +113,7 @@ __all__ = [
     "RANDOM_TERMS", "PRESETS", "preset_config",
     "SeldetError", "IndexOutOfRangeError", "AsymmetricInputError",
     "ParseError", "UnsupportedFormatError", "SizeMismatchError",
-    "NotAPermutationError", "CycleDetectedError", "PatternMismatchError",
+    "NotAPermutationError", "PatternMismatchError",
     "NonPositivePivotError", "NearSingularWarning", "SingularMatrixError",
     "TooLargeError", "TooLargeForDenseFormError", "RankDeficientDesignError",
     "EmptyFactorError", "PatternNotCoveredError", "InvalidConfigError",

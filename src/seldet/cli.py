@@ -199,8 +199,9 @@ def _parse_param_list(flag: str, text: str | None, count: int,
     if len(vals) == 1:
         return np.full(count, vals[0])
     if len(vals) != count:
-        raise SeldetError(f"expected 1 or {count} comma-separated values, "
-                          f"got {len(vals)}")
+        raise InvalidParameterError(
+            f"{flag} expects 1 or {count} comma-separated values, "
+            f"got {len(vals)}")
     return np.asarray(vals)
 
 

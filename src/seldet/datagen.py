@@ -63,8 +63,9 @@ class TrialConfig:
             raise InvalidConfigError("new_varieties_per_year must be >= 0")
         if not 0.0 < self.centers_per_year_fraction <= 1.0:
             raise InvalidConfigError("centers_per_year_fraction must be in (0, 1]")
-        if self.mean_persistence < 1.0:
-            raise InvalidConfigError("mean_persistence must be >= 1 (years)")
+        if not 1.0 <= self.mean_persistence < math.inf:
+            raise InvalidConfigError(
+                "mean_persistence must be a finite number >= 1 (years)")
         if not 0.0 <= self.missing_fraction < 1.0:
             raise InvalidConfigError("missing_fraction must be in [0, 1)")
         merged = _default_variances()

@@ -33,10 +33,6 @@ class NotAPermutationError(SeldetError, ValueError):
     """An index sequence is not a bijection on 0..n-1."""
 
 
-class CycleDetectedError(SeldetError, ValueError):
-    """A parent array contains a cycle and is not a forest."""
-
-
 class PatternMismatchError(SeldetError, ValueError):
     """Numeric input does not match the symbolic pattern it claims to follow."""
 

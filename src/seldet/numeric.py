@@ -1,5 +1,11 @@
 """Numeric LDL^T factorization on a precomputed symbolic pattern.
 
+The matrix handed to the factorization has exactly the pattern that the
+symbolic factor was analyzed on, and only its values are new: they are
+scattered into L's storage through the slots that the analysis found
+once (``SymbolicFactor.a_slots``).  A matrix with another pattern is
+refused with PatternMismatchError.
+
 The factorization is left-looking and runs one Python iteration per
 column.  Column j of L is produced by applying the Schur updates of all
 earlier columns k with L_jk != 0, then dividing by the pivot.  Column k
@@ -91,10 +97,13 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor,
                    near_tol: float | None = None) -> LdlFactor:
     """Factor PAP^T = LDL^T on the pattern prepared by ``sym``.
 
-    ``a`` is given in original indices and never permuted as a whole:
-    :meth:`SymbolicFactor.locate` places each of its stored entries in
-    its slot of L's storage or of the diagonal, and an entry off the
-    pattern raises PatternMismatchError.
+    ``a`` must have exactly the pattern ``sym`` was analyzed on (its
+    ``col_ptr`` and ``row_idx`` equal ``sym.a_col_ptr``/``sym.a_row_idx``),
+    with any values: ``a`` is never permuted as a whole, its values are
+    scattered through the slots ``sym.a_slots`` into L's storage and the
+    diagonal.  Any other pattern, a strict subpattern included, raises
+    PatternMismatchError; store explicit zeros to keep one pattern across
+    value changes.
 
     Raises NonPositivePivotError as soon as a pivot d_j is not finite or
     d_j <= pivot_tol (default 0: the input was not positive definite, or
@@ -107,21 +116,15 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor,
     """
     if sym.n != a.n:
         raise SizeMismatchError(f"symbolic factor is for n={sym.n}, matrix has n={a.n}")
-    n = sym.n
-    # the strictly-lower part of PAP^T placed on L's pattern, then the
-    # diagonal: one lookup puts every stored entry of ``a`` in its slot
-    a_rows, a_cols, a_vals = a.triplets()
-    slots = sym.locate(a_rows, a_cols)
-    stray = np.flatnonzero(slots < 0)
-    if stray.size:
-        k = stray[0]
+    if not (np.array_equal(a.col_ptr, sym.a_col_ptr)
+            and np.array_equal(a.row_idx, sym.a_row_idx)):
         raise PatternMismatchError(
-            f"matrix entry ({a_rows[k]},{a_cols[k]}) is outside the symbolic "
-            "pattern")
+            "matrix pattern differs from the one the symbolic factor was "
+            "analyzed on")
+    n = sym.n
     colptr, rows = sym.l_col_ptr, sym.l_row_idx
     placed = np.zeros(rows.size + n)
-    placed[slots] = a_vals
-    del slots  # before the row structure, to keep the peak down
+    placed[sym.a_slots] = a.values
     # ld_values: column j is overwritten with (D L)[:, j] when it is
     # finalized, and the updates read finalized columns only.
     ld_values, a_diag = placed[:rows.size], placed[rows.size:]
@@ -214,17 +217,3 @@ def solve(f: LdlFactor, b: np.ndarray) -> np.ndarray:
     x[perm] = y
     return x
 
-
-def reconstruct_dense(f: LdlFactor) -> np.ndarray:
-    """Dense P^T (L D L^T) P — test helper for small instances."""
-    n = f.n
-    ldense = np.eye(n)
-    colptr, rows = f.sym.l_col_ptr, f.sym.l_row_idx
-    for j in range(n):
-        lo, hi = colptr[j], colptr[j + 1]
-        ldense[rows[lo:hi], j] = f.l_values[lo:hi]
-    ap = ldense @ np.diag(f.d) @ ldense.T
-    perm = f.perm.perm
-    out = np.empty_like(ap)
-    out[np.ix_(perm, perm)] = ap
-    return out

@@ -59,7 +59,6 @@ __all__ = [
     "VarianceParams",
     "MmeSystem",
     "assemble_mme",
-    "solve_mme",
     "restricted_loglik",
     "trace_product",
     "logdet_gradient",
@@ -336,14 +335,6 @@ def assemble_mme(d: MixedModelDataset, v: VarianceParams) -> MmeSystem:
     )
 
 
-def solve_mme(m: MmeSystem,
-              ordering: str | Permutation = "amd") -> tuple[np.ndarray, np.ndarray]:
-    """BLUE of the fixed effects and BLUP of the random effects."""
-    sym = symbolic_factor(m.C, resolve_ordering(ordering, m.C))
-    x = solve(ldlt_factorize(m.C, sym), m.rhs)
-    return x[:m.p], x[m.p:]
-
-
 def _logdet_r(d: MixedModelDataset, v: VarianceParams) -> float:
     nk = np.bincount(d.residual_codes, minlength=d.n_residual_blocks)
     return float(nk @ np.log(v.phi))
@@ -507,20 +498,20 @@ class RemlPlan:
     dataset:
 
     - the permutation and the SymbolicFactor of C, with its lower keys
-      once a kernel has used them (one int64 per stored entry of L);
+      (one int64 per stored entry of L) and the slot of each stored
+      entry of C in the factor's and selected inverse's storage
+      (``sym.a_slots``, the smallest unsigned type for nnz(L));
     - the template table (:class:`_Table`): C's pattern, one int64 per
       column and per stored entry, and one row per structural entry of
       every template, a slot (the smallest unsigned type for nnz(C)), a
-      template index (one byte for up to 255 templates) and a float64;
-    - ``c_to_z``, the slot of each stored entry of C in the selected
-      inverse's storage (the smallest unsigned type for nnz(L)).
+      template index (one byte for up to 255 templates) and a float64.
 
     On a prob1 trial with one residual block (nnz(C) = 51 549, 54 847
-    table rows) the table and ``c_to_z`` take 1.25 MB; with one block per
-    year (12 blocks, 76 259 rows) 1.50 MB.  C's values are one bincount over the table's slots and the gradient
-    one bincount over its template indices.  ``times`` gives the wall
-    seconds of the analysis: assemble (the table), ordering and symbolic
-    (the symbolic factor and ``c_to_z``).
+    table rows) the table and the slots take 1.25 MB; with one block per
+    year (12 blocks, 76 259 rows) 1.50 MB.  C's values are one bincount
+    over the table's slots and the gradient one bincount over its
+    template indices.  ``times`` gives the wall seconds of the analysis:
+    assemble (the table), ordering and symbolic (the symbolic factor).
 
     The plan is for the dataset content it was analyzed on: evaluating it
     after X, a factor's codes or the residual codes were edited in place
@@ -531,7 +522,6 @@ class RemlPlan:
     digest: bytes
     sym: SymbolicFactor
     table: _Table
-    c_to_z: np.ndarray
     predicted_flops: tuple[int, int]
     times: dict[str, float]
 
@@ -569,7 +559,7 @@ class RemlPlan:
 
         t0 = time.perf_counter()
         x = solve(f, rhs)
-        z = _trace_weights(zsel)[self.c_to_z]
+        z = _trace_weights(zsel)[self.sym.a_slots]
         t = self.table
         grad = -inv_kappa ** 2 * np.bincount(
             t.which, weights=t.value * z[t.slot], minlength=inv_kappa.size)
@@ -618,11 +608,9 @@ def _analyze(d: MixedModelDataset, ordering: str | Permutation,
 
     t0 = time.perf_counter()
     sym = symbolic_factor(c_mat, perm)
-    rows, cols, _ = c_mat.triplets()
-    c_to_z = sym.locate(rows, cols).astype(np.min_scalar_type(sym.nnz_L))
     predicted = predict_flops(sym)
     times["symbolic"] = time.perf_counter() - t0
-    return RemlPlan(d=d, digest=digest, sym=sym, table=table, c_to_z=c_to_z,
+    return RemlPlan(d=d, digest=digest, sym=sym, table=table,
                     predicted_flops=predicted, times=times)
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "read_matrix_market",
     "write_matrix_market",
     "permute_symmetric",
-    "is_subpattern",
 ]
 
 # Relative tolerance for explicit (i,j)/(j,i) pairs to count as consistent.
@@ -94,11 +93,6 @@ class SparseSymmetric:
     def nnz(self) -> int:
         """Number of stored (lower-triangle) entries."""
         return int(self.row_idx.size)
-
-    def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row indices and values of stored column ``j``."""
-        lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
-        return self.row_idx[lo:hi], self.values[lo:hi]
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stored entries as parallel (row, col, value) arrays."""
@@ -377,17 +371,3 @@ def permute_symmetric(a: SparseSymmetric, p: Permutation) -> SparseSymmetric:
     lo, hi = np.minimum(new_r, new_c), np.maximum(new_r, new_c)
     return _from_lower_keys(a.n, *_sum_sorted(lo * a.n + hi, vals))
 
-
-def is_subpattern(b: SparseSymmetric, a: SparseSymmetric) -> bool:
-    """True iff every structural entry of ``b`` is structural in ``a``."""
-    if a.n != b.n:
-        raise SizeMismatchError("dimension mismatch")
-    for j in range(b.n):
-        rb, _ = b.column(j)
-        if not rb.size:
-            continue
-        ra, _ = a.column(j)
-        pos = np.searchsorted(ra, rb)
-        if np.any(pos >= ra.size) or np.any(ra[np.minimum(pos, ra.size - 1)] != rb):
-            return False
-    return True

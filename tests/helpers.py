@@ -159,16 +159,21 @@ def dense_ldlt(a_dense):
     return l_mat, d
 
 
-def dense_mme(d, v):
-    """C = W'R^-1W + G^-1 and every template dC/d(kappa), gammas then phis,
-    formed densely from W = [X, Z_1 ... Z_F] with plain numpy."""
+def dense_design(d):
+    """W = [X, Z_1 ... Z_F] as one dense matrix."""
     n = d.n_obs
     w = [d.x]
     for f in d.factors:
         zf = np.zeros((n, f.n_levels))
         zf[np.arange(n), f.codes] = 1.0
         w.append(zf)
-    w = np.column_stack(w)
+    return np.column_stack(w)
+
+
+def dense_mme(d, v):
+    """C = W'R^-1W + G^-1 and every template dC/d(kappa), gammas then phis,
+    formed densely from W = [X, Z_1 ... Z_F] with plain numpy."""
+    w = dense_design(d)
     phi = np.asarray(v.phi, dtype=float)
     c = w.T @ (w / phi[d.residual_codes][:, None])
     templates = []
@@ -183,6 +188,29 @@ def dense_mme(d, v):
         mask = (d.residual_codes == k).astype(float)
         templates.append(-(w.T @ (w * mask[:, None])) / ph ** 2)
     return c, templates
+
+
+def dense_blue_blup(d, v):
+    """BLUE of tau and BLUP of u: the dense solve of C [tau; u] = W'R^-1 y."""
+    c, _ = dense_mme(d, v)
+    phi = np.asarray(v.phi, dtype=float)
+    x = np.linalg.solve(c, dense_design(d).T @ (d.y / phi[d.residual_codes]))
+    return x[:d.p], x[d.p:]
+
+
+def reconstruct_dense(f):
+    """Dense P^T (L D L^T) P of an LdlFactor, in original indices."""
+    n = f.n
+    ldense = np.eye(n)
+    colptr, rows = f.sym.l_col_ptr, f.sym.l_row_idx
+    for j in range(n):
+        lo, hi = colptr[j], colptr[j + 1]
+        ldense[rows[lo:hi], j] = f.l_values[lo:hi]
+    ap = ldense @ np.diag(f.d) @ ldense.T
+    perm = f.perm.perm
+    out = np.empty_like(ap)
+    out[np.ix_(perm, perm)] = ap
+    return out
 
 
 def dense_inverse(a_dense):

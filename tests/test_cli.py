@@ -182,6 +182,7 @@ def test_reml_wrong_parameter_count_fails(dataset_file, capsys):
     (["--sigma2", "inf"], "sigma2 = inf"),
     (["--sigma2", "-1"], "sigma2 = -1.0"),
     (["--ordering", "foo"], "unknown ordering 'foo'"),
+    (["--phi", "1,2"], "--phi expects 1 or 1 comma-separated values, got 2"),
 ])
 def test_reml_bad_parameter_is_one_line(dataset_file, capsys, flags, says):
     assert main(["reml", dataset_file, *flags]) == 1
@@ -250,6 +251,17 @@ def test_gen_bad_var_value_is_one_line(tmp_path, capsys, spec, says):
     assert main(["gen", "--years", "2", "--var", spec, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and says in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gen_non_finite_persistence_is_one_line(tmp_path, capsys, value):
+    out = tmp_path / "x.tsv"
+    assert main(["gen", "--years", "3", "--centers", "4",
+                 "--mean-persistence", value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "mean_persistence" in err
     assert err.count("\n") == 1
     assert not out.exists()
 

@@ -42,6 +42,8 @@ def factor_by_name(d, name):
     dict(variance_components={"year": 0.0}),
     dict(variance_components={"year": -2.0}),
     dict(variance_components={"year": float("inf")}),
+    dict(mean_persistence=float("nan")),
+    dict(mean_persistence=float("inf")),
 ])
 def test_invalid_configs_rejected(overrides):
     with pytest.raises(InvalidConfigError):

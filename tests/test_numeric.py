@@ -11,8 +11,8 @@ from seldet.errors import (
     PatternMismatchError,
     SizeMismatchError,
 )
-from seldet.numeric import PIVOT_TOL_ENV, reconstruct_dense
-from helpers import dense_ldlt, random_spd, tridiag
+from seldet.numeric import PIVOT_TOL_ENV
+from helpers import dense_ldlt, random_spd, reconstruct_dense, tridiag
 
 
 def two_by_two():
@@ -183,13 +183,32 @@ def test_factorize_uses_matrix_argument_values():
     assert np.array_equal(f2.d, [8.0, 4.0])
 
 
-def test_factorize_accepts_subpattern_matrix():
-    # matrix sparser than the plan: structural zeros are simply carried
+def test_factorize_rejects_other_patterns():
+    # only the analyzed pattern is accepted: a strict subpattern, a
+    # superpattern and a same-size different pattern are each refused
     chain = tridiag([2.0, 2.0, 2.0], [-1.0, -1.0])
     sym = sd.symbolic_factor(chain, sd.natural_order(3))
-    f = sd.ldlt_factorize(sd.identity_matrix(3), sym)
-    assert np.array_equal(f.d, [1.0, 1.0, 1.0])
-    assert sd.log_det(f) == 0.0
+    others = [
+        sd.identity_matrix(3),                                   # subpattern
+        sd.from_coo_arrays(3, np.array([0, 1, 2, 1, 2, 2]),
+                           np.array([0, 1, 2, 0, 1, 0]),
+                           np.array([4.0, 4.0, 4.0, 1.0, 1.0, 1.0])),  # superpattern
+        sd.from_coo_arrays(3, np.array([0, 1, 2, 2, 2]),
+                           np.array([0, 1, 2, 0, 1]),
+                           np.array([4.0, 4.0, 4.0, 1.0, 1.0])),  # same size
+    ]
+    assert others[2].nnz == chain.nnz
+    for other in others:
+        with pytest.raises(PatternMismatchError):
+            sd.ldlt_factorize(other, sym)
+    # the analyzed pattern with new values still factors
+    scaled = sd.from_coo_arrays(3, *chain.triplets()[:2],
+                                vals=3.0 * chain.triplets()[2])
+    f = sd.ldlt_factorize(scaled, sym)
+    ref, _ = factorize(chain)
+    assert np.allclose(f.d, 3.0 * ref.d, rtol=1e-15)
+    assert np.allclose(f.l_values, ref.l_values, rtol=1e-15)
+    assert f.flops == sd.predict_flops(sym)[0]
 
 
 # ------------------------------------------------------ non-finite values

@@ -25,7 +25,7 @@ from seldet.errors import (
     SizeMismatchError,
     TooLargeForDenseFormError,
 )
-from helpers import dense_mme, random_dataset, random_params
+from helpers import dense_blue_blup, dense_mme, random_dataset, random_params
 
 
 def tiny_dataset():
@@ -292,31 +292,6 @@ def test_unknown_form_rejected():
         sd.restricted_loglik(d, unit_params(d), form="q")
 
 
-# ------------------------------------------------------------------- solve
-
-
-def test_solve_mme_matches_dense():
-    rng = np.random.default_rng(107)
-    for _ in range(6):
-        d = random_dataset(rng, n_obs=40, p=2, level_sizes=[5, 3], n_blocks=2)
-        v = random_params(rng, d)
-        m = sd.assemble_mme(d, v)
-        tau, u = sd.solve_mme(m)
-        ref = np.linalg.solve(m.C.to_dense(), m.rhs)
-        assert np.allclose(tau, ref[:m.p], atol=1e-10)
-        assert np.allclose(u, ref[m.p:], atol=1e-10)
-
-
-def test_solve_mme_ordering_invariant():
-    rng = np.random.default_rng(109)
-    d = random_dataset(rng, n_obs=30, p=1, level_sizes=[4], n_blocks=1)
-    m = sd.assemble_mme(d, unit_params(d))
-    t1, u1 = sd.solve_mme(m, ordering="natural")
-    t2, u2 = sd.solve_mme(m, ordering="amd")
-    assert np.allclose(t1, t2, atol=1e-12)
-    assert np.allclose(u1, u2, atol=1e-12)
-
-
 # ------------------------------------------------------------- derivatives
 
 
@@ -414,15 +389,19 @@ def test_report_is_self_consistent():
 @pytest.mark.parametrize("seed", range(310, 314))
 def test_report_matches_dense_oracle(seed):
     d, v = oracle_dataset(seed)
-    rep = sd.reml_report(d, v)
     c_ref, t_ref = dense_mme(d, v)
     sign, logdet = np.linalg.slogdet(c_ref)
     assert sign > 0
-    assert rep.logdet_c == pytest.approx(logdet, rel=1e-12, abs=1e-12)
     c_inv = np.linalg.inv(c_ref)
     grad = [float(np.sum(c_inv * t)) for t in t_ref]
-    assert np.allclose(rep.gradient, grad, rtol=1e-10, atol=1e-12)
-    assert np.allclose(rep.pev, v.sigma2 * np.diag(c_inv), rtol=1e-10)
+    tau, u = dense_blue_blup(d, v)
+    for ordering in ("natural", "amd"):
+        rep = sd.reml_report(d, v, ordering)
+        assert rep.logdet_c == pytest.approx(logdet, rel=1e-12, abs=1e-12)
+        assert np.allclose(rep.gradient, grad, rtol=1e-10, atol=1e-12)
+        assert np.allclose(rep.pev, v.sigma2 * np.diag(c_inv), rtol=1e-10)
+        assert np.allclose(rep.tau, tau, rtol=0, atol=1e-10)
+        assert np.allclose(rep.u, u, rtol=0, atol=1e-10)
 
 
 # ----------------------------------------------------------------- file IO

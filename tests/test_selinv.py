@@ -121,6 +121,8 @@ def test_unclosed_pattern_is_rejected():
         l_col_ptr=np.array([0, 2, 3, 4, 4]),
         l_row_idx=np.array([1, 3, 2, 3]),
         nnz_L=8,
+        a_col_ptr=np.array([0, 3, 5, 7, 8]),
+        a_row_idx=np.array([0, 1, 3, 1, 2, 2, 3, 3]),
     )
     lv = np.full(4, -0.25)
     f = LdlFactor(sym=sym, l_values=lv, d=np.full(4, 4.0), flops=0)

@@ -107,9 +107,6 @@ def test_arrays_are_frozen():
 def test_accessors():
     a = tridiag([2.0, 3.0, 4.0], [-1.0, -0.5])
     assert np.array_equal(a.diagonal(), [2.0, 3.0, 4.0])
-    rows, vals = a.column(1)
-    assert np.array_equal(rows, [1, 2])
-    assert np.array_equal(vals, [3.0, -0.5])
     dense = a.to_dense()
     assert np.array_equal(dense, dense.T)
     assert dense[2, 1] == -0.5
@@ -148,14 +145,6 @@ def test_permute_size_mismatch():
     a = sd.identity_matrix(3)
     with pytest.raises(SizeMismatchError):
         sd.permute_symmetric(a, sd.Permutation(np.array([0, 1])))
-
-
-def test_is_subpattern():
-    a = tridiag([2.0, 2.0, 2.0], [-1.0, -1.0])
-    d = sd.identity_matrix(3)
-    assert sd.is_subpattern(d, a)
-    assert not sd.is_subpattern(a, d)
-    assert sd.is_subpattern(a, a)
 
 
 # ------------------------------------------------------------ matrix market

@@ -1,4 +1,4 @@
-"""Elimination tree, postorder, column counts, pattern of L, FLOP forecasts.
+"""Elimination tree, column counts, pattern of L, FLOP forecasts.
 
 Reference results come from the dense boolean elimination in helpers (the
 no-cancellation fill simulation) — quadratic, obvious, and independent of
@@ -9,11 +9,7 @@ import numpy as np
 import pytest
 
 import seldet as sd
-from seldet.errors import (
-    CycleDetectedError,
-    IndexOutOfRangeError,
-    SizeMismatchError,
-)
+from seldet.errors import PatternMismatchError, SizeMismatchError
 from helpers import etree_from_pattern, fill_pattern, random_spd, tridiag
 
 
@@ -37,7 +33,6 @@ def test_chain_n4():
     sym = sd.symbolic_factor(a, sd.natural_order(4))
     assert sym.nnz_L == 7
     assert sd.predict_flops(sym) == (9, 15)
-    assert (sym.ldlt_flops, sym.selinv_flops) == (9, 15)
 
 
 def test_dense_block():
@@ -52,58 +47,6 @@ def test_diagonal_forest():
     parent = sd.elimination_tree(a)
     assert np.array_equal(parent, [-1, -1, -1, -1])
     assert np.array_equal(sd.column_counts(a, parent), [1, 1, 1, 1])
-    post = sd.postorder(parent)
-    assert np.array_equal(post.perm, [0, 1, 2, 3])
-
-
-# --------------------------------------------------------------- postorder
-
-
-def test_postorder_children_precede_parents():
-    rng = np.random.default_rng(17)
-    for _ in range(15):
-        a = random_spd(rng, int(rng.integers(2, 60)))
-        parent = sd.elimination_tree(a)
-        pos = np.empty(a.n, dtype=np.int64)
-        pos[sd.postorder(parent).perm] = np.arange(a.n)
-        for j in range(a.n):
-            if parent[j] != -1:
-                assert pos[j] < pos[parent[j]]
-
-
-def test_postorder_descendants_are_contiguous():
-    # every subtree occupies a block of the postorder ending at its root
-    parent = np.array([2, 2, 4, 4, -1, 6, -1])
-    order = sd.postorder(parent).perm
-    pos = np.empty(parent.size, dtype=np.int64)
-    pos[order] = np.arange(parent.size)
-    size = np.ones(parent.size, dtype=np.int64)
-    for j in order:  # children come first, so sizes are ready in this order
-        if parent[j] != -1:
-            size[parent[j]] += size[j]
-    for j in range(parent.size):
-        block = order[pos[j] - size[j] + 1: pos[j] + 1]
-        # the block is exactly j's subtree: walking parents from any member
-        # reaches j
-        for member in block:
-            k = member
-            while k != j and k != -1:
-                k = parent[k]
-            assert k == j
-
-
-def test_postorder_rejects_cycle():
-    with pytest.raises(CycleDetectedError):
-        sd.postorder(np.array([1, 0]))
-    with pytest.raises(CycleDetectedError):
-        sd.postorder(np.array([0]))  # self-loop
-
-
-def test_postorder_rejects_bad_parent_index():
-    with pytest.raises(IndexOutOfRangeError):
-        sd.postorder(np.array([5, -1]))
-    with pytest.raises(IndexOutOfRangeError):
-        sd.postorder(np.array([-2, -1]))
 
 
 # ------------------------------------------------------- vs dense fill oracle
@@ -148,6 +91,23 @@ def test_symbolic_factor_applies_permutation():
     assert sym.nnz_L == direct.nnz_L
     assert np.array_equal(sym.l_row_idx, direct.l_row_idx)
     assert np.array_equal(sym.parent, direct.parent)
+
+
+def test_symbolic_factor_holds_the_slots_of_its_matrix():
+    rng = np.random.default_rng(39)
+    a = random_spd(rng, 30)
+    sym = sd.symbolic_factor(a, sd.amd_order(a))
+    assert sym.a_col_ptr is a.col_ptr and sym.a_row_idx is a.row_idx
+    cols = np.repeat(np.arange(a.n), np.diff(a.col_ptr))
+    assert np.array_equal(sym.a_slots, sym.locate(a.row_idx, cols))
+    assert sym.a_slots.dtype == np.min_scalar_type(sym.nnz_L)
+    # a hand-built factor whose matrix has an entry off the pattern of L
+    with pytest.raises(PatternMismatchError):
+        sd.SymbolicFactor(
+            n=2, perm=sd.natural_order(2), parent=np.array([-1, -1]),
+            col_counts=np.array([1, 1]), l_col_ptr=np.array([0, 0, 0]),
+            l_row_idx=np.array([], dtype=np.int64), nnz_L=2,
+            a_col_ptr=np.array([0, 2, 3]), a_row_idx=np.array([0, 1, 1]))
 
 
 def test_symbolic_factor_size_mismatch():
