@@ -404,6 +404,28 @@ def test_report_matches_dense_oracle(seed):
         assert np.allclose(rep.u, u, rtol=0, atol=1e-10)
 
 
+def test_solve_mme_matches_dense():
+    rng = np.random.default_rng(107)
+    for _ in range(6):
+        d = random_dataset(rng, n_obs=40, p=2, level_sizes=[5, 3], n_blocks=2)
+        v = random_params(rng, d)
+        m = sd.assemble_mme(d, v)
+        rep = sd.reml_report(d, v)
+        ref = np.linalg.solve(m.C.to_dense(), m.rhs)
+        assert np.allclose(rep.tau, ref[:m.p], atol=1e-10)
+        assert np.allclose(rep.u, ref[m.p:], atol=1e-10)
+
+
+def test_solve_mme_ordering_invariant():
+    rng = np.random.default_rng(109)
+    d = random_dataset(rng, n_obs=30, p=1, level_sizes=[4], n_blocks=1)
+    v = unit_params(d)
+    r1 = sd.reml_report(d, v, "natural")
+    r2 = sd.reml_report(d, v, "amd")
+    assert np.allclose(r1.tau, r2.tau, atol=1e-12)
+    assert np.allclose(r1.u, r2.u, atol=1e-12)
+
+
 # ----------------------------------------------------------------- file IO
 
 
