@@ -374,8 +374,8 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(0)
     b = rng.standard_normal(a.n)
     x = solve(fac, b)
-    resid = float(np.max(np.abs(a.to_dense() @ x - b)))
-    rel = resid / max(1.0, float(np.max(np.abs(b))))
+    resid = float(np.max(np.abs(a.to_dense() @ x - b), initial=0.0))
+    rel = resid / max(1.0, float(np.max(np.abs(b), initial=0.0)))
     checks.append(("solve residual", rel <= 1e-8, f"rel residual {rel:.3e}"))
 
     all_ok = True

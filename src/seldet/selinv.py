@@ -8,23 +8,32 @@ Those entries satisfy a closed recurrence in terms of L and D alone:
     Z_ij = -sum_{k in pattern(col j)} Z_ik * L_kj          (i in pattern(col j))
     Z_jj = 1/d_j - sum_{k in pattern(col j)} L_kj * Z_kj
 
-swept over columns right to left, one Python iteration per column.  Every
-Z_ik the recurrence reads lies on the already-computed part of the
-pattern: for i, k both in column j's pattern with i > k, position (i, k)
-is structural in column k — the same closure that creates fill during
-factorization guarantees it here.  So column j gathers its whole q-by-q
-block Z[pat, pat] at once: the keys col*n + row of the pattern are
-sorted by the storage order and built once per symbolic factor, and one
-``searchsorted`` of the q(q-1)/2 pair keys finds every off-diagonal
-entry.  A pair key that is not found means the pattern is not closed, and
-raises PatternMismatchError.  The column is then one dense product.
+one Python iteration per column.  Column j needs the whole q-by-q block
+Z[pat, pat] of its pattern, and every row of the pattern is an ancestor
+of j in the elimination tree.  The sweep keeps, for each finished column
+j, its front: the dense Z[F_j, F_j] with F_j = [j] + pattern(j).  The
+pattern of L is closed, so pattern(j) lies inside F_p for p = parent(j),
+and column j gathers its block from the parent's front with two ``take``
+calls through ``SymbolicFactor.parent_positions`` (Liu 1992's relative
+indices; SelInv, Lin et al. 2011, reads its blocks the same way).  That
+map and the traversal order, ``SymbolicFactor.preorder``, depend on the
+pattern only: they are built on the first call and kept on the symbolic
+factor, so a plan that evaluates many parameter points builds them once.
+A pattern that is not closed has no map, and raises PatternMismatchError.
+
+The columns run in a depth-first preorder, parents before children.  A
+front is stored only for a column with children, and dropped as soon as
+its last child has gathered from it, so the fronts held at any time
+belong to ancestors of the current column that still have a child to
+visit: 0.43 MB at most on a prob1 C under AMD, against 31 MB when the
+columns run in reverse index order.
 
 Instrumented cost per column with q below-diagonal entries, added as the
 loop performs it: the block product costs 2q^2 (multiply-accumulate from
 zero), the sign flip q, and the diagonal update 2q — in total 2q^2 + 3q,
 which summed over columns equals the symbolic prediction
-2*(sum m^2 - n) - (nnz_L - n) exactly.  The gather moves values and is
-not counted.
+2*(sum m^2 - n) - (nnz_L - n) exactly.  The gathers and the front copies
+move values and are not counted.
 """
 
 from __future__ import annotations
@@ -35,7 +44,6 @@ import numpy as np
 
 from .errors import (
     IndexOutOfRangeError,
-    PatternMismatchError,
     SingularMatrixError,
     TooLargeError,
 )
@@ -74,47 +82,42 @@ class SelectedInverse:
 def selected_inverse(f: LdlFactor) -> SelectedInverse:
     """Compute the selected inverse from an LDL^T factor."""
     sym = f.sym
-    n = sym.n
-    colptr, rows = sym.l_col_ptr.tolist(), sym.l_row_idx
+    colptr = sym.l_col_ptr.tolist()
+    parent = sym.parent.tolist()
+    pos = sym.parent_positions
     lv = f.l_values
-    z = np.empty(rows.size)
+    z = np.empty(lv.size)
     z_diag = 1.0 / f.d
-    keys = sym.lower_keys
-    # The pairs of tril_indices(q_max, -1) come row by row, so those of any
-    # q <= q_max are its first q(q-1)/2: one array, the size of the largest
-    # block, serves every column.
-    q_max = int(np.diff(sym.l_col_ptr).max(initial=0))
-    pair_a, pair_b = np.tril_indices(q_max, -1)
+    # children that have yet to gather from each column's front
+    pending = np.bincount(sym.parent[sym.parent >= 0], minlength=sym.n).tolist()
+    fronts: dict[int, np.ndarray] = {}
     flops = 0
 
-    for j in range(n - 1, -1, -1):
+    for j in sym.preorder.tolist():
         lo, hi = colptr[j], colptr[j + 1]
         q = hi - lo
-        if q == 0:
-            continue
-        pat = rows[lo:hi]
-        lcol = lv[lo:hi]
-        # Gather the symmetric q-by-q block Z[pat, pat] from the columns
-        # already computed (all have index > j): one search of the keys of
-        # its strictly-lower pairs (pat[a], pat[b]), a > b.
-        m = q * (q - 1) // 2
-        ia, ib = pair_a[:m], pair_b[:m]
-        want = pat[ib] * n + pat[ia]
-        at = np.searchsorted(keys, want)
-        if (keys[at] != want).any():
-            raise PatternMismatchError(
-                "selected pattern is not closed under the recurrence")
-        block = np.empty((q, q))
-        block[ia, ib] = block[ib, ia] = z[at]
-        idx = np.arange(q)
-        block[idx, idx] = z_diag[pat]
-        w = block @ lcol
-        flops += 2 * q * q
-        zcol = -w
-        flops += q
-        z[lo:hi] = zcol
-        z_diag[j] -= lcol @ zcol
-        flops += 2 * q
+        if q:
+            p = parent[j]
+            r = pos[lo:hi]
+            block = fronts[p].take(r, 0).take(r, 1)
+            pending[p] -= 1
+            if not pending[p]:
+                del fronts[p]
+            lcol = lv[lo:hi]
+            w = block @ lcol
+            flops += 2 * q * q
+            zcol = -w
+            flops += q
+            z[lo:hi] = zcol
+            z_diag[j] -= lcol @ zcol
+            flops += 2 * q
+        if pending[j]:
+            front = np.empty((q + 1, q + 1))
+            front[0, 0] = z_diag[j]
+            if q:
+                front[0, 1:] = front[1:, 0] = zcol
+                front[1:, 1:] = block
+            fronts[j] = front
 
     return SelectedInverse(sym=sym, z_values=z, z_diag=z_diag, flops=flops)
 

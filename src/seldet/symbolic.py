@@ -121,6 +121,13 @@ class SymbolicFactor:
     A factorization places A's values through it, and the REML gradient
     reads the selected inverse at C's entries through it.  A stored
     entry of A off the pattern of L raises PatternMismatchError.
+
+    Three more read-only arrays are kept for the factor's life.
+    :attr:`lower_keys` is built with it (one int64 per entry of L).  The
+    selected inversion builds the other two on its first call:
+    :attr:`preorder` (one int64 per column) and :attr:`parent_positions`
+    (one entry of L each, in the smallest unsigned type that holds the
+    largest column count: 1 byte, 0.10 MB, on a prob1 C under AMD).
     """
 
     n: int
@@ -164,6 +171,70 @@ class SymbolicFactor:
         keys[-1] = n * n
         keys.flags.writeable = False
         return keys
+
+    @cached_property
+    def preorder(self) -> np.ndarray:
+        """The columns in a depth-first preorder of the elimination forest,
+        read-only: every parent comes before its children, and a subtree
+        is finished before its next sibling starts.  One int64 per column,
+        built on first use and kept for the factor's life."""
+        children: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for j, p in enumerate(self.parent.tolist()):
+            children[p].append(j)           # roots go to children[-1]
+        order: list[int] = []
+        stack = children[-1][::-1]
+        while stack:
+            j = stack.pop()
+            order.append(j)
+            stack.extend(reversed(children[j]))
+        out = np.array(order, dtype=np.int64)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def parent_positions(self) -> np.ndarray:
+        """Where each row of L's pattern sits in its column's parent front.
+
+        Column j's front is the index list ``[j] + pattern(j)``.  For a
+        stored entry of column j with row i, the value is the position of
+        i in the front of p = parent(j): 0 for i = p, which is the first
+        row of every column's pattern, and 1 + the position of i in
+        pattern(p) otherwise.  Aligned with ``l_row_idx``, in the smallest
+        unsigned type that holds the largest column count, read-only,
+        built on first use and kept for the factor's life: 1 byte per
+        entry while no column count exceeds 255, 0.10 MB for the 96 231
+        strictly-lower entries of a prob1 L under AMD.
+
+        The pattern of a factor is closed: pattern(j) minus p lies inside
+        pattern(p).  A row that is missing there raises
+        PatternMismatchError.  One ``searchsorted`` of the keys of the
+        positions (i, p) against :attr:`lower_keys` finds every row; the
+        build holds at most two int64 arrays of nnz(L) entries at once.
+        """
+        colptr, rows = self.l_col_ptr, self.l_row_idx
+        counts = np.diff(colptr)
+        nonempty = np.flatnonzero(counts)
+        first, last = colptr[nonempty], colptr[nonempty + 1] - 1
+        want = np.repeat(self.parent * self.n, counts)
+        want += rows                # the key of position (i, p)
+        at = np.searchsorted(self.lower_keys, want)
+        # the row stored in each slot found, written over the keys
+        np.take(rows, at, out=want, mode="clip")
+        found = want == rows
+        del want
+        at -= np.repeat(colptr[self.parent] - 1, counts)
+        found[first] = True
+        at[first] = 0
+        # positions grow down a column: its last one shows whether every
+        # slot found lies inside the parent's column
+        inside = at[last] < self.col_counts[self.parent[nonempty]]
+        if not (found.all() and inside.all()):
+            raise PatternMismatchError(
+                "selected pattern is not closed: a row of a column is "
+                "missing from its parent's pattern")
+        pos = at.astype(np.min_scalar_type(int(self.col_counts.max(initial=1))))
+        pos.flags.writeable = False
+        return pos
 
     def locate(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Where each entry (rows[k], cols[k]) lives in the factor's storage.

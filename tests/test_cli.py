@@ -302,6 +302,17 @@ def test_verify_small_matrix_passes(matrix_file, capsys):
     assert "FAIL" not in out
 
 
+def test_verify_empty_matrix_passes(tmp_path, capsys):
+    path = tmp_path / "empty.mtx"
+    with open(path, "w", encoding="utf-8") as fh:
+        sd.write_matrix_market(sd.identity_matrix(0), fh)
+    assert main(["selinv", str(path), "--verify"]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 4 and "FAIL" not in out
+
+
 def test_verify_rejects_large_input(tmp_path, capsys):
     a = sd.identity_matrix(501)
     path = tmp_path / "big.mtx"

@@ -6,7 +6,9 @@ matrices, disconnected forests, columns with no entry below the diagonal,
 and a dense trailing block.  Under a random permutation, the elimination
 tree, the pattern of L, the column counts and the FLOP forecasts must
 match the boolean fill of PAP^T, and ``SymbolicFactor.locate`` must
-find every position of that fill and no other.  SPD matrices on such
+find every position of that fill and no other.  The selected inversion's
+pattern work must match it too: ``parent_positions`` gives each row's
+place in its parent's front, and ``preorder`` puts parents first.  SPD matrices on such
 patterns are factored under both orderings: the exact counters must equal
 the symbolic forecasts, D and L must match dense LDL^T, and the selected
 entries must match the dense inverse.
@@ -88,6 +90,24 @@ def test_symbolic_phase_matches_fill_oracle(case):
     assert np.array_equal(sym.l_row_idx[slots[below]], hi[below])
     assert np.array_equal(cols[slots[below]], lo[below])
     assert np.array_equal(slots[hi == lo], sym.l_row_idx.size + lo[hi == lo])
+    # parent_positions: each row's place in [parent] + pattern(parent)
+    pos = sym.parent_positions
+    assert not pos.flags.writeable
+    for j in range(n):
+        rows = np.flatnonzero(lpat[j + 1:, j]) + j + 1
+        if rows.size:
+            par = parent[j]
+            front = [par, *(np.flatnonzero(lpat[par + 1:, par]) + par + 1)]
+            want = [front.index(i) for i in rows]
+            assert pos[sym.l_col_ptr[j]:sym.l_col_ptr[j + 1]].tolist() == want
+    # preorder: a permutation in which every parent precedes its children
+    order = sym.preorder
+    assert not order.flags.writeable
+    assert np.array_equal(np.sort(order), np.arange(n))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    child = np.flatnonzero(parent >= 0)
+    assert np.all(rank[parent[child]] < rank[child])
 
 
 @st.composite

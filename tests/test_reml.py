@@ -668,3 +668,22 @@ def test_lower_keys_are_built_once_and_read_only():
     assert zs.sym.lower_keys is keys
     assert not keys.flags.writeable
     assert keys[-1] == f.n * f.n and np.all(np.diff(keys) > 0)
+
+
+def test_selinv_pattern_work_is_done_once_per_plan(no_held_plan, monkeypatch):
+    d, path = path_dataset(263)
+    plan = sd.analyze(d)
+    seen = []
+    real = sd.reml.selected_inverse
+
+    def spying(f):
+        zsel = real(f)
+        seen.append((f.sym.parent_positions, f.sym.preorder))
+        return zsel
+
+    monkeypatch.setattr(sd.reml, "selected_inverse", spying)
+    for v in path[:2]:
+        plan.evaluate(v)
+    (pos, order), again = seen
+    assert again[0] is pos and again[1] is order
+    assert not pos.flags.writeable and not order.flags.writeable

@@ -1,5 +1,7 @@
 """Sparse-subset inversion: worked examples, dense oracle, entry lookup."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -128,3 +130,20 @@ def test_unclosed_pattern_is_rejected():
     f = LdlFactor(sym=sym, l_values=lv, d=np.full(4, 4.0), flops=0)
     with pytest.raises(PatternMismatchError, match="not closed"):
         sd.selected_inverse(f)
+
+
+def test_front_memory_stays_small():
+    # the fronts held at once, plus the first call's build of the
+    # relative-index map; a sweep in reverse index order would hold 32 MB
+    d = sd.generate(sd.preset_config("prob1", seed=1000))
+    v = sd.VarianceParams(1.0, np.ones(len(d.factors)),
+                          np.ones(d.n_residual_blocks))
+    c = sd.assemble_mme(d, v).C
+    f = sd.ldlt_factorize(c, sd.symbolic_factor(c, sd.amd_order(c)))
+    tracemalloc.start()
+    try:
+        sd.selected_inverse(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
