@@ -36,16 +36,13 @@ print(f"  solve A x=(8,8)  -> x = {x}")
 
 k = 40
 n = k * k
-t = sd.TripletList(n=n)
-for i in range(k):
-    for j in range(k):
-        node = i * k + j
-        t.add(node, node, 4.0)
-        if i + 1 < k:
-            t.add(node + k, node, -1.0)
-        if j + 1 < k:
-            t.add(node + 1, node, -1.0)
-grid = sd.from_triplets(t)
+node = np.arange(n).reshape(k, k)        # node i*k + j sits at (i, j)
+down, right = node[:-1, :].ravel(), node[:, :-1].ravel()
+grid = sd.from_coo_arrays(
+    n,
+    np.concatenate([node.ravel(), down + k, right + 1]),
+    np.concatenate([node.ravel(), down, right]),
+    np.concatenate([np.full(n, 4.0), np.full(down.size + right.size, -1.0)]))
 
 perm = sd.amd_order(grid)
 sym = sd.symbolic_factor(grid, perm)

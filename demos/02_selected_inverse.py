@@ -17,12 +17,9 @@ import seldet as sd
 # is nonzero.  Lookups distinguish "absent" from "zero".
 # ---------------------------------------------------------------------------
 
-t = sd.TripletList(n=3)
-for i in range(3):
-    t.add(i, i, 2.0)
-for i in range(2):
-    t.add(i + 1, i, -1.0)
-chain = sd.from_triplets(t)
+chain = sd.from_coo_arrays(3, np.array([0, 1, 2, 1, 2]),
+                           np.array([0, 1, 2, 0, 1]),
+                           np.array([2.0, 2.0, 2.0, -1.0, -1.0]))
 
 sym = sd.symbolic_factor(chain, sd.natural_order(3))
 z = sd.selected_inverse(sd.ldlt_factorize(chain, sym))

@@ -5,6 +5,8 @@ ordering cuts the factor size by a multiple; on an arrowhead matrix the
 difference is between "no fill at all" and "completely dense".
 """
 
+import numpy as np
+
 import seldet as sd
 
 
@@ -21,25 +23,21 @@ def report(name, a):
 
 
 def grid(k):
-    t = sd.TripletList(n=k * k)
-    for i in range(k):
-        for j in range(k):
-            node = i * k + j
-            t.add(node, node, 4.0)
-            if i + 1 < k:
-                t.add(node + k, node, -1.0)
-            if j + 1 < k:
-                t.add(node + 1, node, -1.0)
-    return sd.from_triplets(t)
+    n = k * k
+    node = np.arange(n).reshape(k, k)    # node i*k + j sits at (i, j)
+    down, right = node[:-1, :].ravel(), node[:, :-1].ravel()
+    return sd.from_coo_arrays(
+        n,
+        np.concatenate([node.ravel(), down + k, right + 1]),
+        np.concatenate([node.ravel(), down, right]),
+        np.concatenate([np.full(n, 4.0), np.full(down.size + right.size, -1.0)]))
 
 
 def arrowhead_first(n):
-    t = sd.TripletList(n=n)
-    for i in range(n):
-        t.add(i, i, float(n))
-        if i:
-            t.add(i, 0, 1.0)
-    return sd.from_triplets(t)
+    i = np.arange(n)
+    return sd.from_coo_arrays(
+        n, np.concatenate([i, i[1:]]), np.concatenate([i, np.zeros(n - 1, int)]),
+        np.concatenate([np.full(n, float(n)), np.ones(n - 1)]))
 
 
 for k in (8, 16, 32):

@@ -74,9 +74,7 @@ from .selinv import (
 from .sparse_core import (
     Permutation,
     SparseSymmetric,
-    TripletList,
     from_coo_arrays,
-    from_triplets,
     identity_matrix,
     permute_symmetric,
     read_matrix_market,
@@ -84,8 +82,6 @@ from .sparse_core import (
 )
 from .symbolic import (
     SymbolicFactor,
-    column_counts,
-    elimination_tree,
     predict_flops,
     selinv_flops_from_ldlt,
     symbolic_factor,
@@ -94,14 +90,13 @@ from .symbolic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SparseSymmetric", "Permutation", "TripletList",
-    "from_triplets", "from_coo_arrays", "identity_matrix",
+    "SparseSymmetric", "Permutation", "from_coo_arrays", "identity_matrix",
     "read_matrix_market", "write_matrix_market",
     "permute_symmetric",
     "natural_order", "amd_order", "load_order", "write_order",
     "resolve_ordering",
-    "SymbolicFactor", "elimination_tree", "column_counts",
-    "symbolic_factor", "predict_flops", "selinv_flops_from_ldlt",
+    "SymbolicFactor", "symbolic_factor", "predict_flops",
+    "selinv_flops_from_ldlt",
     "LdlFactor", "ldlt_factorize", "log_det", "solve",
     "SelectedInverse", "selected_inverse", "get_entry", "dense_inverse_oracle",
     "RandomFactor", "MixedModelDataset", "VarianceParams", "MmeSystem",

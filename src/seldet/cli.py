@@ -34,6 +34,7 @@ from .selinv import (
 )
 from .sparse_core import (
     SparseSymmetric,
+    _entry_columns,
     from_coo_arrays,
     read_matrix_market,
     write_matrix_market,
@@ -123,12 +124,10 @@ def _selected_to_matrix(zsel) -> SparseSymmetric:
     """Selected inverse as a SparseSymmetric in ORIGINAL indices."""
     sym = zsel.sym
     perm = sym.perm.perm
-    n = sym.n
-    cols_new = np.repeat(np.arange(n, dtype=np.int64), np.diff(sym.l_col_ptr))
     rows_o = np.concatenate([perm[sym.l_row_idx], perm])
-    cols_o = np.concatenate([perm[cols_new], perm])
+    cols_o = np.concatenate([perm[_entry_columns(sym.l_col_ptr)], perm])
     vals = np.concatenate([zsel.z_values, zsel.z_diag])
-    return from_coo_arrays(n, rows_o, cols_o, vals)
+    return from_coo_arrays(sym.n, rows_o, cols_o, vals)
 
 
 def _require_dense_size(n: int, what: str):

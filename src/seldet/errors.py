@@ -87,5 +87,4 @@ class NonFiniteValueError(SeldetError, ValueError):
 
 
 class InvalidConfigError(SeldetError, ValueError):
-    """A configuration value violates its constraints: a benchmark-generator
-    setting, or an environment variable such as SELDET_PIVOT_TOL."""
+    """A benchmark-generator setting violates its constraints."""

@@ -25,19 +25,21 @@ subtract) and one division per below-diagonal entry of each finalized
 column.  The per-position products d_k * L_ik needed by the updates are
 kept from the pre-division column values rather than recomputed, which
 is what keeps the count exact.
+
+The pivot policy is fixed: a pivot d_j <= 0 or not finite (the matrix is
+not positive definite, or holds NaN or inf) stops the factorization, and
+accepted pivots below 1e-13 * max |A_ii| are reported by one warning.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    InvalidConfigError,
     NearSingularWarning,
     NonPositivePivotError,
     PatternMismatchError,
@@ -48,7 +50,8 @@ from .symbolic import SymbolicFactor
 
 __all__ = ["LdlFactor", "ldlt_factorize", "log_det", "solve"]
 
-PIVOT_TOL_ENV = "SELDET_PIVOT_TOL"
+# An accepted pivot below this times max |A_ii| is reported as near-singular.
+NEAR_SINGULAR_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -75,26 +78,7 @@ class LdlFactor:
         return self.sym.perm
 
 
-def _near_singular_threshold(diag: np.ndarray) -> float:
-    """Default warning threshold: 1e-13 times the largest diagonal entry,
-    unless SELDET_PIVOT_TOL gives a finite value >= 0."""
-    env = os.environ.get(PIVOT_TOL_ENV)
-    if env is not None:
-        try:
-            tol = float(env)
-        except ValueError:
-            tol = math.nan
-        if not (math.isfinite(tol) and tol >= 0.0):
-            raise InvalidConfigError(
-                f"{PIVOT_TOL_ENV}={env!r} is not a finite number >= 0")
-        return tol
-    scale = float(np.max(np.abs(diag))) if diag.size else 0.0
-    return 1e-13 * scale
-
-
-def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor,
-                   pivot_tol: float = 0.0,
-                   near_tol: float | None = None) -> LdlFactor:
+def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
     """Factor PAP^T = LDL^T on the pattern prepared by ``sym``.
 
     ``a`` must have exactly the pattern ``sym`` was analyzed on (its
@@ -105,14 +89,9 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor,
     PatternMismatchError; store explicit zeros to keep one pattern across
     value changes.
 
-    Raises NonPositivePivotError as soon as a pivot d_j is not finite or
-    d_j <= pivot_tol (default 0: the input was not positive definite, or
-    it held NaN or inf).  Emits a single NearSingularWarning if any
-    accepted pivot falls below ``near_tol``.  That warning threshold
-    defaults to 1e-13 * max |A_ii|; the SELDET_PIVOT_TOL environment
-    variable replaces the default (it never sets ``pivot_tol``), and an
-    explicit ``near_tol`` wins over both.  A value of SELDET_PIVOT_TOL that
-    is not a finite number >= 0 raises InvalidConfigError.
+    Raises NonPositivePivotError as soon as a pivot d_j <= 0 or is not
+    finite.  Emits a single NearSingularWarning if any accepted pivot
+    falls below 1e-13 * max |A_ii|.
     """
     if sym.n != a.n:
         raise SizeMismatchError(f"symbolic factor is for n={sym.n}, matrix has n={a.n}")
@@ -128,8 +107,7 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor,
     # ld_values: column j is overwritten with (D L)[:, j] when it is
     # finalized, and the updates read finalized columns only.
     ld_values, a_diag = placed[:rows.size], placed[rows.size:]
-    if near_tol is None:
-        near_tol = _near_singular_threshold(a_diag)
+    threshold = NEAR_SINGULAR_RTOL * float(np.max(np.abs(a_diag), initial=0.0))
     l_values = np.empty(rows.size)
     d = np.empty(n)
     x = np.zeros(n)
@@ -167,9 +145,9 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor,
             flops += 2 * total
 
         dj = float(x[j])
-        if not (dj > pivot_tol and math.isfinite(dj)):
+        if not (dj > 0.0 and math.isfinite(dj)):
             raise NonPositivePivotError(j, dj)
-        if dj < near_tol:
+        if dj < threshold:
             near_count += 1
             if first_near < 0:
                 first_near = j
@@ -182,7 +160,7 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor,
     if near_count:
         warnings.warn(
             f"{near_count} pivot(s) below the near-singular threshold "
-            f"{near_tol:g} (first at column {first_near})",
+            f"{threshold:g} (first at column {first_near})",
             NearSingularWarning,
             stacklevel=2,
         )

@@ -196,18 +196,23 @@ class MmeSystem:
     b: int
 
 
+def _code_counts(what: str, codes: np.ndarray, k: int) -> np.ndarray:
+    """Observations per code 0..k-1; a code outside raises EmptyFactorError."""
+    if codes.size and (codes.min() < 0 or codes.max() >= k):
+        raise EmptyFactorError(f"{what}: code outside 0..{k - 1}")
+    return np.bincount(codes, minlength=k)
+
+
 def _check_factors(d: MixedModelDataset):
     for f in d.factors:
         if f.n_levels <= 0:
             raise EmptyFactorError(f"factor {f.name} has no levels")
-        if f.codes.size and (f.codes.min() < 0 or f.codes.max() >= f.n_levels):
-            raise EmptyFactorError(f"factor {f.name}: code outside 0..{f.n_levels - 1}")
-        counts = np.bincount(f.codes, minlength=f.n_levels)
+        counts = _code_counts(f"factor {f.name}", f.codes, f.n_levels)
         if np.any(counts == 0):
             empty = int(np.argmin(counts))
             raise EmptyFactorError(
                 f"factor {f.name}: level {empty} has no observations")
-    rc = np.bincount(d.residual_codes, minlength=d.n_residual_blocks)
+    rc = _code_counts("residual blocks", d.residual_codes, d.n_residual_blocks)
     if np.any(rc == 0):
         raise EmptyFactorError("a residual block has no observations")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .errors import (
 __all__ = [
     "SparseSymmetric",
     "Permutation",
-    "TripletList",
-    "from_triplets",
+    "from_coo_arrays",
+    "identity_matrix",
     "read_matrix_market",
     "write_matrix_market",
     "permute_symmetric",
@@ -36,6 +36,11 @@ __all__ = [
 
 # Relative tolerance for explicit (i,j)/(j,i) pairs to count as consistent.
 SYMMETRY_RTOL = 1e-12
+
+
+def _entry_columns(col_ptr: np.ndarray) -> np.ndarray:
+    """The column index of each stored entry of a compressed-column pattern."""
+    return np.repeat(np.arange(col_ptr.size - 1, dtype=np.int64), np.diff(col_ptr))
 
 
 @dataclass(frozen=True)
@@ -75,10 +80,9 @@ class SparseSymmetric:
         if np.any(np.diff(col_ptr) < 0):
             raise SizeMismatchError("col_ptr must be non-decreasing")
         if row_idx.size:
-            cols = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(col_ptr))
             if row_idx.min() < 0 or row_idx.max() >= self.n:
                 raise IndexOutOfRangeError("row index outside matrix dimension")
-            if np.any(row_idx < cols):
+            if np.any(row_idx < _entry_columns(col_ptr)):
                 raise SizeMismatchError("entry above the diagonal in lower-triangle storage")
             inside = np.diff(row_idx) <= 0
             bnd = col_ptr[1:-1]
@@ -96,16 +100,7 @@ class SparseSymmetric:
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stored entries as parallel (row, col, value) arrays."""
-        cols = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.col_ptr))
-        return self.row_idx.copy(), cols, self.values.copy()
-
-    def diagonal(self) -> np.ndarray:
-        """Dense diagonal (zeros where the diagonal is structurally absent)."""
-        d = np.zeros(self.n)
-        rows, cols, vals = self.triplets()
-        on_diag = rows == cols
-        d[rows[on_diag]] = vals[on_diag]
-        return d
+        return self.row_idx.copy(), _entry_columns(self.col_ptr), self.values.copy()
 
     def to_dense(self) -> np.ndarray:
         """Full symmetric dense matrix; intended for tests and small oracles."""
@@ -122,7 +117,7 @@ class Permutation:
     """A bijection on 0..n-1; ``perm`` maps new index -> old index."""
 
     perm: np.ndarray
-    inverse: np.ndarray = field(default=None)  # type: ignore[assignment]
+    inverse: np.ndarray = field(init=False)
 
     def __post_init__(self):
         perm = np.ascontiguousarray(self.perm, dtype=np.int64)
@@ -142,32 +137,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return int(self.perm.size)
-
-    def inverted(self) -> "Permutation":
-        """The inverse permutation as a new object."""
-        return Permutation(self.inverse.copy())
-
-
-@dataclass
-class TripletList:
-    """Unordered (row, col, value) entries staged for assembly."""
-
-    n: int
-    entries: list[tuple[int, int, float]] = field(default_factory=list)
-
-    def add(self, row: int, col: int, value: float):
-        self.entries.append((row, col, value))
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self.entries:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i.copy(), np.empty(0)
-        rows, cols, vals = zip(*self.entries)
-        return (
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(cols, dtype=np.int64),
-            np.asarray(vals, dtype=np.float64),
-        )
 
 
 def _sum_sorted(keys: np.ndarray,
@@ -237,16 +206,6 @@ def from_coo_arrays(n: int, rows: np.ndarray, cols: np.ndarray,
     keep = np.ones(pos.size, dtype=bool)
     keep[mirrored] = False  # the lower sum stands for the pair
     return _from_lower_keys(n, pos[keep], sums[keep])
-
-
-def from_triplets(t: TripletList) -> SparseSymmetric:
-    """Assemble a :class:`SparseSymmetric` from staged triplets.
-
-    Duplicates are summed; upper-triangle entries are mirrored and checked
-    against any explicit symmetric counterpart.
-    """
-    rows, cols, vals = t.arrays()
-    return from_coo_arrays(t.n, rows, cols, vals)
 
 
 def identity_matrix(n: int, scale: float = 1.0) -> SparseSymmetric:

@@ -10,10 +10,10 @@ paths in the tree of the leading k-by-k block appends k to column j of L
 at every node reached; a walk that reaches a node still without a parent
 has reached a root, whose parent is therefore k.  Per-column nonzero
 counts m_i follow from the pattern, and with them the two a-priori FLOP
-predictions
+predictions, each summed from its kernel's cost per column, q_i = m_i - 1:
 
-    ldlt_flops   = sum(m_i^2) - n
-    selinv_flops = 2 * ldlt_flops - (nnz_L - n)
+    ldlt_flops   = sum(m_i^2 - 1)       = sum(m_i^2) - n
+    selinv_flops = sum(2 q_i^2 + 3 q_i) = 2 * ldlt_flops - (nnz_L - n)
 
 that the numeric kernels are instrumented to match exactly.
 
@@ -31,12 +31,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PatternMismatchError, SizeMismatchError
-from .sparse_core import Permutation, SparseSymmetric
+from .sparse_core import Permutation, SparseSymmetric, _entry_columns
 
 __all__ = [
     "SymbolicFactor",
-    "elimination_tree",
-    "column_counts",
     "symbolic_factor",
     "predict_flops",
     "selinv_flops_from_ldlt",
@@ -81,28 +79,6 @@ def _row_subtrees(n: int, rows: np.ndarray,
     return np.asarray(parent, dtype=np.int64), l_col_ptr, l_row_idx
 
 
-def _columns(col_ptr: np.ndarray) -> np.ndarray:
-    """The column index of each stored entry of a compressed-column pattern."""
-    return np.repeat(np.arange(col_ptr.size - 1, dtype=np.int64), np.diff(col_ptr))
-
-
-def elimination_tree(a: SparseSymmetric) -> np.ndarray:
-    """Parent array of the elimination forest of ``a`` (roots get -1).
-
-    parent[j] = min{ i > j : L_ij != 0 } for the no-cancellation factor L.
-    """
-    return _row_subtrees(a.n, a.row_idx, _columns(a.col_ptr))[0]
-
-
-def column_counts(a: SparseSymmetric, parent: np.ndarray) -> np.ndarray:
-    """Nonzero count (diagonal included) of each column of L.
-
-    ``parent`` stands for the elimination tree of ``a`` and is not read:
-    the counts come from the row-subtree pass that also finds the tree.
-    """
-    return np.diff(_row_subtrees(a.n, a.row_idx, _columns(a.col_ptr))[1]) + 1
-
-
 @dataclass(frozen=True)
 class SymbolicFactor:
     """Pattern-level factorization plan for PAP^T.
@@ -142,7 +118,7 @@ class SymbolicFactor:
     a_slots: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        slots = self.locate(self.a_row_idx, _columns(self.a_col_ptr))
+        slots = self.locate(self.a_row_idx, _entry_columns(self.a_col_ptr))
         if (slots < 0).any():
             raise PatternMismatchError(
                 "the analyzed matrix has an entry off the pattern of L")
@@ -165,9 +141,8 @@ class SymbolicFactor:
         """
         n = self.n
         keys = np.empty(self.l_row_idx.size + 1, dtype=np.int64)
-        col_base = np.repeat(np.arange(n, dtype=np.int64) * n,
-                             np.diff(self.l_col_ptr))
-        np.add(col_base, self.l_row_idx, out=keys[:-1])
+        np.multiply(_entry_columns(self.l_col_ptr), n, out=keys[:-1])
+        keys[:-1] += self.l_row_idx
         keys[-1] = n * n
         keys.flags.writeable = False
         return keys
@@ -268,7 +243,7 @@ def symbolic_factor(a: SparseSymmetric, p: Permutation) -> SymbolicFactor:
     """
     if p.n != a.n:
         raise SizeMismatchError(f"permutation size {p.n} != matrix size {a.n}")
-    pr, pc = p.inverse[a.row_idx], p.inverse[_columns(a.col_ptr)]
+    pr, pc = p.inverse[a.row_idx], p.inverse[_entry_columns(a.col_ptr)]
     parent, l_col_ptr, l_row_idx = _row_subtrees(
         a.n, np.maximum(pr, pc), np.minimum(pr, pc))
     counts = np.diff(l_col_ptr) + 1
@@ -300,7 +275,9 @@ def selinv_flops_from_ldlt(ldlt_flops: int, nnz_l: int, n: int) -> int:
 
 
 def predict_flops(sym: SymbolicFactor) -> tuple[int, int]:
-    """A-priori multiply-add counts (factorization, selected inversion)."""
+    """A-priori multiply-add counts (factorization, selected inversion),
+    each summed from its kernel's own cost per column; ``seldet analyze``
+    checks them against :func:`selinv_flops_from_ldlt`."""
     m = sym.col_counts.astype(object)  # exact integer arithmetic
-    ldlt = int(np.sum(m * m)) - sym.n
-    return ldlt, selinv_flops_from_ldlt(ldlt, sym.nnz_L, sym.n)
+    q = m - 1
+    return int(np.sum(m * m)) - sym.n, int(np.sum(2 * q * q + 3 * q))

@@ -16,28 +16,22 @@ import seldet as sd
 
 def tridiag(diag, off):
     """Symmetric tridiagonal matrix from its diagonal and subdiagonal."""
-    n = len(diag)
-    t = sd.TripletList(n=n)
-    for i, v in enumerate(diag):
-        t.add(i, i, float(v))
-    for i, v in enumerate(off):
-        t.add(i + 1, i, float(v))
-    return sd.from_triplets(t)
+    i, k = np.arange(len(diag)), np.arange(len(off))
+    return sd.from_coo_arrays(len(diag), np.concatenate([i, k + 1]),
+                              np.concatenate([i, k]),
+                              np.concatenate([diag, off]).astype(float))
 
 
 def grid_laplacian(k):
     """Shifted 5-point Laplacian on a k-by-k grid (SPD, 4 on the diagonal)."""
     n = k * k
-    t = sd.TripletList(n=n)
-    for i in range(k):
-        for j in range(k):
-            node = i * k + j
-            t.add(node, node, 4.0)
-            if i + 1 < k:
-                t.add(node + k, node, -1.0)
-            if j + 1 < k:
-                t.add(node + 1, node, -1.0)
-    return sd.from_triplets(t)
+    node = np.arange(n).reshape(k, k)    # node i*k + j sits at (i, j)
+    down, right = node[:-1, :].ravel(), node[:, :-1].ravel()
+    return sd.from_coo_arrays(
+        n,
+        np.concatenate([node.ravel(), down + k, right + 1]),
+        np.concatenate([node.ravel(), down, right]),
+        np.concatenate([np.full(n, 4.0), np.full(down.size + right.size, -1.0)]))
 
 
 def arrowhead(n, dense_first=True):
@@ -47,13 +41,13 @@ def arrowhead(n, dense_first=True):
     natural ordering: factors completely full); otherwise it goes last
     (already fill-free).
     """
-    t = sd.TripletList(n=n)
     hub = 0 if dense_first else n - 1
-    for i in range(n):
-        t.add(i, i, float(n))
-        if i != hub:
-            t.add(max(i, hub), min(i, hub), 1.0)
-    return sd.from_triplets(t)
+    i = np.arange(n)
+    spoke = i[i != hub]
+    return sd.from_coo_arrays(
+        n, np.concatenate([i, np.maximum(spoke, hub)]),
+        np.concatenate([i, np.minimum(spoke, hub)]),
+        np.concatenate([np.full(n, float(n)), np.ones(spoke.size)]))
 
 
 def random_spd(rng, n, extra_per_row=2.0):

@@ -1,6 +1,7 @@
 """Command-line entry points, driven through main(argv)."""
 
 import csv
+import dataclasses
 import os
 
 import numpy as np
@@ -41,6 +42,19 @@ def test_analyze_reports_identity_pass(matrix_file, capsys):
     out = capsys.readouterr().out
     assert "flop identity : PASS" in out
     assert "nnz(L)" in out
+
+
+def test_analyze_identity_can_fail(matrix_file, monkeypatch, capsys):
+    # an analysis whose nnz(L) disagrees with its column counts breaks
+    # the identity: the two sides are derived independently
+    def off_by_one(a, perm):
+        sym = sd.symbolic_factor(a, perm)
+        return dataclasses.replace(sym, nnz_L=sym.nnz_L + 1)
+
+    monkeypatch.setattr("seldet.cli.symbolic_factor", off_by_one)
+    path, _ = matrix_file
+    assert main(["analyze", path]) == 1
+    assert "flop identity : FAIL" in capsys.readouterr().out
 
 
 def test_analyze_csv_output(matrix_file, tmp_path, capsys):
@@ -118,15 +132,6 @@ def test_selinv_indefinite_input_fails(tmp_path, capsys):
         sd.write_matrix_market(a, fh)
     assert main(["selinv", str(path)]) == 1
     assert "non-positive pivot" in capsys.readouterr().err
-
-
-def test_selinv_bad_pivot_tol_env_is_one_line(matrix_file, monkeypatch, capsys):
-    path, _ = matrix_file
-    monkeypatch.setenv("SELDET_PIVOT_TOL", "abc")
-    assert main(["selinv", path]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: SELDET_PIVOT_TOL='abc'")
-    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # -------------------------------------------------------------------- reml

@@ -5,13 +5,11 @@ import pytest
 
 import seldet as sd
 from seldet.errors import (
-    InvalidConfigError,
     NearSingularWarning,
     NonPositivePivotError,
     PatternMismatchError,
     SizeMismatchError,
 )
-from seldet.numeric import PIVOT_TOL_ENV
 from helpers import dense_ldlt, random_spd, reconstruct_dense, tridiag
 
 
@@ -48,12 +46,28 @@ def test_indefinite_matrix_reports_failing_pivot():
     assert abs(exc.value.value - (-3.0)) < 1e-15
 
 
-def test_pivot_tolerance_raises_bar():
-    a = sd.identity_matrix(3, 0.3)
-    sym = sd.symbolic_factor(a, sd.natural_order(3))
-    sd.ldlt_factorize(a, sym)  # fine by default
-    with pytest.raises(NonPositivePivotError):
-        sd.ldlt_factorize(a, sym, pivot_tol=0.5)
+def test_zero_pivot_is_rejected():
+    a = sd.from_coo_arrays(2, np.array([0, 1, 1]), np.array([0, 0, 1]),
+                           np.array([1.0, 1.0, 1.0]))
+    sym = sd.symbolic_factor(a, sd.natural_order(2))
+    with pytest.raises(NonPositivePivotError) as exc:
+        sd.ldlt_factorize(a, sym)
+    assert exc.value.index == 1 and exc.value.value == 0.0
+
+
+def test_near_singular_threshold_is_relative_to_the_diagonal():
+    import warnings
+    eye = sd.identity_matrix(2)
+    sym = sd.symbolic_factor(eye, sd.natural_order(2))
+    for scale in (1.0, 1e-200, 1e200):
+        at, below = (sd.SparseSymmetric(2, eye.col_ptr, eye.row_idx,
+                                        [scale, rel * scale])
+                     for rel in (1e-13, 0.99e-13))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning fails the test
+            sd.ldlt_factorize(at, sym)
+        with pytest.warns(NearSingularWarning, match="1 pivot"):
+            sd.ldlt_factorize(below, sym)
 
 
 def test_near_singular_emits_one_warning():
@@ -63,24 +77,6 @@ def test_near_singular_emits_one_warning():
     sym = sd.symbolic_factor(a, sd.natural_order(2))
     with pytest.warns(NearSingularWarning):
         sd.ldlt_factorize(a, sym)
-
-
-def test_near_singular_threshold_env_override(monkeypatch):
-    a = sd.from_coo_arrays(2, np.array([0, 1, 1]), np.array([0, 0, 1]),
-                           np.array([1.0, 1.0, 1.0 + 1e-15]))
-    sym = sd.symbolic_factor(a, sd.natural_order(2))
-    monkeypatch.setenv(PIVOT_TOL_ENV, "1e-300")
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # any warning fails the test
-        sd.ldlt_factorize(a, sym)
-
-
-def test_explicit_near_tol_argument_wins(monkeypatch):
-    a = sd.identity_matrix(2)
-    sym = sd.symbolic_factor(a, sd.natural_order(2))
-    with pytest.warns(NearSingularWarning):
-        sd.ldlt_factorize(a, sym, near_tol=2.0)  # pivots 1.0 < 2.0
 
 
 # ---------------------------------------------------------------- numerics
@@ -164,11 +160,10 @@ def test_solve_rejects_wrong_length():
 def test_factorize_rejects_entries_off_plan():
     chain = tridiag([2.0, 2.0, 2.0, 2.0], [-1.0, -1.0, -1.0])
     sym = sd.symbolic_factor(chain, sd.natural_order(4))
-    t = sd.TripletList(n=4)
-    for i in range(4):
-        t.add(i, i, 2.0)
-    t.add(3, 0, 0.5)  # outside the chain's factor pattern
-    stray = sd.from_triplets(t)
+    # (3, 0) lies outside the chain's factor pattern
+    stray = sd.from_coo_arrays(4, np.array([0, 1, 2, 3, 3]),
+                               np.array([0, 1, 2, 3, 0]),
+                               np.array([2.0, 2.0, 2.0, 2.0, 0.5]))
     with pytest.raises(PatternMismatchError):
         sd.ldlt_factorize(stray, sym)
 
@@ -239,22 +234,3 @@ def test_inf_diagonal_fails_without_warning():
             sd.ldlt_factorize(a, sym)
     assert exc.value.index == 0
     assert exc.value.value == np.inf
-
-
-@pytest.mark.parametrize("value", ["abc", "", "nan", "inf", "-1e-3"])
-def test_pivot_tol_env_rejects_bad_values(monkeypatch, value):
-    a = sd.identity_matrix(2)
-    sym = sd.symbolic_factor(a, sd.natural_order(2))
-    monkeypatch.setenv(PIVOT_TOL_ENV, value)
-    with pytest.raises(InvalidConfigError, match=PIVOT_TOL_ENV):
-        sd.ldlt_factorize(a, sym)
-
-
-def test_pivot_tol_env_sets_only_the_warning_threshold(monkeypatch):
-    # pivots of 1.0 sit below a threshold of 2: a warning, not a rejection
-    a = sd.identity_matrix(2)
-    sym = sd.symbolic_factor(a, sd.natural_order(2))
-    monkeypatch.setenv(PIVOT_TOL_ENV, "2")
-    with pytest.warns(NearSingularWarning):
-        f = sd.ldlt_factorize(a, sym)
-    assert np.array_equal(f.d, [1.0, 1.0])

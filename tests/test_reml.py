@@ -147,6 +147,21 @@ def test_empty_factor_variants_rejected():
             n_residual_blocks=2), sd.VarianceParams(1.0, (1.0,), (1.0, 1.0)))
 
 
+@pytest.mark.parametrize("codes", [[0, -1], [0, 1]])
+def test_residual_code_out_of_range_rejected(codes):
+    # one residual block: -1 and 1 both lie outside 0..0
+    d = tiny_dataset()
+    bad = sd.MixedModelDataset(
+        y=d.y, x=d.x, fixed_names=d.fixed_names, factors=d.factors,
+        residual_codes=np.array(codes), n_residual_blocks=1)
+    v = unit_params(bad)
+    for call in (lambda: sd.assemble_mme(bad, v),
+                 lambda: sd.reml_report(bad, v),
+                 lambda: sd.restricted_loglik(bad, v, form="h")):
+        with pytest.raises(EmptyFactorError, match="code outside 0..0"):
+            call()
+
+
 def test_parameter_count_mismatch_rejected():
     d = tiny_dataset()
     with pytest.raises(SizeMismatchError):
@@ -325,11 +340,11 @@ def test_trace_product_requires_pattern_coverage():
     eye = sd.identity_matrix(3)
     sym = sd.symbolic_factor(eye, sd.natural_order(3))
     zs = sd.selected_inverse(sd.ldlt_factorize(eye, sym))
-    t = sd.TripletList(n=3)
-    t.add(0, 0, 1.0)
-    t.add(2, 0, 1.0)  # off the (diagonal) selected pattern
+    # (2, 0) is off the (diagonal) selected pattern
+    b = sd.from_coo_arrays(3, np.array([0, 2]), np.array([0, 0]),
+                           np.array([1.0, 1.0]))
     with pytest.raises(PatternNotCoveredError):
-        sd.trace_product(zs, sd.from_triplets(t))
+        sd.trace_product(zs, b)
 
 
 def test_gradient_matches_finite_differences():

@@ -14,11 +14,12 @@ from helpers import etree_from_pattern, fill_pattern, random_spd, tridiag
 
 
 def dense3():
-    t = sd.TripletList(n=3)
-    for i in range(3):
-        for j in range(i + 1):
-            t.add(i, j, 6.0 if i == j else 1.0)
-    return sd.from_triplets(t)
+    rows, cols = np.tril_indices(3)
+    return sd.from_coo_arrays(3, rows, cols, np.where(rows == cols, 6.0, 1.0))
+
+
+def natural_symbolic(a):
+    return sd.symbolic_factor(a, sd.natural_order(a.n))
 
 
 # -------------------------------------------------------------- worked out
@@ -26,27 +27,23 @@ def dense3():
 
 def test_chain_n4():
     a = tridiag([2.0, 2.0, 2.0, 2.0], [-1.0, -1.0, -1.0])
-    parent = sd.elimination_tree(a)
-    assert np.array_equal(parent, [1, 2, 3, -1])
-    counts = sd.column_counts(a, parent)
-    assert np.array_equal(counts, [2, 2, 2, 1])
-    sym = sd.symbolic_factor(a, sd.natural_order(4))
+    sym = natural_symbolic(a)
+    assert np.array_equal(sym.parent, [1, 2, 3, -1])
+    assert np.array_equal(sym.col_counts, [2, 2, 2, 1])
     assert sym.nnz_L == 7
     assert sd.predict_flops(sym) == (9, 15)
 
 
 def test_dense_block():
-    a = dense3()
-    parent = sd.elimination_tree(a)
-    assert np.array_equal(parent, [1, 2, -1])
-    assert np.array_equal(sd.column_counts(a, parent), [3, 2, 1])
+    sym = natural_symbolic(dense3())
+    assert np.array_equal(sym.parent, [1, 2, -1])
+    assert np.array_equal(sym.col_counts, [3, 2, 1])
 
 
 def test_diagonal_forest():
-    a = sd.identity_matrix(4)
-    parent = sd.elimination_tree(a)
-    assert np.array_equal(parent, [-1, -1, -1, -1])
-    assert np.array_equal(sd.column_counts(a, parent), [1, 1, 1, 1])
+    sym = natural_symbolic(sd.identity_matrix(4))
+    assert np.array_equal(sym.parent, [-1, -1, -1, -1])
+    assert np.array_equal(sym.col_counts, [1, 1, 1, 1])
 
 
 # ------------------------------------------------------- vs dense fill oracle
@@ -57,7 +54,7 @@ def test_etree_matches_fill_oracle():
     for _ in range(20):
         a = random_spd(rng, int(rng.integers(1, 60)),
                        extra_per_row=float(rng.uniform(0.5, 3.5)))
-        assert np.array_equal(sd.elimination_tree(a),
+        assert np.array_equal(natural_symbolic(a).parent,
                               etree_from_pattern(fill_pattern(a)))
 
 
@@ -66,8 +63,8 @@ def test_column_counts_match_fill_oracle():
     for _ in range(20):
         a = random_spd(rng, int(rng.integers(1, 60)),
                        extra_per_row=float(rng.uniform(0.5, 3.5)))
-        counts = sd.column_counts(a, sd.elimination_tree(a))
-        assert np.array_equal(counts, fill_pattern(a).sum(axis=0))
+        assert np.array_equal(natural_symbolic(a).col_counts,
+                              fill_pattern(a).sum(axis=0))
 
 
 def test_factor_pattern_matches_fill_oracle():
