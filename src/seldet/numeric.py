@@ -42,7 +42,6 @@ import numpy as np
 from .errors import (
     NearSingularWarning,
     NonPositivePivotError,
-    PatternMismatchError,
     SizeMismatchError,
 )
 from .sparse_core import Permutation, SparseSymmetric
@@ -54,7 +53,7 @@ __all__ = ["LdlFactor", "ldlt_factorize", "log_det", "solve"]
 NEAR_SINGULAR_RTOL = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LdlFactor:
     """Unit-lower-triangular L and diagonal D with PAP^T = LDL^T.
 
@@ -93,13 +92,7 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
     finite.  Emits a single NearSingularWarning if any accepted pivot
     falls below 1e-13 * max |A_ii|.
     """
-    if sym.n != a.n:
-        raise SizeMismatchError(f"symbolic factor is for n={sym.n}, matrix has n={a.n}")
-    if not (np.array_equal(a.col_ptr, sym.a_col_ptr)
-            and np.array_equal(a.row_idx, sym.a_row_idx)):
-        raise PatternMismatchError(
-            "matrix pattern differs from the one the symbolic factor was "
-            "analyzed on")
+    sym.require_pattern(a)
     n = sym.n
     colptr, rows = sym.l_col_ptr, sym.l_row_idx
     placed = np.zeros(rows.size + n)

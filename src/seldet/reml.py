@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import (
     EmptyFactorError,
+    IndexOutOfRangeError,
     InvalidParameterError,
     NonFiniteValueError,
     ParseError,
@@ -75,7 +76,7 @@ __all__ = [
 DENSE_FORM_LIMIT = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomFactor:
     """One grouping factor: a level code per observation."""
 
@@ -91,10 +92,11 @@ class RandomFactor:
             raise SizeMismatchError(f"factor {self.name}: label/level count mismatch")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixedModelDataset:
     """Observations with fixed design, random grouping factors, and
-    residual blocks.  X is dense (p is small in this model class)."""
+    residual blocks.  X is dense (p is small in this model class); a NaN
+    or inf in y or X raises NonFiniteValueError naming its index."""
 
     y: np.ndarray
     x: np.ndarray
@@ -119,6 +121,14 @@ class MixedModelDataset:
         for f in self.factors:
             if f.codes.shape != (n,):
                 raise SizeMismatchError(f"factor {f.name}: wrong length")
+        if self.residual_labels and len(self.residual_labels) != self.n_residual_blocks:
+            raise SizeMismatchError("residual label/block count mismatch")
+        for name, arr in (("y", y), ("x", x)):
+            bad = np.argwhere(~np.isfinite(arr))
+            if bad.size:
+                at = tuple(bad[0].tolist())
+                raise NonFiniteValueError(
+                    f"{name}[{', '.join(map(str, at))}] = {float(arr[at])!r}")
 
     @property
     def n_obs(self) -> int:
@@ -142,7 +152,7 @@ class MixedModelDataset:
         return offs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarianceParams:
     """(sigma^2, gamma per random factor, phi per residual block).
 
@@ -171,26 +181,28 @@ class VarianceParams:
 
     def perturbed(self, index: int, factor: float) -> "VarianceParams":
         """Copy with the index-th (gamma..., phi...) entry scaled — the
-        layout matches logdet_gradient's output order."""
-        g, p = self.gamma.copy(), self.phi.copy()
-        if index < g.size:
-            g[index] *= factor
-        else:
-            p[index - g.size] *= factor
-        return VarianceParams(self.sigma2, g, p)
+        layout matches logdet_gradient's output order.  An index outside
+        0..K-1 raises IndexOutOfRangeError."""
+        kappa, k = np.concatenate([self.gamma, self.phi]), self.gamma.size
+        if not 0 <= index < kappa.size:
+            raise IndexOutOfRangeError(f"index {index} outside 0..{kappa.size - 1}")
+        kappa[index] *= factor
+        return VarianceParams(self.sigma2, kappa[:k], kappa[k:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MmeSystem:
-    """Assembled mixed-model equations and derivative templates.
+    """The mixed-model equations C x = rhs at one parameter point.
 
-    ``templates`` holds one dC/d(kappa) per variance ratio, gammas first
-    then phis, each on its own subpattern of C.
+    ``table`` is the dataset's template table (:class:`_Table`) and
+    ``inv_kappa[k]`` = 1/kappa_k, gammas first then phis, named by
+    ``template_names``: C = sum_k B_k / kappa_k.
     """
 
     C: SparseSymmetric
     rhs: np.ndarray
-    templates: tuple[SparseSymmetric, ...]
+    table: _Table
+    inv_kappa: np.ndarray
     template_names: tuple[str, ...]
     p: int
     b: int
@@ -246,19 +258,6 @@ class _Table(NamedTuple):
         return SparseSymmetric(self.col_ptr.size - 1, self.col_ptr,
                                self.row_idx, vals)
 
-    def templates(self, coefs: np.ndarray) -> tuple[SparseSymmetric, ...]:
-        """coefs[k] * B_k for every k, each on its own subpattern of C,
-        whose slots come sorted."""
-        counts = np.bincount(self.which, minlength=coefs.size)
-        ends = np.cumsum(counts)
-        out = []
-        for lo, hi, coef in zip(ends - counts, ends, coefs):
-            slots = self.slot[lo:hi]
-            out.append(SparseSymmetric(
-                self.col_ptr.size - 1, np.searchsorted(slots, self.col_ptr),
-                self.row_idx[slots], coef * self.value[lo:hi]))
-        return tuple(out)
-
 
 def _template_table(d: MixedModelDataset) -> _Table:
     """Build the template table of ``d``, one pair of W's columns at a
@@ -299,9 +298,10 @@ def _template_table(d: MixedModelDataset) -> _Table:
                   value[order])
 
 
-def _system(table: _Table, d: MixedModelDataset, v: VarianceParams):
-    """(C, the right-hand side W'R^-1 y, 1/kappa) at ``v``; 1/kappa lists
-    the gammas, then the phis."""
+def _system(table: _Table, d: MixedModelDataset,
+            v: VarianceParams) -> MmeSystem:
+    """The mixed-model equations of ``d`` at ``v``, with C from its
+    template ``table`` and the right-hand side W'R^-1 y."""
     if v.gamma.size != len(d.factors):
         raise SizeMismatchError(
             f"{v.gamma.size} gamma values for {len(d.factors)} factors")
@@ -314,30 +314,21 @@ def _system(table: _Table, d: MixedModelDataset, v: VarianceParams):
         [d.x.T @ ry]
         + [np.bincount(f.codes, weights=ry, minlength=f.n_levels)
            for f in d.factors])
-    return table.c_matrix(inv_kappa), rhs, inv_kappa
+    return MmeSystem(C=table.c_matrix(inv_kappa), rhs=rhs, table=table,
+                     inv_kappa=inv_kappa, template_names=_template_names(d),
+                     p=d.p, b=d.b)
 
 
 def _template_names(d: MixedModelDataset) -> tuple[str, ...]:
-    res = [d.residual_labels[k] if k < len(d.residual_labels) else str(k)
-           for k in range(d.n_residual_blocks)]
+    res = d.residual_labels or map(str, range(d.n_residual_blocks))
     return tuple([f"gamma:{f.name}" for f in d.factors]
                  + [f"phi:{label}" for label in res])
 
 
 def assemble_mme(d: MixedModelDataset, v: VarianceParams) -> MmeSystem:
-    """Build C, the right-hand side, and the dC/d(kappa) templates, all
-    from one template table."""
+    """Check ``d`` and build its mixed-model equations at ``v``."""
     _check_design(d)
-    table = _template_table(d)
-    c_mat, rhs, inv_kappa = _system(table, d, v)
-    return MmeSystem(
-        C=c_mat,
-        rhs=rhs,
-        templates=table.templates(-inv_kappa ** 2),
-        template_names=_template_names(d),
-        p=d.p,
-        b=d.b,
-    )
+    return _system(_template_table(d), d, v)
 
 
 def _logdet_r(d: MixedModelDataset, v: VarianceParams) -> float:
@@ -410,7 +401,7 @@ def restricted_loglik(d: MixedModelDataset, v: VarianceParams,
         ypy = float(d.y @ py)
         return -0.5 * ((n - p) * math.log(v.sigma2) + ldh + ldxthx
                        + ypy / v.sigma2)
-    raise ValueError(f"unknown form {form!r}; use 'c' or 'h'")
+    raise InvalidParameterError(f"unknown form {form!r}; use 'c' or 'h'")
 
 
 def _trace_weights(zsel: SelectedInverse) -> np.ndarray:
@@ -442,8 +433,19 @@ def trace_product(zsel: SelectedInverse, b_mat: SparseSymmetric) -> float:
 
 
 def logdet_gradient(m: MmeSystem, zsel: SelectedInverse) -> np.ndarray:
-    """d logdet(C) / d kappa for every variance ratio, gammas then phis."""
-    return np.asarray([trace_product(zsel, t) for t in m.templates])
+    """d logdet(C) / d kappa for every variance ratio, gammas then phis.
+
+    Component k is -tr(C^-1 B_k) / kappa_k^2: one bincount over the
+    template indices of ``m.table``, each entry weighted by the selected
+    inverse at its slot.  ``zsel`` must come from a factor analyzed on
+    ``m.C``'s own pattern; any other pattern raises PatternMismatchError.
+    """
+    sym = zsel.sym
+    sym.require_pattern(m.C)
+    z = _trace_weights(zsel)[sym.a_slots]
+    t = m.table
+    return -m.inv_kappa ** 2 * np.bincount(
+        t.which, weights=t.value * z[t.slot], minlength=m.inv_kappa.size)
 
 
 def pev_diagonal(zsel: SelectedInverse, sigma2: float) -> np.ndarray:
@@ -453,7 +455,7 @@ def pev_diagonal(zsel: SelectedInverse, sigma2: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RemlReport:
     """Everything the full pipeline produces at one parameter point.
 
@@ -538,8 +540,8 @@ class RemlPlan:
     def factorize(self, v: VarianceParams) -> tuple[LdlFactor, np.ndarray]:
         """The LDL^T factor of C at ``v`` and the right-hand side."""
         self._require_current()
-        c_mat, rhs, _ = _system(self.table, self.d, v)
-        return ldlt_factorize(c_mat, self.sym), rhs
+        m = _system(self.table, self.d, v)
+        return ldlt_factorize(m.C, self.sym), m.rhs
 
     def evaluate(self, v: VarianceParams) -> RemlReport:
         """Factor -> selected inverse -> REML quantities at ``v``.
@@ -551,11 +553,11 @@ class RemlPlan:
         d = self.d
         times = {"ordering": 0.0, "symbolic": 0.0}
         t0 = time.perf_counter()
-        c_mat, rhs, inv_kappa = _system(self.table, d, v)
+        m = _system(self.table, d, v)
         times["assemble"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        f = ldlt_factorize(c_mat, self.sym)
+        f = ldlt_factorize(m.C, self.sym)
         times["factorize"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -563,15 +565,12 @@ class RemlPlan:
         times["selinv"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        x = solve(f, rhs)
-        z = _trace_weights(zsel)[self.sym.a_slots]
-        t = self.table
-        grad = -inv_kappa ** 2 * np.bincount(
-            t.which, weights=t.value * z[t.slot], minlength=inv_kappa.size)
+        x = solve(f, m.rhs)
+        grad = logdet_gradient(m, zsel)
         times["derivatives"] = time.perf_counter() - t0
 
         ldc = log_det(f)
-        ypy = _ypy(d, v, rhs, x)
+        ypy = _ypy(d, v, m.rhs, x)
         pred_ldlt, pred_selinv = self.predicted_flops
         return RemlReport(
             loglik=_loglik(d, v, ldc, ypy),
@@ -582,10 +581,10 @@ class RemlPlan:
             tau=x[:d.p],
             u=x[d.p:],
             gradient=grad,
-            gradient_names=_template_names(d),
+            gradient_names=m.template_names,
             pev=pev_diagonal(zsel, v.sigma2),
-            dim=c_mat.n,
-            nnz_c=c_mat.nnz,
+            dim=m.C.n,
+            nnz_c=m.C.nnz,
             nnz_l=self.sym.nnz_L,
             predicted_ldlt_flops=pred_ldlt,
             measured_ldlt_flops=f.flops,
@@ -706,13 +705,9 @@ def write_dataset(d: MixedModelDataset, stream: IO[str]):
               + [f"random:{f.name}" for f in d.factors]
               + ["resblock"])
     stream.write("\t".join(header) + "\n")
-    res_labels = (d.residual_labels if d.residual_labels
-                  else tuple(str(k) for k in range(d.n_residual_blocks)))
-    factor_labels = []
-    for f in d.factors:
-        labels = f.labels if f.labels else tuple(
-            str(v) for v in range(f.n_levels))
-        factor_labels.append(labels)
+    res_labels = d.residual_labels or tuple(map(str, range(d.n_residual_blocks)))
+    factor_labels = [f.labels or tuple(map(str, range(f.n_levels)))
+                     for f in d.factors]
     for i in range(d.n_obs):
         parts = [f"{d.y[i]:.17g}"]
         parts += [f"{d.x[i, c]:.17g}" for c in range(d.p)]

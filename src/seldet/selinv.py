@@ -56,7 +56,7 @@ __all__ = ["SelectedInverse", "selected_inverse", "get_entry", "dense_inverse_or
 DENSE_ORACLE_LIMIT = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectedInverse:
     """Entries of Z = A^-1 on the selected pattern (L's pattern + diagonal).
 

@@ -43,7 +43,7 @@ def _entry_columns(col_ptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(col_ptr.size - 1, dtype=np.int64), np.diff(col_ptr))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseSymmetric:
     """Lower triangle of a symmetric matrix in compressed-column form.
 
@@ -112,7 +112,7 @@ class SparseSymmetric:
         return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Permutation:
     """A bijection on 0..n-1; ``perm`` maps new index -> old index."""
 

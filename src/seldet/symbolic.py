@@ -79,7 +79,7 @@ def _row_subtrees(n: int, rows: np.ndarray,
     return np.asarray(parent, dtype=np.int64), l_col_ptr, l_row_idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolicFactor:
     """Pattern-level factorization plan for PAP^T.
 
@@ -210,6 +210,20 @@ class SymbolicFactor:
         pos = at.astype(np.min_scalar_type(int(self.col_counts.max(initial=1))))
         pos.flags.writeable = False
         return pos
+
+    def require_pattern(self, a: SparseSymmetric):
+        """Raise unless ``a`` has exactly the pattern this factor was
+        analyzed on: SizeMismatchError for another dimension,
+        PatternMismatchError for any other pattern, a strict subpattern
+        included."""
+        if a.n != self.n:
+            raise SizeMismatchError(
+                f"symbolic factor is for n={self.n}, matrix has n={a.n}")
+        if not (np.array_equal(a.col_ptr, self.a_col_ptr)
+                and np.array_equal(a.row_idx, self.a_row_idx)):
+            raise PatternMismatchError(
+                "matrix pattern differs from the one the symbolic factor was "
+                "analyzed on")
 
     def locate(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Where each entry (rows[k], cols[k]) lives in the factor's storage.

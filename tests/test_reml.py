@@ -16,6 +16,7 @@ import pytest
 import seldet as sd
 from seldet.errors import (
     EmptyFactorError,
+    IndexOutOfRangeError,
     InvalidParameterError,
     NonFiniteValueError,
     ParseError,
@@ -162,6 +163,37 @@ def test_residual_code_out_of_range_rejected(codes):
             call()
 
 
+@pytest.mark.parametrize("array, at, bad, where", [
+    ("y", (1,), np.nan, "y[1] = nan"),
+    ("x", (1, 0), np.inf, "x[1, 0] = inf"),
+    ("x", (0, 0), -np.inf, "x[0, 0] = -inf")])
+def test_non_finite_response_or_design_rejected(array, at, bad, where):
+    d = tiny_dataset()
+    y, x = d.y.copy(), d.x.copy()
+    {"y": y, "x": x}[array][at] = bad
+    with pytest.raises(NonFiniteValueError, match=re.escape(where)):
+        sd.MixedModelDataset(y=y, x=x, fixed_names=d.fixed_names,
+                             factors=d.factors, residual_codes=d.residual_codes,
+                             n_residual_blocks=1)
+
+
+def test_residual_label_count_must_match_blocks():
+    d = tiny_dataset()
+    with pytest.raises(SizeMismatchError, match="residual label"):
+        sd.MixedModelDataset(y=d.y, x=d.x, fixed_names=d.fixed_names,
+                             factors=d.factors, residual_codes=np.array([0, 1]),
+                             n_residual_blocks=2, residual_labels=("a",))
+
+
+def test_model_dataclasses_compare_by_identity():
+    d = tiny_dataset()
+    v = unit_params(d)
+    for obj in (d.factors[0], d, v, sd.assemble_mme(d, v),
+                sd.reml_report(d, v)):
+        assert obj == obj and obj != dataclasses.replace(obj)
+        assert hash(obj) == hash(obj)
+
+
 def test_parameter_count_mismatch_rejected():
     d = tiny_dataset()
     with pytest.raises(SizeMismatchError):
@@ -189,6 +221,13 @@ def test_variance_params_must_be_positive():
 def test_variance_params_must_be_finite(sigma2, gamma, phi, where):
     with pytest.raises(InvalidParameterError, match=re.escape(where)):
         sd.VarianceParams(sigma2=sigma2, gamma=gamma, phi=phi)
+
+
+@pytest.mark.parametrize("index", [-1, 3, 7])
+def test_perturbed_index_out_of_range(index):
+    v = sd.VarianceParams(sigma2=2.0, gamma=(1.0, 3.0), phi=(4.0,))
+    with pytest.raises(IndexOutOfRangeError, match="outside 0..2"):
+        v.perturbed(index, 1.5)
 
 
 def test_perturbed_moves_one_coordinate():
@@ -249,9 +288,16 @@ def test_mme_and_templates_match_dense_oracle(seed):
     m = sd.assemble_mme(d, v)
     c_ref, t_ref = dense_mme(d, v)
     assert max_rel_err(m.C.to_dense(), c_ref) <= 1e-13
-    assert len(m.templates) == len(t_ref) == len(m.template_names)
-    for t, ref in zip(m.templates, t_ref):
-        assert max_rel_err(t.to_dense(), ref) <= 1e-13
+    assert m.inv_kappa.size == len(t_ref) == len(m.template_names)
+    # dC/d(kappa_k) = -B_k / kappa_k^2, with B_k scattered from the table
+    rows, cols, _ = m.C.triplets()
+    t = m.table
+    for k, ref in enumerate(t_ref):
+        on = t.which == k
+        low = np.zeros_like(ref)
+        np.add.at(low, (rows[t.slot[on]], cols[t.slot[on]]), t.value[on])
+        b_k = low + np.tril(low, -1).T
+        assert max_rel_err(-m.inv_kappa[k] ** 2 * b_k, ref) <= 1e-13
     # every X column is stored against every row below it, zeros included
     p, dim = d.p, m.C.n
     assert np.array_equal(np.diff(m.C.col_ptr)[:p], dim - np.arange(p))
@@ -303,7 +349,7 @@ def test_loglik_requires_more_observations_than_fixed_effects():
 
 def test_unknown_form_rejected():
     d = tiny_dataset()
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError, match="unknown form"):
         sd.restricted_loglik(d, unit_params(d), form="q")
 
 
@@ -323,8 +369,23 @@ def test_gradient_worked_example():
     # C = [[2, 2], [2, 3]]: d logdet/d gamma = -tr(C^-1 E)/gamma^2
     ci = np.linalg.inv(m.C.to_dense())
     assert g[0] == pytest.approx(-ci[1, 1], abs=1e-12)
+    _, t_ref = dense_mme(d, v)
     assert g == pytest.approx(
-        [float(np.trace(ci @ t.to_dense())) for t in m.templates], abs=1e-12)
+        [float(np.trace(ci @ t)) for t in t_ref], abs=1e-12)
+
+
+def test_logdet_gradient_requires_the_pattern_of_c():
+    d, v = oracle_dataset(300)
+    m = sd.assemble_mme(d, v)
+    n = m.C.n
+    rows, cols = np.tril_indices(n)
+    # the whole lower triangle: a superpattern of C, with C's values
+    full = sd.from_coo_arrays(n, rows, cols, m.C.to_dense()[rows, cols])
+    for other in (full, sd.identity_matrix(n)):
+        sym = sd.symbolic_factor(other, sd.natural_order(n))
+        zs = sd.selected_inverse(sd.ldlt_factorize(other, sym))
+        with pytest.raises(PatternMismatchError, match="pattern differs"):
+            sd.logdet_gradient(m, zs)
 
 
 def test_trace_product_identity():
@@ -604,11 +665,27 @@ def test_plan_gradient_matches_template_traces(no_held_plan):
     d, path = path_dataset(223)
     for v in path[:2]:
         rep = sd.reml_report(d, v)
-        m = sd.assemble_mme(d, v)
-        ci = np.linalg.inv(m.C.to_dense())
-        ref = [float(np.sum(ci * t.to_dense())) for t in m.templates]
+        c_ref, t_ref = dense_mme(d, v)
+        ci = np.linalg.inv(c_ref)
+        ref = [float(np.sum(ci * t)) for t in t_ref]
         assert np.allclose(rep.gradient, ref, rtol=1e-10, atol=1e-12)
-        assert rep.gradient_names == m.template_names
+        assert rep.gradient_names == sd.assemble_mme(d, v).template_names
+
+
+def test_evaluate_takes_its_gradient_from_logdet_gradient(monkeypatch):
+    d, path = path_dataset(269)
+    plan = sd.analyze(d)
+    seen = []
+    real = sd.reml.logdet_gradient
+
+    def spying(m, zsel):
+        seen.append(real(m, zsel))
+        return seen[-1]
+
+    monkeypatch.setattr(sd.reml, "logdet_gradient", spying)
+    for k, v in enumerate(path[:3], start=1):
+        rep = plan.evaluate(v)
+        assert len(seen) == k and rep.gradient is seen[-1]
 
 
 def test_codes_edited_in_place_give_a_fresh_analysis(no_held_plan, amd_calls):

@@ -1,5 +1,6 @@
 """Storage container, permutations, triplet assembly, Matrix Market I/O."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -63,6 +64,18 @@ def test_non_finite_value_rejected_with_its_entry(bad):
     with pytest.raises(NonFiniteValueError, match=r"entry \(2,0\)"):
         sd.from_coo_arrays(3, np.array([0, 1, 2]), np.array([0, 1, 0]),
                            np.array([1.0, 1.0, bad]))
+
+
+def test_array_dataclasses_compare_by_identity():
+    # eq=False: == and hash are defined (object identity), never a numpy
+    # "truth value is ambiguous" error
+    eye = sd.identity_matrix(3)
+    p = sd.Permutation(np.array([2, 0, 1]))
+    sym = sd.symbolic_factor(eye, p)
+    f = sd.ldlt_factorize(eye, sym)
+    for obj in (eye, p, sym, f, sd.selected_inverse(f)):
+        assert obj == obj and obj != dataclasses.replace(obj)
+        assert hash(obj) == hash(obj)
 
 
 def test_triplet_index_out_of_range():
