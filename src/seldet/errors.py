@@ -10,7 +10,8 @@ class SeldetError(Exception):
 
 
 class IndexOutOfRangeError(SeldetError, IndexError):
-    """A row or column index falls outside the matrix dimension."""
+    """An index is not a whole number or falls outside its range: a row
+    or column outside the matrix dimension, or a level code."""
 
 
 class AsymmetricInputError(SeldetError, ValueError):

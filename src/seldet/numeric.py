@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import (
     NearSingularWarning,
+    NonFiniteValueError,
     NonPositivePivotError,
     SizeMismatchError,
 )
@@ -166,11 +167,18 @@ def log_det(f: LdlFactor) -> float:
 
 
 def solve(f: LdlFactor, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b through the factor: x = P^T L^-T D^-1 L^-1 P b."""
+    """Solve A x = b through the factor: x = P^T L^-T D^-1 L^-1 P b.
+
+    A NaN or infinite entry of b raises NonFiniteValueError naming its
+    index."""
     b = np.asarray(b, dtype=np.float64)
     n = f.n
     if b.shape != (n,):
         raise SizeMismatchError(f"right-hand side has shape {b.shape}, expected ({n},)")
+    bad = np.flatnonzero(~np.isfinite(b))
+    if bad.size:
+        k = int(bad[0])
+        raise NonFiniteValueError(f"right-hand side b[{k}] = {float(b[k])!r}")
     perm = f.perm.perm
     colptr, rows = f.sym.l_col_ptr, f.sym.l_row_idx
     lv = f.l_values

@@ -10,6 +10,7 @@ toward the smallest original index.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from typing import IO
 
@@ -76,6 +77,16 @@ def resolve_ordering(ordering: str | Permutation,
         f"unknown ordering {ordering!r}; use natural, amd, or file:<path>")
 
 
+def _ordering_key(ordering: str | Permutation) -> tuple:
+    """What decides a spec's permutation: name, bytes or file content hash."""
+    if isinstance(ordering, Permutation):
+        return ("perm", ordering.perm.tobytes())
+    if isinstance(ordering, str) and ordering.startswith("file:"):
+        with open(ordering[len("file:"):], "rb") as fh:
+            return ("file", hashlib.sha256(fh.read()).digest())
+    return ("name", ordering)
+
+
 def _adjacency(a: SparseSymmetric) -> list[list[int]]:
     """Per-node sorted neighbor lists of the symmetrized pattern (no diagonal)."""
     rows, cols, _ = a.triplets()
@@ -97,169 +108,113 @@ def amd_order(a: SparseSymmetric) -> Permutation:
     ordering (ascending); aggressive element absorption and hash-based
     supervariable merging are applied; among minimum-degree candidates the
     smallest original index is eliminated first.
+
+    A variable is live exactly when its weight ``nv[i]`` is positive (dense
+    nodes start at 0; elimination or merging into another sets it to 0),
+    and an element exactly when its variable list ``elem_vars[e]`` is
+    non-empty.
     """
     n = a.n
     if n == 0:
         return Permutation(np.empty(0, dtype=np.int64))
     adj = _adjacency(a)
-
     dense_cut = 10.0 * math.sqrt(n)
-    dense = [i for i in range(n) if len(adj[i]) > dense_cut]
-    is_dense = [False] * n
-    for i in dense:
-        is_dense[i] = True
 
     # Quotient-graph state.  Ids serve double duty: a variable that gets
     # eliminated becomes the element with the same id.
-    nv = [1] * n                      # supervariable weight; 0 once absorbed
+    nv = [0 if len(nbrs) > dense_cut else 1 for nbrs in adj]  # supervariable weight
+    dense = [i for i in range(n) if not nv[i]]
+    n_sparse = n - len(dense)
     members: list[list[int]] = [[i] for i in range(n)]
-    adj_v: list[list[int]] = [[] for _ in range(n)]   # variable neighbors
+    adj_v = [[j for j in nbrs if nv[j]] if nv[i] else []  # variable neighbors
+             for i, nbrs in enumerate(adj)]
     adj_e: list[list[int]] = [[] for _ in range(n)]   # element neighbors
     elem_vars: list[list[int]] = [[] for _ in range(n)]
     elem_weight = [0] * n
-    var_live = [not is_dense[i] for i in range(n)]
-    elem_live = [False] * n
-    degree = [0] * n
-    tag = [0] * n
-    cur_tag = 0
-
-    live_weight = 0
-    for i in range(n):
-        if not var_live[i]:
-            continue
-        adj_v[i] = [j for j in adj[i] if not is_dense[j]]
-        degree[i] = len(adj_v[i])
-        live_weight += 1
+    degree = [len(vs) for vs in adj_v]
     del adj
 
-    # Degree buckets for pivot selection.
+    # Degree buckets for pivot selection: live i sits in buckets[degree[i]].
     buckets: dict[int, set[int]] = {}
     for i in range(n):
-        if var_live[i]:
+        if nv[i]:
             buckets.setdefault(degree[i], set()).add(i)
     mind = 0
-
     order: list[int] = []
 
-    def bucket_move(i: int, old: int, new: int):
-        buckets[old].discard(i)
-        buckets.setdefault(new, set()).add(i)
+    def eliminate(i: int):
+        """Append i's members to the order and drop i from the graph."""
+        order.extend(sorted(members[i]))
+        buckets[degree[i]].discard(i)
+        nv[i] = 0
+        adj_v[i] = []
+        adj_e[i] = []
 
-    while live_weight > 0:
+    while len(order) < n_sparse:
         while not buckets.get(mind):
             mind += 1
         p = min(buckets[mind])
-        buckets[mind].discard(p)
 
-        # --- gather Le: live variables adjacent to p directly or through
-        # one of p's elements (which are absorbed into the new element).
-        cur_tag += 1
-        tag[p] = cur_tag
-        le: list[int] = []
-        for v in adj_v[p]:
-            if nv[v] > 0 and var_live[v] and tag[v] != cur_tag:
-                tag[v] = cur_tag
-                le.append(v)
+        # --- Le: live variables adjacent to p directly or through one of
+        # p's elements, which the new element p absorbs.
+        reach = dict.fromkeys(adj_v[p])
         for e in adj_e[p]:
-            if not elem_live[e]:
-                continue
-            for v in elem_vars[e]:
-                if nv[v] > 0 and var_live[v] and tag[v] != cur_tag:
-                    tag[v] = cur_tag
-                    le.append(v)
-            elem_live[e] = False
+            reach.update(dict.fromkeys(elem_vars[e]))
             elem_vars[e] = []
-
-        order.extend(sorted(members[p]))
-        live_weight -= nv[p]
-        var_live[p] = False
-        nv_p = nv[p]
-        nv[p] = 0
-        adj_v[p] = []
-        adj_e[p] = []
-
-        if not le:
-            continue
+        le = [v for v in reach if nv[v] and v != p]
+        eliminate(p)
         dk = sum(nv[v] for v in le)
-        elem_vars[p] = le
-        elem_weight[p] = dk
-        elem_live[p] = True
 
-        # --- prune member lists and attach the new element.
-        for i in le:
-            adj_e[i] = [e for e in adj_e[i] if elem_live[e]]
-            adj_e[i].append(p)
-            adj_v[i] = [v for v in adj_v[i]
-                        if nv[v] > 0 and var_live[v] and tag[v] != cur_tag]
-
-        # --- set differences |Le' \ Le| for every element touching Le;
-        # an element fully covered by the new one is absorbed outright.
+        # --- set differences |Le' \ Le| for every live element touching
+        # Le; an element fully covered by the new one is absorbed outright.
         residual: dict[int, int] = {}
         for i in le:
             for e in adj_e[i]:
-                if e == p:
-                    continue
-                residual[e] = residual.get(e, elem_weight[e]) - nv[i]
+                if elem_vars[e]:
+                    residual[e] = residual.get(e, elem_weight[e]) - nv[i]
         for e, res in residual.items():
             if res == 0:
-                elem_live[e] = False
                 elem_vars[e] = []
 
-        # --- approximate external degrees and adjacency signatures.
+        # --- prune, attach p, approximate external degrees and signatures.
         tmp_deg: dict[int, int] = {}
         signature: dict[tuple, list[int]] = {}
         for i in le:
-            adj_e[i] = [e for e in adj_e[i] if elem_live[e]]
-            d = sum(residual[e] for e in adj_e[i] if e != p)
-            d += sum(nv[v] for v in adj_v[i])
-            tmp_deg[i] = d
+            adj_e[i] = [e for e in adj_e[i] if elem_vars[e]]
+            adj_v[i] = [v for v in adj_v[i] if nv[v] and v not in reach]
+            tmp_deg[i] = (sum(residual[e] for e in adj_e[i])
+                          + sum(nv[v] for v in adj_v[i]))
+            adj_e[i].append(p)
             key = (tuple(sorted(adj_e[i])), tuple(sorted(adj_v[i])))
             signature.setdefault(key, []).append(i)
 
-        # --- merge indistinguishable supervariables (smallest id survives).
+        # --- merge indistinguishable supervariables (smallest id survives);
+        # a merged variable's members move to its keeper first.
         for group in signature.values():
-            if len(group) < 2:
-                continue
             group.sort()
             keeper = group[0]
             for j in group[1:]:
                 nv[keeper] += nv[j]
-                members[keeper].extend(members[j])
+                members[keeper] += members[j]
                 members[j] = []
-                nv[j] = 0
-                var_live[j] = False
-                buckets[degree[j]].discard(j)
-                adj_v[j] = []
-                adj_e[j] = []
+                eliminate(j)
 
         # --- final degrees; zero external degree means the variable can be
         # eliminated along with this pivot (mass elimination).
-        for i in sorted(le):
-            if not var_live[i]:
-                continue
-            d = min(tmp_deg[i] + dk - nv[i], live_weight - nv[i])
+        for i in sorted(v for v in le if nv[v]):
+            d = min(tmp_deg[i] + dk, n_sparse - len(order)) - nv[i]
             if d <= 0:
-                order.extend(sorted(members[i]))
-                live_weight -= nv[i]
-                buckets[degree[i]].discard(i)
-                var_live[i] = False
-                nv[i] = 0
-                adj_v[i] = []
-                adj_e[i] = []
+                eliminate(i)
             else:
-                bucket_move(i, degree[i], d)
+                buckets[degree[i]].discard(i)
+                buckets.setdefault(d, set()).add(i)
                 degree[i] = d
                 mind = min(mind, d)
 
-        live = [v for v in elem_vars[p] if var_live[v] and nv[v] > 0]
-        if live:
-            elem_vars[p] = live
-            elem_weight[p] = sum(nv[v] for v in live)
-        else:
-            elem_live[p] = False
-            elem_vars[p] = []
+        elem_vars[p] = [v for v in le if nv[v]]
+        elem_weight[p] = sum(nv[v] for v in elem_vars[p])
 
-    order.extend(sorted(dense))
+    order.extend(dense)
     if len(order) != n:
         raise NotAPermutationError("internal ordering error: incomplete elimination")
     return Permutation(np.asarray(order, dtype=np.int64))

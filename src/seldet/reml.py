@@ -49,9 +49,9 @@ from .errors import (
     TooLargeForDenseFormError,
 )
 from .numeric import LdlFactor, ldlt_factorize, log_det, solve
-from .ordering import resolve_ordering
+from .ordering import _ordering_key, resolve_ordering
 from .selinv import SelectedInverse, selected_inverse
-from .sparse_core import Permutation, SparseSymmetric, _from_lower_keys
+from .sparse_core import Permutation, SparseSymmetric, _from_lower_keys, _index_array
 from .symbolic import SymbolicFactor, predict_flops, symbolic_factor
 
 __all__ = [
@@ -86,7 +86,8 @@ class RandomFactor:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        codes = np.ascontiguousarray(self.codes, dtype=np.int64)
+        codes = _index_array(self.codes, f"factor {self.name} codes",
+                             IndexOutOfRangeError)
         object.__setattr__(self, "codes", codes)
         if self.labels and len(self.labels) != self.n_levels:
             raise SizeMismatchError(f"factor {self.name}: label/level count mismatch")
@@ -109,7 +110,8 @@ class MixedModelDataset:
     def __post_init__(self):
         y = np.ascontiguousarray(self.y, dtype=np.float64)
         x = np.ascontiguousarray(self.x, dtype=np.float64)
-        rc = np.ascontiguousarray(self.residual_codes, dtype=np.int64)
+        rc = _index_array(self.residual_codes, "residual_codes",
+                          IndexOutOfRangeError)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "residual_codes", rc)
@@ -627,15 +629,6 @@ def analyze(d: MixedModelDataset,
     structure without repeating the ordering or the symbolic analysis.
     """
     return _analyze(d, ordering, _dataset_digest(d))
-
-
-def _ordering_key(ordering: str | Permutation) -> tuple:
-    if isinstance(ordering, Permutation):
-        return ("perm", ordering.perm.tobytes())
-    if isinstance(ordering, str) and ordering.startswith("file:"):
-        with open(ordering[len("file:"):], "rb") as fh:
-            return ("file", hashlib.sha256(fh.read()).digest())
-    return ("name", ordering)
 
 
 # The one plan held between calls, with its key: (dataset digest, ordering

@@ -48,7 +48,7 @@ from .errors import (
     TooLargeError,
 )
 from .numeric import LdlFactor
-from .sparse_core import Permutation, SparseSymmetric
+from .sparse_core import Permutation, SparseSymmetric, _index_array
 from .symbolic import SymbolicFactor
 
 __all__ = ["SelectedInverse", "selected_inverse", "get_entry", "dense_inverse_oracle"]
@@ -127,6 +127,7 @@ def get_entry(zsel: SelectedInverse, i: int, j: int) -> float | None:
     position is off the selected pattern (not computed — the true inverse
     is dense, so absence never means zero)."""
     n = zsel.n
+    i, j = _index_array([i, j], "(i, j)", IndexOutOfRangeError).tolist()
     if not (0 <= i < n and 0 <= j < n):
         raise IndexOutOfRangeError(f"index ({i},{j}) outside 0..{n - 1}")
     slot = int(zsel.sym.locate(np.array([i]), np.array([j]))[0])

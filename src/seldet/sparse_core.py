@@ -20,6 +20,7 @@ from .errors import (
     NonFiniteValueError,
     NotAPermutationError,
     ParseError,
+    SeldetError,
     SizeMismatchError,
     UnsupportedFormatError,
 )
@@ -36,6 +37,18 @@ __all__ = [
 
 # Relative tolerance for explicit (i,j)/(j,i) pairs to count as consistent.
 SYMMETRY_RTOL = 1e-12
+
+
+def _index_array(values, name: str, error: type[SeldetError]) -> np.ndarray:
+    """``values`` as contiguous int64; a value that a cast would truncate
+    raises ``error`` naming ``name`` and its first such position."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f":
+        bad = np.flatnonzero(np.isinf(arr) | (arr != np.floor(arr)))
+        if bad.size:
+            k = int(bad[0])
+            raise error(f"{name}[{k}] = {float(arr.flat[k])!r} is not an integer")
+    return np.ascontiguousarray(arr, dtype=np.int64)
 
 
 def _entry_columns(col_ptr: np.ndarray) -> np.ndarray:
@@ -67,8 +80,8 @@ class SparseSymmetric:
     values: np.ndarray
 
     def __post_init__(self):
-        col_ptr = np.ascontiguousarray(self.col_ptr, dtype=np.int64)
-        row_idx = np.ascontiguousarray(self.row_idx, dtype=np.int64)
+        col_ptr = _index_array(self.col_ptr, "col_ptr", SizeMismatchError)
+        row_idx = _index_array(self.row_idx, "row_idx", IndexOutOfRangeError)
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         object.__setattr__(self, "col_ptr", col_ptr)
         object.__setattr__(self, "row_idx", row_idx)
@@ -120,7 +133,7 @@ class Permutation:
     inverse: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        perm = np.ascontiguousarray(self.perm, dtype=np.int64)
+        perm = _index_array(self.perm, "perm", NotAPermutationError)
         object.__setattr__(self, "perm", perm)
         n = perm.size
         if n and (perm.min() < 0 or perm.max() >= n):
@@ -176,8 +189,8 @@ def from_coo_arrays(n: int, rows: np.ndarray, cols: np.ndarray,
     input is rejected as asymmetric.  A NaN or infinite value raises
     NonFiniteValueError naming its (i, j) as given.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    cols = np.ascontiguousarray(cols, dtype=np.int64)
+    rows = _index_array(rows, "rows", IndexOutOfRangeError)
+    cols = _index_array(cols, "cols", IndexOutOfRangeError)
     vals = np.ascontiguousarray(vals, dtype=np.float64)
     if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
         raise IndexOutOfRangeError("triplet index outside 0..n-1")
@@ -267,11 +280,12 @@ def read_matrix_market(stream: IO[str] | str) -> SparseSymmetric:
         raise UnsupportedFormatError("symmetric matrix must be square")
     if nrows < 0 or nnz < 0:
         raise ParseError("negative dimensions")
+    if nrows > 2 ** 31:  # beyond it the keys of from_coo_arrays overflow int64
+        raise ParseError(f"dimension {nrows} exceeds 2**31")
 
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.ones(nnz)
-    k = 0
+    # The records are collected before their count is compared with the
+    # declared one, so that a header cannot size memory on its own.
+    rows, cols, vals = [], [], []
     want = 2 if is_pattern else 3
     for line in stream:
         s = line.strip()
@@ -280,20 +294,19 @@ def read_matrix_market(stream: IO[str] | str) -> SparseSymmetric:
         toks = s.split()
         if len(toks) != want:
             raise ParseError(f"bad coordinate record: {s!r}")
-        if k >= nnz:
-            raise ParseError("more records than declared")
         try:
             i, j = int(toks[0]), int(toks[1])
-            if not is_pattern:
-                vals[k] = float(toks[2])
+            v = 1.0 if is_pattern else float(toks[2])
         except ValueError as exc:
             raise ParseError(f"bad coordinate record: {s!r}") from exc
         if not (1 <= i <= nrows and 1 <= j <= nrows):
             raise ParseError(f"coordinate ({i},{j}) outside 1..{nrows}")
-        rows[k], cols[k] = i - 1, j - 1
-        k += 1
-    if k != nnz:
-        raise ParseError(f"declared {nnz} records, found {k}")
+        rows.append(i - 1)
+        cols.append(j - 1)
+        vals.append(v)
+    if len(vals) != nnz:
+        raise ParseError(f"declared {nnz} records, found {len(vals)}")
+    vals = np.asarray(vals, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         k = bad[0]

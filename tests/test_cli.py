@@ -84,6 +84,23 @@ def test_analyze_missing_file_fails(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size_line, says", [
+    ("3 3 1000000000000", "declared 1000000000000 records, found 1"),
+    ("1000000000000 1000000000000 1", "exceeds 2**31"),
+])
+def test_analyze_oversized_header_is_one_line(tmp_path, capsys, size_line, says):
+    # one record under a header whose sizes would exhaust memory if
+    # anything were allocated from them
+    path = tmp_path / "huge.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                    f"{size_line}\n1 1 1.0\n", encoding="utf-8")
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and says in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_analyze_unknown_ordering_fails(matrix_file, capsys):
     path, _ = matrix_file
     assert main(["analyze", path, "--ordering", "bogus"]) == 1

@@ -6,6 +6,7 @@ import pytest
 import seldet as sd
 from seldet.errors import (
     NearSingularWarning,
+    NonFiniteValueError,
     NonPositivePivotError,
     PatternMismatchError,
     SizeMismatchError,
@@ -152,6 +153,12 @@ def test_solve_rejects_wrong_length():
     f, _ = factorize(two_by_two())
     with pytest.raises(SizeMismatchError):
         sd.solve(f, np.ones(3))
+
+
+def test_solve_rejects_non_finite_right_hand_side():
+    f, _ = factorize(tridiag([2.0, 2.0, 2.0], [-1.0, -1.0]))
+    with pytest.raises(NonFiniteValueError, match=r"b\[1\] = nan"):
+        sd.solve(f, [1.0, np.nan, np.inf])
 
 
 # ------------------------------------------------------- pattern contracts

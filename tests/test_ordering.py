@@ -1,6 +1,10 @@
 """Fill-reducing and user-supplied orderings."""
 
+import dataclasses
+import hashlib
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,3 +105,51 @@ def test_amd_never_worse_than_natural_on_random():
     for _ in range(10):
         a = random_spd(rng, int(rng.integers(10, 70)), extra_per_row=2.5)
         assert nnz_l(a, sd.amd_order(a)) <= nnz_l(a, sd.natural_order(a.n))
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+def unit_c(d):
+    """C at unit variance ratios; its pattern is the same at every ratio."""
+    v = sd.VarianceParams(1.0, np.ones(len(d.factors)),
+                          np.ones(d.n_residual_blocks))
+    return sd.assemble_mme(d, v).C
+
+
+def prob1_c(seed):
+    return unit_c(sd.generate(sd.preset_config("prob1", seed=seed)))
+
+
+def per_year_c(seed):
+    """C of a prob1 trial with one residual block per year."""
+    d = sd.generate(sd.preset_config("prob1", seed=seed))
+    year = next(f for f in d.factors if f.name == "year")
+    return unit_c(dataclasses.replace(
+        d, residual_codes=year.codes, n_residual_blocks=year.n_levels,
+        residual_labels=year.labels))
+
+
+def field_pattern(m):
+    """The 9-point pattern of an m x m AR1 (x) AR1 field, plot (r, c) at
+    index c*m + r: the Kronecker product of two tridiagonal patterns."""
+    r, c = np.nonzero(np.abs(np.subtract.outer(np.arange(m), np.arange(m))) <= 1)
+    rows = (r[:, None] * m + r[None, :]).ravel()
+    cols = (c[:, None] * m + c[None, :]).ravel()
+    low = rows >= cols
+    return sd.from_coo_arrays(m * m, rows[low], cols[low], np.ones(low.sum()))
+
+
+@pytest.mark.parametrize("workload, key, build", [
+    ("reml_cold", "prob1/seed=1000", lambda: prob1_c(1000)),
+    ("reml_fit", "prob1/seed=2000/t=0", lambda: per_year_c(2000)),
+    ("field_selinv", "field/m=72", lambda: field_pattern(72)),
+], ids=("reml_cold", "reml_fit", "field_selinv"))
+def test_amd_permutation_matches_benchmark_reference(workload, key, build):
+    # The benchmark's fingerprint hash: the first 16 hex digits of the
+    # SHA-256 of the permutation as little-endian int64.  A rewrite of
+    # amd_order must keep these permutations bit-identical.
+    with open(REFERENCE, encoding="utf-8") as fh:
+        want = json.load(fh)[workload][key]["fingerprint"]["perm_sha256"]
+    perm = sd.amd_order(build()).perm
+    assert hashlib.sha256(perm.astype("<i8").tobytes()).hexdigest()[:16] == want

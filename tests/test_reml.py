@@ -121,6 +121,17 @@ def test_rank_deficient_design_rejected():
         sd.assemble_mme(bad, sd.VarianceParams(1.0, (1.0,), (1.0,)))
 
 
+def test_factor_codes_refuse_non_integral_values():
+    with pytest.raises(IndexOutOfRangeError, match=r"factor f codes\[0\] = 0\.7"):
+        sd.RandomFactor("f", [0.7, 1.2, 1.9], 2)
+
+
+def test_residual_codes_refuse_non_integral_values():
+    d = tiny_dataset()
+    with pytest.raises(IndexOutOfRangeError, match=r"residual_codes\[1\] = 0\.5"):
+        dataclasses.replace(d, residual_codes=np.array([0.0, 0.5]))
+
+
 def test_empty_factor_variants_rejected():
     d = tiny_dataset()
     v = unit_params(d)

@@ -98,6 +98,12 @@ def test_get_entry_range_check():
         sd.get_entry(z, 0, -1)
 
 
+def test_get_entry_refuses_non_integral_index():
+    z, _ = pipeline(sd.identity_matrix(3))
+    with pytest.raises(IndexOutOfRangeError, match=r"\(i, j\)\[0\] = 1\.5"):
+        sd.get_entry(z, 1.5, 0)
+
+
 def test_dense_oracle_guards():
     with pytest.raises(TooLargeError):
         sd.dense_inverse_oracle(sd.identity_matrix(501))

@@ -133,6 +133,24 @@ def test_permutation_validation():
         sd.Permutation(np.array([0, 3]))
 
 
+def test_permutation_refuses_non_integral_indices():
+    with pytest.raises(NotAPermutationError, match=r"perm\[0\] = 0\.5"):
+        sd.Permutation(np.array([0.5, 1.7]))
+    assert np.array_equal(sd.Permutation(np.array([1.0, 0.0])).perm, [1, 0])
+
+
+def test_storage_refuses_non_integral_indices():
+    with pytest.raises(IndexOutOfRangeError, match=r"cols\[1\] = nan"):
+        sd.from_coo_arrays(2, np.array([0, 1]), np.array([0, np.nan]),
+                           np.ones(2))
+    with pytest.raises(SizeMismatchError, match=r"col_ptr\[1\] = 1\.9"):
+        sd.SparseSymmetric(2, np.array([0, 1.9, 2.0]), np.array([0, 1]),
+                           np.ones(2))
+    with pytest.raises(IndexOutOfRangeError, match=r"row_idx\[0\] = 0\.2"):
+        sd.SparseSymmetric(2, np.array([0, 1, 2]), np.array([0.2, 1.0]),
+                           np.ones(2))
+
+
 def test_permute_symmetric_matches_dense():
     rng = np.random.default_rng(11)
     for _ in range(10):
