@@ -19,19 +19,14 @@ import argparse
 import csv
 import dataclasses
 import sys
-import time
 
 import numpy as np
 
 from . import datagen, reml
 from .errors import InvalidParameterError, SeldetError, TooLargeError
-from .numeric import ldlt_factorize, log_det, solve
+from .numeric import log_det, solve
 from .ordering import resolve_ordering
-from .selinv import (
-    DENSE_ORACLE_LIMIT,
-    dense_inverse_oracle,
-    selected_inverse,
-)
+from .selinv import DENSE_ORACLE_LIMIT, dense_inverse_oracle
 from .sparse_core import (
     SparseSymmetric,
     _entry_columns,
@@ -63,25 +58,6 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]):
     finally:
         if path:
             out.close()
-
-
-def _factor_and_invert(a: SparseSymmetric, ordering: str):
-    """Order, analyze, factor and invert ``a``.
-
-    Returns the symbolic factor, the LDL^T factor, the selected inverse
-    and the seconds spent ordering, in the symbolic analysis, factorizing
-    and inverting.
-    """
-    clock = [time.perf_counter()]
-    perm = resolve_ordering(ordering, a)
-    clock.append(time.perf_counter())
-    sym = symbolic_factor(a, perm)
-    clock.append(time.perf_counter())
-    fac = ldlt_factorize(a, sym)
-    clock.append(time.perf_counter())
-    zsel = selected_inverse(fac)
-    clock.append(time.perf_counter())
-    return sym, fac, zsel, [clock[i + 1] - clock[i] for i in range(4)]
 
 
 # ---------------------------------------------------------------- analyze
@@ -152,16 +128,17 @@ def cmd_selinv(args) -> int:
     a = _read_matrix(args.matrix)
     if args.verify:
         _require_dense_size(a.n, "--verify")
-    sym, fac, zsel, (t_order, t_sym, t_fac, t_si) = _factor_and_invert(
-        a, args.ordering)
+    times: dict[str, float] = {}
+    sym = reml._order_and_analyze(a, args.ordering, times)
+    fac, zsel = reml._factor_and_invert(a, sym, times)
     pred_ldlt, pred_si = predict_flops(sym)
 
     print(f"n={a.n} nnz={a.nnz} nnz(L)={sym.nnz_L} ordering={args.ordering}")
     print(f"logdet        : {log_det(fac):.12g}")
     print(f"ldlt_flops    : predicted {pred_ldlt}, measured {fac.flops}")
     print(f"selinv_flops  : predicted {pred_si}, measured {zsel.flops}")
-    print(f"time (s)      : ordering {t_order:.4f}, symbolic {t_sym:.4f}, "
-          f"factorize {t_fac:.4f}, selinv {t_si:.4f}")
+    print("time (s)      : "
+          + ", ".join(f"{phase} {t:.4f}" for phase, t in times.items()))
 
     if args.out:
         zmat = _selected_to_matrix(zsel)
@@ -330,17 +307,19 @@ def cmd_bench(args) -> int:
             v = reml.VarianceParams(
                 sigma2=1.0, gamma=np.ones(len(d.factors)),
                 phi=np.ones(d.n_residual_blocks))
-            m = reml.assemble_mme(d, v)
             for flag in orderings:
                 flag = flag.strip()
-                sym, fac, zsel, (t_order, t_sym, t_fac, t_si) = (
-                    _factor_and_invert(m.C, flag))
-                pred_ldlt, pred_si = predict_flops(sym)
-                rows.append([name, flag, m.C.n, m.C.nnz, sym.nnz_L,
-                             pred_ldlt, fac.flops, pred_si, zsel.flops,
-                             round(t_order, 4), round(t_sym, 4),
+                plan = reml.analyze(d, flag)
+                rep = plan.evaluate(v)
+                t_fac, t_si = rep.times["factorize"], rep.times["selinv"]
+                rows.append([name, flag, rep.dim, rep.nnz_c, rep.nnz_l,
+                             rep.predicted_ldlt_flops, rep.measured_ldlt_flops,
+                             rep.predicted_selinv_flops,
+                             rep.measured_selinv_flops,
+                             round(plan.times["ordering"], 4),
+                             round(plan.times["symbolic"], 4),
                              round(t_fac, 4), round(t_si, 4)])
-                pairs.append([sym.nnz_L, round(t_fac + t_si, 4)])
+                pairs.append([rep.nnz_l, round(t_fac + t_si, 4)])
         except SeldetError as exc:
             failed = True
             print(f"bench: problem {name!r} failed: {exc}", file=sys.stderr)
@@ -358,7 +337,8 @@ def cmd_bench(args) -> int:
 def cmd_verify(args) -> int:
     a = _read_matrix(args.matrix)
     _require_dense_size(a.n, "verify")
-    sym, fac, zsel, _ = _factor_and_invert(a, args.ordering)
+    sym = reml._order_and_analyze(a, args.ordering, {})
+    fac, zsel = reml._factor_and_invert(a, sym, {})
     pred_ldlt, pred_si = predict_flops(sym)
     max_err, ld_err, positive = _dense_errors(a, fac, zsel)
     checks = [
@@ -461,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SeldetError, OSError) as exc:
+    except (SeldetError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,11 @@ ascending) is built once per call by a stable argsort of the row indices,
 so column j's segments are one slice of it.  They are concatenated into
 one index array, gathered once, and scattered into the dense workspace
 with one ``np.subtract.at``, which applies repeated rows one after the
-other.
+other.  Its time is the volume it gathers, not its loop: measured on
+prob1 under AMD, batching all leaf columns gained only about 10 %
+(0.098 to 0.086 s), ``np.bincount`` in place of ``np.subtract.at``
+changed nothing, and a per-column multifrontal with extend-add was
+slower (0.104 to 0.144 s).
 
 A multiply-add counter is maintained and must come out equal to the
 symbolic prediction sum(m_i^2) - n on every input.  It adds what the

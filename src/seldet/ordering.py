@@ -11,6 +11,7 @@ toward the smallest original index.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 from typing import IO
 
@@ -134,26 +135,25 @@ def amd_order(a: SparseSymmetric) -> Permutation:
     degree = [len(vs) for vs in adj_v]
     del adj
 
-    # Degree buckets for pivot selection: live i sits in buckets[degree[i]].
-    buckets: dict[int, set[int]] = {}
-    for i in range(n):
-        if nv[i]:
-            buckets.setdefault(degree[i], set()).add(i)
-    mind = 0
+    # Pivot candidates: degree * n + id is pushed at every degree change,
+    # so the smallest entry that is still current is the live variable of
+    # least degree and, among those, of least id.  One int per entry, not
+    # a tuple, keeps the stale entries small.
+    heap = [degree[i] * n + i for i in range(n) if nv[i]]
+    heapq.heapify(heap)
     order: list[int] = []
 
     def eliminate(i: int):
         """Append i's members to the order and drop i from the graph."""
         order.extend(sorted(members[i]))
-        buckets[degree[i]].discard(i)
         nv[i] = 0
         adj_v[i] = []
         adj_e[i] = []
 
     while len(order) < n_sparse:
-        while not buckets.get(mind):
-            mind += 1
-        p = min(buckets[mind])
+        deg, p = divmod(heapq.heappop(heap), n)
+        if not nv[p] or deg != degree[p]:
+            continue  # p is dead, or its degree changed after this push
 
         # --- Le: live variables adjacent to p directly or through one of
         # p's elements, which the new element p absorbs.
@@ -206,10 +206,8 @@ def amd_order(a: SparseSymmetric) -> Permutation:
             if d <= 0:
                 eliminate(i)
             else:
-                buckets[degree[i]].discard(i)
-                buckets.setdefault(d, set()).add(i)
                 degree[i] = d
-                mind = min(mind, d)
+                heapq.heappush(heap, d * n + i)
 
         elem_vars[p] = [v for v in le if nv[v]]
         elem_weight[p] = sum(nv[v] for v in elem_vars[p])

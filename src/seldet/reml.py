@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import IO, NamedTuple
 
@@ -486,6 +487,35 @@ class RemlReport:
     times: dict[str, float]
 
 
+@contextmanager
+def _phase(times: dict[str, float], phase: str):
+    """Add the wall seconds of the ``with`` body to ``times[phase]``: the
+    one clock behind every phase time the library and the CLI report."""
+    t0 = time.perf_counter()
+    yield
+    times[phase] = times.get(phase, 0.0) + time.perf_counter() - t0
+
+
+def _order_and_analyze(a: SparseSymmetric, ordering: str | Permutation,
+                       times: dict[str, float]) -> SymbolicFactor:
+    """Order ``a`` and analyze its pattern, timed as ordering and symbolic."""
+    with _phase(times, "ordering"):
+        perm = resolve_ordering(ordering, a)
+    with _phase(times, "symbolic"):
+        return symbolic_factor(a, perm)
+
+
+def _factor_and_invert(a: SparseSymmetric, sym: SymbolicFactor,
+                       times: dict[str, float]
+                       ) -> tuple[LdlFactor, SelectedInverse]:
+    """Factor ``a`` on ``sym`` and take its selected inverse, timed as
+    factorize and selinv."""
+    with _phase(times, "factorize"):
+        f = ldlt_factorize(a, sym)
+    with _phase(times, "selinv"):
+        return f, selected_inverse(f)
+
+
 def _dataset_digest(d: MixedModelDataset) -> bytes:
     """Digest of the content that decides C's pattern: X, every factor's
     codes and level count, the residual codes and block count."""
@@ -554,22 +584,12 @@ class RemlPlan:
         self._require_current()
         d = self.d
         times = {"ordering": 0.0, "symbolic": 0.0}
-        t0 = time.perf_counter()
-        m = _system(self.table, d, v)
-        times["assemble"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        f = ldlt_factorize(m.C, self.sym)
-        times["factorize"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        zsel = selected_inverse(f)
-        times["selinv"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        x = solve(f, m.rhs)
-        grad = logdet_gradient(m, zsel)
-        times["derivatives"] = time.perf_counter() - t0
+        with _phase(times, "assemble"):
+            m = _system(self.table, d, v)
+        f, zsel = _factor_and_invert(m.C, self.sym, times)
+        with _phase(times, "derivatives"):
+            x = solve(f, m.rhs)
+            grad = logdet_gradient(m, zsel)
 
         ldc = log_det(f)
         ypy = _ypy(d, v, m.rhs, x)
@@ -603,19 +623,11 @@ def _analyze(d: MixedModelDataset, ordering: str | Permutation,
         raise SizeMismatchError(f"need n > p, got n = {n}, p = {p}")
     _check_design(d)
     times: dict[str, float] = {}
-    t0 = time.perf_counter()
-    table = _template_table(d)
-    c_mat = table.c_matrix(np.ones(len(d.factors) + d.n_residual_blocks))
-    times["assemble"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    perm = resolve_ordering(ordering, c_mat)
-    times["ordering"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    sym = symbolic_factor(c_mat, perm)
+    with _phase(times, "assemble"):
+        table = _template_table(d)
+        c_mat = table.c_matrix(np.ones(len(d.factors) + d.n_residual_blocks))
+    sym = _order_and_analyze(c_mat, ordering, times)
     predicted = predict_flops(sym)
-    times["symbolic"] = time.perf_counter() - t0
     return RemlPlan(d=d, digest=digest, sym=sym, table=table,
                     predicted_flops=predicted, times=times)
 

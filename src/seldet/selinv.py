@@ -26,7 +26,9 @@ front is stored only for a column with children, and dropped as soon as
 its last child has gathered from it, so the fronts held at any time
 belong to ancestors of the current column that still have a child to
 visit: 0.43 MB at most on a prob1 C under AMD, against 31 MB when the
-columns run in reverse index order.
+columns run in reverse index order.  Gathering the blocks of each
+parent's leaf children in one batch was measured slower on prob1 under
+AMD (0.055 to 0.077 s), so every column gathers its own.
 
 Instrumented cost per column with q below-diagonal entries, added as the
 loop performs it: the block product costs 2q^2 (multiply-accumulate from

@@ -107,6 +107,24 @@ def test_analyze_unknown_ordering_fails(matrix_file, capsys):
     assert "unknown ordering" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{bad}"],
+    ["selinv", "{bad}"],
+    ["verify", "{bad}"],
+    ["reml", "{bad}"],
+    ["analyze", "{good}", "--ordering", "file:{bad}"],
+])
+def test_non_utf8_input_is_one_line(matrix_file, tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\n1 2 3\n")
+    argv = [arg.format(bad=bad, good=matrix_file[0]) for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "utf-8" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 # ------------------------------------------------------------------ selinv
 
 
