@@ -23,7 +23,12 @@ import sys
 import numpy as np
 
 from . import datagen, reml
-from .errors import InvalidParameterError, SeldetError, TooLargeError
+from .errors import (
+    InvalidParameterError,
+    SeldetError,
+    TooLargeError,
+    _open_text,
+)
 from .numeric import log_det, solve
 from .ordering import resolve_ordering
 from .selinv import DENSE_ORACLE_LIMIT, dense_inverse_oracle
@@ -40,7 +45,7 @@ __all__ = ["main"]
 
 
 def _read_matrix(path: str) -> SparseSymmetric:
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path, "matrix") as fh:
         return read_matrix_market(fh)
 
 
@@ -182,7 +187,7 @@ def _parse_param_list(flag: str, text: str | None, count: int,
 
 
 def cmd_reml(args) -> int:
-    with open(args.dataset, encoding="utf-8") as fh:
+    with _open_text(args.dataset, "dataset") as fh:
         d = reml.read_dataset(fh)
     gamma = _parse_param_list("--gamma", args.gamma, len(d.factors), 1.0)
     phi = _parse_param_list("--phi", args.phi, d.n_residual_blocks, 1.0)
@@ -441,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SeldetError, OSError, UnicodeDecodeError) as exc:
+    except (SeldetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the text-file reader
+that turns a decoding error into one of them."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 
@@ -19,7 +21,8 @@ class AsymmetricInputError(SeldetError, ValueError):
 
 
 class ParseError(SeldetError, ValueError):
-    """A Matrix Market stream is malformed."""
+    """An input is malformed: a Matrix Market stream, a dataset, a
+    permutation file, or a file that is not UTF-8 text."""
 
 
 class UnsupportedFormatError(SeldetError, ValueError):
@@ -89,3 +92,16 @@ class NonFiniteValueError(SeldetError, ValueError):
 
 class InvalidConfigError(SeldetError, ValueError):
     """A benchmark-generator setting violates its constraints."""
+
+
+@contextlib.contextmanager
+def _open_text(path: str, role: str):
+    """Open ``path`` as UTF-8 text for reading; a decoding error while the
+    block reads it becomes a ParseError that names the file and its role
+    (``"matrix"``, ``"dataset"``, ``"ordering"``)."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{role} file {path}: not utf-8 text "
+                             f"({exc.reason} at byte {exc.start})") from exc

@@ -122,6 +122,7 @@ def test_non_utf8_input_is_one_line(matrix_file, tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "utf-8" in captured.err
+    assert str(bad) in captured.err
     assert captured.err.count("\n") == 1
 
 

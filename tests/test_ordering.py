@@ -1,9 +1,11 @@
 """Fill-reducing and user-supplied orderings."""
 
 import dataclasses
+import functools
 import hashlib
 import io
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -11,8 +13,10 @@ import numpy as np
 import pytest
 
 import seldet as sd
+from seldet import ordering
 from seldet.errors import NotAPermutationError, ParseError, SizeMismatchError
-from helpers import arrowhead, grid_laplacian, random_spd, tridiag
+from helpers import (arrowhead, grid_laplacian, random_spd,
+                     reference_amd_order, tridiag)
 
 
 def nnz_l(a, p):
@@ -165,3 +169,107 @@ def test_amd_permutation_matches_benchmark_reference(workload, key, build):
         want = json.load(fh)[workload][key]["fingerprint"]["perm_sha256"]
     perm = sd.amd_order(build()).perm
     assert hashlib.sha256(perm.astype("<i8").tobytes()).hexdigest()[:16] == want
+
+
+def pattern(n, i, j):
+    """The symmetric pattern of order n with the pairs (i, j) and the
+    diagonal, each position stored once in the lower triangle."""
+    i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+    key = np.unique(np.concatenate([np.maximum(i, j) * n + np.minimum(i, j),
+                                    np.arange(n) * (n + 1)]))
+    return sd.from_coo_arrays(n, key // n, key % n, np.ones(key.size))
+
+
+def random_pattern(rng, kind):
+    """A seeded pattern of order 1 to 300 of one of five kinds."""
+    n = int(rng.integers(1, 301))
+    m = int(rng.integers(0, 4 * n + 1))
+    i, j = rng.integers(0, n, m), rng.integers(0, n, m)
+    if kind == "hubs":
+        # a few nodes joined to more than 10*sqrt(n) others where n allows
+        deg = min(n - 1, int(10 * np.sqrt(n)) + int(rng.integers(1, 20)))
+        hubs = rng.choice(n, size=min(n, int(rng.integers(1, 4))), replace=False)
+        for h in hubs:
+            spokes = rng.choice(n, size=deg, replace=False)
+            i, j = np.concatenate([i, spokes]), np.concatenate([j, np.full(deg, h)])
+    elif kind == "parts":
+        # edges only inside each of 2 to 4 parts
+        part = rng.integers(0, int(rng.integers(2, 5)), n)
+        same = part[i] == part[j]
+        i, j = i[same], j[same]
+    elif kind == "blown":
+        # every node of a small pattern copied into a clique of 1 to 4
+        # indistinguishable nodes: supervariables from the start
+        copies = int(rng.integers(1, 5))
+        base = max(1, n // copies)
+        n = base * copies
+        i, j = rng.integers(0, base, m // copies), rng.integers(0, base, m // copies)
+        c = np.arange(copies)
+        i = (i[:, None, None] * copies + c[None, :, None]).ravel()
+        j = (j[:, None, None] * copies + c[None, None, :]).ravel()
+        own = np.repeat(np.arange(base), copies)
+        i = np.concatenate([i, np.repeat(np.arange(n), copies)])
+        j = np.concatenate([j, (own[:, None] * copies + c[None, :]).ravel()])
+    elif kind == "diagonal":
+        i = j = np.zeros(0, dtype=np.int64)
+    return pattern(n, i, j)
+
+
+def oracle_cases():
+    rng = np.random.default_rng(20_241)
+    kinds = ("sparse", "hubs", "parts", "blown", "diagonal")
+    cases = [random_pattern(rng, kinds[k % 5]) for k in range(220)]
+    cases += [pattern(0, [], []),
+              sd.from_coo_arrays(5, [], [], []),  # no stored entry at all
+              sd.identity_matrix(40)]
+    cases += [grid_laplacian(k) for k in (8, 16, 32)]
+    cases += [arrowhead(100, dense_first=True), arrowhead(60, dense_first=False),
+              arrowhead(200, dense_first=True)]
+    trial = sd.TrialConfig(years=3, centers=4, centers_per_year_fraction=1.0,
+                           control_varieties=3, new_varieties_per_year=2,
+                           mean_persistence=2.0, missing_fraction=0.1, seed=5)
+    cases.append(unit_c(sd.generate(trial)))
+    return cases
+
+
+@functools.lru_cache(maxsize=1)
+def oracle_permutations():
+    return [(a, reference_amd_order(a).perm) for a in oracle_cases()]
+
+
+@pytest.mark.parametrize("volume", [0, sys.maxsize], ids=("array", "list"))
+def test_amd_matches_the_list_reference(monkeypatch, volume):
+    # every pivot through one scan: 0 sends all to the array scan,
+    # sys.maxsize all to the list scan; each alone must give the
+    # reference permutation
+    monkeypatch.setattr(ordering, "_ARRAY_SCAN_VOLUME", volume)
+    cases = oracle_permutations()
+    assert len(cases) >= 200
+    for k, (a, want) in enumerate(cases):
+        assert np.array_equal(sd.amd_order(a).perm, want), f"case {k}, n={a.n}"
+
+
+def test_array_scan_merges_only_equal_lists():
+    # members 1 and 2 share the key (2 variables, id sum 13) but not
+    # their lists; 1 and 3 are equal as sets and merge
+    adj_e = [[], [0], [0], [0], [], [], [], [], [], []]
+    adj_v = [[], [6, 7], [5, 8], [7, 6], [], [], [], [], [], []]
+    nv_a = np.array([0, 1, 1, 1, 0, 1, 1, 1, 1, 0])
+    tmp_deg, groups = ordering._array_scan(
+        9, [1, 2, 3], adj_e, adj_v, [[]] * 10, nv_a, np.zeros(10, np.int64))
+    assert groups == [[1, 3]]
+    assert tmp_deg == {1: 2, 2: 2, 3: 2}
+    assert adj_e[1:4] == [[9]] * 3 and adj_v[1:4] == [[6, 7], [5, 8], [7, 6]]
+
+
+def test_field_never_enters_the_array_scan(monkeypatch):
+    # every pivot of the 72 x 72 mesh field scans fewer entries than the
+    # array scan needs to pay off, so the field's ordering time cannot
+    # move with it
+    def refuse(*args):
+        raise AssertionError("array scan entered")
+
+    monkeypatch.setattr(ordering, "_array_scan", refuse)
+    sd.amd_order(field_pattern(72))
+    with pytest.raises(AssertionError, match="array scan entered"):
+        sd.amd_order(random_spd(np.random.default_rng(1), 300, 8.0))
