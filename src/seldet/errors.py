@@ -82,8 +82,9 @@ class PatternNotCoveredError(SeldetError, ValueError):
 
 class InvalidParameterError(SeldetError, ValueError):
     """A parameter value is outside its domain: a variance parameter that
-    is not a finite positive number, a malformed numeric flag, or an
-    unknown ordering name."""
+    is not a finite positive number, a malformed numeric flag, an unknown
+    ordering name, a label shared by two levels, or a name or label that
+    a dataset file cannot carry."""
 
 
 class NonFiniteValueError(SeldetError, ValueError):

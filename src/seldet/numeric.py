@@ -12,13 +12,15 @@ earlier columns k with L_jk != 0, then dividing by the pivot.  Column k
 contributes L_jk times its pending segment (D L)[i, k], i >= j: the
 storage range from the position of L_jk to the end of column k.  The row
 structure of L (the positions of every L_jk, grouped by row j, k
-ascending) is built once per call by a stable argsort of the row indices,
-so column j's segments are one slice of it.  They are concatenated into
-one index array, gathered once, and scattered into the dense workspace
-with one ``np.subtract.at``, which applies repeated rows one after the
-other.  Its time is the volume it gathers, not its loop: measured on
-prob1 under AMD, batching all leaf columns gained only about 10 %
-(0.098 to 0.086 s), ``np.bincount`` in place of ``np.subtract.at``
+ascending, with the end of each one's column) belongs to the symbolic
+factor: ``SymbolicFactor.row_structure`` is built on its first
+factorization and read by every later one, so a factorization does no
+pattern work, and column j's segments are one slice of it.  They are
+concatenated into one index array, gathered once, and scattered into the
+dense workspace with one ``np.subtract.at``, which applies repeated rows
+one after the other.  Its time is the volume it gathers, not its loop:
+measured on prob1 under AMD, batching all leaf columns gained only about
+10 % (0.098 to 0.086 s), ``np.bincount`` in place of ``np.subtract.at``
 changed nothing, and a per-column multifrontal with extend-add was
 slower (0.104 to 0.144 s).
 
@@ -98,6 +100,7 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
     falls below 1e-13 * max |A_ii|.
     """
     sym.require_pattern(a)
+    by_row, row_ptr, col_end = sym.row_structure
     n = sym.n
     colptr, rows = sym.l_col_ptr, sym.l_row_idx
     placed = np.zeros(rows.size + n)
@@ -110,15 +113,8 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
     d = np.empty(n)
     x = np.zeros(n)
 
-    # Row structure of L: the storage positions of every L_jk grouped by
-    # row j, k ascending.
-    by_row = np.argsort(rows, kind="stable")
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
     col_start, row_start = colptr.tolist(), row_ptr.tolist()
     flops = 0
-    near_count = 0
-    first_near = -1
 
     for j in range(n):
         lo, hi = col_start[j], col_start[j + 1]
@@ -130,11 +126,12 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
 
         # every segment (D L)[p_jk:end_k] that reaches row j, as one
         # index array: one gather, one scatter
-        p = by_row[row_start[j]:row_start[j + 1]]
-        if p.size:
-            # each segment runs to the end of its column: the first
-            # column start past p
-            lens = colptr[np.searchsorted(colptr, p, side="right")] - p
+        r0, r1 = row_start[j], row_start[j + 1]
+        if r1 > r0:
+            # index arithmetic in int64, whatever the row structure's
+            # type: unsigned arithmetic would wrap or turn to floats
+            p = by_row[r0:r1].astype(np.int64)
+            lens = np.subtract(col_end[r0:r1], p, dtype=np.int64)
             ends = np.cumsum(lens)
             total = int(ends[-1])
             idx = np.arange(total) + np.repeat(p - (ends - lens), lens)
@@ -145,20 +142,17 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
         dj = float(x[j])
         if not (dj > 0.0 and math.isfinite(dj)):
             raise NonPositivePivotError(j, dj)
-        if dj < threshold:
-            near_count += 1
-            if first_near < 0:
-                first_near = j
         d[j] = dj
         col = x[pattern]
         ld_values[lo:hi] = col
         l_values[lo:hi] = col / dj
         flops += hi - lo
 
-    if near_count:
+    near = np.flatnonzero(d < threshold)
+    if near.size:
         warnings.warn(
-            f"{near_count} pivot(s) below the near-singular threshold "
-            f"{threshold:g} (first at column {first_near})",
+            f"{near.size} pivot(s) below the near-singular threshold "
+            f"{threshold:g} (first at column {near[0]})",
             NearSingularWarning,
             stacklevel=2,
         )

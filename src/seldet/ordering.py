@@ -38,7 +38,7 @@ from .errors import (
     SizeMismatchError,
     _open_text,
 )
-from .sparse_core import Permutation, SparseSymmetric
+from .sparse_core import Permutation, SparseSymmetric, _group_by_row
 
 __all__ = ["natural_order", "amd_order", "load_order", "write_order",
            "resolve_ordering"]
@@ -108,13 +108,12 @@ def _adjacency(a: SparseSymmetric) -> list[list[int]]:
     rows, cols, _ = a.triplets()
     off = rows != cols
     r, c = rows[off], cols[off]
-    src = np.concatenate([r, c])
-    dst = np.concatenate([c, r])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    counts = np.bincount(src, minlength=a.n)
-    splits = np.cumsum(counts)[:-1]
-    return [seg.tolist() for seg in np.split(dst, splits)]
+    # Lower-triangle storage gives node v's smaller neighbours column by
+    # column and then its larger ones down column v, so grouping by node
+    # in the order given leaves every list ascending.
+    order, row_ptr = _group_by_row(np.concatenate([r, c]), a.n)
+    dst = np.concatenate([c, r])[order]
+    return [seg.tolist() for seg in np.split(dst, row_ptr[1:-1])]
 
 
 # A pivot whose scan visits at least this many list entries runs it as

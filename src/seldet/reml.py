@@ -77,6 +77,14 @@ __all__ = [
 DENSE_FORM_LIMIT = 500
 
 
+def _check_labels(labels: tuple[str, ...], owner: str):
+    """Raise InvalidParameterError naming ``owner`` and the label if a
+    label is given twice: a dataset file could not tell the two apart."""
+    if len(set(labels)) < len(labels):
+        twice = next(s for k, s in enumerate(labels) if s in labels[:k])
+        raise InvalidParameterError(f"{owner}: {twice!r} is given twice")
+
+
 @dataclass(frozen=True, eq=False)
 class RandomFactor:
     """One grouping factor: a level code per observation."""
@@ -92,6 +100,7 @@ class RandomFactor:
         object.__setattr__(self, "codes", codes)
         if self.labels and len(self.labels) != self.n_levels:
             raise SizeMismatchError(f"factor {self.name}: label/level count mismatch")
+        _check_labels(self.labels, f"factor {self.name}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +135,7 @@ class MixedModelDataset:
                 raise SizeMismatchError(f"factor {f.name}: wrong length")
         if self.residual_labels and len(self.residual_labels) != self.n_residual_blocks:
             raise SizeMismatchError("residual label/block count mismatch")
+        _check_labels(self.residual_labels, "residual blocks")
         for name, arr in (("y", y), ("x", x)):
             bad = np.argwhere(~np.isfinite(arr))
             if bad.size:
@@ -292,6 +302,7 @@ def _template_table(d: MixedModelDataset) -> _Table:
         rows.append((lev * dim + lev, np.full(f.n_levels, fi),
                      np.ones(f.n_levels)))
     t_keys, which, value = (np.concatenate(c) for c in zip(*rows))
+    del rows  # the pieces, before np.unique's own temporaries
     keys, slot = np.unique(t_keys, return_inverse=True)
     pattern = _from_lower_keys(dim, keys, np.zeros(keys.size))
     order = np.lexsort((slot, which))
@@ -407,11 +418,14 @@ def restricted_loglik(d: MixedModelDataset, v: VarianceParams,
     raise InvalidParameterError(f"unknown form {form!r}; use 'c' or 'h'")
 
 
-def _trace_weights(zsel: SelectedInverse) -> np.ndarray:
-    """Z in the slot order of :meth:`SymbolicFactor.locate`, with the
-    entries below the diagonal doubled: tr(Z B) is the sum, over B's
-    stored lower-triangle entries, of each value times this at its slot."""
-    return np.concatenate([2.0 * zsel.z_values, zsel.z_diag])
+def _trace_weights(zsel: SelectedInverse, slots: np.ndarray) -> np.ndarray:
+    """Z at ``slots`` of :meth:`SymbolicFactor.locate`, with the entries
+    below the diagonal doubled: tr(Z B) is the sum, over B's stored
+    lower-triangle entries, of each value times this at its slot.  Only
+    the entries asked for are doubled."""
+    z = np.concatenate([zsel.z_values, zsel.z_diag])[slots]
+    z[slots < zsel.z_values.size] *= 2.0
+    return z
 
 
 def trace_product(zsel: SelectedInverse, b_mat: SparseSymmetric) -> float:
@@ -432,7 +446,7 @@ def trace_product(zsel: SelectedInverse, b_mat: SparseSymmetric) -> float:
         raise PatternNotCoveredError(
             f"entry ({rows[k]},{cols[k]}) is outside the selected-inverse "
             "pattern")
-    return float(_trace_weights(zsel)[slots] @ vals)
+    return float(_trace_weights(zsel, slots) @ vals)
 
 
 def logdet_gradient(m: MmeSystem, zsel: SelectedInverse) -> np.ndarray:
@@ -445,7 +459,7 @@ def logdet_gradient(m: MmeSystem, zsel: SelectedInverse) -> np.ndarray:
     """
     sym = zsel.sym
     sym.require_pattern(m.C)
-    z = _trace_weights(zsel)[sym.a_slots]
+    z = _trace_weights(zsel, sym.a_slots)
     t = m.table
     return -m.inv_kappa ** 2 * np.bincount(
         t.which, weights=t.value * z[t.slot], minlength=m.inv_kappa.size)
@@ -537,9 +551,11 @@ class RemlPlan:
     dataset:
 
     - the permutation and the SymbolicFactor of C, with its lower keys
-      (one int64 per stored entry of L) and the slot of each stored
-      entry of C in the factor's and selected inverse's storage
-      (``sym.a_slots``, the smallest unsigned type for nnz(L));
+      (the smallest unsigned type for dim(C)^2, per stored entry of L),
+      the slot of each stored entry of C in the factor's and selected
+      inverse's storage (``sym.a_slots``, the smallest unsigned type for
+      nnz(L)) and, after the first factorization, L's row structure
+      (``sym.row_structure``);
     - the template table (:class:`_Table`): C's pattern, one int64 per
       column and per stored entry, and one row per structural entry of
       every template, a slot (the smallest unsigned type for nnz(C)), a
@@ -705,14 +721,27 @@ def reml_report(d: MixedModelDataset, v: VarianceParams,
 
 
 def write_dataset(d: MixedModelDataset, stream: IO[str]):
+    """Write ``d`` in the dialect that :func:`read_dataset` reads.
+
+    Anything the file could not give back raises InvalidParameterError
+    before a byte is written: a name or label holding a tab, CR or LF, a
+    label ``NA`` (read as a missing value), or two columns of one name.
+    """
     header = (["response"]
               + [f"fixed:{name}" for name in d.fixed_names]
               + [f"random:{f.name}" for f in d.factors]
               + ["resblock"])
-    stream.write("\t".join(header) + "\n")
     res_labels = d.residual_labels or tuple(map(str, range(d.n_residual_blocks)))
     factor_labels = [f.labels or tuple(map(str, range(f.n_levels)))
                      for f in d.factors]
+    owners = ["column", "residual blocks"] + [f"factor {f.name}" for f in d.factors]
+    for owner, words in zip(owners, [header, res_labels, *factor_labels]):
+        for word in words:
+            if word == "NA" or any(c in word for c in "\t\r\n"):
+                raise InvalidParameterError(
+                    f"{owner}: {word!r} cannot be read back from a dataset file")
+    _check_labels(header, "dataset columns")
+    stream.write("\t".join(header) + "\n")
     for i in range(d.n_obs):
         parts = [f"{d.y[i]:.17g}"]
         parts += [f"{d.x[i, c]:.17g}" for c in range(d.p)]

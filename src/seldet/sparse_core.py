@@ -56,6 +56,16 @@ def _entry_columns(col_ptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(col_ptr.size - 1, dtype=np.int64), np.diff(col_ptr))
 
 
+def _group_by_row(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group entries by row: ``(order, row_ptr)``, where
+    ``order[row_ptr[i]:row_ptr[i + 1]]`` are the indices of the entries of
+    row i in the order given (a stable sort), rows in 0..n-1."""
+    order = np.argsort(rows, kind="stable")
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
+    return order, row_ptr
+
+
 @dataclass(frozen=True, eq=False)
 class SparseSymmetric:
     """Lower triangle of a symmetric matrix in compressed-column form.
@@ -95,13 +105,12 @@ class SparseSymmetric:
         if row_idx.size:
             if row_idx.min() < 0 or row_idx.max() >= self.n:
                 raise IndexOutOfRangeError("row index outside matrix dimension")
-            if np.any(row_idx < _entry_columns(col_ptr)):
+            cols = _entry_columns(col_ptr)
+            if np.any(row_idx < cols):
                 raise SizeMismatchError("entry above the diagonal in lower-triangle storage")
-            inside = np.diff(row_idx) <= 0
-            bnd = col_ptr[1:-1]
-            bnd = bnd[(bnd > 0) & (bnd < row_idx.size)]
-            inside[bnd - 1] = False  # column boundaries may decrease
-            if np.any(inside):
+            # rows rise within each column exactly when the keys col * n + row
+            # rise: from one column to the next they always do
+            if np.any(np.diff(cols * self.n + row_idx) <= 0):
                 raise SizeMismatchError("row indices must strictly increase within a column")
         for arr in (col_ptr, row_idx, values):
             arr.flags.writeable = False
@@ -152,32 +161,12 @@ class Permutation:
         return int(self.perm.size)
 
 
-def _sum_sorted(keys: np.ndarray,
-                vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort by key and sum the values of equal keys.
-
-    Returns the distinct keys ascending and their sums.  The sort is
-    stable, so equal keys are summed in the order they were given.
-    """
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    if keys.size:
-        first = np.empty(keys.size, dtype=bool)
-        first[0] = True
-        first[1:] = keys[1:] != keys[:-1]
-        vals = np.bincount(np.cumsum(first) - 1, weights=vals)
-        keys = keys[first]
-    return keys, vals
-
-
 def _from_lower_keys(n: int, keys: np.ndarray,
                      vals: np.ndarray) -> SparseSymmetric:
     """CSC lower-triangle storage from distinct ascending keys col*n + row."""
     col_ptr = np.zeros(n + 1, dtype=np.int64)
-    if keys.size:
-        np.cumsum(np.bincount(keys // n, minlength=n), out=col_ptr[1:])
-        keys = keys % n
-    return SparseSymmetric(n=n, col_ptr=col_ptr, row_idx=keys, values=vals)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=col_ptr[1:])
+    return SparseSymmetric(n=n, col_ptr=col_ptr, row_idx=keys % n, values=vals)
 
 
 def from_coo_arrays(n: int, rows: np.ndarray, cols: np.ndarray,
@@ -199,14 +188,15 @@ def from_coo_arrays(n: int, rows: np.ndarray, cols: np.ndarray,
         k = bad[0]
         raise NonFiniteValueError(
             f"entry ({rows[k]},{cols[k]}) has the value {float(vals[k])!r}")
-    # One sort of the keys 2 * (col*n + row) + side, in lower-triangle
+    # The distinct keys 2 * (col*n + row) + side, in lower-triangle
     # coordinates, where side 1 marks an entry given above the diagonal:
-    # duplicates are summed on each side separately, and a position given
-    # on both sides has its lower sum just before its upper one.
+    # duplicates are summed on each side separately, in the order given,
+    # and a position given on both sides has its lower sum just before its
+    # upper one.
     upper = rows < cols
-    lo_r = np.where(upper, cols, rows)
-    lo_c = np.where(upper, rows, cols)
-    keys, sums = _sum_sorted(2 * (lo_c * n + lo_r) + upper, vals)
+    lo_r, lo_c = np.maximum(rows, cols), np.minimum(rows, cols)
+    keys, at = np.unique(2 * (lo_c * n + lo_r) + upper, return_inverse=True)
+    sums = np.bincount(at, weights=vals)
     pos = keys >> 1
     mirrored = np.flatnonzero(pos[1:] == pos[:-1]) + 1
     lv, uv = sums[mirrored - 1], sums[mirrored]
@@ -334,12 +324,11 @@ def write_matrix_market(a: SparseSymmetric, stream: IO[str]):
 
 
 def permute_symmetric(a: SparseSymmetric, p: Permutation) -> SparseSymmetric:
-    """Symmetric permutation P A P^T, restricted to its lower triangle."""
+    """Symmetric permutation P A P^T, restricted to its lower triangle:
+    A's entries at their new indices, assembled by :func:`from_coo_arrays`
+    (which also refuses a NaN or infinite value)."""
     if p.n != a.n:
         raise SizeMismatchError(f"permutation size {p.n} != matrix size {a.n}")
     rows, cols, vals = a.triplets()
-    new_r = p.inverse[rows]
-    new_c = p.inverse[cols]
-    lo, hi = np.minimum(new_r, new_c), np.maximum(new_r, new_c)
-    return _from_lower_keys(a.n, *_sum_sorted(lo * a.n + hi, vals))
+    return from_coo_arrays(a.n, p.inverse[rows], p.inverse[cols], vals)
 

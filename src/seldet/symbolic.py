@@ -31,7 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PatternMismatchError, SizeMismatchError
-from .sparse_core import Permutation, SparseSymmetric, _entry_columns
+from .sparse_core import (Permutation, SparseSymmetric, _entry_columns,
+                          _group_by_row)
 
 __all__ = [
     "SymbolicFactor",
@@ -53,12 +54,8 @@ def _row_subtrees(n: int, rows: np.ndarray,
     """
     below = rows > cols
     rows, cols = rows[below], cols[below]
-    # group the strictly-lower entries by row
-    by_row = np.argsort(rows, kind="stable")
-    row_cols = cols[by_row].tolist()
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
-    row_ptr = row_ptr.tolist()
+    by_row, row_ptr = _group_by_row(rows, n)
+    row_cols, row_ptr = cols[by_row].tolist(), row_ptr.tolist()
     parent = [-1] * n
     visited = [-1] * n
     l_cols: list[list[int]] = [[] for _ in range(n)]
@@ -98,12 +95,17 @@ class SymbolicFactor:
     reads the selected inverse at C's entries through it.  A stored
     entry of A off the pattern of L raises PatternMismatchError.
 
-    Three more read-only arrays are kept for the factor's life.
-    :attr:`lower_keys` is built with it (one int64 per entry of L).  The
-    selected inversion builds the other two on its first call:
-    :attr:`preorder` (one int64 per column) and :attr:`parent_positions`
-    (one entry of L each, in the smallest unsigned type that holds the
-    largest column count: 1 byte, 0.10 MB, on a prob1 C under AMD).
+    More read-only arrays are kept for the factor's life.
+    :attr:`lower_keys` is built with it (one entry of L each, in the
+    smallest unsigned type that holds n^2: 4 bytes for 256 <= n < 65 536).
+    The first factorization builds :attr:`row_structure`, L's pattern grouped
+    by row: three arrays in the smallest unsigned type that holds
+    ``nnz_L``, 0.78 MB on a prob1 C and 1.26 MB on the 72x72 AR1 (x) AR1
+    field, both under AMD.  The selected inversion builds two on its first
+    call: :attr:`preorder` (one int64 per column) and
+    :attr:`parent_positions` (one entry of L each, in the smallest
+    unsigned type that holds the largest column count: 1 byte, 0.10 MB,
+    on a prob1 C under AMD).
     """
 
     n: int
@@ -131,7 +133,9 @@ class SymbolicFactor:
         """Keys ``col * n + row`` of the strictly-lower pattern in storage
         order, closed by the sentinel ``n * n``; built with the factor (the
         slots of ``a_slots`` are found with them) and kept (read-only) for
-        its life, one int64 per stored entry of L.
+        its life, one per stored entry of L, in the smallest unsigned type
+        that holds the sentinel.  Keys looked up are cast to that type, so
+        that ``np.searchsorted`` never converts this array.
 
         Columns are stored in order with ascending rows, so the keys come
         out sorted.  Every position below the diagonal has a key below the
@@ -140,12 +144,34 @@ class SymbolicFactor:
         key found there equals its own.
         """
         n = self.n
-        keys = np.empty(self.l_row_idx.size + 1, dtype=np.int64)
-        np.multiply(_entry_columns(self.l_col_ptr), n, out=keys[:-1])
-        keys[:-1] += self.l_row_idx
-        keys[-1] = n * n
+        keys = np.append(_entry_columns(self.l_col_ptr) * n + self.l_row_idx, n * n)
+        keys = keys.astype(np.min_scalar_type(n * n))
         keys.flags.writeable = False
         return keys
+
+    @cached_property
+    def row_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """L's strictly-lower pattern grouped by row: ``(positions,
+        row_ptr, col_end)``.
+
+        ``positions[row_ptr[j]:row_ptr[j + 1]]`` are the storage positions
+        of every L_jk, k ascending, and ``col_end`` gives, aligned with
+        ``positions``, the end of each entry's column in storage (the
+        start of column k + 1).  All three are in the smallest unsigned
+        type that holds ``nnz_L``, read-only, built on the first
+        factorization and kept for the factor's life: 4 bytes per stored
+        entry of L in ``positions`` and in ``col_end`` for
+        65 536 <= nnz_L < 2^32, 0.78 MB for a prob1 L under AMD.
+        """
+        kind = np.min_scalar_type(self.nnz_L)
+        positions, row_ptr = _group_by_row(self.l_row_idx, self.n)
+        # each column's end, once per stored entry of the column
+        col_end = np.repeat(self.l_col_ptr[1:].astype(kind),
+                            self.col_counts - 1)[positions]
+        out = positions.astype(kind), row_ptr.astype(kind), col_end
+        for a in out:
+            a.flags.writeable = False
+        return out
 
     @cached_property
     def preorder(self) -> np.ndarray:
@@ -184,7 +210,8 @@ class SymbolicFactor:
         pattern(p).  A row that is missing there raises
         PatternMismatchError.  One ``searchsorted`` of the keys of the
         positions (i, p) against :attr:`lower_keys` finds every row; the
-        build holds at most two int64 arrays of nnz(L) entries at once.
+        build holds at most two int64 arrays of nnz(L) entries at once,
+        and the keys in :attr:`lower_keys`' type for the search.
         """
         colptr, rows = self.l_col_ptr, self.l_row_idx
         counts = np.diff(colptr)
@@ -192,7 +219,7 @@ class SymbolicFactor:
         first, last = colptr[nonempty], colptr[nonempty + 1] - 1
         want = np.repeat(self.parent * self.n, counts)
         want += rows                # the key of position (i, p)
-        at = np.searchsorted(self.lower_keys, want)
+        at = np.searchsorted(self.lower_keys, want.astype(self.lower_keys.dtype))
         # the row stored in each slot found, written over the keys
         np.take(rows, at, out=want, mode="clip")
         found = want == rows
@@ -242,7 +269,7 @@ class SymbolicFactor:
         lo, hi = np.minimum(pr, pc), np.maximum(pr, pc)
         want = lo * self.n + hi
         keys = self.lower_keys
-        at = np.searchsorted(keys, want)
+        at = np.searchsorted(keys, want.astype(keys.dtype))
         slots = np.where(keys[at] == want, at, -1)
         on = lo == hi
         slots[on] = self.l_row_idx.size + lo[on]

@@ -5,7 +5,9 @@ random triplet lists: duplicates, entries above the diagonal, mirrored
 pairs whose sides agree (accepted) and pairs whose sides differ beyond
 1e-12 (rejected).  Values are multiples of 1/8 of modest size, so every
 sum is exact whatever the order of summation and the oracle can be
-compared bit for bit.  The Matrix Market writer must round-trip values
+compared bit for bit.  A second oracle sums values that round off against
+each other one after the other, in input order, as ``from_coo_arrays``
+promises to.  The Matrix Market writer must round-trip values
 exactly, and datasets and orderings must come back as they were written.
 """
 
@@ -80,6 +82,64 @@ def test_from_coo_arrays_matches_dense_accumulation(case):
     assert np.array_equal(np.sort(c * n + r),
                           np.sort(np.flatnonzero(structural.T.ravel())))
     assert np.array_equal(v, values[r, c])
+
+
+ORDER_SENSITIVE = st.one_of(st.sampled_from([1e16, -1e16, 1.0, 0.1, 1 / 3]),
+                            st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def order_sensitive_triplets(draw):
+    """(n, rows, cols, vals) whose sums depend on the order of summation,
+    every position given on one side of the diagonal only."""
+    n = draw(st.integers(1, 5))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    cells = draw(st.lists(cell, min_size=1, max_size=30))
+    above = draw(st.sets(cell))     # positions given above the diagonal
+    rows, cols = [], []
+    for i, j in cells:
+        lo, hi = min(i, j), max(i, j)
+        r, c = (lo, hi) if (hi, lo) in above else (hi, lo)
+        rows.append(r)
+        cols.append(c)
+    vals = draw(st.lists(ORDER_SENSITIVE, min_size=len(cells),
+                         max_size=len(cells)))
+    return (n, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+            np.array(vals))
+
+
+def summed_in_order(rows, cols, vals):
+    """{(row, col) in the lower triangle: sum}, one Python addition at a
+    time in input order."""
+    sums = {}
+    for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        key = (max(i, j), min(i, j))
+        sums[key] = sums.get(key, 0.0) + v
+    return sums
+
+
+@SETTINGS
+@given(case=order_sensitive_triplets())
+def test_duplicates_are_summed_in_the_order_given(case):
+    n, rows, cols, vals = case
+    want = summed_in_order(rows, cols, vals)
+    r, c, v = sd.from_coo_arrays(n, rows, cols, vals).triplets()
+    cells = list(zip(r.tolist(), c.tolist()))
+    assert sorted(cells) == sorted(want)
+    # bit for bit, the sign of a zero included
+    assert np.array_equal(v.view(np.int64),
+                          np.array([want[k] for k in cells]).view(np.int64))
+
+
+@pytest.mark.parametrize("row, col", [(0, 0), (1, 0), (0, 1)])
+def test_cancellation_follows_the_input_order(row, col):
+    # 1e16 + 1 rounds back to 1e16: the 1 survives only after -1e16
+    def summed(vals):
+        a = sd.from_coo_arrays(2, [row] * 3, [col] * 3, vals)
+        return a.values.tolist()
+
+    assert summed([1e16, 1.0, -1e16]) == [0.0]
+    assert summed([1e16, -1e16, 1.0]) == [1.0]
 
 
 @st.composite

@@ -213,6 +213,29 @@ def test_factorize_rejects_other_patterns():
     assert f.flops == sd.predict_flops(sym)[0]
 
 
+def test_a_repeat_factorization_does_no_pattern_work(monkeypatch):
+    a = random_spd(np.random.default_rng(23), 60)
+    sym = sd.symbolic_factor(a, sd.amd_order(a))
+    first = sd.ldlt_factorize(a, sym)
+    calls = {"argsort": 0, "searchsorted": 0}
+
+    def counted(name):
+        original = getattr(np, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np, name, counted(name))
+    again = sd.ldlt_factorize(a, sym)
+    assert calls == {"argsort": 0, "searchsorted": 0}
+    assert np.array_equal(again.l_values, first.l_values)
+    assert np.array_equal(again.d, first.d)
+    assert again.flops == first.flops
+
+
 # ------------------------------------------------------ non-finite values
 
 

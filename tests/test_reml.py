@@ -616,6 +616,59 @@ def test_dataset_parse_errors():
             "response\tresblock\trandom:f\tresblock\n1.0\t0\ta\t1\n"))
 
 
+def _labeled_dataset(labels=("a", "b"), name="f", residual_labels=("r",)):
+    return sd.MixedModelDataset(
+        y=np.array([1.0, 2.0]), x=np.ones((2, 1)), fixed_names=("mean",),
+        factors=(sd.RandomFactor(name=name, codes=[0, 1], n_levels=2,
+                                 labels=labels),),
+        residual_codes=[0, 0], n_residual_blocks=1,
+        residual_labels=residual_labels)
+
+
+def test_a_label_given_twice_is_refused():
+    # written and read back, ("x", "x") would become one level
+    with pytest.raises(InvalidParameterError, match="factor f: 'x' is given twice"):
+        _labeled_dataset(labels=("x", "x"))
+    with pytest.raises(InvalidParameterError, match="residual blocks: 'r' is given twice"):
+        sd.MixedModelDataset(
+            y=np.ones(2), x=np.ones((2, 1)), fixed_names=("mean",),
+            factors=(), residual_codes=[0, 1], n_residual_blocks=2,
+            residual_labels=("r", "r"))
+
+
+@pytest.mark.parametrize("kwargs, owner, word", [
+    (dict(labels=("NA", "b")), "factor f", "'NA'"),
+    (dict(labels=("a\tb", "c")), "factor f", r"'a\\tb'"),
+    (dict(labels=("a\rb", "c")), "factor f", r"'a\\rb'"),
+    (dict(labels=("a\nb", "c")), "factor f", r"'a\\nb'"),
+    (dict(residual_labels=("NA",)), "residual blocks", "'NA'"),
+    (dict(name="f\tg"), "column", r"'random:f\\tg'"),
+])
+def test_write_dataset_refuses_what_cannot_be_read_back(kwargs, owner, word):
+    buf = io.StringIO()
+    with pytest.raises(InvalidParameterError, match=f"{owner}: {word}"):
+        sd.write_dataset(_labeled_dataset(**kwargs), buf)
+    assert buf.getvalue() == ""
+
+
+def test_write_dataset_refuses_two_columns_of_one_name():
+    d = _labeled_dataset()
+    d = dataclasses.replace(d, factors=d.factors * 2)
+    buf = io.StringIO()
+    with pytest.raises(InvalidParameterError, match="dataset columns: 'random:f' is given twice"):
+        sd.write_dataset(d, buf)
+    assert buf.getvalue() == ""
+
+
+def test_labels_that_only_look_odd_round_trip():
+    d = _labeled_dataset(labels=("na", " NA "), residual_labels=("",))
+    buf = io.StringIO()
+    sd.write_dataset(d, buf)
+    back = sd.read_dataset(io.StringIO(buf.getvalue()))
+    assert back.factors[0].labels == (" NA ", "na")
+    assert back.residual_labels == ("",)
+
+
 # ----------------------------------------------------- analyze once, reuse
 
 

@@ -107,6 +107,24 @@ def test_symbolic_factor_holds_the_slots_of_its_matrix():
             a_col_ptr=np.array([0, 2, 3]), a_row_idx=np.array([0, 1, 1]))
 
 
+def test_row_structure_groups_the_pattern_of_l_by_row():
+    a = random_spd(np.random.default_rng(29), 40)
+    sym = sd.symbolic_factor(a, sd.amd_order(a))
+    positions, row_ptr, col_end = sym.row_structure
+    colptr, rows = sym.l_col_ptr, sym.l_row_idx
+    kind = np.min_scalar_type(sym.nnz_L)
+    assert positions.dtype == row_ptr.dtype == col_end.dtype == kind
+    assert not (positions.flags.writeable or row_ptr.flags.writeable
+                or col_end.flags.writeable)
+    for j in range(sym.n):
+        # (position, column) of every L_jk, k ascending
+        at = [(p, k) for k in range(sym.n)
+              for p in range(colptr[k], colptr[k + 1]) if rows[p] == j]
+        seg = slice(row_ptr[j], row_ptr[j + 1])
+        assert positions[seg].tolist() == [p for p, _ in at]
+        assert col_end[seg].tolist() == [colptr[k + 1] for _, k in at]
+
+
 def test_symbolic_factor_size_mismatch():
     with pytest.raises(SizeMismatchError):
         sd.symbolic_factor(sd.identity_matrix(3), sd.natural_order(2))
