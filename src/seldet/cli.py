@@ -30,7 +30,6 @@ from .errors import (
     _open_text,
 )
 from .numeric import log_det, solve
-from .ordering import resolve_ordering
 from .selinv import DENSE_ORACLE_LIMIT, dense_inverse_oracle
 from .sparse_core import (
     SparseSymmetric,
@@ -39,7 +38,7 @@ from .sparse_core import (
     read_matrix_market,
     write_matrix_market,
 )
-from .symbolic import predict_flops, selinv_flops_from_ldlt, symbolic_factor
+from .symbolic import predict_flops, selinv_flops_from_ldlt
 
 __all__ = ["main"]
 
@@ -70,8 +69,7 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]):
 
 def cmd_analyze(args) -> int:
     a = _read_matrix(args.matrix)
-    perm = resolve_ordering(args.ordering, a)
-    sym = symbolic_factor(a, perm)
+    sym = reml._order_and_analyze(a, args.ordering, {})
     ldlt, selinv_f = predict_flops(sym)
     n = a.n
     tri = n * (n + 1) // 2
@@ -116,17 +114,38 @@ def _require_dense_size(n: int, what: str):
         raise TooLargeError(f"{what} needs n <= {DENSE_ORACLE_LIMIT}, got {n}")
 
 
-def _dense_errors(a: SparseSymmetric, fac, zsel) -> tuple[float, float, bool]:
-    """Checks against dense references: the largest relative error of the
-    selected entries, the relative log-det error, and whether det A > 0."""
-    zd = dense_inverse_oracle(a)
+def _checks(a: SparseSymmetric, fac, zsel) -> list[tuple[str, bool, str]]:
+    """The dense-oracle checks of ``verify`` and ``selinv --verify``, as
+    (name, passed, detail): the flop counters against their forecasts, the
+    selected entries against the dense inverse, the log-determinant against
+    the dense one (and det A > 0), and the residual of one solve."""
+    pred_ldlt, pred_si = predict_flops(fac.sym)
+    dense, zd = a.to_dense(), dense_inverse_oracle(a)
     rows, cols, vals = _selected_to_matrix(zsel).triplets()
     scale = np.sqrt(np.abs(np.diag(zd)[rows] * np.diag(zd)[cols]))
     err = np.abs(vals - zd[rows, cols]) / np.maximum(scale, 1e-300)
-    max_err = float(err.max()) if err.size else 0.0
-    sign, ld_dense = np.linalg.slogdet(a.to_dense())
+    max_err = float(np.max(err, initial=0.0))
+    sign, ld_dense = np.linalg.slogdet(dense)
     ld_err = abs(log_det(fac) - ld_dense) / max(1.0, abs(ld_dense))
-    return max_err, ld_err, sign > 0
+    b = np.random.default_rng(0).standard_normal(a.n)
+    resid = float(np.max(np.abs(dense @ solve(fac, b) - b), initial=0.0))
+    rel = resid / max(1.0, float(np.max(np.abs(b), initial=0.0)))
+    return [
+        ("flop counters", fac.flops == pred_ldlt and zsel.flops == pred_si,
+         f"ldlt {fac.flops}/{pred_ldlt}, selinv {zsel.flops}/{pred_si}"),
+        ("selected entries vs dense inverse", max_err <= 1e-10,
+         f"max rel err {max_err:.3e}"),
+        ("logdet vs dense", sign > 0 and ld_err <= 1e-10,
+         f"rel err {ld_err:.3e}"),
+        ("solve residual", rel <= 1e-8, f"rel residual {rel:.3e}"),
+    ]
+
+
+def _print_checks(checks: list[tuple[str, bool, str]]) -> bool:
+    """Print one PASS/FAIL line per check; True when every check passed."""
+    for name, ok, detail in checks:
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+    return all(ok for _, ok, _ in checks)
 
 
 def cmd_selinv(args) -> int:
@@ -154,14 +173,7 @@ def cmd_selinv(args) -> int:
 
     ok = fac.flops == pred_ldlt and zsel.flops == pred_si
     if args.verify:
-        max_err, ld_err, positive = _dense_errors(a, fac, zsel)
-        ok_entries = max_err <= 1e-10
-        ok_ld = ld_err <= 1e-10
-        print(f"verify entries: max rel err {max_err:.3e} "
-              f"{'PASS' if ok_entries else 'FAIL'}")
-        print(f"verify logdet : rel err {ld_err:.3e} "
-              f"{'PASS' if ok_ld else 'FAIL'}")
-        ok = ok and ok_entries and ok_ld and positive
+        ok = _print_checks(_checks(a, fac, zsel))
     return 0 if ok else 1
 
 
@@ -344,29 +356,7 @@ def cmd_verify(args) -> int:
     _require_dense_size(a.n, "verify")
     sym = reml._order_and_analyze(a, args.ordering, {})
     fac, zsel = reml._factor_and_invert(a, sym, {})
-    pred_ldlt, pred_si = predict_flops(sym)
-    max_err, ld_err, positive = _dense_errors(a, fac, zsel)
-    checks = [
-        ("flop counters", fac.flops == pred_ldlt and zsel.flops == pred_si,
-         f"ldlt {fac.flops}/{pred_ldlt}, selinv {zsel.flops}/{pred_si}"),
-        ("selected entries vs dense inverse", max_err <= 1e-10,
-         f"max rel err {max_err:.3e}"),
-        ("logdet vs dense", positive and ld_err <= 1e-10,
-         f"rel err {ld_err:.3e}"),
-    ]
-
-    rng = np.random.default_rng(0)
-    b = rng.standard_normal(a.n)
-    x = solve(fac, b)
-    resid = float(np.max(np.abs(a.to_dense() @ x - b), initial=0.0))
-    rel = resid / max(1.0, float(np.max(np.abs(b), initial=0.0)))
-    checks.append(("solve residual", rel <= 1e-8, f"rel residual {rel:.3e}"))
-
-    all_ok = True
-    for name, ok, detail in checks:
-        all_ok = all_ok and ok
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    return 0 if all_ok else 1
+    return 0 if _print_checks(_checks(a, fac, zsel)) else 1
 
 
 # ------------------------------------------------------------------- main
@@ -391,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ordering_flag(p)
     p.add_argument("--out", help="write the selected inverse (Matrix Market)")
     p.add_argument("--verify", action="store_true",
-                   help="compare against the dense inverse (n <= 500)")
+                   help="run verify's dense-oracle checks "
+                        f"(n <= {DENSE_ORACLE_LIMIT})")
     p.set_defaults(func=cmd_selinv)
 
     p = sub.add_parser("reml", help="restricted-likelihood report for a dataset")
@@ -421,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--missing", type=float, default=0.10)
     p.add_argument("--var", action="append", metavar="TERM=VALUE",
                    help="variance component override (repeatable)")
-    p.add_argument("--seed", type=int, default=20240901)
+    p.add_argument("--seed", type=int, default=datagen.TrialConfig.seed)
     p.add_argument("--out", required=True, help="dataset file to write")
     p.set_defaults(func=cmd_gen)
 
@@ -429,12 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problems", help="comma-separated preset names (default: all)")
     p.add_argument("--orderings", default="amd",
                    help="comma-separated ordering flags (default: amd)")
-    p.add_argument("--seed", type=int, default=20240901)
+    p.add_argument("--seed", type=int, default=datagen.TrialConfig.seed)
     p.add_argument("--out", help="CSV path (default stdout); also writes "
                                  "<path>.pairs.csv of (nnz_L, time)")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("verify", help="dense-oracle pipeline check (n <= 500)")
+    p = sub.add_parser("verify", help="dense-oracle pipeline check "
+                                      f"(n <= {DENSE_ORACLE_LIMIT})")
     p.add_argument("matrix", help="Matrix Market file")
     _add_ordering_flag(p)
     p.set_defaults(func=cmd_verify)

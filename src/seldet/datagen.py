@@ -57,10 +57,13 @@ class TrialConfig:
     seed: int = 20240901
 
     def __post_init__(self):
-        if self.years < 1 or self.centers < 1 or self.control_varieties < 1:
-            raise InvalidConfigError("years, centers, control_varieties must be >= 1")
-        if self.new_varieties_per_year < 0:
-            raise InvalidConfigError("new_varieties_per_year must be >= 0")
+        for name, least in (("years", 1), ("centers", 1),
+                            ("control_varieties", 1),
+                            ("new_varieties_per_year", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < least:
+                raise InvalidConfigError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
         if not 0.0 < self.centers_per_year_fraction <= 1.0:
             raise InvalidConfigError("centers_per_year_fraction must be in (0, 1]")
         if not 1.0 <= self.mean_persistence < math.inf:
@@ -77,8 +80,6 @@ class TrialConfig:
                     f"variance for {key!r} must be positive and finite")
             merged[key] = float(val)
         object.__setattr__(self, "variance_components", merged)
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise InvalidConfigError("seed must be a nonnegative integer")
 
 
 def _poisson_by_inversion(lam: float, u: float) -> int:
@@ -260,7 +261,7 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def preset_config(name: str, seed: int = 20240901) -> TrialConfig:
+def preset_config(name: str, seed: int = TrialConfig.seed) -> TrialConfig:
     """A TrialConfig for one rung of the benchmark ladder."""
     try:
         kwargs = PRESETS[name]

@@ -6,6 +6,16 @@ from __future__ import annotations
 import contextlib
 import math
 
+__all__ = [
+    "SeldetError", "IndexOutOfRangeError", "AsymmetricInputError",
+    "ParseError", "UnsupportedFormatError", "SizeMismatchError",
+    "NotAPermutationError", "PatternMismatchError", "NonPositivePivotError",
+    "NearSingularWarning", "SingularMatrixError", "TooLargeError",
+    "TooLargeForDenseFormError", "RankDeficientDesignError",
+    "EmptyFactorError", "PatternNotCoveredError", "InvalidParameterError",
+    "NonFiniteValueError", "InvalidConfigError",
+]
+
 
 class SeldetError(Exception):
     """Base class for all errors raised by this package."""

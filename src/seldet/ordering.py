@@ -23,7 +23,6 @@ prob3 (seed 1000) and the ordering runs 1.5 to 2 times faster.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 from itertools import chain, compress, islice
@@ -72,6 +71,22 @@ def write_order(p: Permutation, stream: IO[str]):
     stream.write("\n")
 
 
+def _named_order(spec: str | Permutation, n: int) -> str | Permutation:
+    """``"amd"``, or the permutation of n nodes that any other ordering
+    spec names: ``"natural"``, ``"file:<path>"`` (read with
+    :func:`load_order`) or a Permutation, returned as it is.  Any other
+    spec raises InvalidParameterError."""
+    if isinstance(spec, Permutation) or spec == "amd":
+        return spec
+    if spec == "natural":
+        return natural_order(n)
+    if isinstance(spec, str) and spec.startswith("file:"):
+        with _open_text(spec[len("file:"):], "ordering") as fh:
+            return load_order(fh, n)
+    raise InvalidParameterError(
+        f"unknown ordering {spec!r}; use natural, amd, or file:<path>")
+
+
 def resolve_ordering(ordering: str | Permutation,
                      a: SparseSymmetric) -> Permutation:
     """The permutation an ordering spec names for the matrix ``a``.
@@ -80,27 +95,8 @@ def resolve_ordering(ordering: str | Permutation,
     :func:`load_order`) or a Permutation, returned as it is.  Any other
     name raises InvalidParameterError.
     """
-    if isinstance(ordering, Permutation):
-        return ordering
-    if ordering == "natural":
-        return natural_order(a.n)
-    if ordering == "amd":
-        return amd_order(a)
-    if isinstance(ordering, str) and ordering.startswith("file:"):
-        with _open_text(ordering[len("file:"):], "ordering") as fh:
-            return load_order(fh, a.n)
-    raise InvalidParameterError(
-        f"unknown ordering {ordering!r}; use natural, amd, or file:<path>")
-
-
-def _ordering_key(ordering: str | Permutation) -> tuple:
-    """What decides a spec's permutation: name, bytes or file content hash."""
-    if isinstance(ordering, Permutation):
-        return ("perm", ordering.perm.tobytes())
-    if isinstance(ordering, str) and ordering.startswith("file:"):
-        with open(ordering[len("file:"):], "rb") as fh:
-            return ("file", hashlib.sha256(fh.read()).digest())
-    return ("name", ordering)
+    named = _named_order(ordering, a.n)
+    return amd_order(a) if isinstance(named, str) else named
 
 
 def _adjacency(a: SparseSymmetric) -> list[list[int]]:

@@ -50,7 +50,7 @@ from .errors import (
     TooLargeForDenseFormError,
 )
 from .numeric import LdlFactor, ldlt_factorize, log_det, solve
-from .ordering import _ordering_key, resolve_ordering
+from .ordering import _named_order, resolve_ordering
 from .selinv import SelectedInverse, selected_inverse
 from .sparse_core import Permutation, SparseSymmetric, _from_lower_keys, _index_array
 from .symbolic import SymbolicFactor, predict_flops, symbolic_factor
@@ -169,8 +169,9 @@ class MixedModelDataset:
 class VarianceParams:
     """(sigma^2, gamma per random factor, phi per residual block).
 
-    Every value must be finite and strictly positive; anything else raises
-    InvalidParameterError.
+    sigma2 is a number, gamma and phi each a number or a 1-D sequence of
+    numbers.  Every value must be finite and strictly positive; anything
+    else raises InvalidParameterError naming the field.
     """
 
     sigma2: float
@@ -178,19 +179,24 @@ class VarianceParams:
     phi: np.ndarray
 
     def __post_init__(self):
-        s2 = float(self.sigma2)
-        g = np.atleast_1d(np.asarray(self.gamma, dtype=np.float64))
-        p = np.atleast_1d(np.asarray(self.phi, dtype=np.float64))
-        object.__setattr__(self, "sigma2", s2)
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "phi", p)
-        for name, vals in (("sigma2", np.array([s2])), ("gamma", g), ("phi", p)):
+        for name, ndim in (("sigma2", 0), ("gamma", 1), ("phi", 1)):
+            try:
+                vals = np.asarray(getattr(self, name), dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise InvalidParameterError(
+                    f"{name} = {getattr(self, name)!r}: not numeric") from exc
+            if vals.ndim > ndim:
+                raise InvalidParameterError(
+                    f"{name} has shape {vals.shape}; it must be a number"
+                    + (" or a 1-D sequence" if ndim else ""))
             bad = np.flatnonzero(~(np.isfinite(vals) & (vals > 0)))
             if bad.size:
-                where = name if name == "sigma2" else f"{name}[{bad[0]}]"
+                where = f"{name}[{bad[0]}]" if ndim else name
                 raise InvalidParameterError(
-                    f"{where} = {float(vals[bad[0]])!r}: variance parameters "
-                    "must be finite and strictly positive")
+                    f"{where} = {float(vals.flat[bad[0]])!r}: variance "
+                    "parameters must be finite and strictly positive")
+            object.__setattr__(self, name,
+                               np.atleast_1d(vals) if ndim else float(vals))
 
     def perturbed(self, index: int, factor: float) -> "VarianceParams":
         """Copy with the index-th (gamma..., phi...) entry scaled — the
@@ -659,8 +665,9 @@ def analyze(d: MixedModelDataset,
     return _analyze(d, ordering, _dataset_digest(d))
 
 
-# The one plan held between calls, with its key: (dataset digest, ordering
-# key).  A list so that it is emptied in place before a new analysis.
+# The one plan held between calls, with its key: (dataset digest, "amd" or
+# the bytes of the permutation the spec names).  A list so that it is
+# emptied in place before a new analysis.
 _held: list[tuple[tuple, RemlPlan]] = []
 
 
@@ -668,7 +675,9 @@ def _held_plan(d: MixedModelDataset,
                ordering: str | Permutation) -> tuple[RemlPlan, bool]:
     """(plan, analyzed now): the held plan when its key matches, else a
     new analysis, which replaces it."""
-    key = (_dataset_digest(d), _ordering_key(ordering))
+    named = _named_order(ordering, d.p + d.b)
+    key = (_dataset_digest(d),
+           named if isinstance(named, str) else named.perm.tobytes())
     if _held and _held[0][0] == key:
         plan = _held[0][1]
         if plan.d is not d:  # same structure; y and the labels may differ
@@ -676,7 +685,7 @@ def _held_plan(d: MixedModelDataset,
             _held[0] = (key, plan)
         return plan, False
     _held.clear()  # so that the old plan is freed before the new one is built
-    plan = _analyze(d, ordering, key[0])
+    plan = _analyze(d, named, key[0])
     _held.append((key, plan))
     return plan, True
 
@@ -688,8 +697,8 @@ def plan_for(d: MixedModelDataset,
 
     One plan is held between calls, keyed by the content that decides it
     (X, each factor's codes and level count, the residual codes and block
-    count, the ordering name, permutation or file content), never by
-    object identity.  A call with another key frees the held plan and
+    count, and ``"amd"`` or the permutation that the ordering names),
+    never by object identity.  A call with another key frees the held plan and
     analyzes anew.
     """
     return _held_plan(d, ordering)[0]

@@ -51,7 +51,7 @@ def test_analyze_identity_can_fail(matrix_file, monkeypatch, capsys):
         sym = sd.symbolic_factor(a, perm)
         return dataclasses.replace(sym, nnz_L=sym.nnz_L + 1)
 
-    monkeypatch.setattr("seldet.cli.symbolic_factor", off_by_one)
+    monkeypatch.setattr("seldet.reml.symbolic_factor", off_by_one)
     path, _ = matrix_file
     assert main(["analyze", path]) == 1
     assert "flop identity : FAIL" in capsys.readouterr().out
@@ -134,6 +134,15 @@ def test_selinv_verify_passes(matrix_file, capsys):
     assert main(["selinv", path, "--verify"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_selinv_verify_prints_the_checks_of_verify(matrix_file, capsys):
+    path, _ = matrix_file
+    assert main(["verify", path]) == 0
+    checks = capsys.readouterr().out.splitlines()
+    assert len(checks) == 4
+    assert main(["selinv", path, "--verify"]) == 0
+    assert capsys.readouterr().out.splitlines()[-4:] == checks
 
 
 def test_selinv_writes_inverse_subset(matrix_file, tmp_path, capsys):

@@ -50,6 +50,19 @@ def test_invalid_configs_rejected(overrides):
         small_config(**overrides)
 
 
+@pytest.mark.parametrize("overrides, field", [
+    (dict(years=2.5), "years"),
+    (dict(centers=4.5), "centers"),
+    (dict(years="3"), "years"),
+    (dict(control_varieties=3.0), "control_varieties"),
+    (dict(new_varieties_per_year=None), "new_varieties_per_year"),
+    (dict(seed=7.0), "seed"),
+])
+def test_counts_must_be_integers(overrides, field):
+    with pytest.raises(InvalidConfigError, match=f"^{field} must be an integer"):
+        small_config(**overrides)
+
+
 def test_presets_are_well_formed():
     for name in sd.PRESETS:
         cfg = sd.preset_config(name)

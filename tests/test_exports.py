@@ -44,3 +44,10 @@ def test_package_reexports_every_layer(layer):
 def test_package_all_resolves():
     assert len(sd.__all__) == len(set(sd.__all__))
     assert all(hasattr(sd, name) for name in sd.__all__)
+
+
+def test_package_all_is_the_layers_lists():
+    layers = [importlib.import_module(f"seldet.{layer}")
+              for layer in LAYERS + ("errors",)]
+    union = {name for mod in layers for name in mod.__all__}
+    assert set(sd.__all__) == union | {"__version__"}

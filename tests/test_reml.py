@@ -228,6 +228,10 @@ def test_variance_params_must_be_positive():
     (1.0, (1.0,), (np.inf,), "phi[0]"),
     (np.inf, (1.0,), (1.0,), "sigma2"),
     (1.0, (-np.inf,), (1.0,), "gamma[0]"),
+    ("abc", (1.0,), (1.0,), "sigma2 = 'abc': not numeric"),
+    (np.array([1.0, 2.0]), (1.0,), (1.0,), "sigma2 has shape (2,)"),
+    (1.0, np.ones((2, 3)), (1.0,), "gamma has shape (2, 3)"),
+    (1.0, (1.0,), ("x",), "phi = ('x',): not numeric"),
 ])
 def test_variance_params_must_be_finite(sigma2, gamma, phi, where):
     with pytest.raises(InvalidParameterError, match=re.escape(where)):
@@ -799,6 +803,40 @@ def test_orderings_never_share_a_plan(no_held_plan, amd_calls):
     assert np.array_equal(seen["natural"], np.arange(dim))
     assert np.array_equal(seen["reverse"], reverse.perm)
     assert len(amd_calls) == 1
+
+
+def test_natural_and_identity_share_one_analysis(no_held_plan, monkeypatch):
+    # both name the same permutation, so they key the same plan
+    d, path = path_dataset(243)
+    calls = []
+    real = sd.reml.symbolic_factor
+    monkeypatch.setattr(sd.reml, "symbolic_factor",
+                        lambda a, perm: calls.append(a.n) or real(a, perm))
+    first = sd.reml_report(d, path[0], ordering="natural")
+    again = sd.reml_report(d, path[0],
+                           ordering=sd.Permutation(np.arange(d.p + d.b)))
+    assert len(calls) == 1
+    assert_same_report(again, first)
+
+
+def test_a_file_ordering_is_read_once_per_call(no_held_plan, tmp_path,
+                                                monkeypatch):
+    d, path = path_dataset(247)
+    perm_path = tmp_path / "perm.txt"
+    with open(perm_path, "w", encoding="utf-8") as fh:
+        sd.write_order(sd.Permutation(np.arange(d.p + d.b)[::-1]), fh)
+    opened = []
+    real_open = open
+
+    def spying(file, *args, **kwargs):
+        if str(file) == str(perm_path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spying)
+    for v in path[:3]:
+        sd.reml_report(d, v, ordering=f"file:{perm_path}")
+    assert len(opened) == 3
 
 
 def test_restricted_loglik_shares_the_plan(no_held_plan, amd_calls):
