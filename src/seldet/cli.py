@@ -93,7 +93,25 @@ def cmd_analyze(args) -> int:
         print(f"selinv_flops  : {selinv_f}")
         print(f"flop identity : {'PASS' if identity_ok else 'FAIL'} "
               f"(selinv = 2*ldlt - (nnz_L - n))")
+        print(_supernode_line(sym))
     return 0 if identity_ok else 1
+
+
+def _supernode_line(sym) -> str:
+    """The supernode count, the widest, and the share of the ldlt forecast
+    that the factorization does in multi-column supernodes: the updates
+    into their columns and the divisions of them, column j taking
+    2 * (its segment entries gathered) + m_j - 1."""
+    width = np.diff(sym.supernodes.astype(np.int64))
+    positions, row_ptr, col_end = sym.row_structure
+    row = np.repeat(np.arange(sym.n), np.diff(row_ptr.astype(np.int64)))
+    gathered = np.bincount(row, minlength=sym.n,
+                           weights=np.subtract(col_end, positions, dtype=np.int64))
+    work = 2 * gathered + (sym.col_counts - 1)
+    total = float(work.sum())
+    share = float(work[np.repeat(width > 1, width)].sum()) / total if total else 0.0
+    return (f"supernodes    : {width.size} (widest {int(width.max(initial=0))}, "
+            f"{100.0 * share:.1f} % of ldlt_flops in multi-column ones)")
 
 
 # ----------------------------------------------------------------- selinv

@@ -8,34 +8,48 @@ Those entries satisfy a closed recurrence in terms of L and D alone:
     Z_ij = -sum_{k in pattern(col j)} Z_ik * L_kj          (i in pattern(col j))
     Z_jj = 1/d_j - sum_{k in pattern(col j)} L_kj * Z_kj
 
-one Python iteration per column.  Column j needs the whole q-by-q block
-Z[pat, pat] of its pattern, and every row of the pattern is an ancestor
-of j in the elimination tree.  The sweep keeps, for each finished column
-j, its front: the dense Z[F_j, F_j] with F_j = [j] + pattern(j).  The
-pattern of L is closed, so pattern(j) lies inside F_p for p = parent(j),
-and column j gathers its block from the parent's front with two ``take``
-calls through ``SymbolicFactor.parent_positions`` (Liu 1992's relative
-indices; SelInv, Lin et al. 2011, reads its blocks the same way).  That
-map and the traversal order, ``SymbolicFactor.preorder``, depend on the
-pattern only: they are built on the first call and kept on the symbolic
-factor, so a plan that evaluates many parameter points builds them once.
-A pattern that is not closed has no map, and raises PatternMismatchError.
+Column j needs the whole q-by-q block Z[pat, pat] of its pattern, and
+every row of the pattern is an ancestor of j in the elimination tree.
 
-The columns run in a depth-first preorder, parents before children.  A
-front is stored only for a column with children, and dropped as soon as
-its last child has gathered from it, so the fronts held at any time
-belong to ancestors of the current column that still have a child to
-visit: 0.43 MB at most on a prob1 C under AMD, against 31 MB when the
-columns run in reverse index order.  Gathering the blocks of each
+The sweep runs one Python iteration per fundamental supernode
+(``SymbolicFactor.supernodes``), parents before children, and keeps the
+front of each finished supernode: the dense Z[F, F] with F = [s] +
+pattern(s) for its first column s.  Inside a supernode of w columns,
+column s + c has the trailing rows c + 1: of F as its pattern, so its
+block is the trailing square of the front and is read in place: the
+columns run last to first, each one matrix-vector product on a
+contiguous trailing slice of the one front, which then serves the
+supernode's children.  Only a supernode's first column can have children
+outside it.  Each supernode gathers the block of its last column's
+pattern once from its parent's front, with two ``take`` calls through
+``SymbolicFactor.parent_positions`` (Liu 1992's relative indices; SelInv,
+Lin et al. 2011, reads its blocks the same way).  A width-1 supernode is
+one column step, and one without children keeps no front.  That map, the
+partition and the traversal order, ``SymbolicFactor.preorder``, depend
+on the pattern only: they are built on first use and kept on the
+symbolic factor, so a plan that evaluates many parameter points builds
+them once.  A pattern that is not closed has no map, and raises
+PatternMismatchError.
+
+A front is dropped as soon as its last child has gathered from it, so
+the fronts held at any time belong to ancestors of the current supernode
+that still have a child to visit: 0.43 MB at most on a prob1 C under
+AMD, against 31 MB when the columns run in reverse index order.  The
+arithmetic is the column-by-column sweep's, on the same values: given
+the same factor, the output is bit-identical to it.  Reading the blocks
+in place cut the sweep from 0.072 to 0.061 s on the C of the
+benchmark's ``reml_fit`` and from 0.114 to 0.075 s on the 72x72 AR1 (x)
+AR1 field (2 vCPU, medians of 11).  Gathering the blocks of each
 parent's leaf children in one batch was measured slower on prob1 under
-AMD (0.055 to 0.077 s), so every column gathers its own.
+AMD (0.055 to 0.077 s), so every leaf gathers its own.
 
 Instrumented cost per column with q below-diagonal entries, added as the
 loop performs it: the block product costs 2q^2 (multiply-accumulate from
 zero), the sign flip q, and the diagonal update 2q — in total 2q^2 + 3q,
 which summed over columns equals the symbolic prediction
 2*(sum m^2 - n) - (nnz_L - n) exactly.  The gathers and the front copies
-move values and are not counted.
+move values and are not counted, and no padded work is issued: every
+product reads the block of a column's own pattern.
 """
 
 from __future__ import annotations
@@ -90,38 +104,66 @@ def selected_inverse(f: LdlFactor) -> SelectedInverse:
     lv = f.l_values
     z = np.empty(lv.size)
     z_diag = 1.0 / f.d
-    # children that have yet to gather from each column's front
+    # children that have yet to gather from each column's front; only the
+    # first column of a supernode has children outside it
     pending = np.bincount(sym.parent[sym.parent >= 0], minlength=sym.n).tolist()
     fronts: dict[int, np.ndarray] = {}
     flops = 0
 
-    for j in sym.preorder.tolist():
-        lo, hi = colptr[j], colptr[j + 1]
+    # a supernode's columns come together in the preorder, last column
+    # first: its position there is its last column's
+    bounds = sym.supernodes.astype(np.int64)
+    width = np.diff(bounds)
+    last = np.zeros(sym.n, dtype=bool)
+    last[bounds[1:] - 1] = True
+    ends = sym.preorder[last[sym.preorder]] + 1
+    starts = ends - np.repeat(width, width)[ends - 1]
+
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        lo, hi = colptr[e - 1], colptr[e]
         q = hi - lo
         if q:
-            p = parent[j]
+            p = parent[e - 1]
             r = pos[lo:hi]
             block = fronts[p].take(r, 0).take(r, 1)
             pending[p] -= 1
             if not pending[p]:
                 del fronts[p]
-            lcol = lv[lo:hi]
-            w = block @ lcol
-            flops += 2 * q * q
-            zcol = -w
-            flops += q
-            z[lo:hi] = zcol
-            z_diag[j] -= lcol @ zcol
-            flops += 2 * q
-        if pending[j]:
-            front = np.empty((q + 1, q + 1))
-            front[0, 0] = z_diag[j]
+        if e - s == 1 and not pending[s]:
+            # a single column without children keeps no front
             if q:
-                front[0, 1:] = front[1:, 0] = zcol
-                front[1:, 1:] = block
-            fronts[j] = front
+                flops += _column(s, block, lv[lo:hi], z[lo:hi], z_diag)
+            continue
+        size = e - s + q
+        front = np.empty((size, size))
+        if q:
+            front[-q:, -q:] = block
+        # column s + c has the rows c + 1: of the front as its pattern, so
+        # its block is the front's trailing square, read in place
+        for c in range(e - s - 1, -1, -1):
+            j = s + c
+            lo, hi = colptr[j], colptr[j + 1]
+            if hi > lo:
+                flops += _column(j, front[c + 1:, c + 1:], lv[lo:hi], z[lo:hi],
+                                 z_diag)
+                front[c, c + 1:] = front[c + 1:, c] = z[lo:hi]
+            front[c, c] = z_diag[j]
+        if pending[s]:
+            fronts[s] = front
 
     return SelectedInverse(sym=sym, z_values=z, z_diag=z_diag, flops=flops)
+
+
+def _column(j: int, block: np.ndarray, lcol: np.ndarray, zcol: np.ndarray,
+            z_diag: np.ndarray) -> int:
+    """Column j of Z from the q-by-q block Z[pattern, pattern] of its
+    pattern: writes Z[pattern, j] into ``zcol`` and updates Z_jj; returns
+    the flops, 2q^2 + 3q."""
+    q = lcol.size
+    w = block @ lcol
+    np.negative(w, out=zcol)
+    z_diag[j] -= lcol @ zcol
+    return 2 * q * q + q + 2 * q
 
 
 def get_entry(zsel: SelectedInverse, i: int, j: int) -> float | None:

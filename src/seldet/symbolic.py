@@ -101,11 +101,14 @@ class SymbolicFactor:
     The first factorization builds :attr:`row_structure`, L's pattern grouped
     by row: three arrays in the smallest unsigned type that holds
     ``nnz_L``, 0.78 MB on a prob1 C and 1.26 MB on the 72x72 AR1 (x) AR1
-    field, both under AMD.  The selected inversion builds two on its first
-    call: :attr:`preorder` (one int64 per column) and
-    :attr:`parent_positions` (one entry of L each, in the smallest
-    unsigned type that holds the largest column count: 1 byte, 0.10 MB,
-    on a prob1 C under AMD).
+    field, both under AMD, and the dense supernode maps: the partition
+    :attr:`supernodes` (one entry per supernode) and :attr:`block_updates`
+    (one entry per pair of a multi-column supernode and a column that
+    updates it: 65 KB on the C of the benchmark's ``reml_fit``).  The
+    selected inversion builds two on its first call: :attr:`preorder` (one
+    int64 per column) and :attr:`parent_positions` (one entry of L each, in
+    the smallest unsigned type that holds the largest column count: 1
+    byte, 0.10 MB, on a prob1 C under AMD).
     """
 
     n: int
@@ -169,6 +172,87 @@ class SymbolicFactor:
         col_end = np.repeat(self.l_col_ptr[1:].astype(kind),
                             self.col_counts - 1)[positions]
         out = positions.astype(kind), row_ptr.astype(kind), col_end
+        for a in out:
+            a.flags.writeable = False
+        return out
+
+    @cached_property
+    def supernodes(self) -> np.ndarray:
+        """The fundamental-supernode partition: supernode b holds the
+        columns ``supernodes[b]:supernodes[b + 1]``, read-only, in the
+        smallest unsigned type that holds n.
+
+        Column j + 1 joins the supernode of column j when parent(j) = j + 1,
+        m_{j+1} = m_j - 1 and j + 1 has no other child (Liu, Ng & Peyton
+        1993).  The pattern of each column is then the next column plus the
+        next column's pattern, so a supernode of width w whose last column
+        has the pattern R is one dense (w + |R|)-by-w front, and only its
+        first column can have children outside it.
+        """
+        n, parent, m = self.n, self.parent, self.col_counts
+        children = np.bincount(parent[parent >= 0], minlength=n)
+        joins = ((parent[:-1] == np.arange(1, n)) & (m[1:] == m[:-1] - 1)
+                 & (children[1:] == 1))
+        starts = np.flatnonzero(np.concatenate(([n > 0], ~joins)))
+        out = np.append(starts, n).astype(np.min_scalar_type(n))
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def block_updates(self) -> tuple[np.ndarray, ...]:
+        """The Schur updates that each multi-column supernode takes in as
+        dense work: ``(ptr, cols, first, length, inside)``, read-only.
+
+        The columns k that update supernode b, with columns s:e, from
+        outside it (k < s and L_jk != 0 for some j in s:e) are
+        ``cols[ptr[b]:ptr[b + 1]]``, in the order of their first row in
+        s:e.  For each, ``first`` is the storage position of that first
+        entry and ``length`` the number of entries from there to the end
+        of column k: its segment (D L)[i, k], i >= s.  ``inside`` is the
+        number of those entries in the rows s:e.  Single-column supernodes
+        take no block update and get empty ranges.
+
+        Each array is in the smallest unsigned type that holds its values:
+        ``ptr`` and ``first`` that of ``nnz_L``, ``cols`` that of n, and
+        ``length`` and ``inside`` that of the largest column count.  One
+        entry per (supernode, column) pair: 6 678 pairs, 65 KB in all, on
+        the C of the benchmark's ``reml_fit``, and 17 420 on the 72x72
+        AR1 (x) AR1 field, both under AMD.  Built with array work on the
+        first factorization and kept for the factor's life.
+        """
+        bounds, rows = self.supernodes, self.l_row_idx
+        width = np.diff(bounds.astype(np.int64))
+        column = np.min_scalar_type(self.n)
+        cols = np.repeat(np.arange(self.n, dtype=column), self.col_counts - 1)
+        # per stored entry of L, through its row: the supernode of the row,
+        # and whether the entry's column updates that supernode from outside
+        sup_of = np.repeat(np.arange(width.size, dtype=column), width)
+        block = sup_of[rows]
+        updates = np.repeat(width > 1, width)[rows]
+        updates &= cols < np.repeat(bounds[:-1], width)[rows]
+        # a column's entries in one supernode are consecutive in storage:
+        # the first of them opens its run and the last closes it
+        ends_run = (block[1:] != block[:-1]) | (cols[1:] != cols[:-1])
+        del block
+        opens = updates.copy()
+        opens[1:] &= ends_run
+        updates[:-1] &= ends_run
+        del ends_run
+        first = np.flatnonzero(opens)
+        inside = np.flatnonzero(updates) - first + 1
+        del opens, updates
+        # grouped by supernode, each in the order of its first row
+        by_row = np.argsort(rows[first], kind="stable")
+        first, inside = first[by_row], inside[by_row]
+        cols = cols[first]
+        kind = np.min_scalar_type(self.nnz_L)
+        ptr = np.zeros(bounds.size, dtype=kind)
+        np.cumsum(np.bincount(sup_of[rows[first]], minlength=width.size),
+                  out=ptr[1:])
+        count = np.min_scalar_type(int(self.col_counts.max(initial=1)))
+        out = (ptr, cols, first.astype(kind),
+               (self.l_col_ptr[cols.astype(np.int64) + 1] - first).astype(count),
+               inside.astype(count))
         for a in out:
             a.flags.writeable = False
         return out

@@ -8,11 +8,14 @@ code under test.
 
 import heapq
 import math
+import warnings
 
 import numpy as np
 
 import seldet as sd
-from seldet.errors import NotAPermutationError
+from seldet.errors import (NearSingularWarning, NonPositivePivotError,
+                           NotAPermutationError)
+from seldet.numeric import NEAR_SINGULAR_RTOL
 
 
 # ---------------------------------------------------------------- builders
@@ -111,6 +114,44 @@ def random_params(rng, d):
         gamma=tuple(rng.uniform(0.3, 3.0, size=len(d.factors))),
         phi=tuple(rng.uniform(0.3, 3.0, size=d.n_residual_blocks)),
     )
+
+
+def field_precision(m, rho_row, rho_col):
+    """Precision of an m-by-m AR1 (x) AR1 field, plot (r, c) at index
+    c*m + r: the Kronecker product of two dense AR1 precisions, a 9-point
+    mesh pattern."""
+    def ar1(rho):
+        q = np.diag(np.full(m, 1.0 + rho * rho))
+        q[0, 0] = q[-1, -1] = 1.0
+        i = np.arange(m - 1)
+        q[i, i + 1] = q[i + 1, i] = -rho
+        return q / (1.0 - rho * rho)
+    dense = np.kron(ar1(rho_col), ar1(rho_row))
+    rows, cols = np.nonzero(np.tril(dense))
+    return sd.from_coo_arrays(m * m, rows, cols, dense[rows, cols])
+
+
+def bordered_spd(rng, n_sparse, border, extra_per_row=1.0):
+    """Random SPD matrix with a sparse leading part and ``border`` dense
+    last rows and columns (a clique joined to everything): strictly
+    diagonally dominant, off-diagonal entries uniform in [-1, 1].  Column
+    0 touches the border only, so that for n_sparse >= 2 and the border
+    last, the border is a supernode of its own that takes updates."""
+    n = n_sparse + border
+    m = int(round(extra_per_row * n_sparse)) if n_sparse > 2 else 0
+    i = rng.integers(2, max(n_sparse, 3), size=m)
+    j = 1 + (rng.random(m) * (i - 1)).astype(np.int64)
+    bi, bj = np.tril_indices(n, -1)
+    dense = bi >= n_sparse
+    key = np.unique(np.concatenate([i * n + j, bi[dense] * n + bj[dense]]))
+    i, j = key // n, key % n
+    v = rng.uniform(-1.0, 1.0, size=key.size)
+    diag = rng.uniform(0.5, 2.0, size=n)
+    np.add.at(diag, i, np.abs(v))
+    np.add.at(diag, j, np.abs(v))
+    return sd.from_coo_arrays(n, np.concatenate([i, np.arange(n)]),
+                              np.concatenate([j, np.arange(n)]),
+                              np.concatenate([v, diag]))
 
 
 # ----------------------------------------------------------------- oracles
@@ -364,3 +405,128 @@ def reference_amd_order(a):
     if len(order) != n:
         raise NotAPermutationError("internal ordering error: incomplete elimination")
     return sd.Permutation(np.asarray(order, dtype=np.int64))
+
+
+def reference_ldlt_factorize(a, sym):
+    """The column-by-column ``ldlt_factorize`` kept as the factor oracle:
+    every column, supernode or not, gathers the segments (D L)[p_jk:end_k]
+    of the earlier columns that reach its row and applies them with one
+    ``np.subtract.at``, then divides by its pivot.  Same pivot policy and
+    exact counter as the library kernel; no padded work."""
+    sym.require_pattern(a)
+    by_row, row_ptr, col_end = sym.row_structure
+    n = sym.n
+    colptr, rows = sym.l_col_ptr, sym.l_row_idx
+    placed = np.zeros(rows.size + n)
+    placed[sym.a_slots] = a.values
+    ld_values, a_diag = placed[:rows.size], placed[rows.size:]
+    threshold = NEAR_SINGULAR_RTOL * float(np.max(np.abs(a_diag), initial=0.0))
+    l_values = np.empty(rows.size)
+    d = np.empty(n)
+    x = np.zeros(n)
+    col_start, row_start = colptr.tolist(), row_ptr.tolist()
+    flops = 0
+    for j in range(n):
+        lo, hi = col_start[j], col_start[j + 1]
+        pattern = rows[lo:hi]
+        x[pattern] = ld_values[lo:hi]
+        x[j] = a_diag[j]
+        r0, r1 = row_start[j], row_start[j + 1]
+        if r1 > r0:
+            p = by_row[r0:r1].astype(np.int64)
+            lens = np.subtract(col_end[r0:r1], p, dtype=np.int64)
+            ends = np.cumsum(lens)
+            total = int(ends[-1])
+            idx = np.arange(total) + np.repeat(p - (ends - lens), lens)
+            np.subtract.at(x, rows[idx],
+                           np.repeat(l_values[p], lens) * ld_values[idx])
+            flops += 2 * total
+        dj = float(x[j])
+        if not (dj > 0.0 and math.isfinite(dj)):
+            raise NonPositivePivotError(j, dj)
+        d[j] = dj
+        col = x[pattern]
+        ld_values[lo:hi] = col
+        l_values[lo:hi] = col / dj
+        flops += hi - lo
+    near = np.flatnonzero(d < threshold)
+    if near.size:
+        warnings.warn(f"{near.size} pivot(s) below the near-singular threshold",
+                      NearSingularWarning, stacklevel=2)
+    return sd.LdlFactor(sym=sym, l_values=l_values, d=d, flops=flops)
+
+
+def reference_selected_inverse(f):
+    """The column-by-column ``selected_inverse`` kept as the selected
+    inversion oracle: in a preorder of the elimination forest, every column
+    with a pattern gathers its q-by-q block from a copy of its parent's
+    front, and every column with children keeps a front of its own."""
+    sym = f.sym
+    colptr = sym.l_col_ptr.tolist()
+    parent = sym.parent.tolist()
+    pos = sym.parent_positions
+    lv = f.l_values
+    z = np.empty(lv.size)
+    z_diag = 1.0 / f.d
+    pending = np.bincount(sym.parent[sym.parent >= 0], minlength=sym.n).tolist()
+    fronts = {}
+    flops = 0
+    for j in sym.preorder.tolist():
+        lo, hi = colptr[j], colptr[j + 1]
+        q = hi - lo
+        if q:
+            p = parent[j]
+            r = pos[lo:hi]
+            block = fronts[p].take(r, 0).take(r, 1)
+            pending[p] -= 1
+            if not pending[p]:
+                del fronts[p]
+            lcol = lv[lo:hi]
+            zcol = -(block @ lcol)
+            z[lo:hi] = zcol
+            z_diag[j] -= lcol @ zcol
+            flops += 2 * q * q + 3 * q
+        if pending[j]:
+            front = np.empty((q + 1, q + 1))
+            front[0, 0] = z_diag[j]
+            if q:
+                front[0, 1:] = front[1:, 0] = zcol
+                front[1:, 1:] = block
+            fronts[j] = front
+    return sd.SelectedInverse(sym=sym, z_values=z, z_diag=z_diag, flops=flops)
+
+
+def reference_supernodes(lpat):
+    """Fundamental supernodes from the dense lower pattern of L: column
+    j + 1 joins the supernode of j when it is j's parent, its count is one
+    less than j's and j is its only child.  Returns the first column of
+    each supernode and n."""
+    n = lpat.shape[0]
+    parent = etree_from_pattern(lpat)
+    counts = lpat.sum(axis=0)
+    starts = []
+    for j in range(n):
+        children = [k for k in range(n) if parent[k] == j]
+        joins = (j > 0 and parent[j - 1] == j and counts[j] == counts[j - 1] - 1
+                 and children == [j - 1])
+        if not joins:
+            starts.append(j)
+    return starts + [n]
+
+
+def reference_block_updates(lpat, bounds):
+    """For each supernode of width > 1, columns s:e, the columns k < s with
+    an entry in the rows s:e, each as (k, row of its first entry there,
+    entries from there down, entries in the rows s:e), k ascending."""
+    out = []
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        pairs = []
+        if e - s > 1:
+            for k in range(s):
+                below = np.flatnonzero(lpat[s:, k])
+                if below.size:
+                    inside = int(np.sum(below < e - s))
+                    if inside:
+                        pairs.append((k, s + int(below[0]), below.size, inside))
+        out.append(pairs)
+    return out

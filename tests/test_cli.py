@@ -9,7 +9,7 @@ import pytest
 
 import seldet as sd
 from seldet.cli import main
-from helpers import random_spd, tridiag
+from helpers import fill_pattern, grid_laplacian, random_spd, tridiag
 
 
 @pytest.fixture
@@ -42,6 +42,37 @@ def test_analyze_reports_identity_pass(matrix_file, capsys):
     out = capsys.readouterr().out
     assert "flop identity : PASS" in out
     assert "nnz(L)" in out
+
+
+def test_analyze_reports_the_supernodes(tmp_path, capsys):
+    # a 4x4 grid under the natural order: columns 11..15, whose counts
+    # fall 5, 4, ..., 1, are the one multi-column supernode
+    a = grid_laplacian(4)
+    path = tmp_path / "grid.mtx"
+    with open(path, "w", encoding="utf-8") as fh:
+        sd.write_matrix_market(a, fh)
+    assert main(["analyze", str(path), "--ordering", "natural"]) == 0
+    line = [s for s in capsys.readouterr().out.splitlines()
+            if s.startswith("supernodes")]
+    sym = sd.symbolic_factor(a, sd.natural_order(a.n))
+    bounds = sym.supernodes.tolist()
+    assert bounds[-2:] == [11, 16] and all(
+        e - s == 1 for s, e in zip(bounds[:-2], bounds[1:-1]))
+    # the work column j takes in: 2 per entry i >= j of each column k < j
+    # with L_jk != 0, and a division per entry below its diagonal
+    lpat = fill_pattern(a)
+    work = [2 * sum(int(lpat[j:, k].sum()) for k in range(j) if lpat[j, k])
+            + int(lpat[j + 1:, j].sum()) for j in range(a.n)]
+    assert sum(work) == sd.predict_flops(sym)[0]
+    share = 100.0 * sum(work[11:]) / sum(work)
+    assert line == [f"supernodes    : {len(bounds) - 1} (widest 5, "
+                    f"{share:.1f} % of ldlt_flops in multi-column ones)"]
+    # the line is text only: the CSV keeps its columns
+    assert main(["analyze", str(path), "--ordering", "natural", "--csv"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("name,n,nnz,nnz_per_col,per_mille,ordering,nnz_L,"
+                      "ldlt_flops,selinv_flops,identity")
+    assert len(out) == 2
 
 
 def test_analyze_identity_can_fail(matrix_file, monkeypatch, capsys):

@@ -3,7 +3,10 @@ the naive oracles.
 
 Hypothesis draws random patterns — empty and 1-by-1 matrices, diagonal
 matrices, disconnected forests, columns with no entry below the diagonal,
-and a dense trailing block.  Under a random permutation, the elimination
+and a dense trailing block; a second strategy draws block-structured SPD
+matrices (a dense border on a sparse part, grid Laplacians) in orderings
+that keep a multi-column supernode, so that the kernels' dense path is
+always exercised.  Under a random permutation, the elimination
 tree, the pattern of L, the column counts and the FLOP forecasts must
 match the boolean fill of PAP^T, and ``SymbolicFactor.locate`` must
 find every position of that fill and no other.  The selected inversion's
@@ -18,7 +21,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import seldet as sd
-from helpers import dense_inverse, dense_ldlt, etree_from_pattern, fill_pattern
+from helpers import (bordered_spd, dense_inverse, dense_ldlt,
+                     etree_from_pattern, fill_pattern, grid_laplacian,
+                     reference_ldlt_factorize, reference_selected_inverse)
 
 SHAPES = ("random", "diagonal", "forest", "empty_columns", "dense_tail")
 
@@ -155,3 +160,66 @@ def test_kernels_match_forecasts_and_dense_oracles(a, ordering):
     scale = np.sqrt(np.diag(inv)[sym.l_row_idx] * np.diag(inv)[cols])
     err = np.abs(z.z_values - inv[sym.l_row_idx, cols])
     assert np.all(err <= 1e-10 * scale)
+
+
+@st.composite
+def block_structured_spd(draw):
+    """SPD matrices whose factors hold multi-column supernodes, with the
+    ordering that keeps them: a sparse part bordered by a dense clique
+    joined to everything (the clique last, the sparse part in a random
+    order), or a grid Laplacian with a random diagonal scaling (natural
+    order: its trailing band triangle is one supernode).  Either way the
+    last supernode is wider than one column and takes updates from
+    columns before it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n_sparse, border = draw(st.integers(2, 20)), draw(st.integers(2, 8))
+        a = bordered_spd(rng, n_sparse, border,
+                         extra_per_row=draw(st.sampled_from([0.0, 1.0, 3.0])))
+        perm = np.concatenate([rng.permutation(n_sparse),
+                               np.arange(n_sparse, a.n)])
+    else:
+        k = draw(st.integers(2, 5))
+        lap = grid_laplacian(k)
+        scale = rng.uniform(0.5, 2.0, size=lap.n)
+        rows, cols, vals = lap.triplets()
+        a = sd.from_coo_arrays(lap.n, rows, cols, vals * scale[rows] * scale[cols])
+        perm = np.arange(a.n)
+    return a, sd.Permutation(perm)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=block_structured_spd())
+def test_dense_supernode_path_matches_oracles_and_forecasts(case):
+    a, p = case
+    n = a.n
+    sym = sd.symbolic_factor(a, p)
+    width = np.diff(sym.supernodes.astype(np.int64))
+    assert width[-1] > 1 and sym.block_updates[0][-1] > 0
+    f = sd.ldlt_factorize(a, sym)
+    z = sd.selected_inverse(f)
+    assert (f.flops, z.flops) == sd.predict_flops(sym)
+    assert f.padded_flops >= 0
+
+    perm = p.perm
+    ap = a.to_dense()[np.ix_(perm, perm)]
+    l_ref, d_ref = dense_ldlt(ap)
+    np.testing.assert_allclose(f.d, d_ref, rtol=1e-12)
+    l_mat = np.eye(n)
+    cols = np.repeat(np.arange(n), np.diff(sym.l_col_ptr))
+    l_mat[sym.l_row_idx, cols] = f.l_values
+    np.testing.assert_allclose(l_mat, l_ref, rtol=0, atol=1e-12)
+
+    inv = dense_inverse(ap)
+    np.testing.assert_allclose(z.z_diag, np.diag(inv), rtol=1e-10)
+    scale = np.sqrt(np.diag(inv)[sym.l_row_idx] * np.diag(inv)[cols])
+    assert np.all(np.abs(z.z_values - inv[sym.l_row_idx, cols]) <= 1e-10 * scale)
+
+    # the column kernels on the same factor: the same counts, the same
+    # selected inverse bit for bit
+    ref = reference_ldlt_factorize(a, sym)
+    assert ref.flops == f.flops
+    np.testing.assert_allclose(f.d, ref.d, rtol=1e-12)
+    zref = reference_selected_inverse(f)
+    assert np.array_equal(z.z_values, zref.z_values)
+    assert np.array_equal(z.z_diag, zref.z_diag)
