@@ -99,17 +99,18 @@ def cmd_analyze(args) -> int:
 
 def _supernode_line(sym) -> str:
     """The supernode count, the widest, and the share of the ldlt forecast
-    that the factorization does in multi-column supernodes: the updates
-    into their columns and the divisions of them, column j taking
-    2 * (its segment entries gathered) + m_j - 1."""
+    that the factorization does in multi-column supernodes: all of it but
+    the single columns, single column j taking 2 * (the lengths of its
+    update segments) + m_j - 1."""
     width = np.diff(sym.supernodes.astype(np.int64))
-    positions, row_ptr, col_end = sym.row_structure
-    row = np.repeat(np.arange(sym.n), np.diff(row_ptr.astype(np.int64)))
-    gathered = np.bincount(row, minlength=sym.n,
-                           weights=np.subtract(col_end, positions, dtype=np.int64))
-    work = 2 * gathered + (sym.col_counts - 1)
-    total = float(work.sum())
-    share = float(work[np.repeat(width > 1, width)].sum()) / total if total else 0.0
+    ptr, _, _, length, _ = sym.block_updates
+    single = width == 1
+    gathered = int(length[np.repeat(single, np.diff(ptr.astype(np.int64)))]
+                   .sum(dtype=np.int64))
+    columns = sym.supernodes[:-1][single]
+    work = 2 * gathered + int((sym.col_counts[columns] - 1).sum())
+    total = predict_flops(sym)[0]
+    share = 1.0 - work / total if total else 0.0
     return (f"supernodes    : {width.size} (widest {int(width.max(initial=0))}, "
             f"{100.0 * share:.1f} % of ldlt_flops in multi-column ones)")
 
@@ -327,8 +328,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    problems = args.problems.split(",") if args.problems else list(datagen.PRESETS)
-    orderings = args.orderings.split(",")
+    problems = ([name.strip() for name in args.problems.split(",")]
+                if args.problems else list(datagen.PRESETS))
+    orderings = [flag.strip() for flag in args.orderings.split(",")]
     header = ["problem", "ordering", "n", "nnz_C", "nnz_L",
               "pred_ldlt", "meas_ldlt", "pred_selinv", "meas_selinv",
               "t_order", "t_symbolic", "t_factorize", "t_selinv"]
@@ -337,13 +339,12 @@ def cmd_bench(args) -> int:
     failed = False
     for name in problems:
         try:
-            cfg = datagen.preset_config(name.strip(), seed=args.seed)
+            cfg = datagen.preset_config(name, seed=args.seed)
             d = datagen.generate(cfg)
             v = reml.VarianceParams(
                 sigma2=1.0, gamma=np.ones(len(d.factors)),
                 phi=np.ones(d.n_residual_blocks))
             for flag in orderings:
-                flag = flag.strip()
                 plan = reml.analyze(d, flag)
                 rep = plan.evaluate(v)
                 t_fac, t_si = rep.times["factorize"], rep.times["selinv"]

@@ -13,13 +13,14 @@ L_jk != 0, then dividing by the pivot.  Column k contributes L_jk times
 its pending segment (D L)[i, k], i >= j: the storage range from the
 position of L_jk to the end of column k.
 
-A single column gathers the segments that reach its row through the row
-structure of L (``SymbolicFactor.row_structure``: the positions of every
-L_jk, grouped by row j, k ascending, with the end of each one's column),
-as one index array, and scatters them into a dense workspace with one
-``np.subtract.at``, which applies repeated rows one after the other.
-Its time is the volume it gathers, not its loop.  A column that no
-earlier column reaches is already (D L)[:, j] as loaded, and is only
+Every supernode reads the columns that update it from
+``SymbolicFactor.block_updates``.  For a single column j that is the
+position of every L_jk, k ascending, with the length of each one's
+segment.  It gathers those segments as one index array and scatters them
+into a dense workspace with one ``np.subtract.at``, which applies
+repeated rows one after the other.  Its time is the volume it gathers,
+not its loop.  A single column that no earlier column reaches (a leaf of
+the elimination tree) is already (D L)[:, j] as loaded, and is only
 divided.
 
 Most of that volume goes into multi-column supernodes: 96 % on the C of
@@ -32,7 +33,7 @@ the rows F = [s] + pattern(s), |F| = w + |R|, and takes that volume in
 as dense work (Ng & Peyton 1993):
 
 - the columns k before it that reach its rows come from
-  ``SymbolicFactor.block_updates`` in panels of at most _PANEL columns.
+  ``block_updates`` in panels of at most _PANEL columns.
   Each column's segment from the supernode's first row is scattered
   once into one row of a dense panel, and one GEMM subtracts the panel
   from the front;
@@ -53,10 +54,13 @@ columns took 43.9 ms against 48.9 ms unstripped, through the 166-column
 trailing supernode; on the field, whose supernodes are narrower, strips
 of 8 to 64 columns and none were within 3 % of each other.
 
-Measured before, and not to be redone: batching all leaf columns gained
-only about 10 % (0.098 to 0.086 s on prob1), ``np.bincount`` in place of
-``np.subtract.at`` changed nothing, and a per-column multifrontal with
-extend-add was slower (0.104 to 0.144 s).
+Measured on the column-by-column kernel, before the dense supernodes:
+batching all leaf columns gained only about 10 % (0.098 to 0.086 s on
+prob1), ``np.bincount`` in place of ``np.subtract.at`` changed nothing,
+and a per-column multifrontal with extend-add was slower (0.104 to
+0.144 s).  With the supernodes the leaves take a larger share, 16-18 %
+of a factorization on prob1, prob3 and prob5, so the leaf batch is worth
+measuring again; the other two are not to be redone.
 
 A multiply-add counter is maintained and must come out equal to the
 symbolic prediction sum(m_i^2) - n on every input.  It adds the
@@ -151,8 +155,8 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
     sym.require_pattern(a)
     # the pattern's maps first (built on the first call), so that their
     # builds do not stack on the work arrays
-    by_row, row_ptr, col_end = sym.row_structure
-    blocks = _blocks(sym)
+    ptr, _, upd_first, upd_len, _ = sym.block_updates
+    bounds = sym.supernodes.tolist()
     n = sym.n
     colptr, rows = sym.l_col_ptr, sym.l_row_idx
     placed = np.zeros(rows.size + n)
@@ -166,51 +170,47 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
     x = np.zeros(n)         # a single column, over its rows
     where = np.zeros(n, dtype=np.int64)   # each row's place in a block's front
 
-    col_start, row_start = colptr.tolist(), row_ptr.tolist()
+    col_start, upd_start = colptr.tolist(), ptr.tolist()
     flops = padded = 0
-    done = 0
 
-    # the single columns before each multi-column supernode, then the
-    # supernode; the last entry of ``blocks`` is empty and closes the run
-    for s, e, u0, u1 in blocks:
-        for j in range(done, s):
-            lo, hi = col_start[j], col_start[j + 1]
-            r0, r1 = row_start[j], row_start[j + 1]
-            if r1 == r0:
-                # no earlier column reaches row j: column j of PAP^T is
-                # already (D L)[:, j]
-                dj = float(a_diag[j])
-                col = ld_values[lo:hi]
-            else:
-                pattern = rows[lo:hi]
-                # load column j of PAP^T into the workspace; updates from
-                # earlier columns touch only row j and the rows of this
-                # pattern
-                x[pattern] = ld_values[lo:hi]
-                x[j] = a_diag[j]
-                # every segment (D L)[p_jk:end_k] that reaches row j, as
-                # one index array: one gather, one scatter.  Index
-                # arithmetic in int64, whatever the row structure's type:
-                # unsigned arithmetic would wrap or turn to floats
-                p = by_row[r0:r1].astype(np.int64)
-                lens = np.subtract(col_end[r0:r1], p, dtype=np.int64)
-                idx = _segments(p, lens)
-                np.subtract.at(x, rows[idx],
-                               l_values[p].repeat(lens) * ld_values[idx])
-                flops += 2 * idx.size
-                dj = float(x[j])
-                col = ld_values[lo:hi] = x[pattern]
-            if not (dj > 0.0 and math.isfinite(dj)):
-                raise NonPositivePivotError(j, dj)
-            d[j] = dj
-            l_values[lo:hi] = col / dj
-            flops += hi - lo
-        if e > s:
+    # one iteration per supernode, columns j:e, taking the updates u0:u1
+    for j, e, u0, u1 in zip(bounds, bounds[1:], upd_start, upd_start[1:]):
+        if e - j > 1:
             block_flops, block_padded = _factor_block(
-                s, e, u0, u1, sym, ld_values, l_values, a_diag, d, where)
+                j, e, u0, u1, sym, ld_values, l_values, a_diag, d, where)
             flops += block_flops
             padded += block_padded
-        done = e
+            continue
+        lo, hi = col_start[j], col_start[j + 1]
+        if u1 == u0:
+            # no earlier column reaches row j: column j of PAP^T is
+            # already (D L)[:, j]
+            dj = float(a_diag[j])
+            col = ld_values[lo:hi]
+        else:
+            pattern = rows[lo:hi]
+            # load column j of PAP^T into the workspace; updates from
+            # earlier columns touch only row j and the rows of this
+            # pattern
+            x[pattern] = ld_values[lo:hi]
+            x[j] = a_diag[j]
+            # every segment (D L)[p_jk:end_k] that reaches row j, as one
+            # index array: one gather, one scatter.  Index arithmetic in
+            # int64: the update maps are unsigned (``upd_len`` as small as
+            # uint8), and unsigned arithmetic would wrap or turn to floats
+            p = upd_first[u0:u1].astype(np.int64)
+            lens = upd_len[u0:u1].astype(np.int64)
+            idx = _segments(p, lens)
+            np.subtract.at(x, rows[idx],
+                           l_values[p].repeat(lens) * ld_values[idx])
+            flops += 2 * idx.size
+            dj = float(x[j])
+            col = ld_values[lo:hi] = x[pattern]
+        if not (dj > 0.0 and math.isfinite(dj)):
+            raise NonPositivePivotError(j, dj)
+        d[j] = dj
+        l_values[lo:hi] = col / dj
+        flops += hi - lo
 
     near = np.flatnonzero(d < threshold)
     if near.size:
@@ -222,17 +222,6 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
         )
     return LdlFactor(sym=sym, l_values=l_values, d=d, flops=flops,
                      padded_flops=padded)
-
-
-def _blocks(sym: SymbolicFactor) -> list[tuple[int, int, int, int]]:
-    """``(s, e, u0, u1)`` for each multi-column supernode, columns s:e
-    taking the updates ``u0:u1`` of ``sym.block_updates``, in column
-    order, closed by ``(n, n, 0, 0)``."""
-    bounds = sym.supernodes.astype(np.int64)
-    ptr = sym.block_updates[0]
-    b = np.flatnonzero(np.diff(bounds) > 1)
-    return list(zip(bounds[b].tolist(), bounds[b + 1].tolist(),
-                    ptr[b].tolist(), ptr[b + 1].tolist())) + [(sym.n, sym.n, 0, 0)]
 
 
 def _segments(first: np.ndarray, lens: np.ndarray) -> np.ndarray:

@@ -560,8 +560,8 @@ class RemlPlan:
       (the smallest unsigned type for dim(C)^2, per stored entry of L),
       the slot of each stored entry of C in the factor's and selected
       inverse's storage (``sym.a_slots``, the smallest unsigned type for
-      nnz(L)) and, after the first factorization, L's row structure
-      (``sym.row_structure``);
+      nnz(L)) and, after the first factorization, the supernodes and the
+      updates each takes in (``sym.supernodes``, ``sym.block_updates``);
     - the template table (:class:`_Table`): C's pattern, one int64 per
       column and per stored entry, and one row per structural entry of
       every template, a slot (the smallest unsigned type for nnz(C)), a

@@ -98,17 +98,15 @@ class SymbolicFactor:
     More read-only arrays are kept for the factor's life.
     :attr:`lower_keys` is built with it (one entry of L each, in the
     smallest unsigned type that holds n^2: 4 bytes for 256 <= n < 65 536).
-    The first factorization builds :attr:`row_structure`, L's pattern grouped
-    by row: three arrays in the smallest unsigned type that holds
-    ``nnz_L``, 0.78 MB on a prob1 C and 1.26 MB on the 72x72 AR1 (x) AR1
-    field, both under AMD, and the dense supernode maps: the partition
+    The first factorization builds the supernode maps: the partition
     :attr:`supernodes` (one entry per supernode) and :attr:`block_updates`
-    (one entry per pair of a multi-column supernode and a column that
-    updates it: 65 KB on the C of the benchmark's ``reml_fit``).  The
-    selected inversion builds two on its first call: :attr:`preorder` (one
-    int64 per column) and :attr:`parent_positions` (one entry of L each, in
-    the smallest unsigned type that holds the largest column count: 1
-    byte, 0.10 MB, on a prob1 C under AMD).
+    (one entry per pair of a supernode and a column that updates it),
+    together 0.14 MB on a prob1 C, 0.11 MB on the C of the benchmark's
+    ``reml_fit`` and 0.17 MB on the 72x72 AR1 (x) AR1 field, all under
+    AMD.  The selected inversion builds two on its first call:
+    :attr:`preorder` (one int64 per column) and :attr:`parent_positions`
+    (one entry of L each, in the smallest unsigned type that holds the
+    largest column count: 1 byte, 0.10 MB, on a prob1 C under AMD).
     """
 
     n: int
@@ -153,30 +151,6 @@ class SymbolicFactor:
         return keys
 
     @cached_property
-    def row_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """L's strictly-lower pattern grouped by row: ``(positions,
-        row_ptr, col_end)``.
-
-        ``positions[row_ptr[j]:row_ptr[j + 1]]`` are the storage positions
-        of every L_jk, k ascending, and ``col_end`` gives, aligned with
-        ``positions``, the end of each entry's column in storage (the
-        start of column k + 1).  All three are in the smallest unsigned
-        type that holds ``nnz_L``, read-only, built on the first
-        factorization and kept for the factor's life: 4 bytes per stored
-        entry of L in ``positions`` and in ``col_end`` for
-        65 536 <= nnz_L < 2^32, 0.78 MB for a prob1 L under AMD.
-        """
-        kind = np.min_scalar_type(self.nnz_L)
-        positions, row_ptr = _group_by_row(self.l_row_idx, self.n)
-        # each column's end, once per stored entry of the column
-        col_end = np.repeat(self.l_col_ptr[1:].astype(kind),
-                            self.col_counts - 1)[positions]
-        out = positions.astype(kind), row_ptr.astype(kind), col_end
-        for a in out:
-            a.flags.writeable = False
-        return out
-
-    @cached_property
     def supernodes(self) -> np.ndarray:
         """The fundamental-supernode partition: supernode b holds the
         columns ``supernodes[b]:supernodes[b + 1]``, read-only, in the
@@ -200,25 +174,27 @@ class SymbolicFactor:
 
     @cached_property
     def block_updates(self) -> tuple[np.ndarray, ...]:
-        """The Schur updates that each multi-column supernode takes in as
-        dense work: ``(ptr, cols, first, length, inside)``, read-only.
+        """The Schur updates that each supernode takes in:
+        ``(ptr, cols, first, length, inside)``, read-only.
 
         The columns k that update supernode b, with columns s:e, from
         outside it (k < s and L_jk != 0 for some j in s:e) are
         ``cols[ptr[b]:ptr[b + 1]]``, in the order of their first row in
-        s:e.  For each, ``first`` is the storage position of that first
-        entry and ``length`` the number of entries from there to the end
-        of column k: its segment (D L)[i, k], i >= s.  ``inside`` is the
-        number of those entries in the rows s:e.  Single-column supernodes
-        take no block update and get empty ranges.
+        s:e, k ascending among equal rows.  For each, ``first`` is the
+        storage position of that first entry and ``length`` the number of
+        entries from there to the end of column k: its segment
+        (D L)[i, k], i >= s.  ``inside`` is the number of those entries in
+        the rows s:e.  For a single column j these are every L_jk, k
+        ascending, each with its segment, and ``inside`` is 1.
 
         Each array is in the smallest unsigned type that holds its values:
         ``ptr`` and ``first`` that of ``nnz_L``, ``cols`` that of n, and
         ``length`` and ``inside`` that of the largest column count.  One
-        entry per (supernode, column) pair: 6 678 pairs, 65 KB in all, on
-        the C of the benchmark's ``reml_fit``, and 17 420 on the 72x72
-        AR1 (x) AR1 field, both under AMD.  Built with array work on the
-        first factorization and kept for the factor's life.
+        entry per (supernode, column) pair: 12 017 pairs, 108 KB in all, on
+        the C of the benchmark's ``reml_fit`` (6 678 of them into
+        multi-column supernodes), and 18 782, 161 KB, on the 72x72 AR1 (x)
+        AR1 field, both under AMD.  Built with array work on the first
+        factorization and kept for the factor's life.
         """
         bounds, rows = self.supernodes, self.l_row_idx
         width = np.diff(bounds.astype(np.int64))
@@ -228,8 +204,7 @@ class SymbolicFactor:
         # and whether the entry's column updates that supernode from outside
         sup_of = np.repeat(np.arange(width.size, dtype=column), width)
         block = sup_of[rows]
-        updates = np.repeat(width > 1, width)[rows]
-        updates &= cols < np.repeat(bounds[:-1], width)[rows]
+        updates = cols < np.repeat(bounds[:-1], width)[rows]
         # a column's entries in one supernode are consecutive in storage:
         # the first of them opens its run and the last closes it
         ends_run = (block[1:] != block[:-1]) | (cols[1:] != cols[:-1])

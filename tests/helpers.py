@@ -412,11 +412,15 @@ def reference_ldlt_factorize(a, sym):
     every column, supernode or not, gathers the segments (D L)[p_jk:end_k]
     of the earlier columns that reach its row and applies them with one
     ``np.subtract.at``, then divides by its pivot.  Same pivot policy and
-    exact counter as the library kernel; no padded work."""
+    exact counter as the library kernel; no padded work.  It groups L's
+    pattern by row itself: the positions of every L_jk of row j, k
+    ascending, and the end of each one's column."""
     sym.require_pattern(a)
-    by_row, row_ptr, col_end = sym.row_structure
     n = sym.n
     colptr, rows = sym.l_col_ptr, sym.l_row_idx
+    by_row = np.argsort(rows, kind="stable")
+    row_ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    col_end = np.repeat(colptr[1:], np.diff(colptr))[by_row]
     placed = np.zeros(rows.size + n)
     placed[sym.a_slots] = a.values
     ld_values, a_diag = placed[:rows.size], placed[rows.size:]
@@ -433,8 +437,8 @@ def reference_ldlt_factorize(a, sym):
         x[j] = a_diag[j]
         r0, r1 = row_start[j], row_start[j + 1]
         if r1 > r0:
-            p = by_row[r0:r1].astype(np.int64)
-            lens = np.subtract(col_end[r0:r1], p, dtype=np.int64)
+            p = by_row[r0:r1]
+            lens = col_end[r0:r1] - p
             ends = np.cumsum(lens)
             total = int(ends[-1])
             idx = np.arange(total) + np.repeat(p - (ends - lens), lens)
@@ -515,18 +519,20 @@ def reference_supernodes(lpat):
 
 
 def reference_block_updates(lpat, bounds):
-    """For each supernode of width > 1, columns s:e, the columns k < s with
-    an entry in the rows s:e, each as (k, row of its first entry there,
-    entries from there down, entries in the rows s:e), k ascending."""
+    """For each supernode, columns s:e, the columns k < s with an entry in
+    the rows s:e, each as (k, row of its first entry there, entries from
+    there down, entries in the rows s:e), in the order of that first row
+    and k ascending among equal rows: for a single column j, every L_jk, k
+    ascending."""
     out = []
     for s, e in zip(bounds[:-1], bounds[1:]):
         pairs = []
-        if e - s > 1:
-            for k in range(s):
-                below = np.flatnonzero(lpat[s:, k])
-                if below.size:
-                    inside = int(np.sum(below < e - s))
-                    if inside:
-                        pairs.append((k, s + int(below[0]), below.size, inside))
+        for k in range(s):
+            below = np.flatnonzero(lpat[s:, k])
+            if below.size:
+                inside = int(np.sum(below < e - s))
+                if inside:
+                    pairs.append((k, s + int(below[0]), below.size, inside))
+        pairs.sort(key=lambda pair: pair[1])
         out.append(pairs)
     return out

@@ -353,8 +353,9 @@ def test_gen_non_finite_persistence_is_one_line(tmp_path, capsys, value):
 def test_bench_csv_schema(tmp_path, capsys):
     # amd only: the natural ordering fills these systems so badly that a
     # single rung would dominate the whole suite's runtime
+    # padded names are looked up and written stripped
     out_csv = tmp_path / "bench.csv"
-    rc = main(["bench", "--problems", "prob1", "--orderings", "amd",
+    rc = main(["bench", "--problems", " prob1", "--orderings", "amd ",
                "--out", str(out_csv)])
     assert rc == 0
     with open(out_csv, newline="", encoding="utf-8") as fh:
@@ -368,8 +369,8 @@ def test_bench_csv_schema(tmp_path, capsys):
 
 
 def test_bench_unknown_problem_fails(capsys):
-    assert main(["bench", "--problems", "prob99"]) == 1
-    assert "failed" in capsys.readouterr().err
+    assert main(["bench", "--problems", " prob99"]) == 1
+    assert "problem 'prob99' failed" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ verify

@@ -6,11 +6,13 @@ dense front (panel GEMMs for the updates from outside, rank-1 steps
 inside), and ``selected_inverse`` computes a supernode's columns in place
 in one dense front.  The column kernels do the same arithmetic one column
 at a time, so the factors agree to roundoff and the selected inverses of
-one shared factor agree bit for bit.  The partition and the per-block
+one shared factor agree bit for bit, as do the factors when every
+supernode is a single column.  The partition and the per-supernode
 update maps are checked against naive readings of their definitions on
 the dense fill pattern.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -18,9 +20,10 @@ import pytest
 
 import seldet as sd
 from seldet.errors import NearSingularWarning, NonPositivePivotError
-from helpers import (bordered_spd, field_precision, fill_pattern, random_spd,
-                     reference_block_updates, reference_ldlt_factorize,
-                     reference_selected_inverse, reference_supernodes)
+from helpers import (arrowhead, bordered_spd, field_precision, fill_pattern,
+                     random_spd, reference_block_updates,
+                     reference_ldlt_factorize, reference_selected_inverse,
+                     reference_supernodes)
 
 
 def prob1_c():
@@ -85,6 +88,43 @@ def test_diagonal_matrix_pads_nothing():
     f = sd.ldlt_factorize(a, sd.symbolic_factor(a, sd.natural_order(7)))
     assert f.flops == 0 and f.padded_flops == 0
     assert np.array_equal(f.d, np.full(7, 3.0))
+
+
+def pattern_spd(rng, n, rows, cols):
+    """A diagonally dominant SPD matrix with random values whose entries
+    below the diagonal are (rows[t], cols[t])."""
+    v = rng.uniform(-1.0, 1.0, size=len(rows))
+    slack = rng.uniform(0.5, 2.0, size=n)
+    np.add.at(slack, rows, np.abs(v))
+    np.add.at(slack, cols, np.abs(v))
+    i = np.arange(n)
+    return sd.from_coo_arrays(n, np.concatenate([rows, i]),
+                              np.concatenate([cols, i]),
+                              np.concatenate([v, slack]))
+
+
+def test_single_column_supernodes_match_column_kernel_bit_for_bit():
+    rng = np.random.default_rng(23)
+    # a star whose hub is last; two hubs, each spoke reaching both (every
+    # update a segment of two rows) and one more spoke reaching the last
+    # one only; random trees whose root has at least two children.  Only
+    # a root joins its one child in a fill-free tree, so none of these
+    # has a multi-column supernode.
+    spokes = np.arange(7)
+    cases = [arrowhead(9, dense_first=False),
+             pattern_spd(rng, 10, np.concatenate([np.full(7, 8), np.full(8, 9)]),
+                         np.concatenate([spokes, spokes, [7]]))]
+    for n in (12, 30, 60):
+        parent = [rng.integers(j + 1, n) for j in range(n - 3)] + [n - 1, n - 1]
+        cases.append(pattern_spd(rng, n, np.array(parent), np.arange(n - 1)))
+    for a in cases:
+        sym = sd.symbolic_factor(a, sd.natural_order(a.n))
+        assert not has_block(sym)
+        f, ref = sd.ldlt_factorize(a, sym), reference_ldlt_factorize(a, sym)
+        assert np.array_equal(f.l_values, ref.l_values)
+        assert np.array_equal(f.d, ref.d)
+        assert f.flops == ref.flops == sd.predict_flops(sym)[0]
+        assert f.padded_flops == 0
 
 
 def block_matrix(values):
@@ -183,11 +223,31 @@ def test_partition_and_update_maps_match_their_definitions():
             ptr, cols, first, length, inside = sym.block_updates
             for arr in (sym.supernodes, ptr, cols, first, length, inside):
                 assert not arr.flags.writeable
+            assert ptr.dtype == first.dtype == np.min_scalar_type(sym.nnz_L)
+            assert cols.dtype == np.min_scalar_type(a.n)
+            count = np.min_scalar_type(int(sym.col_counts.max(initial=1)))
+            assert length.dtype == inside.dtype == count
+            colptr = sym.l_col_ptr
             for b, pairs in enumerate(reference_block_updates(lpat, bounds)):
                 t = slice(int(ptr[b]), int(ptr[b + 1]))
-                got = sorted(zip(cols[t].tolist(),
-                                 sym.l_row_idx[first[t]].tolist(),
-                                 length[t].tolist(), inside[t].tolist()))
+                # in their exact order; a single column j gets every L_jk,
+                # k ascending, as the rows of L group them
+                got = list(zip(cols[t].tolist(),
+                               sym.l_row_idx[first[t]].tolist(),
+                               length[t].tolist(), inside[t].tolist()))
                 assert got == pairs
-                # in the order of their first row
-                assert np.all(np.diff(sym.l_row_idx[first[t]]) >= 0)
+                # each first position lies in its own column, and the
+                # length runs to that column's end
+                k = cols[t].astype(np.int64)
+                assert np.all(colptr[k] <= first[t])
+                assert np.array_equal(first[t] + length[t], colptr[k + 1])
+
+
+def test_kernels_cache_only_the_maps_they_read():
+    a = field_precision(6, 0.6, 0.3)
+    sym = sd.symbolic_factor(a, sd.amd_order(a))
+    sd.selected_inverse(sd.ldlt_factorize(a, sym))
+    fields = {field.name for field in dataclasses.fields(sym)}
+    assert set(vars(sym)) - fields == {"lower_keys", "supernodes",
+                                       "block_updates", "preorder",
+                                       "parent_positions"}

@@ -108,21 +108,29 @@ def test_symbolic_factor_holds_the_slots_of_its_matrix():
 
 
 def test_row_structure_groups_the_pattern_of_l_by_row():
+    # the update list of a single-column supernode j is row j of L
     a = random_spd(np.random.default_rng(29), 40)
     sym = sd.symbolic_factor(a, sd.amd_order(a))
-    positions, row_ptr, col_end = sym.row_structure
-    colptr, rows = sym.l_col_ptr, sym.l_row_idx
+    ptr, cols, first, length, _ = sym.block_updates
     kind = np.min_scalar_type(sym.nnz_L)
-    assert positions.dtype == row_ptr.dtype == col_end.dtype == kind
-    assert not (positions.flags.writeable or row_ptr.flags.writeable
-                or col_end.flags.writeable)
-    for j in range(sym.n):
+    assert ptr.dtype == first.dtype == kind
+    assert not (ptr.flags.writeable or first.flags.writeable
+                or length.flags.writeable)
+    colptr, rows = sym.l_col_ptr, sym.l_row_idx
+    bounds = sym.supernodes.astype(np.int64)
+    singles = [b for b in range(bounds.size - 1)
+               if bounds[b + 1] - bounds[b] == 1]
+    assert len(singles) > bounds.size // 2
+    for b in singles:
+        j = int(bounds[b])
         # (position, column) of every L_jk, k ascending
         at = [(p, k) for k in range(sym.n)
               for p in range(colptr[k], colptr[k + 1]) if rows[p] == j]
-        seg = slice(row_ptr[j], row_ptr[j + 1])
-        assert positions[seg].tolist() == [p for p, _ in at]
-        assert col_end[seg].tolist() == [colptr[k + 1] for _, k in at]
+        seg = slice(int(ptr[b]), int(ptr[b + 1]))
+        assert cols[seg].tolist() == [k for _, k in at]
+        assert first[seg].tolist() == [p for p, _ in at]
+        assert (first[seg] + length[seg]).tolist() == [colptr[k + 1]
+                                                       for _, k in at]
 
 
 def test_symbolic_factor_size_mismatch():
