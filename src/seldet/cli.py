@@ -5,9 +5,9 @@ One subcommand per reporting surface:
   analyze   symbolic analysis of a Matrix Market file (fill, FLOP predictions)
   selinv    factor a matrix and write its selected inverse
   reml      restricted-likelihood report for a dataset file
-  gen       generate a synthetic variety-trial dataset
+  gen       generate a synthetic variety-trial dataset from a preset
   bench     run the generated benchmark ladder, emit CSV
-  verify    dense-oracle cross-check of the whole pipeline (n <= 500)
+  verify    selinv's dense-oracle checks without its report (n <= 500)
 
 CSV is the only structured output format; exit code 0 means every
 requested verification passed.
@@ -168,20 +168,24 @@ def _print_checks(checks: list[tuple[str, bool, str]]) -> bool:
 
 
 def cmd_selinv(args) -> int:
+    """``selinv``, and ``verify``: its dense-oracle checks without the
+    report lines."""
     a = _read_matrix(args.matrix)
     if args.verify:
-        _require_dense_size(a.n, "--verify")
+        _require_dense_size(a.n, "--verify" if args.report else "verify")
     times: dict[str, float] = {}
     sym = reml._order_and_analyze(a, args.ordering, times)
     fac, zsel = reml._factor_and_invert(a, sym, times)
     pred_ldlt, pred_si = predict_flops(sym)
 
-    print(f"n={a.n} nnz={a.nnz} nnz(L)={sym.nnz_L} ordering={args.ordering}")
-    print(f"logdet        : {log_det(fac):.12g}")
-    print(f"ldlt_flops    : predicted {pred_ldlt}, measured {fac.flops}")
-    print(f"selinv_flops  : predicted {pred_si}, measured {zsel.flops}")
-    print("time (s)      : "
-          + ", ".join(f"{phase} {t:.4f}" for phase, t in times.items()))
+    if args.report:
+        print(f"n={a.n} nnz={a.nnz} nnz(L)={sym.nnz_L} "
+              f"ordering={args.ordering}")
+        print(f"logdet        : {log_det(fac):.12g}")
+        print(f"ldlt_flops    : predicted {pred_ldlt}, measured {fac.flops}")
+        print(f"selinv_flops  : predicted {pred_si}, measured {zsel.flops}")
+        print("time (s)      : "
+              + ", ".join(f"{phase} {t:.4f}" for phase, t in times.items()))
 
     if args.out:
         zmat = _selected_to_matrix(zsel)
@@ -297,20 +301,11 @@ def cmd_gen(args) -> int:
         except ValueError:
             raise SeldetError(
                 f"--var expects term=number, got {spec_!r}") from None
-    if args.preset:
-        cfg = datagen.preset_config(args.preset, seed=args.seed)
-        if variances:
-            cfg = dataclasses.replace(cfg, variance_components=variances)
-    else:
-        cfg = datagen.TrialConfig(
-            years=args.years, centers=args.centers,
-            centers_per_year_fraction=args.fraction,
-            control_varieties=args.controls,
-            new_varieties_per_year=args.new_per_year,
-            mean_persistence=args.mean_persistence,
-            missing_fraction=args.missing,
-            variance_components=variances, seed=args.seed)
-    d = datagen.generate(cfg)
+    cfg = datagen.preset_config(args.preset, seed=args.seed)
+    layout = {key: getattr(args, key) for key in datagen.PRESETS[args.preset]
+              if getattr(args, key) is not None}
+    d = datagen.generate(dataclasses.replace(
+        cfg, **layout, variance_components=variances))
     with open(args.out, "w", encoding="utf-8") as fh:
         reml.write_dataset(d, fh)
     s = datagen.design_summary(d)
@@ -335,7 +330,6 @@ def cmd_bench(args) -> int:
               "pred_ldlt", "meas_ldlt", "pred_selinv", "meas_selinv",
               "t_order", "t_symbolic", "t_factorize", "t_selinv"]
     rows: list[list] = []
-    pairs: list[list] = []
     failed = False
     for name in problems:
         try:
@@ -345,37 +339,24 @@ def cmd_bench(args) -> int:
                 sigma2=1.0, gamma=np.ones(len(d.factors)),
                 phi=np.ones(d.n_residual_blocks))
             for flag in orderings:
-                plan = reml.analyze(d, flag)
-                rep = plan.evaluate(v)
-                t_fac, t_si = rep.times["factorize"], rep.times["selinv"]
+                rep = reml.reml_report(d, v, flag)
                 rows.append([name, flag, rep.dim, rep.nnz_c, rep.nnz_l,
                              rep.predicted_ldlt_flops, rep.measured_ldlt_flops,
                              rep.predicted_selinv_flops,
-                             rep.measured_selinv_flops,
-                             round(plan.times["ordering"], 4),
-                             round(plan.times["symbolic"], 4),
-                             round(t_fac, 4), round(t_si, 4)])
-                pairs.append([rep.nnz_l, round(t_fac + t_si, 4)])
+                             rep.measured_selinv_flops]
+                            + [round(rep.times[phase], 4) for phase in
+                               ("ordering", "symbolic", "factorize", "selinv")])
         except SeldetError as exc:
             failed = True
             print(f"bench: problem {name!r} failed: {exc}", file=sys.stderr)
     _write_csv(args.out, header, rows)
     if args.out:
         pairs_path = args.out + ".pairs.csv"
-        _write_csv(pairs_path, ["nnz_L", "time_s"], pairs)
+        # (nnz_L, t_factorize + t_selinv) of each row
+        _write_csv(pairs_path, ["nnz_L", "time_s"],
+                   [[row[4], round(row[-2] + row[-1], 4)] for row in rows])
         print(f"wrote {args.out} and {pairs_path}")
     return 1 if failed else 0
-
-
-# ----------------------------------------------------------------- verify
-
-
-def cmd_verify(args) -> int:
-    a = _read_matrix(args.matrix)
-    _require_dense_size(a.n, "verify")
-    sym = reml._order_and_analyze(a, args.ordering, {})
-    fac, zsel = reml._factor_and_invert(a, sym, {})
-    return 0 if _print_checks(_checks(a, fac, zsel)) else 1
 
 
 # ------------------------------------------------------------------- main
@@ -402,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="run verify's dense-oracle checks "
                         f"(n <= {DENSE_ORACLE_LIMIT})")
-    p.set_defaults(func=cmd_selinv)
+    p.set_defaults(func=cmd_selinv, report=True)
 
     p = sub.add_parser("reml", help="restricted-likelihood report for a dataset")
     p.add_argument("dataset", help="tab-separated dataset file")
@@ -420,15 +401,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reml)
 
     p = sub.add_parser("gen", help="generate a synthetic variety-trial dataset")
-    p.add_argument("--preset", help=f"one of: {', '.join(datagen.PRESETS)}")
-    p.add_argument("--years", type=int, default=12)
-    p.add_argument("--centers", type=int, default=22)
-    p.add_argument("--fraction", type=float, default=0.5,
+    p.add_argument("--preset", default="prob1",
+                   help=f"one of: {', '.join(datagen.PRESETS)} (default: "
+                        "%(default)s); the layout flags below override it")
+    # each layout flag's dest is the preset field it overrides; None keeps it
+    p.add_argument("--years", type=int)
+    p.add_argument("--centers", type=int)
+    p.add_argument("--fraction", type=float, dest="centers_per_year_fraction",
                    help="fraction of centers used per year")
-    p.add_argument("--controls", type=int, default=10)
-    p.add_argument("--new-per-year", type=int, default=10)
-    p.add_argument("--mean-persistence", type=float, default=5.5)
-    p.add_argument("--missing", type=float, default=0.10)
+    p.add_argument("--controls", type=int, dest="control_varieties")
+    p.add_argument("--new-per-year", type=int, dest="new_varieties_per_year")
+    p.add_argument("--mean-persistence", type=float)
+    p.add_argument("--missing", type=float, dest="missing_fraction")
     p.add_argument("--var", action="append", metavar="TERM=VALUE",
                    help="variance component override (repeatable)")
     p.add_argument("--seed", type=int, default=datagen.TrialConfig.seed)
@@ -448,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       f"(n <= {DENSE_ORACLE_LIMIT})")
     p.add_argument("matrix", help="Matrix Market file")
     _add_ordering_flag(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_selinv, verify=True, out=None, report=False)
 
     return ap
 

@@ -571,8 +571,7 @@ class RemlPlan:
     table rows) the table and the slots take 1.25 MB; with one block per
     year (12 blocks, 76 259 rows) 1.50 MB.  C's values are one bincount
     over the table's slots and the gradient one bincount over its
-    template indices.  ``times`` gives the wall seconds of the analysis:
-    assemble (the table), ordering and symbolic (the symbolic factor).
+    template indices.
 
     The plan is for the dataset content it was analyzed on: evaluating it
     after X, a factor's codes or the residual codes were edited in place
@@ -584,7 +583,6 @@ class RemlPlan:
     sym: SymbolicFactor
     table: _Table
     predicted_flops: tuple[int, int]
-    times: dict[str, float]
 
     def _require_current(self):
         if _dataset_digest(self.d) != self.digest:
@@ -639,19 +637,20 @@ class RemlPlan:
 
 
 def _analyze(d: MixedModelDataset, ordering: str | Permutation,
-             digest: bytes) -> RemlPlan:
+             digest: bytes, times: dict[str, float]) -> RemlPlan:
+    """The plan of ``d`` under ``ordering``, its analysis timed into
+    ``times`` as assemble (the table), ordering and symbolic."""
     n, p = d.x.shape
     if n <= p:
         raise SizeMismatchError(f"need n > p, got n = {n}, p = {p}")
     _check_design(d)
-    times: dict[str, float] = {}
     with _phase(times, "assemble"):
         table = _template_table(d)
         c_mat = table.c_matrix(np.ones(len(d.factors) + d.n_residual_blocks))
     sym = _order_and_analyze(c_mat, ordering, times)
     predicted = predict_flops(sym)
     return RemlPlan(d=d, digest=digest, sym=sym, table=table,
-                    predicted_flops=predicted, times=times)
+                    predicted_flops=predicted)
 
 
 def analyze(d: MixedModelDataset,
@@ -662,7 +661,7 @@ def analyze(d: MixedModelDataset,
     evaluates the REML quantities at any parameter point of this dataset
     structure without repeating the ordering or the symbolic analysis.
     """
-    return _analyze(d, ordering, _dataset_digest(d))
+    return _analyze(d, ordering, _dataset_digest(d), {})
 
 
 # The one plan held between calls, with its key: (dataset digest, "amd" or
@@ -671,10 +670,10 @@ def analyze(d: MixedModelDataset,
 _held: list[tuple[tuple, RemlPlan]] = []
 
 
-def _held_plan(d: MixedModelDataset,
-               ordering: str | Permutation) -> tuple[RemlPlan, bool]:
-    """(plan, analyzed now): the held plan when its key matches, else a
-    new analysis, which replaces it."""
+def _held_plan(d: MixedModelDataset, ordering: str | Permutation,
+               times: dict[str, float]) -> RemlPlan:
+    """The held plan when its key matches, else a new analysis, timed into
+    ``times``, which replaces it."""
     named = _named_order(ordering, d.p + d.b)
     key = (_dataset_digest(d),
            named if isinstance(named, str) else named.perm.tobytes())
@@ -683,11 +682,11 @@ def _held_plan(d: MixedModelDataset,
         if plan.d is not d:  # same structure; y and the labels may differ
             plan = replace(plan, d=d)
             _held[0] = (key, plan)
-        return plan, False
+        return plan
     _held.clear()  # so that the old plan is freed before the new one is built
-    plan = _analyze(d, named, key[0])
+    plan = _analyze(d, named, key[0], times)
     _held.append((key, plan))
-    return plan, True
+    return plan
 
 
 def plan_for(d: MixedModelDataset,
@@ -701,7 +700,7 @@ def plan_for(d: MixedModelDataset,
     never by object identity.  A call with another key frees the held plan and
     analyzes anew.
     """
-    return _held_plan(d, ordering)[0]
+    return _held_plan(d, ordering, {})
 
 
 def reml_report(d: MixedModelDataset, v: VarianceParams,
@@ -712,11 +711,10 @@ def reml_report(d: MixedModelDataset, v: VarianceParams,
     analysis come from :func:`plan_for`, so along a fit path on one
     dataset only the first call pays for them.
     """
-    plan, analyzed = _held_plan(d, ordering)
-    rep = plan.evaluate(v)
-    if analyzed:
-        for phase, seconds in plan.times.items():
-            rep.times[phase] += seconds
+    times: dict[str, float] = {}
+    rep = _held_plan(d, ordering, times).evaluate(v)
+    for phase, seconds in times.items():
+        rep.times[phase] += seconds
     return rep
 
 

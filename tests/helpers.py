@@ -464,24 +464,37 @@ def reference_selected_inverse(f):
     """The column-by-column ``selected_inverse`` kept as the selected
     inversion oracle: in a preorder of the elimination forest, every column
     with a pattern gathers its q-by-q block from a copy of its parent's
-    front, and every column with children keeps a front of its own."""
+    front, and every column with children keeps a front of its own.  The
+    walk comes from ``sym.parent`` and each row's place in the parent's
+    front from the pattern of L, not from the symbolic factor's own
+    ``preorder`` and ``parent_positions``."""
     sym = f.sym
     colptr = sym.l_col_ptr.tolist()
+    rows = sym.l_row_idx.tolist()
     parent = sym.parent.tolist()
-    pos = sym.parent_positions
+    children = [[] for _ in range(sym.n)]
+    roots = []
+    for k, p in enumerate(parent):
+        (children[p] if p >= 0 else roots).append(k)
+    preorder, stack = [], roots[::-1]
+    while stack:
+        j = stack.pop()
+        preorder.append(j)
+        stack.extend(reversed(children[j]))
     lv = f.l_values
     z = np.empty(lv.size)
     z_diag = 1.0 / f.d
-    pending = np.bincount(sym.parent[sym.parent >= 0], minlength=sym.n).tolist()
+    pending = [len(c) for c in children]
     fronts = {}
     flops = 0
-    for j in sym.preorder.tolist():
+    for j in preorder:
         lo, hi = colptr[j], colptr[j + 1]
         q = hi - lo
         if q:
             p = parent[j]
-            r = pos[lo:hi]
-            block = fronts[p].take(r, 0).take(r, 1)
+            front, place = fronts[p]
+            r = [place[i] for i in rows[lo:hi]]
+            block = front.take(r, 0).take(r, 1)
             pending[p] -= 1
             if not pending[p]:
                 del fronts[p]
@@ -496,7 +509,9 @@ def reference_selected_inverse(f):
             if q:
                 front[0, 1:] = front[1:, 0] = zcol
                 front[1:, 1:] = block
-            fronts[j] = front
+            # the front's rows: j, then the pattern of column j
+            fronts[j] = front, {i: k for k, i in
+                                enumerate([j] + rows[lo:hi])}
     return sd.SelectedInverse(sym=sym, z_values=z, z_diag=z_diag, flops=flops)
 
 

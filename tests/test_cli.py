@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import os
 
 import numpy as np
@@ -251,6 +252,20 @@ def test_reml_file_ordering(dataset_file, tmp_path, capsys):
     assert main(["reml", dataset_file, "--ordering", f"file:{perm_path}"]) == 0
 
 
+def test_reml_takes_one_gamma_per_factor(dataset_file, tmp_path, capsys):
+    out_csv = tmp_path / "reml.csv"
+    gamma = [0.5, 1.0, 2.0, 0.25, 1.5, 3.0]
+    assert main(["reml", dataset_file, "--gamma", ",".join(map(str, gamma)),
+                 "--out", str(out_csv)]) == 0
+    with open(out_csv, newline="", encoding="utf-8") as fh:
+        rows = {r["quantity"]: r["value"] for r in csv.DictReader(fh)}
+    d = sd.read_dataset(open(dataset_file, encoding="utf-8"))
+    assert len(d.factors) == len(gamma)
+    v = sd.VarianceParams(1.0, gamma, (1.0,) * d.n_residual_blocks)
+    assert float(rows["loglik"]) == pytest.approx(
+        sd.restricted_loglik(d, v), rel=1e-9)
+
+
 def test_reml_wrong_parameter_count_fails(dataset_file, capsys):
     assert main(["reml", dataset_file, "--gamma", "1,1"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -307,14 +322,40 @@ def test_gen_writes_readable_dataset(dataset_file, capsys):
     assert tuple(f.name for f in d.factors) == sd.RANDOM_TERMS
 
 
+def expected_dataset(cfg) -> bytes:
+    out = io.StringIO()
+    sd.write_dataset(sd.generate(cfg), out)
+    return out.getvalue().encode("utf-8")
+
+
 def test_gen_preset_and_variance_overrides(tmp_path, capsys):
     path = tmp_path / "t.tsv"
-    rc = main(["gen", "--years", "2", "--centers", "3", "--controls", "2",
-               "--new-per-year", "1", "--mean-persistence", "1.5",
-               "--missing", "0.0", "--var", "variety=2.0",
+    rc = main(["gen", "--preset", "prob1", "--var", "variety=2.0",
                "--var", "year=0.5", "--seed", "3", "--out", str(path)])
     assert rc == 0
     assert "units" in capsys.readouterr().out
+    cfg = dataclasses.replace(sd.preset_config("prob1", seed=3),
+                              variance_components={"variety": 2.0, "year": 0.5})
+    assert path.read_bytes() == expected_dataset(cfg)
+
+
+def test_gen_layout_flags_override_the_preset(tmp_path, capsys):
+    path = tmp_path / "t.tsv"
+    assert main(["gen", "--preset", "prob2", "--years", "3", "--centers", "4",
+                 "--out", str(path)]) == 0
+    summary = capsys.readouterr().out.splitlines()[1].split()
+    assert summary[:2] == ["3", "4"]
+    cfg = dataclasses.replace(sd.preset_config("prob2"), years=3, centers=4)
+    assert path.read_bytes() == expected_dataset(cfg)
+
+
+def test_gen_unknown_preset_is_one_line(tmp_path, capsys):
+    out = tmp_path / "x.tsv"
+    assert main(["gen", "--preset", "prob99", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown preset 'prob99'; available: prob1")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_gen_rejects_bad_var_spec(tmp_path, capsys):
@@ -326,6 +367,7 @@ def test_gen_rejects_bad_var_spec(tmp_path, capsys):
 @pytest.mark.parametrize("spec, says", [
     ("year=abc", "--var expects term=number, got 'year=abc'"),
     ("year=inf", "variance for 'year' must be positive and finite"),
+    ("year", "--var expects term=value, got 'year'"),
 ])
 def test_gen_bad_var_value_is_one_line(tmp_path, capsys, spec, says):
     out = tmp_path / "x.tsv"

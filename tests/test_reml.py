@@ -360,6 +360,11 @@ def test_loglik_requires_more_observations_than_fixed_effects():
         residual_codes=np.zeros(1, dtype=np.int64), n_residual_blocks=1)
     with pytest.raises(SizeMismatchError):
         sd.restricted_loglik(d, unit_params(d))
+    # the analysis checks it itself, for every caller
+    with pytest.raises(SizeMismatchError, match="need n > p, got n = 1"):
+        sd.analyze(d)
+    with pytest.raises(SizeMismatchError, match="need n > p, got n = 1"):
+        sd.reml_report(d, unit_params(d))
 
 
 def test_unknown_form_rejected():
@@ -421,6 +426,8 @@ def test_trace_product_requires_pattern_coverage():
                            np.array([1.0, 1.0]))
     with pytest.raises(PatternNotCoveredError):
         sd.trace_product(zs, b)
+    with pytest.raises(SizeMismatchError, match="dimension mismatch"):
+        sd.trace_product(zs, sd.identity_matrix(4))
 
 
 def test_gradient_matches_finite_differences():

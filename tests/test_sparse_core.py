@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,27 @@ def test_matrix_market_parse_errors():
     with pytest.raises(ParseError):  # garbage record
         sd.read_matrix_market(
             "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 x 1.0\n")
+
+
+HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
+
+
+@pytest.mark.parametrize("text, error, says", [
+    ("%%MatrixMarket matrix coordinate complex symmetric\n1 1 1\n1 1 1 0\n",
+     UnsupportedFormatError, "unsupported field 'complex'"),
+    (HEADER + "% a comment and no size line\n\n", ParseError,
+     "missing size line"),
+    (HEADER + "2 2\n", ParseError, "bad size line: '2 2'"),
+    (HEADER + "2 2 x\n", ParseError, "bad size line: '2 2 x'"),
+    (HEADER + "2 3 1\n1 1 1.0\n", UnsupportedFormatError, "must be square"),
+    (HEADER + "-1 -1 0\n", ParseError, "negative dimensions"),
+    (HEADER + "2 2 1\n1 1\n", ParseError, "bad coordinate record: '1 1'"),
+    ("%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n1 1 1.0\n",
+     ParseError, "bad coordinate record: '1 1 1.0'"),
+])
+def test_matrix_market_bad_header_or_record_is_typed(text, error, says):
+    with pytest.raises(error, match=re.escape(says)):
+        sd.read_matrix_market(text)
 
 
 def test_matrix_market_non_finite_value_names_the_record():

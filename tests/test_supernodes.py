@@ -158,6 +158,31 @@ def test_non_positive_pivot_inside_a_block_names_the_reference_column():
     assert got.value.value == pytest.approx(ref.value.value, rel=1e-10)
 
 
+@pytest.mark.parametrize("a, column", [
+    (sd.from_coo_arrays(4, np.arange(4), np.arange(4),
+                        np.array([1.0, 2.0, -3.0, 4.0])), 2),
+    # nodes 0-3 (unit diagonals) joined to a hub 4 (0.5): the hub is a
+    # single column with four updates, and fails at 0.5 - 4 = -3.5
+    (sd.from_coo_arrays(5, np.array([0, 1, 2, 3, 4, 4, 4, 4, 4]),
+                        np.array([0, 1, 2, 3, 0, 1, 2, 3, 4]),
+                        np.array([1.0] * 8 + [0.5])), 4),
+    # built directly: from_coo_arrays refuses NaN
+    (sd.SparseSymmetric(n=3, col_ptr=np.arange(4), row_idx=np.arange(3),
+                        values=np.array([1.0, np.nan, 1.0])), 1),
+], ids=["negative-leaf", "star-hub", "nan-leaf"])
+def test_non_positive_pivot_in_a_single_column_names_the_reference_column(
+        a, column):
+    sym = sd.symbolic_factor(a, sd.natural_order(a.n))
+    k = int(np.searchsorted(sym.supernodes, column))
+    assert sym.supernodes[k:k + 2].tolist() == [column, column + 1]
+    with pytest.raises(NonPositivePivotError) as ref:
+        reference_ldlt_factorize(a, sym)
+    with pytest.raises(NonPositivePivotError) as got:
+        sd.ldlt_factorize(a, sym)
+    assert got.value.index == ref.value.index == column
+    assert np.array_equal([got.value.value], [ref.value.value], equal_nan=True)
+
+
 def test_nan_inside_a_block_fails_with_typed_error():
     vals = np.full((5, 5), 0.5) + 4.0 * np.eye(5)
     vals[3, 1] = vals[1, 3] = np.nan
