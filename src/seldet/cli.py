@@ -94,6 +94,7 @@ def cmd_analyze(args) -> int:
         print(f"flop identity : {'PASS' if identity_ok else 'FAIL'} "
               f"(selinv = 2*ldlt - (nnz_L - n))")
         print(_supernode_line(sym))
+        print(_leaf_line(sym))
     return 0 if identity_ok else 1
 
 
@@ -113,6 +114,18 @@ def _supernode_line(sym) -> str:
     share = 1.0 - work / total if total else 0.0
     return (f"supernodes    : {width.size} (widest {int(width.max(initial=0))}, "
             f"{100.0 * share:.1f} % of ldlt_flops in multi-column ones)")
+
+
+def _leaf_line(sym) -> str:
+    """The leaves of the elimination tree, which every kernel does in
+    batches outside its loop, as a share of the columns and of the selinv
+    forecast: 2q^2 + 3q for a leaf with q entries below the diagonal."""
+    q = sym.col_counts[sym.leaves] - 1
+    work = int(np.sum(2 * q * q + 3 * q))
+    total = predict_flops(sym)[1]
+    return (f"leaves        : {q.size} "
+            f"({100.0 * q.size / sym.n if sym.n else 0.0:.1f} % of columns, "
+            f"{100.0 * work / total if total else 0.0:.1f} % of selinv_flops)")
 
 
 # ----------------------------------------------------------------- selinv

@@ -19,9 +19,7 @@ position of every L_jk, k ascending, with the length of each one's
 segment.  It gathers those segments as one index array and scatters them
 into a dense workspace with one ``np.subtract.at``, which applies
 repeated rows one after the other.  Its time is the volume it gathers,
-not its loop.  A single column that no earlier column reaches (a leaf of
-the elimination tree) is already (D L)[:, j] as loaded, and is only
-divided.
+not its loop.
 
 Most of that volume goes into multi-column supernodes: 96 % on the C of
 the benchmark's ``reml_fit`` (91 % into its trailing supernode of 166
@@ -54,13 +52,21 @@ columns took 43.9 ms against 48.9 ms unstripped, through the 166-column
 trailing supernode; on the field, whose supernodes are narrower, strips
 of 8 to 64 columns and none were within 3 % of each other.
 
+A single column that no earlier column reaches (``SymbolicFactor.leaves``:
+2 443 of the 3 362 columns of the C of the benchmark's ``reml_fit`` under
+AMD) is already (D L)[:, j] as loaded, and is only divided.  The leaves
+are checked and divided in one vectorized step before the loop, which
+then runs over the other supernodes only.  The step takes 0.2 ms on
+that C, and a factorization of it went from 49.6 to 43.3 ms (medians of
+41 calls alternated with the loop over every supernode in one process,
+2 vCPU).  A failing leaf pivot cuts the step short: the leaves from it
+on stay in the loop, so the pivot reported is the first failing one in
+column order, leaf or not.
+
 Measured on the column-by-column kernel, before the dense supernodes:
-batching all leaf columns gained only about 10 % (0.098 to 0.086 s on
-prob1), ``np.bincount`` in place of ``np.subtract.at`` changed nothing,
-and a per-column multifrontal with extend-add was slower (0.104 to
-0.144 s).  With the supernodes the leaves take a larger share, 16-18 %
-of a factorization on prob1, prob3 and prob5, so the leaf batch is worth
-measuring again; the other two are not to be redone.
+``np.bincount`` in place of ``np.subtract.at`` changed nothing, and a
+per-column multifrontal with extend-add was slower (0.104 to 0.144 s);
+neither is to be redone.
 
 A multiply-add counter is maintained and must come out equal to the
 symbolic prediction sum(m_i^2) - n on every input.  It adds the
@@ -69,12 +75,12 @@ a single column (one multiply, one subtract), 2 (s_k r_k - s_k (s_k - 1)
 / 2) for each panel column k, where s_k of its r_k segment entries lie in
 the supernode's rows, the lower trapezoid of each rank-1 step and strip
 GEMM, and one division per below-diagonal entry of each finalized
-column.  The per-position products d_k * L_ik needed by the updates are
-kept from the pre-division column values rather than recomputed, which
-is what keeps the count exact.  What the dense calls issue beyond that
-(the zeros of the panels, the upper halves of the squares, and the
-divisions and square roots that scale the panels) is added up in
-``LdlFactor.padded_flops``.
+column, the leaves' step included.  The per-position products
+d_k * L_ik needed by the updates are kept from the pre-division column
+values rather than recomputed, which is what keeps the count exact.
+What the dense calls issue beyond that (the zeros of the panels, the
+upper halves of the squares, and the divisions and square roots that
+scale the panels) is added up in ``LdlFactor.padded_flops``.
 
 The pivot policy is fixed: a pivot d_j <= 0 or not finite (the matrix is
 not positive definite, or holds NaN or inf) stops the factorization, and
@@ -170,11 +176,28 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
     x = np.zeros(n)         # a single column, over its rows
     where = np.zeros(n, dtype=np.int64)   # each row's place in a block's front
 
-    col_start, upd_start = colptr.tolist(), ptr.tolist()
-    flops = padded = 0
+    # a leaf's column of PAP^T is already (D L)[:, j]: the leaves are
+    # divided in one step before the loop.  Those from the first failing
+    # pivot on stay in the loop, which meets the failures in column order
+    leaves = sym.leaves
+    pivots = a_diag[leaves]
+    ok = (pivots > 0.0) & (pivots < math.inf)
+    if not ok.all():
+        leaves = leaves[:np.argmin(ok)]
+    d[leaves] = a_diag[leaves]
+    lens = sym.col_counts[leaves] - 1
+    at = _segments(colptr[leaves], lens)
+    l_values[at] = ld_values[at] / d[leaves].repeat(lens)
+    flops, padded = at.size, 0
+    del at
 
-    # one iteration per supernode, columns j:e, taking the updates u0:u1
-    for j, e, u0, u1 in zip(bounds, bounds[1:], upd_start, upd_start[1:]):
+    rest = np.ones(n, dtype=bool)
+    rest[leaves] = False
+    col_start, upd_start = colptr.tolist(), ptr.tolist()
+    # one iteration per other supernode, columns j:e, taking the updates
+    # u0:u1
+    for b in np.flatnonzero(rest[sym.supernodes[:-1]]).tolist():
+        j, e, u0, u1 = bounds[b], bounds[b + 1], upd_start[b], upd_start[b + 1]
         if e - j > 1:
             block_flops, block_padded = _factor_block(
                 j, e, u0, u1, sym, ld_values, l_values, a_diag, d, where)
@@ -182,33 +205,25 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
             padded += block_padded
             continue
         lo, hi = col_start[j], col_start[j + 1]
-        if u1 == u0:
-            # no earlier column reaches row j: column j of PAP^T is
-            # already (D L)[:, j]
-            dj = float(a_diag[j])
-            col = ld_values[lo:hi]
-        else:
-            pattern = rows[lo:hi]
-            # load column j of PAP^T into the workspace; updates from
-            # earlier columns touch only row j and the rows of this
-            # pattern
-            x[pattern] = ld_values[lo:hi]
-            x[j] = a_diag[j]
-            # every segment (D L)[p_jk:end_k] that reaches row j, as one
-            # index array: one gather, one scatter.  Index arithmetic in
-            # int64: the update maps are unsigned (``upd_len`` as small as
-            # uint8), and unsigned arithmetic would wrap or turn to floats
-            p = upd_first[u0:u1].astype(np.int64)
-            lens = upd_len[u0:u1].astype(np.int64)
-            idx = _segments(p, lens)
-            np.subtract.at(x, rows[idx],
-                           l_values[p].repeat(lens) * ld_values[idx])
-            flops += 2 * idx.size
-            dj = float(x[j])
-            col = ld_values[lo:hi] = x[pattern]
+        pattern = rows[lo:hi]
+        # load column j of PAP^T into the workspace; updates from earlier
+        # columns touch only row j and the rows of this pattern
+        x[pattern] = ld_values[lo:hi]
+        x[j] = a_diag[j]
+        # every segment (D L)[p_jk:end_k] that reaches row j, as one index
+        # array: one gather, one scatter.  Index arithmetic in int64: the
+        # update maps are unsigned (``upd_len`` as small as uint8), and
+        # unsigned arithmetic would wrap or turn to floats
+        p = upd_first[u0:u1].astype(np.int64)
+        lens = upd_len[u0:u1].astype(np.int64)
+        idx = _segments(p, lens)
+        np.subtract.at(x, rows[idx], l_values[p].repeat(lens) * ld_values[idx])
+        flops += 2 * idx.size
+        dj = float(x[j])
         if not (dj > 0.0 and math.isfinite(dj)):
             raise NonPositivePivotError(j, dj)
         d[j] = dj
+        col = ld_values[lo:hi] = x[pattern]
         l_values[lo:hi] = col / dj
         flops += hi - lo
 
@@ -322,6 +337,14 @@ def log_det(f: LdlFactor) -> float:
 def solve(f: LdlFactor, b: np.ndarray) -> np.ndarray:
     """Solve A x = b through the factor: x = P^T L^-T D^-1 L^-1 P b.
 
+    Both sweeps loop over the columns that are not leaves.  A leaf's y_j
+    is final as loaded in the forward sweep, so the leaves' updates come
+    first, one ``bincount`` per batch of ``SymbolicFactor.leaf_batches``;
+    no column reads a leaf's y_j in the backward sweep, so the leaves'
+    dot products come last, one batch at a time.  That changes the order
+    of the sums, not their terms: the result agrees with the column loop
+    to roundoff.
+
     A NaN or infinite entry of b raises NonFiniteValueError naming its
     index."""
     b = np.asarray(b, dtype=np.float64)
@@ -333,18 +356,29 @@ def solve(f: LdlFactor, b: np.ndarray) -> np.ndarray:
         k = int(bad[0])
         raise NonFiniteValueError(f"right-hand side b[{k}] = {float(b[k])!r}")
     perm = f.perm.perm
-    colptr, rows = f.sym.l_col_ptr, f.sym.l_row_idx
+    sym = f.sym
+    colptr, rows = sym.l_col_ptr, sym.l_row_idx
     lv = f.l_values
-    # the columns with entries below the diagonal, and where each starts
-    # and ends, as Python ints
-    cols = np.flatnonzero(np.diff(colptr))
+    # the leaves, and the storage of their columns, in batches
+    batches = [(leaves, colptr[leaves][:, None] + np.arange(q))
+               for q, leaves in sym.leaf_batches()]
+    # the other columns with entries below the diagonal, and where each
+    # starts and ends, as Python ints
+    inner = np.diff(colptr) > 0
+    inner[sym.leaves] = False
+    cols = np.flatnonzero(inner)
     walk = list(zip(cols.tolist(), colptr[cols].tolist(), colptr[cols + 1].tolist()))
     y = b[perm].copy()
+    for leaves, at in batches:
+        y -= np.bincount(rows[at].ravel(), (y[leaves][:, None] * lv[at]).ravel(),
+                         minlength=n)
     for j, lo, hi in walk:
         y[rows[lo:hi]] -= y[j] * lv[lo:hi]
     y /= f.d
     for j, lo, hi in reversed(walk):
         y[j] -= lv[lo:hi] @ y[rows[lo:hi]]
+    for leaves, at in batches:
+        y[leaves] -= (lv[at] * y[rows[at]]).sum(axis=1)
     x = np.empty(n)
     x[perm] = y
     return x

@@ -636,14 +636,19 @@ class RemlPlan:
         )
 
 
-def _analyze(d: MixedModelDataset, ordering: str | Permutation,
-             digest: bytes, times: dict[str, float]) -> RemlPlan:
-    """The plan of ``d`` under ``ordering``, its analysis timed into
-    ``times`` as assemble (the table), ordering and symbolic."""
+def _check_dataset(d: MixedModelDataset):
+    """Refuse a dataset that has no plan: n <= p or a bad design."""
     n, p = d.x.shape
     if n <= p:
         raise SizeMismatchError(f"need n > p, got n = {n}, p = {p}")
     _check_design(d)
+
+
+def _analyze(d: MixedModelDataset, ordering: str | Permutation,
+             digest: bytes, times: dict[str, float]) -> RemlPlan:
+    """The plan of ``d`` (checked by :func:`_check_dataset`) under
+    ``ordering``, its analysis timed into ``times`` as assemble (the
+    table), ordering and symbolic."""
     with _phase(times, "assemble"):
         table = _template_table(d)
         c_mat = table.c_matrix(np.ones(len(d.factors) + d.n_residual_blocks))
@@ -661,6 +666,7 @@ def analyze(d: MixedModelDataset,
     evaluates the REML quantities at any parameter point of this dataset
     structure without repeating the ordering or the symbolic analysis.
     """
+    _check_dataset(d)
     return _analyze(d, ordering, _dataset_digest(d), {})
 
 
@@ -683,6 +689,8 @@ def _held_plan(d: MixedModelDataset, ordering: str | Permutation,
             plan = replace(plan, d=d)
             _held[0] = (key, plan)
         return plan
+    # a refused dataset leaves the held plan in place
+    _check_dataset(d)
     _held.clear()  # so that the old plan is freed before the new one is built
     plan = _analyze(d, named, key[0], times)
     _held.append((key, plan))

@@ -24,12 +24,34 @@ outside it.  Each supernode gathers the block of its last column's
 pattern once from its parent's front, with two ``take`` calls through
 ``SymbolicFactor.parent_positions`` (Liu 1992's relative indices; SelInv,
 Lin et al. 2011, reads its blocks the same way).  A width-1 supernode is
-one column step, and one without children keeps no front.  That map, the
-partition and the traversal order, ``SymbolicFactor.preorder``, depend
-on the pattern only: they are built on first use and kept on the
-symbolic factor, so a plan that evaluates many parameter points builds
-them once.  A pattern that is not closed has no map, and raises
-PatternMismatchError.
+one column step, and one whose children are all leaves keeps no front.
+That map, the partition and the traversal order,
+``SymbolicFactor.preorder``, depend on the pattern only: they are built
+on first use and kept on the symbolic factor, so a plan that evaluates
+many parameter points builds them once.  A pattern that is not closed
+has no map, and raises PatternMismatchError.
+
+The leaves (``SymbolicFactor.leaves``: single columns without a child)
+are most of the columns and little of the work: 2 443 of 3 362 columns
+and 4.7 % of the forecast on the C of the benchmark's ``reml_fit``
+under AMD.  No column reads a leaf's entries, and a leaf's pattern holds
+ancestors only, which are all finished when the sweep ends.  So the
+sweep leaves them out, and they do not count as children that keep a
+front alive.  After it they run in the batches of
+``SymbolicFactor.leaf_batches``, G leaves with q rows each at a time:
+a (G, q, q) stack of their blocks Z[P, P] is filled from ``z_values``
+through ``SymbolicFactor.leaf_slots`` and from ``z_diag[P]``, one
+``np.matmul`` of the stack by the (G, q, 1) columns of L gives their
+columns of Z, and one ``np.matmul`` of (G, 1, q) by (G, q, 1) their
+diagonal updates.  numpy runs each slice of those products as the same
+gemv and dot that a column step issues, so the values are the column
+step's to the bit; an ``einsum`` or a row-major (G, q) product sums in
+another order and is not.  A batch holds at most 2^15 block entries
+(0.25 MB).  A selected inversion went from 57.0 to 31.8 ms on the
+``reml_fit`` C and from 69.5 to 53.2 ms on the 72x72 AR1 (x) AR1 field
+(medians of 41 calls alternated with the sweep over every column in one
+process, 2 vCPU).  The slot map is built on the first call, in 11 and
+2.5 ms, and holds 0.61 and 0.13 MB.
 
 A front is dropped as soon as its last child has gathered from it, so
 the fronts held at any time belong to ancestors of the current supernode
@@ -39,17 +61,16 @@ arithmetic is the column-by-column sweep's, on the same values: given
 the same factor, the output is bit-identical to it.  Reading the blocks
 in place cut the sweep from 0.072 to 0.061 s on the C of the
 benchmark's ``reml_fit`` and from 0.114 to 0.075 s on the 72x72 AR1 (x)
-AR1 field (2 vCPU, medians of 11).  Gathering the blocks of each
-parent's leaf children in one batch was measured slower on prob1 under
-AMD (0.055 to 0.077 s), so every leaf gathers its own.
+AR1 field (2 vCPU, medians of 11).
 
 Instrumented cost per column with q below-diagonal entries, added as the
-loop performs it: the block product costs 2q^2 (multiply-accumulate from
-zero), the sign flip q, and the diagonal update 2q — in total 2q^2 + 3q,
-which summed over columns equals the symbolic prediction
-2*(sum m^2 - n) - (nnz_L - n) exactly.  The gathers and the front copies
-move values and are not counted, and no padded work is issued: every
-product reads the block of a column's own pattern.
+loop or a batch of leaves performs it: the block product costs 2q^2
+(multiply-accumulate from zero), the sign flip q, and the diagonal
+update 2q — in total 2q^2 + 3q, which summed over columns equals the
+symbolic prediction 2*(sum m^2 - n) - (nnz_L - n) exactly.  The gathers,
+the front copies and the filling of the leaves' stacks move values and
+are not counted, and no padded work is issued: every product reads the
+block of a column's own pattern.
 """
 
 from __future__ import annotations
@@ -100,22 +121,30 @@ def selected_inverse(f: LdlFactor) -> SelectedInverse:
     sym = f.sym
     colptr = sym.l_col_ptr.tolist()
     parent = sym.parent.tolist()
-    pos = sym.parent_positions
+    # the pattern's maps first (built on the first call), so that their
+    # builds do not stack on the work arrays
+    pos, leaf_slots = sym.parent_positions, sym.leaf_slots
     lv = f.l_values
     z = np.empty(lv.size)
     z_diag = 1.0 / f.d
-    # children that have yet to gather from each column's front; only the
-    # first column of a supernode has children outside it
-    pending = np.bincount(sym.parent[sym.parent >= 0], minlength=sym.n).tolist()
+    leaves = sym.leaves
+    inner = np.ones(sym.n, dtype=bool)
+    inner[leaves] = False
+    # children in the sweep that have yet to gather from each column's
+    # front; only the first column of a supernode has children outside it
+    up = sym.parent[inner]
+    pending = np.bincount(up[up >= 0], minlength=sym.n).tolist()
     fronts: dict[int, np.ndarray] = {}
     flops = 0
 
     # a supernode's columns come together in the preorder, last column
-    # first: its position there is its last column's
+    # first: its position there is its last column's.  The leaves are
+    # left out of the sweep
     bounds = sym.supernodes.astype(np.int64)
     width = np.diff(bounds)
     last = np.zeros(sym.n, dtype=bool)
     last[bounds[1:] - 1] = True
+    last[leaves] = False
     ends = sym.preorder[last[sym.preorder]] + 1
     starts = ends - np.repeat(width, width)[ends - 1]
 
@@ -130,7 +159,7 @@ def selected_inverse(f: LdlFactor) -> SelectedInverse:
             if not pending[p]:
                 del fronts[p]
         if e - s == 1 and not pending[s]:
-            # a single column without children keeps no front
+            # a single column whose children are all leaves keeps no front
             if q:
                 flops += _column(s, block, lv[lo:hi], z[lo:hi], z_diag)
             continue
@@ -150,6 +179,22 @@ def selected_inverse(f: LdlFactor) -> SelectedInverse:
             front[c, c] = z_diag[j]
         if pending[s]:
             fronts[s] = front
+
+    # the leaves, G with q rows each at a time: each slice of the stacked
+    # products is the column step's own gemv and dot
+    rows = sym.l_row_idx
+    for (q, cols), slots in zip(sym.leaf_batches(), leaf_slots):
+        at = sym.l_col_ptr[cols][:, None] + np.arange(q)
+        block = np.empty((cols.size, q, q))
+        upper, lower = np.triu_indices(q, 1)
+        block[:, upper, lower] = block[:, lower, upper] = z[slots]
+        block[:, np.arange(q), np.arange(q)] = z_diag[rows[at]]
+        lcol = lv[at][:, :, None]
+        zcol = np.matmul(block, lcol)
+        np.negative(zcol, out=zcol)
+        z[at] = zcol[:, :, 0]
+        z_diag[cols] -= np.matmul(lcol.transpose(0, 2, 1), zcol)[:, 0, 0]
+        flops += cols.size * (2 * q * q + 3 * q)
 
     return SelectedInverse(sym=sym, z_values=z, z_diag=z_diag, flops=flops)
 

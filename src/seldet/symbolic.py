@@ -41,6 +41,9 @@ __all__ = [
     "selinv_flops_from_ldlt",
 ]
 
+# Block entries per batch of leaves: a (G, q, q) stack of 0.25 MB at most.
+_LEAF_BATCH = 1 << 15
+
 
 def _row_subtrees(n: int, rows: np.ndarray,
                   cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -103,10 +106,13 @@ class SymbolicFactor:
     (one entry per pair of a supernode and a column that updates it),
     together 0.14 MB on a prob1 C, 0.11 MB on the C of the benchmark's
     ``reml_fit`` and 0.17 MB on the 72x72 AR1 (x) AR1 field, all under
-    AMD.  The selected inversion builds two on its first call:
-    :attr:`preorder` (one int64 per column) and :attr:`parent_positions`
+    AMD.  The selected inversion builds three on its first call:
+    :attr:`preorder` (one int64 per column), :attr:`parent_positions`
     (one entry of L each, in the smallest unsigned type that holds the
-    largest column count: 1 byte, 0.10 MB, on a prob1 C under AMD).
+    largest column count: 1 byte, 0.10 MB, on a prob1 C under AMD) and
+    :attr:`leaf_slots` (one entry per pair of rows of each leaf's
+    pattern, in the smallest unsigned type that holds ``nnz_L``: 0.61 MB
+    on the C of the benchmark's ``reml_fit`` and 0.13 MB on the field).
     """
 
     n: int
@@ -296,6 +302,77 @@ class SymbolicFactor:
         pos = at.astype(np.min_scalar_type(int(self.col_counts.max(initial=1))))
         pos.flags.writeable = False
         return pos
+
+    @property
+    def leaves(self) -> np.ndarray:
+        """The leaves, ascending, as int64: the width-1 supernodes whose
+        :attr:`block_updates` range is empty, that is the columns without
+        a child in the elimination tree that are supernodes of their own.
+        No column updates a leaf, and no column reads a leaf's entries of
+        Z or of a solve's backward sweep, so every kernel does the leaves
+        as batches outside its loop.  Derived from the supernode maps on
+        each call."""
+        bounds, ptr = self.supernodes, self.block_updates[0]
+        leaf = (np.diff(bounds) == 1) & (ptr[:-1] == ptr[1:])
+        return bounds[:-1][leaf].astype(np.int64)
+
+    def leaf_batches(self) -> list[tuple[int, np.ndarray]]:
+        """The leaves with q >= 1 entries below the diagonal, grouped by q
+        (ascending) and cut into batches of at most
+        ``max(1, _LEAF_BATCH // q^2)`` columns, ascending within a group:
+        ``(q, columns)`` pairs, the columns as int64.  A batch's stack of
+        q-by-q blocks then holds at most 0.25 MB."""
+        leaves = self.leaves
+        q = self.col_counts[leaves] - 1
+        order = np.argsort(q, kind="stable")
+        leaves, q = leaves[order], q[order]
+        starts = np.flatnonzero(np.diff(q, prepend=-1)).tolist()
+        batches = []
+        for g0, g1 in zip(starts, starts[1:] + [q.size]):
+            k = int(q[g0])
+            if k:
+                step = max(1, _LEAF_BATCH // (k * k))
+                batches += [(k, leaves[t:min(t + step, g1)])
+                            for t in range(g0, g1, step)]
+        return batches
+
+    @cached_property
+    def leaf_slots(self) -> tuple[np.ndarray, ...]:
+        """Where each leaf's block Z[P, P] lies in a selected inverse's
+        ``z_values``, P the leaf's pattern: for each batch of
+        :meth:`leaf_batches`, a (G, q (q - 1) / 2) array whose row holds,
+        for the pairs (a, b) of ``np.triu_indices(q, 1)``, the storage
+        position of (P[b], P[a]), in column P[a].  The diagonal of the
+        block is ``z_diag[P]`` and the positions of P come from
+        ``l_col_ptr``, so only these slots are kept: read-only, in the
+        smallest unsigned type that holds ``nnz_L``, built on first use
+        and kept for the factor's life.  That is 4 bytes per pair: 0.61 MB
+        (151 581 pairs of 2 443 leaves) on the C of the benchmark's
+        ``reml_fit`` and 0.13 MB on the 72x72 AR1 (x) AR1 field, both
+        under AMD.
+
+        One ``searchsorted`` per batch against :attr:`lower_keys`, with the
+        keys formed in its own type: P is sorted, so P[a] < P[b] and
+        ``P[a] * n + P[b]`` is the key.  A pair missing from the pattern
+        (it is not closed) raises PatternMismatchError.
+        """
+        colptr, rows, keys = self.l_col_ptr, self.l_row_idx, self.lower_keys
+        kind = np.min_scalar_type(self.nnz_L)
+        out = []
+        for q, cols in self.leaf_batches():
+            upper, lower = np.triu_indices(q, 1)
+            pattern = rows[colptr[cols][:, None] + np.arange(q)].astype(keys.dtype)
+            want = pattern[:, upper] * self.n + pattern[:, lower]
+            del pattern
+            at = np.searchsorted(keys, want)
+            if not np.array_equal(keys[at], want):
+                raise PatternMismatchError(
+                    "selected pattern is not closed: a pair of a leaf's "
+                    "pattern is missing from L")
+            slots = at.astype(kind)
+            slots.flags.writeable = False
+            out.append(slots)
+        return tuple(out)
 
     def require_pattern(self, a: SparseSymmetric):
         """Raise unless ``a`` has exactly the pattern this factor was

@@ -131,6 +131,19 @@ def field_precision(m, rho_row, rho_col):
     return sd.from_coo_arrays(m * m, rows, cols, dense[rows, cols])
 
 
+def pattern_spd(rng, n, rows, cols):
+    """A diagonally dominant SPD matrix with random values whose entries
+    below the diagonal are (rows[t], cols[t])."""
+    v = rng.uniform(-1.0, 1.0, size=len(rows))
+    slack = rng.uniform(0.5, 2.0, size=n)
+    np.add.at(slack, rows, np.abs(v))
+    np.add.at(slack, cols, np.abs(v))
+    i = np.arange(n)
+    return sd.from_coo_arrays(n, np.concatenate([rows, i]),
+                              np.concatenate([cols, i]),
+                              np.concatenate([v, slack]))
+
+
 def bordered_spd(rng, n_sparse, border, extra_per_row=1.0):
     """Random SPD matrix with a sparse leading part and ``border`` dense
     last rows and columns (a clique joined to everything): strictly

@@ -10,7 +10,8 @@ import pytest
 
 import seldet as sd
 from seldet.cli import main
-from helpers import fill_pattern, grid_laplacian, random_spd, tridiag
+from helpers import (arrowhead, etree_from_pattern, fill_pattern, grid_laplacian,
+                     random_spd, tridiag)
 
 
 @pytest.fixture
@@ -74,6 +75,39 @@ def test_analyze_reports_the_supernodes(tmp_path, capsys):
     assert out[0] == ("name,n,nnz,nnz_per_col,per_mille,ordering,nnz_L,"
                       "ldlt_flops,selinv_flops,identity")
     assert len(out) == 2
+
+
+def test_analyze_reports_the_leaves(tmp_path, capsys):
+    # a star whose hub is last: the 8 spokes are the leaves, each with the
+    # hub as its one entry below the diagonal (2 + 3 of selinv's work);
+    # the hub's own column is empty
+    a = arrowhead(9, dense_first=False)
+    path = tmp_path / "star.mtx"
+    with open(path, "w", encoding="utf-8") as fh:
+        sd.write_matrix_market(a, fh)
+    assert main(["analyze", str(path), "--ordering", "natural"]) == 0
+    line = [s for s in capsys.readouterr().out.splitlines()
+            if s.startswith("leaves")]
+    assert sd.predict_flops(sd.symbolic_factor(a, sd.natural_order(9)))[1] == 40
+    assert line == [f"leaves        : 8 ({100.0 * 8 / 9:.1f} % of columns, "
+                    "100.0 % of selinv_flops)"]
+    # counted from the elimination tree of the grid: the columns without
+    # a child, and 2q^2 + 3q of each against the whole forecast
+    grid = grid_laplacian(4)
+    with open(path, "w", encoding="utf-8") as fh:
+        sd.write_matrix_market(grid, fh)
+    assert main(["analyze", str(path), "--ordering", "natural"]) == 0
+    line = [s for s in capsys.readouterr().out.splitlines()
+            if s.startswith("leaves")]
+    lpat = fill_pattern(grid)
+    parent = etree_from_pattern(lpat)
+    q = lpat.sum(axis=0) - 1
+    leaves = [j for j in range(grid.n) if j not in parent]
+    work = sum(2 * q[j] ** 2 + 3 * q[j] for j in leaves)
+    total = int(np.sum(2 * q * q + 3 * q))
+    assert line == [f"leaves        : {len(leaves)} "
+                    f"({100.0 * len(leaves) / grid.n:.1f} % of columns, "
+                    f"{100.0 * work / total:.1f} % of selinv_flops)"]
 
 
 def test_analyze_identity_can_fail(matrix_file, monkeypatch, capsys):

@@ -3,7 +3,8 @@ the naive oracles.
 
 Hypothesis draws random patterns — empty and 1-by-1 matrices, diagonal
 matrices, disconnected forests, columns with no entry below the diagonal,
-and a dense trailing block; a second strategy draws block-structured SPD
+a dense trailing block, and random trees with a dense tail, whose leaves
+the kernels batch next to multi-column supernodes; a second strategy draws block-structured SPD
 matrices (a dense border on a sparse part, grid Laplacians) in orderings
 that keep a multi-column supernode, so that the kernels' dense path is
 always exercised.  Under a random permutation, the elimination
@@ -11,10 +12,12 @@ tree, the pattern of L, the column counts and the FLOP forecasts must
 match the boolean fill of PAP^T, and ``SymbolicFactor.locate`` must
 find every position of that fill and no other.  The selected inversion's
 pattern work must match it too: ``parent_positions`` gives each row's
-place in its parent's front, and ``preorder`` puts parents first.  SPD matrices on such
+place in its parent's front, ``preorder`` puts parents first, and
+``leaves`` are the single-column supernodes without a child.  SPD matrices on such
 patterns are factored under both orderings: the exact counters must equal
-the symbolic forecasts, D and L must match dense LDL^T, and the selected
-entries must match the dense inverse.
+the symbolic forecasts, D and L must match dense LDL^T, the selected
+entries must match the dense inverse (and the column kernel bit for bit),
+and a solve must match a dense one.
 """
 
 import numpy as np
@@ -25,7 +28,8 @@ from helpers import (bordered_spd, dense_inverse, dense_ldlt,
                      etree_from_pattern, fill_pattern, grid_laplacian,
                      reference_ldlt_factorize, reference_selected_inverse)
 
-SHAPES = ("random", "diagonal", "forest", "empty_columns", "dense_tail")
+SHAPES = ("random", "diagonal", "forest", "empty_columns", "dense_tail",
+          "tree")
 
 
 @st.composite
@@ -44,6 +48,13 @@ def lower_pairs(draw, n, shape):
             if p >= 0:
                 pairs.add((i, p))
         return pairs
+    if shape == "tree":
+        # each column links to one later column, its parent under the
+        # natural order, and a dense tail of t columns is one supernode:
+        # leaves mixed with multi-column supernodes
+        pairs = {(draw(st.integers(j + 1, n - 1)), j) for j in range(n - 1)}
+        t = draw(st.integers(1, n))
+        return pairs | {(i, j) for i in range(n - t, n) for j in range(n - t, i)}
     pairs = draw(st.sets(pair, max_size=3 * n))
     if shape == "empty_columns":
         empty = draw(st.sets(st.integers(0, n - 2), min_size=1))
@@ -114,6 +125,11 @@ def test_symbolic_phase_matches_fill_oracle(case):
     rank[order] = np.arange(n)
     child = np.flatnonzero(parent >= 0)
     assert np.all(rank[parent[child]] < rank[child])
+    # leaves: the columns without a child that are supernodes of their own
+    bounds = sym.supernodes.astype(np.int64)
+    alone = bounds[:-1][np.diff(bounds) == 1]
+    childless = np.setdiff1d(np.arange(n), parent)
+    assert np.array_equal(sym.leaves, np.intersect1d(alone, childless))
 
 
 @st.composite
@@ -160,6 +176,14 @@ def test_kernels_match_forecasts_and_dense_oracles(a, ordering):
     scale = np.sqrt(np.diag(inv)[sym.l_row_idx] * np.diag(inv)[cols])
     err = np.abs(z.z_values - inv[sym.l_row_idx, cols])
     assert np.all(err <= 1e-10 * scale)
+    zref = reference_selected_inverse(f)
+    assert np.array_equal(z.z_values, zref.z_values)
+    assert np.array_equal(z.z_diag, zref.z_diag)
+
+    b = np.linspace(-1.0, 1.0, n)
+    want = np.linalg.solve(a.to_dense(), b) if n else b
+    x = sd.solve(f, b)
+    assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
 
 
 @st.composite

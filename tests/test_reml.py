@@ -854,6 +854,21 @@ def test_restricted_loglik_shares_the_plan(no_held_plan, amd_calls):
     assert len(amd_calls) == 1
 
 
+def test_a_refused_dataset_keeps_the_held_plan(no_held_plan, amd_calls):
+    d, path = path_dataset(271)
+    assert sd.reml_report(d, path[0]).times["ordering"] > 0.0
+    rng = np.random.default_rng(271)
+    square = random_dataset(rng, n_obs=4, p=4, level_sizes=[2], n_blocks=1)
+    with pytest.raises(SizeMismatchError, match="n > p"):
+        sd.reml_report(square, random_params(rng, square))
+    rank_deficient = dataclasses.replace(d, x=np.column_stack([d.x, d.x[:, 0]]),
+                             fixed_names=d.fixed_names + ("again",))
+    with pytest.raises(RankDeficientDesignError):
+        sd.plan_for(rank_deficient)
+    assert sd.reml_report(d, path[1]).times["ordering"] == 0.0
+    assert len(amd_calls) == 1
+
+
 def test_unknown_ordering_is_a_typed_error():
     d, path = path_dataset(251)
     with pytest.raises(InvalidParameterError, match="unknown ordering"):
@@ -879,12 +894,13 @@ def test_selinv_pattern_work_is_done_once_per_plan(no_held_plan, monkeypatch):
 
     def spying(f):
         zsel = real(f)
-        seen.append((f.sym.parent_positions, f.sym.preorder))
+        seen.append((f.sym.parent_positions, f.sym.preorder,
+                     f.sym.leaf_slots))
         return zsel
 
     monkeypatch.setattr(sd.reml, "selected_inverse", spying)
     for v in path[:2]:
         plan.evaluate(v)
-    (pos, order), again = seen
-    assert again[0] is pos and again[1] is order
+    (pos, order, slots), again = seen
+    assert again[0] is pos and again[1] is order and again[2] is slots
     assert not pos.flags.writeable and not order.flags.writeable

@@ -21,7 +21,7 @@ import pytest
 import seldet as sd
 from seldet.errors import NearSingularWarning, NonPositivePivotError
 from helpers import (arrowhead, bordered_spd, field_precision, fill_pattern,
-                     random_spd, reference_block_updates,
+                     pattern_spd, random_spd, reference_block_updates,
                      reference_ldlt_factorize, reference_selected_inverse,
                      reference_supernodes)
 
@@ -90,19 +90,6 @@ def test_diagonal_matrix_pads_nothing():
     assert np.array_equal(f.d, np.full(7, 3.0))
 
 
-def pattern_spd(rng, n, rows, cols):
-    """A diagonally dominant SPD matrix with random values whose entries
-    below the diagonal are (rows[t], cols[t])."""
-    v = rng.uniform(-1.0, 1.0, size=len(rows))
-    slack = rng.uniform(0.5, 2.0, size=n)
-    np.add.at(slack, rows, np.abs(v))
-    np.add.at(slack, cols, np.abs(v))
-    i = np.arange(n)
-    return sd.from_coo_arrays(n, np.concatenate([rows, i]),
-                              np.concatenate([cols, i]),
-                              np.concatenate([v, slack]))
-
-
 def test_single_column_supernodes_match_column_kernel_bit_for_bit():
     rng = np.random.default_rng(23)
     # a star whose hub is last; two hubs, each spoke reaching both (every
@@ -158,6 +145,20 @@ def test_non_positive_pivot_inside_a_block_names_the_reference_column():
     assert got.value.value == pytest.approx(ref.value.value, rel=1e-10)
 
 
+def tree_matrix(diag):
+    """Unit entries (2, 0), (2, 1), (4, 2), (4, 3) below the given
+    diagonal, built directly so that a NaN reaches the kernel: the leaves
+    0 and 1 hang below 2, and 2 and the leaf 3 below the root 4, all
+    single columns; d_2 = A_22 - 2 when A_00 = A_11 = 1."""
+    rows = np.array([0, 1, 2, 3, 4, 2, 2, 4, 4])
+    cols = np.array([0, 1, 2, 3, 4, 0, 1, 2, 3])
+    shape = sd.from_coo_arrays(5, rows, cols, np.ones(9))
+    on_diagonal = shape.row_idx == np.repeat(np.arange(5), np.diff(shape.col_ptr))
+    values = np.where(on_diagonal, np.asarray(diag)[shape.row_idx], 1.0)
+    return sd.SparseSymmetric(n=5, col_ptr=shape.col_ptr,
+                              row_idx=shape.row_idx, values=values)
+
+
 @pytest.mark.parametrize("a, column", [
     (sd.from_coo_arrays(4, np.arange(4), np.arange(4),
                         np.array([1.0, 2.0, -3.0, 4.0])), 2),
@@ -169,7 +170,16 @@ def test_non_positive_pivot_inside_a_block_names_the_reference_column():
     # built directly: from_coo_arrays refuses NaN
     (sd.SparseSymmetric(n=3, col_ptr=np.arange(4), row_idx=np.arange(3),
                         values=np.array([1.0, np.nan, 1.0])), 1),
-], ids=["negative-leaf", "star-hub", "nan-leaf"])
+    # the leaves are divided before the loop, but the first failure in
+    # column order is raised: the non-leaf 2 (1.5 - 2 < 0) before the
+    # leaf 3, the leaf 1 before the non-leaf 2, the leaf 3 before the
+    # root 4, and a NaN leaf after good columns
+    (tree_matrix([1.0, 1.0, 1.5, -1.0, 9.0]), 2),
+    (tree_matrix([1.0, -1.0, -5.0, 1.0, 9.0]), 1),
+    (tree_matrix([1.0, 1.0, 3.0, 0.0, -1.0]), 3),
+    (tree_matrix([1.0, 1.0, 3.0, np.nan, 9.0]), 3),
+], ids=["negative-leaf", "star-hub", "nan-leaf", "non-leaf-before-leaf",
+        "leaf-before-non-leaf", "leaf-before-root", "nan-leaf-in-tree"])
 def test_non_positive_pivot_in_a_single_column_names_the_reference_column(
         a, column):
     sym = sd.symbolic_factor(a, sd.natural_order(a.n))
@@ -275,4 +285,4 @@ def test_kernels_cache_only_the_maps_they_read():
     fields = {field.name for field in dataclasses.fields(sym)}
     assert set(vars(sym)) - fields == {"lower_keys", "supernodes",
                                        "block_updates", "preorder",
-                                       "parent_positions"}
+                                       "parent_positions", "leaf_slots"}
