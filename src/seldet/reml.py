@@ -396,7 +396,7 @@ def restricted_loglik(d: MixedModelDataset, v: VarianceParams,
     if n <= p:
         raise SizeMismatchError(f"need n > p, got n = {n}, p = {p}")
     if form == "c":
-        f, rhs = plan_for(d, ordering).factorize(v)
+        f, rhs = plan_for(d, ordering)._factorize(v)  # hashed by plan_for
         return _loglik(d, v, log_det(f), _ypy(d, v, rhs, solve(f, rhs)))
     if form == "h":
         if n > DENSE_FORM_LIMIT:
@@ -575,7 +575,9 @@ class RemlPlan:
 
     The plan is for the dataset content it was analyzed on: evaluating it
     after X, a factor's codes or the residual codes were edited in place
-    raises PatternMismatchError.
+    raises PatternMismatchError.  The check hashes that content; the
+    private ``_factorize`` and ``_evaluate`` skip it for callers that
+    have just hashed it to find the plan.
     """
 
     d: MixedModelDataset
@@ -592,6 +594,9 @@ class RemlPlan:
     def factorize(self, v: VarianceParams) -> tuple[LdlFactor, np.ndarray]:
         """The LDL^T factor of C at ``v`` and the right-hand side."""
         self._require_current()
+        return self._factorize(v)
+
+    def _factorize(self, v: VarianceParams) -> tuple[LdlFactor, np.ndarray]:
         m = _system(self.table, self.d, v)
         return ldlt_factorize(m.C, self.sym), m.rhs
 
@@ -602,6 +607,9 @@ class RemlPlan:
         come with their symbolic predictions.
         """
         self._require_current()
+        return self._evaluate(v)
+
+    def _evaluate(self, v: VarianceParams) -> RemlReport:
         d = self.d
         times = {"ordering": 0.0, "symbolic": 0.0}
         with _phase(times, "assemble"):
@@ -720,7 +728,7 @@ def reml_report(d: MixedModelDataset, v: VarianceParams,
     dataset only the first call pays for them.
     """
     times: dict[str, float] = {}
-    rep = _held_plan(d, ordering, times).evaluate(v)
+    rep = _held_plan(d, ordering, times)._evaluate(v)  # hashed by _held_plan
     for phase, seconds in times.items():
         rep.times[phase] += seconds
     return rep

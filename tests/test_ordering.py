@@ -156,11 +156,15 @@ def field_pattern(m):
     return sd.from_coo_arrays(m * m, rows[low], cols[low], np.ones(low.sum()))
 
 
+COLD_SEEDS = (1000, 1001, 1017, 1042, 1063)
+
+
 @pytest.mark.parametrize("workload, key, build", [
-    ("reml_cold", "prob1/seed=1000", lambda: prob1_c(1000)),
+    *[("reml_cold", f"prob1/seed={seed}", functools.partial(prob1_c, seed))
+      for seed in COLD_SEEDS],
     ("reml_fit", "prob1/seed=2000/t=0", lambda: per_year_c(2000)),
     ("field_selinv", "field/m=72", lambda: field_pattern(72)),
-], ids=("reml_cold", "reml_fit", "field_selinv"))
+], ids=[*(f"reml_cold-{seed}" for seed in COLD_SEEDS), "reml_fit", "field_selinv"])
 def test_amd_permutation_matches_benchmark_reference(workload, key, build):
     # The benchmark's fingerprint hash: the first 16 hex digits of the
     # SHA-256 of the permutation as little-endian int64.  A rewrite of
@@ -237,11 +241,13 @@ def oracle_permutations():
     return [(a, reference_amd_order(a).perm) for a in oracle_cases()]
 
 
-@pytest.mark.parametrize("volume", [0, sys.maxsize], ids=("array", "list"))
+@pytest.mark.parametrize("volume", [0, 32, sys.maxsize],
+                         ids=("array", "mixed", "list"))
 def test_amd_matches_the_list_reference(monkeypatch, volume):
-    # every pivot through one scan: 0 sends all to the array scan,
-    # sys.maxsize all to the list scan; each alone must give the
-    # reference permutation
+    # 0 sends every pivot to the array scan and sys.maxsize every pivot
+    # to the list scan; at 32 both run in one ordering, so the list scan
+    # reads the array('q') lists that earlier array scans left behind.
+    # Each must give the reference permutation.
     monkeypatch.setattr(ordering, "_ARRAY_SCAN_VOLUME", volume)
     cases = oracle_permutations()
     assert len(cases) >= 200
@@ -259,7 +265,8 @@ def test_array_scan_merges_only_equal_lists():
         9, [1, 2, 3], adj_e, adj_v, [[]] * 10, nv_a, np.zeros(10, np.int64))
     assert groups == [[1, 3]]
     assert tmp_deg == {1: 2, 2: 2, 3: 2}
-    assert adj_e[1:4] == [[9]] * 3 and adj_v[1:4] == [[6, 7], [5, 8], [7, 6]]
+    assert [list(x) for x in adj_e[1:4]] == [[9]] * 3
+    assert [list(x) for x in adj_v[1:4]] == [[6, 7], [5, 8], [7, 6]]
 
 
 def test_field_never_enters_the_array_scan(monkeypatch):

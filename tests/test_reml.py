@@ -784,6 +784,34 @@ def test_a_stale_plan_refuses_to_evaluate():
         plan.evaluate(path[0])
 
 
+def test_a_stale_plan_refuses_to_factorize():
+    d, path = path_dataset(229)
+    plan = sd.analyze(d)
+    d.residual_codes[0] = (d.residual_codes[0] + 1) % d.n_residual_blocks
+    with pytest.raises(PatternMismatchError, match="changed"):
+        plan.factorize(path[0])
+
+
+def test_a_held_plan_hashes_the_dataset_once_per_call(no_held_plan,
+                                                      monkeypatch):
+    # the key lookup hashes the dataset; the plan it finds is current, so
+    # evaluating it must not hash the same content again
+    d, path = path_dataset(281)
+    sd.reml_report(d, path[0])
+    calls = []
+    real = sd.reml._dataset_digest
+
+    def counting(data):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(sd.reml, "_dataset_digest", counting)
+    assert sd.reml_report(d, path[1]).times["ordering"] == 0.0
+    assert len(calls) == 1
+    sd.restricted_loglik(d, path[2])
+    assert len(calls) == 2
+
+
 def test_a_copy_with_another_response_reuses_the_plan(no_held_plan, amd_calls):
     d, path = path_dataset(233)
     sd.reml_report(d, path[0])
