@@ -54,14 +54,16 @@ of 8 to 64 columns and none were within 3 % of each other.
 
 A single column that no earlier column reaches (``SymbolicFactor.leaves``:
 2 443 of the 3 362 columns of the C of the benchmark's ``reml_fit`` under
-AMD) is already (D L)[:, j] as loaded, and is only divided.  The leaves
-are checked and divided in one vectorized step before the loop, which
-then runs over the other supernodes only.  The step takes 0.2 ms on
-that C, and a factorization of it went from 49.6 to 43.3 ms (medians of
-41 calls alternated with the loop over every supernode in one process,
-2 vCPU).  A failing leaf pivot cuts the step short: the leaves from it
-on stay in the loop, so the pivot reported is the first failing one in
-column order, leaf or not.
+AMD) is already (D L)[:, j] as loaded, and is only divided.  The leaves'
+pivots are checked in one step, and their columns divided before the
+loop, one batch of ``SymbolicFactor.leaf_batches`` at a time through its
+storage positions; the loop then runs over the other supernodes only.
+The step takes 0.2 ms on that C, and a factorization of it went from
+49.6 to 43.3 ms (medians of 41 calls alternated with the loop over
+every supernode in one process, 2 vCPU).  If any leaf pivot fails, no
+leaf is divided before the loop, which then runs over every supernode:
+it meets the pivots in column order and reports the first failing one,
+leaf or not, and no division by a failed pivot is ever issued.
 
 Measured on the column-by-column kernel, before the dense supernodes:
 ``np.bincount`` in place of ``np.subtract.at`` changed nothing, and a
@@ -162,6 +164,7 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
     # the pattern's maps first (built on the first call), so that their
     # builds do not stack on the work arrays
     ptr, _, upd_first, upd_len, _ = sym.block_updates
+    leaves, batches = sym.leaves, sym.leaf_batches
     bounds = sym.supernodes.tolist()
     n = sym.n
     colptr, rows = sym.l_col_ptr, sym.l_row_idx
@@ -177,22 +180,17 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
     where = np.zeros(n, dtype=np.int64)   # each row's place in a block's front
 
     # a leaf's column of PAP^T is already (D L)[:, j]: the leaves are
-    # divided in one step before the loop.  Those from the first failing
-    # pivot on stay in the loop, which meets the failures in column order
-    leaves = sym.leaves
-    pivots = a_diag[leaves]
-    ok = (pivots > 0.0) & (pivots < math.inf)
-    if not ok.all():
-        leaves = leaves[:np.argmin(ok)]
-    d[leaves] = a_diag[leaves]
-    lens = sym.col_counts[leaves] - 1
-    at = _segments(colptr[leaves], lens)
-    l_values[at] = ld_values[at] / d[leaves].repeat(lens)
-    flops, padded = at.size, 0
-    del at
-
+    # divided batch by batch before the loop.  If any leaf pivot fails,
+    # none is divided, and the loop meets every pivot in column order
+    flops = padded = 0
     rest = np.ones(n, dtype=bool)
-    rest[leaves] = False
+    pivots = a_diag[leaves]
+    if ((pivots > 0.0) & (pivots < math.inf)).all():
+        d[leaves] = pivots
+        for _, cols, at, _ in batches:
+            l_values[at] = ld_values[at] / d[cols][:, None]
+            flops += at.size
+        rest[leaves] = False
     col_start, upd_start = colptr.tolist(), ptr.tolist()
     # one iteration per other supernode, columns j:e, taking the updates
     # u0:u1
@@ -359,17 +357,14 @@ def solve(f: LdlFactor, b: np.ndarray) -> np.ndarray:
     sym = f.sym
     colptr, rows = sym.l_col_ptr, sym.l_row_idx
     lv = f.l_values
-    # the leaves, and the storage of their columns, in batches
-    batches = [(leaves, colptr[leaves][:, None] + np.arange(q))
-               for q, leaves in sym.leaf_batches()]
-    # the other columns with entries below the diagonal, and where each
-    # starts and ends, as Python ints
+    # the columns with entries below the diagonal that are not leaves,
+    # and where each starts and ends, as Python ints
     inner = np.diff(colptr) > 0
     inner[sym.leaves] = False
     cols = np.flatnonzero(inner)
     walk = list(zip(cols.tolist(), colptr[cols].tolist(), colptr[cols + 1].tolist()))
     y = b[perm].copy()
-    for leaves, at in batches:
+    for _, leaves, at, _ in sym.leaf_batches:
         y -= np.bincount(rows[at].ravel(), (y[leaves][:, None] * lv[at]).ravel(),
                          minlength=n)
     for j, lo, hi in walk:
@@ -377,7 +372,7 @@ def solve(f: LdlFactor, b: np.ndarray) -> np.ndarray:
     y /= f.d
     for j, lo, hi in reversed(walk):
         y[j] -= lv[lo:hi] @ y[rows[lo:hi]]
-    for leaves, at in batches:
+    for _, leaves, at, _ in sym.leaf_batches:
         y[leaves] -= (lv[at] * y[rows[at]]).sum(axis=1)
     x = np.empty(n)
     x[perm] = y

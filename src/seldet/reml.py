@@ -318,16 +318,22 @@ def _template_table(d: MixedModelDataset) -> _Table:
                   value[order])
 
 
-def _system(table: _Table, d: MixedModelDataset,
-            v: VarianceParams) -> MmeSystem:
-    """The mixed-model equations of ``d`` at ``v``, with C from its
-    template ``table`` and the right-hand side W'R^-1 y."""
+def _check_params(d: MixedModelDataset, v: VarianceParams):
+    """Refuse ``v`` unless it has one gamma per factor of ``d`` and one
+    phi per residual block."""
     if v.gamma.size != len(d.factors):
         raise SizeMismatchError(
             f"{v.gamma.size} gamma values for {len(d.factors)} factors")
     if v.phi.size != d.n_residual_blocks:
         raise SizeMismatchError(
             f"{v.phi.size} phi values for {d.n_residual_blocks} residual blocks")
+
+
+def _system(table: _Table, d: MixedModelDataset,
+            v: VarianceParams) -> MmeSystem:
+    """The mixed-model equations of ``d`` at ``v``, with C from its
+    template ``table`` and the right-hand side W'R^-1 y."""
+    _check_params(d, v)
     inv_kappa = 1.0 / np.concatenate([v.gamma, v.phi])
     ry = (1.0 / v.phi[d.residual_codes]) * d.y
     rhs = np.concatenate(
@@ -392,6 +398,7 @@ def restricted_loglik(d: MixedModelDataset, v: VarianceParams,
     with H = R + ZGZ', guarded to n <= 500; the two agree to rounding and
     the dense path exists as an oracle.
     """
+    _check_params(d, v)
     n, p = d.x.shape
     if n <= p:
         raise SizeMismatchError(f"need n > p, got n = {n}, p = {p}")
@@ -727,6 +734,7 @@ def reml_report(d: MixedModelDataset, v: VarianceParams,
     analysis come from :func:`plan_for`, so along a fit path on one
     dataset only the first call pays for them.
     """
+    _check_params(d, v)  # before any pattern work
     times: dict[str, float] = {}
     rep = _held_plan(d, ordering, times)._evaluate(v)  # hashed by _held_plan
     for phase, seconds in times.items():

@@ -38,9 +38,10 @@ under AMD.  No column reads a leaf's entries, and a leaf's pattern holds
 ancestors only, which are all finished when the sweep ends.  So the
 sweep leaves them out, and they do not count as children that keep a
 front alive.  After it they run in the batches of
-``SymbolicFactor.leaf_batches``, G leaves with q rows each at a time:
-a (G, q, q) stack of their blocks Z[P, P] is filled from ``z_values``
-through ``SymbolicFactor.leaf_slots`` and from ``z_diag[P]``, one
+``SymbolicFactor.leaf_batches``, G leaves with q rows each at a time,
+each batch with the storage positions of its columns and the slots of
+the pairs of their patterns: a (G, q, q) stack of their blocks Z[P, P]
+is filled from ``z_values`` at the slots and from ``z_diag[P]``, one
 ``np.matmul`` of the stack by the (G, q, 1) columns of L gives their
 columns of Z, and one ``np.matmul`` of (G, 1, q) by (G, q, 1) their
 diagonal updates.  numpy runs each slice of those products as the same
@@ -50,8 +51,9 @@ another order and is not.  A batch holds at most 2^15 block entries
 (0.25 MB).  A selected inversion went from 57.0 to 31.8 ms on the
 ``reml_fit`` C and from 69.5 to 53.2 ms on the 72x72 AR1 (x) AR1 field
 (medians of 41 calls alternated with the sweep over every column in one
-process, 2 vCPU).  The slot map is built on the first call, in 11 and
-2.5 ms, and holds 0.61 and 0.13 MB.
+process, 2 vCPU).  The batches are pattern work, built with the first
+factorization of a pattern and kept on the symbolic factor: 0.71 MB on
+that C and 0.17 MB on the field.
 
 A front is dropped as soon as its last child has gathered from it, so
 the fronts held at any time belong to ancestors of the current supernode
@@ -123,7 +125,7 @@ def selected_inverse(f: LdlFactor) -> SelectedInverse:
     parent = sym.parent.tolist()
     # the pattern's maps first (built on the first call), so that their
     # builds do not stack on the work arrays
-    pos, leaf_slots = sym.parent_positions, sym.leaf_slots
+    pos, batches = sym.parent_positions, sym.leaf_batches
     lv = f.l_values
     z = np.empty(lv.size)
     z_diag = 1.0 / f.d
@@ -183,8 +185,7 @@ def selected_inverse(f: LdlFactor) -> SelectedInverse:
     # the leaves, G with q rows each at a time: each slice of the stacked
     # products is the column step's own gemv and dot
     rows = sym.l_row_idx
-    for (q, cols), slots in zip(sym.leaf_batches(), leaf_slots):
-        at = sym.l_col_ptr[cols][:, None] + np.arange(q)
+    for q, cols, at, slots in batches:
         block = np.empty((cols.size, q, q))
         upper, lower = np.triu_indices(q, 1)
         block[:, upper, lower] = block[:, lower, upper] = z[slots]

@@ -20,6 +20,12 @@ that the numeric kernels are instrumented to match exactly.
 The analysis also finds, once per pattern, the slot of each stored entry
 of the analyzed matrix in the factor's storage, so that a numeric
 factorization of any matrix on that pattern only scatters its values.
+The same holds for the other index maps the kernels read, built on
+first use and kept on the symbolic factor.  Among them is the one
+layout of the etree's leaves, the single columns without a child
+(``SymbolicFactor.leaf_batches``): most of the columns and little of the
+work, which the factorization, the selected inversion and the solve do
+in batches outside their loops.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ __all__ = [
 ]
 
 # Block entries per batch of leaves: a (G, q, q) stack of 0.25 MB at most.
+# Uncut, one q-group's stack is 0.45 MB on the C of the benchmark's
+# reml_fit, 1.77 MB on prob3 and 5.68 MB on prob5, all under AMD.
 _LEAF_BATCH = 1 << 15
 
 
@@ -106,13 +114,15 @@ class SymbolicFactor:
     (one entry per pair of a supernode and a column that updates it),
     together 0.14 MB on a prob1 C, 0.11 MB on the C of the benchmark's
     ``reml_fit`` and 0.17 MB on the 72x72 AR1 (x) AR1 field, all under
-    AMD.  The selected inversion builds three on its first call:
-    :attr:`preorder` (one int64 per column), :attr:`parent_positions`
-    (one entry of L each, in the smallest unsigned type that holds the
-    largest column count: 1 byte, 0.10 MB, on a prob1 C under AMD) and
-    :attr:`leaf_slots` (one entry per pair of rows of each leaf's
-    pattern, in the smallest unsigned type that holds ``nnz_L``: 0.61 MB
-    on the C of the benchmark's ``reml_fit`` and 0.13 MB on the field).
+    AMD, and the one layout of the etree's leaves: :attr:`leaves` (one
+    int64 each) and :attr:`leaf_batches` (each leaf's storage positions
+    and the slots of the pairs of its pattern, in the smallest unsigned
+    type that holds ``nnz_L``: 0.71 MB on the C of the benchmark's
+    ``reml_fit`` and 0.17 MB on the field).  The selected inversion
+    builds two on its first call: :attr:`preorder` (one int64 per
+    column) and :attr:`parent_positions` (one entry of L each, in the
+    smallest unsigned type that holds the largest column count: 1 byte,
+    0.10 MB, on a prob1 C under AMD).
     """
 
     n: int
@@ -303,76 +313,80 @@ class SymbolicFactor:
         pos.flags.writeable = False
         return pos
 
-    @property
+    @cached_property
     def leaves(self) -> np.ndarray:
-        """The leaves, ascending, as int64: the width-1 supernodes whose
-        :attr:`block_updates` range is empty, that is the columns without
-        a child in the elimination tree that are supernodes of their own.
-        No column updates a leaf, and no column reads a leaf's entries of
-        Z or of a solve's backward sweep, so every kernel does the leaves
-        as batches outside its loop.  Derived from the supernode maps on
-        each call."""
+        """The leaves, ascending, as int64, read-only: the width-1
+        supernodes whose :attr:`block_updates` range is empty, that is
+        the columns without a child in the elimination tree that are
+        supernodes of their own.  No column updates a leaf, and no column
+        reads a leaf's entries of Z or of a solve's backward sweep, so
+        every kernel does the leaves as the batches of
+        :attr:`leaf_batches`, outside its loop.  Built on first use and
+        kept for the factor's life."""
         bounds, ptr = self.supernodes, self.block_updates[0]
         leaf = (np.diff(bounds) == 1) & (ptr[:-1] == ptr[1:])
-        return bounds[:-1][leaf].astype(np.int64)
+        out = bounds[:-1][leaf].astype(np.int64)
+        out.flags.writeable = False
+        return out
 
-    def leaf_batches(self) -> list[tuple[int, np.ndarray]]:
-        """The leaves with q >= 1 entries below the diagonal, grouped by q
-        (ascending) and cut into batches of at most
-        ``max(1, _LEAF_BATCH // q^2)`` columns, ascending within a group:
-        ``(q, columns)`` pairs, the columns as int64.  A batch's stack of
-        q-by-q blocks then holds at most 0.25 MB."""
+    @cached_property
+    def leaf_batches(self) -> tuple[tuple[int, np.ndarray, np.ndarray,
+                                          np.ndarray], ...]:
+        """The one layout of the leaves with q >= 1 entries below the
+        diagonal: ``(q, cols, at, slots)`` batches, grouped by q
+        (ascending) and cut into at most ``max(1, _LEAF_BATCH // q^2)``
+        columns, ascending within a group.  For the G columns ``cols``
+        (int64) of a batch, with P the pattern of ``cols[g]``:
+
+        - ``at[g]`` (G, q) is the storage range
+          ``l_col_ptr[cols[g]]:l_col_ptr[cols[g] + 1]`` of the column, so
+          that ``l_row_idx[at[g]]`` is P;
+        - ``slots[g]`` (G, q (q - 1) / 2) holds, for the pairs (a, b) of
+          ``np.triu_indices(q, 1)``, the storage position of (P[b], P[a]),
+          in column P[a]: where the leaf's block Z[P, P] lies in a
+          selected inverse's ``z_values``, besides its diagonal
+          ``z_diag[P]``.
+
+        ``at`` and ``slots`` are in the smallest unsigned type that holds
+        ``nnz_L``, and all three arrays are read-only.  Built on first use
+        (the first factorization) and kept for the factor's life: 4 bytes
+        per entry, 0.10 MB of positions and 0.61 MB of slots (151 581
+        pairs of 2 443 leaves) on the C of the benchmark's ``reml_fit``,
+        0.04 and 0.13 MB on the 72x72 AR1 (x) AR1 field, both under AMD.
+
+        One ``searchsorted`` per batch against :attr:`lower_keys`, with
+        the keys formed in its own type: P is sorted, so P[a] < P[b] and
+        ``P[a] * n + P[b]`` is the key.  A pair missing from the pattern
+        (it is not closed) raises PatternMismatchError.
+        """
         leaves = self.leaves
         q = self.col_counts[leaves] - 1
         order = np.argsort(q, kind="stable")
         leaves, q = leaves[order], q[order]
-        starts = np.flatnonzero(np.diff(q, prepend=-1)).tolist()
+        # where each group starts: the leaves with q = 0 open none
+        starts = np.flatnonzero(np.diff(q, prepend=0)).tolist()
+        colptr, rows, keys = self.l_col_ptr, self.l_row_idx, self.lower_keys
+        kind = np.min_scalar_type(self.nnz_L)
         batches = []
         for g0, g1 in zip(starts, starts[1:] + [q.size]):
             k = int(q[g0])
-            if k:
-                step = max(1, _LEAF_BATCH // (k * k))
-                batches += [(k, leaves[t:min(t + step, g1)])
-                            for t in range(g0, g1, step)]
-        return batches
-
-    @cached_property
-    def leaf_slots(self) -> tuple[np.ndarray, ...]:
-        """Where each leaf's block Z[P, P] lies in a selected inverse's
-        ``z_values``, P the leaf's pattern: for each batch of
-        :meth:`leaf_batches`, a (G, q (q - 1) / 2) array whose row holds,
-        for the pairs (a, b) of ``np.triu_indices(q, 1)``, the storage
-        position of (P[b], P[a]), in column P[a].  The diagonal of the
-        block is ``z_diag[P]`` and the positions of P come from
-        ``l_col_ptr``, so only these slots are kept: read-only, in the
-        smallest unsigned type that holds ``nnz_L``, built on first use
-        and kept for the factor's life.  That is 4 bytes per pair: 0.61 MB
-        (151 581 pairs of 2 443 leaves) on the C of the benchmark's
-        ``reml_fit`` and 0.13 MB on the 72x72 AR1 (x) AR1 field, both
-        under AMD.
-
-        One ``searchsorted`` per batch against :attr:`lower_keys`, with the
-        keys formed in its own type: P is sorted, so P[a] < P[b] and
-        ``P[a] * n + P[b]`` is the key.  A pair missing from the pattern
-        (it is not closed) raises PatternMismatchError.
-        """
-        colptr, rows, keys = self.l_col_ptr, self.l_row_idx, self.lower_keys
-        kind = np.min_scalar_type(self.nnz_L)
-        out = []
-        for q, cols in self.leaf_batches():
-            upper, lower = np.triu_indices(q, 1)
-            pattern = rows[colptr[cols][:, None] + np.arange(q)].astype(keys.dtype)
-            want = pattern[:, upper] * self.n + pattern[:, lower]
-            del pattern
-            at = np.searchsorted(keys, want)
-            if not np.array_equal(keys[at], want):
-                raise PatternMismatchError(
-                    "selected pattern is not closed: a pair of a leaf's "
-                    "pattern is missing from L")
-            slots = at.astype(kind)
-            slots.flags.writeable = False
-            out.append(slots)
-        return tuple(out)
+            step = max(1, _LEAF_BATCH // (k * k))
+            upper, lower = np.triu_indices(k, 1)
+            for t in range(g0, g1, step):
+                cols = leaves[t:min(t + step, g1)]
+                at = colptr[cols][:, None] + np.arange(k)
+                pattern = rows[at].astype(keys.dtype)
+                want = pattern[:, upper] * self.n + pattern[:, lower]
+                found = np.searchsorted(keys, want)
+                if not np.array_equal(keys[found], want):
+                    raise PatternMismatchError(
+                        "selected pattern is not closed: a pair of a leaf's "
+                        "pattern is missing from L")
+                batch = (k, cols, at.astype(kind), found.astype(kind))
+                for a in batch[1:]:
+                    a.flags.writeable = False
+                batches.append(batch)
+        return tuple(batches)
 
     def require_pattern(self, a: SparseSymmetric):
         """Raise unless ``a`` has exactly the pattern this factor was

@@ -183,9 +183,23 @@ def test_generated_dataset_feeds_the_solver():
 
 
 def test_degenerate_config_with_no_observations_rejected():
-    # one year, one center, fraction so small the trial can never observe
-    # anything once missingness removes the single cell is impossible to
-    # construct deterministically, but a 100%-missing config is caught at
-    # validation; an empty draw is caught at generation
+    # a 100%-missing config is caught at validation; an empty draw is
+    # caught at generation: with this seed the one cell of a one-year,
+    # one-center, one-variety trial is drawn missing
     with pytest.raises(InvalidConfigError):
         small_config(missing_fraction=1.0)
+    with pytest.raises(InvalidConfigError, match="zero observations"):
+        sd.generate(small_config(years=1, centers=1, control_varieties=1,
+                                 new_varieties_per_year=0,
+                                 missing_fraction=0.5, seed=1))
+
+
+def test_unit_persistence_keeps_each_new_variety_one_year():
+    cfg = small_config(mean_persistence=1.0, missing_fraction=0.0)
+    d = sd.generate(cfg)
+    years = factor_by_name(d, "year")
+    varieties = factor_by_name(d, "variety")
+    seen = [np.unique(years.codes[varieties.codes == k]).size
+            for k in range(varieties.n_levels)]
+    assert seen == ([cfg.years] * cfg.control_varieties
+                    + [1] * (cfg.years * cfg.new_varieties_per_year))

@@ -72,22 +72,26 @@ def test_leaf_batches_and_slots_match_their_definitions():
     sym = sd.symbolic_factor(a, sd.amd_order(a))
     colptr, rows = sym.l_col_ptr, sym.l_row_idx
     cols_of = np.repeat(np.arange(a.n), np.diff(colptr))
-    batches = sym.leaf_batches()
-    seen = np.concatenate([cols for _, cols in batches])
+    batches = sym.leaf_batches
+    assert sym.leaf_batches is batches and isinstance(batches, tuple)
+    assert sym.leaves is sym.leaves and not sym.leaves.flags.writeable
+    seen = np.concatenate([cols for _, cols, _, _ in batches])
     q_all = sym.col_counts[sym.leaves] - 1
     assert np.array_equal(np.sort(seen), sym.leaves[q_all > 0])
-    assert [q for q, _ in batches] == sorted(q for q, _ in batches)
-    slots = sym.leaf_slots
-    assert sym.leaf_slots is slots and len(slots) == len(batches)
-    for (q, cols), s in zip(batches, slots):
+    assert [b[0] for b in batches] == sorted(b[0] for b in batches)
+    kind = np.min_scalar_type(sym.nnz_L)
+    for q, cols, at, s in batches:
         assert cols.dtype == np.int64 and np.all(np.diff(cols) > 0)
         assert np.all(sym.col_counts[cols] == q + 1)
         assert cols.size * q * q <= max(1 << 15, q * q)
+        assert at.shape == (cols.size, q)
         assert s.shape == (cols.size, q * (q - 1) // 2)
-        assert s.dtype == np.min_scalar_type(sym.nnz_L)
-        assert not s.flags.writeable
+        for arr in (cols, at, s):
+            assert not arr.flags.writeable
+        assert at.dtype == s.dtype == kind
         upper, lower = np.triu_indices(q, 1)
         for g, j in enumerate(cols.tolist()):
+            assert np.array_equal(at[g], np.arange(colptr[j], colptr[j + 1]))
             pattern = rows[colptr[j]:colptr[j + 1]]
             assert np.array_equal(cols_of[s[g]], pattern[upper])
             assert np.array_equal(rows[s[g]], pattern[lower])
@@ -108,4 +112,4 @@ def test_a_leaf_pair_off_the_pattern_is_refused():
     )
     assert sym.leaves.tolist() == [0, 1]
     with pytest.raises(PatternMismatchError, match="not closed"):
-        sym.leaf_slots
+        sym.leaf_batches

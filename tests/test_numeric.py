@@ -203,6 +203,9 @@ def test_factorize_rejects_other_patterns():
     for other in others:
         with pytest.raises(PatternMismatchError):
             sd.ldlt_factorize(other, sym)
+    with pytest.raises(SizeMismatchError,
+                       match="symbolic factor is for n=3, matrix has n=2"):
+        sd.ldlt_factorize(two_by_two(), sym)
     # the analyzed pattern with new values still factors
     scaled = sd.from_coo_arrays(3, *chain.triplets()[:2],
                                 vals=3.0 * chain.triplets()[2])

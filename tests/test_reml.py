@@ -188,6 +188,29 @@ def test_non_finite_response_or_design_rejected(array, at, bad, where):
                              n_residual_blocks=1)
 
 
+@pytest.mark.parametrize("change, says", [
+    (dict(x=np.ones((3, 1))), "inconsistent dataset shapes"),
+    (dict(x=np.ones(2)), "inconsistent dataset shapes"),
+    (dict(residual_codes=np.zeros(3, dtype=np.int64)),
+     "inconsistent dataset shapes"),
+    (dict(fixed_names=("mean", "slope")),
+     re.escape("fixed_names length != number of X columns")),
+    (dict(factors=(sd.RandomFactor(name="f", codes=[0, 1, 0], n_levels=2),)),
+     "factor f: wrong length"),
+])
+def test_dataset_parts_must_agree_in_size(change, says):
+    d = tiny_dataset()
+    parts = dict(y=d.y, x=d.x, fixed_names=d.fixed_names, factors=d.factors,
+                 residual_codes=d.residual_codes, n_residual_blocks=1)
+    with pytest.raises(SizeMismatchError, match=says):
+        sd.MixedModelDataset(**(parts | change))
+
+
+def test_factor_label_count_must_match_levels():
+    with pytest.raises(SizeMismatchError, match="factor f: label/level count"):
+        sd.RandomFactor(name="f", codes=[0, 1], n_levels=2, labels=("a",))
+
+
 def test_residual_label_count_must_match_blocks():
     d = tiny_dataset()
     with pytest.raises(SizeMismatchError, match="residual label"):
@@ -597,6 +620,14 @@ def test_dataset_without_resblock_column():
     assert np.array_equal(d.residual_codes, [0, 0])
 
 
+def test_dataset_without_fixed_columns_gets_the_mean():
+    # a blank line is skipped
+    d = sd.read_dataset(io.StringIO("response\trandom:f\n1.5\ta\n\n2.5\tb\n"))
+    assert d.fixed_names == ("mean",)
+    assert np.array_equal(d.x, np.ones((2, 1)))
+    assert np.array_equal(d.y, [1.5, 2.5])
+
+
 @pytest.mark.parametrize("row, column", [
     ("nan\t1\ta", "response"), ("1.0\tinf\ta", "fixed:mean"),
     ("-inf\t1\ta", "response")])
@@ -622,6 +653,8 @@ def test_dataset_parse_errors():
         sd.read_dataset(io.StringIO("response\tweight:w\n1.0\t2.0\n"))
     with pytest.raises(ParseError):  # response not first
         sd.read_dataset(io.StringIO("fixed:mean\tresponse\n1\t1.0\n"))
+    with pytest.raises(ParseError, match="no observations"):  # header only
+        sd.read_dataset(io.StringIO("response\tfixed:mean\n\n"))
     with pytest.raises(ParseError):  # one role read from two columns
         sd.read_dataset(io.StringIO(
             "response\tresblock\trandom:f\tresblock\n1.0\t0\ta\t1\n"))
@@ -897,6 +930,38 @@ def test_a_refused_dataset_keeps_the_held_plan(no_held_plan, amd_calls):
     assert len(amd_calls) == 1
 
 
+def one_block_trial():
+    """A small generated trial: six factors, one residual block."""
+    return sd.generate(sd.TrialConfig(
+        years=3, centers=4, centers_per_year_fraction=0.75,
+        control_varieties=2, new_varieties_per_year=2, mean_persistence=2.0,
+        missing_fraction=0.0, seed=5))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda d, v: sd.reml_report(d, v),
+    lambda d, v: sd.restricted_loglik(d, v, form="c"),
+    lambda d, v: sd.restricted_loglik(d, v, form="h"),
+    lambda d, v: sd.assemble_mme(d, v),
+], ids=["reml_report", "loglik-c", "loglik-h", "assemble_mme"])
+@pytest.mark.parametrize("gammas, phis, says", [
+    (8, 1, "8 gamma values for 6 factors"),
+    (4, 1, "4 gamma values for 6 factors"),
+    (6, 3, "3 phi values for 1 residual blocks"),
+])
+def test_wrong_parameter_sizes_are_refused_before_any_pattern_work(
+        no_held_plan, amd_calls, entry, gammas, phis, says):
+    held_d, _ = path_dataset(277)
+    plan = sd.plan_for(held_d)
+    d = one_block_trial()
+    assert (len(d.factors), d.n_residual_blocks) == (6, 1)
+    v = sd.VarianceParams(1.0, np.ones(gammas), np.ones(phis))
+    with pytest.raises(SizeMismatchError, match=f"^{says}$"):
+        entry(d, v)
+    assert len(amd_calls) == 1
+    assert sd.plan_for(held_d) is plan
+
+
 def test_unknown_ordering_is_a_typed_error():
     d, path = path_dataset(251)
     with pytest.raises(InvalidParameterError, match="unknown ordering"):
@@ -923,12 +988,13 @@ def test_selinv_pattern_work_is_done_once_per_plan(no_held_plan, monkeypatch):
     def spying(f):
         zsel = real(f)
         seen.append((f.sym.parent_positions, f.sym.preorder,
-                     f.sym.leaf_slots))
+                     f.sym.leaf_batches, f.sym.leaves))
         return zsel
 
     monkeypatch.setattr(sd.reml, "selected_inverse", spying)
     for v in path[:2]:
         plan.evaluate(v)
-    (pos, order, slots), again = seen
-    assert again[0] is pos and again[1] is order and again[2] is slots
+    (pos, order, batches, leaves), again = seen
+    assert again[0] is pos and again[1] is order
+    assert again[2] is batches and again[3] is leaves
     assert not pos.flags.writeable and not order.flags.writeable

@@ -88,8 +88,11 @@ def test_storage_validation():
     with pytest.raises(SizeMismatchError):
         sd.SparseSymmetric(n=2, col_ptr=np.array([0, 1]),
                            row_idx=np.array([0]), values=np.array([1.0]))
-    with pytest.raises(SizeMismatchError):  # decreasing col_ptr
+    with pytest.raises(SizeMismatchError):  # col_ptr ends before row_idx
         sd.SparseSymmetric(n=2, col_ptr=np.array([0, 2, 1]),
+                           row_idx=np.array([0, 1]), values=np.ones(2))
+    with pytest.raises(SizeMismatchError, match="non-decreasing"):
+        sd.SparseSymmetric(n=3, col_ptr=np.array([0, 2, 1, 2]),
                            row_idx=np.array([0, 1]), values=np.ones(2))
     with pytest.raises(IndexOutOfRangeError):
         sd.SparseSymmetric(n=2, col_ptr=np.array([0, 1, 2]),

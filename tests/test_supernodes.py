@@ -285,4 +285,5 @@ def test_kernels_cache_only_the_maps_they_read():
     fields = {field.name for field in dataclasses.fields(sym)}
     assert set(vars(sym)) - fields == {"lower_keys", "supernodes",
                                        "block_updates", "preorder",
-                                       "parent_positions", "leaf_slots"}
+                                       "parent_positions", "leaves",
+                                       "leaf_batches"}
