@@ -102,14 +102,17 @@ def _supernode_line(sym) -> str:
     """The supernode count, the widest, and the share of the ldlt forecast
     that the factorization does in multi-column supernodes: all of it but
     the single columns, single column j taking 2 * (the lengths of its
-    update segments) + m_j - 1."""
+    update segments) + m_j - 1, and the leaves' updates, q (q + 1) for a
+    leaf with q entries below the diagonal, which come before the loop."""
     width = np.diff(sym.supernodes.astype(np.int64))
     ptr, _, _, length, _ = sym.block_updates
     single = width == 1
     gathered = int(length[np.repeat(single, np.diff(ptr.astype(np.int64)))]
                    .sum(dtype=np.int64))
     columns = sym.supernodes[:-1][single]
-    work = 2 * gathered + int((sym.col_counts[columns] - 1).sum())
+    q = sym.col_counts[sym.leaves] - 1
+    work = (2 * gathered + int((sym.col_counts[columns] - 1).sum())
+            + int(np.sum(q * (q + 1))))
     total = predict_flops(sym)[0]
     share = 1.0 - work / total if total else 0.0
     return (f"supernodes    : {width.size} (widest {int(width.max(initial=0))}, "
@@ -119,13 +122,21 @@ def _supernode_line(sym) -> str:
 def _leaf_line(sym) -> str:
     """The leaves of the elimination tree, which every kernel does in
     batches outside its loop, as a share of the columns and of the selinv
-    forecast: 2q^2 + 3q for a leaf with q entries below the diagonal."""
+    forecast (2q^2 + 3q for a leaf with q entries below the diagonal);
+    the twigs; and the share of the ldlt forecast that the factorization
+    does before its loop: q (q + 2) for a leaf, its updates and its
+    divisions, and q for a twig, its divisions."""
     q = sym.col_counts[sym.leaves] - 1
     work = int(np.sum(2 * q * q + 3 * q))
-    total = predict_flops(sym)[1]
+    total = predict_flops(sym)
+    twigs = sym.leaf_batches.twigs
+    before = int(np.sum(q * (q + 2)) + np.sum(sym.col_counts[twigs] - 1))
     return (f"leaves        : {q.size} "
             f"({100.0 * q.size / sym.n if sym.n else 0.0:.1f} % of columns, "
-            f"{100.0 * work / total if total else 0.0:.1f} % of selinv_flops)")
+            f"{100.0 * work / total[1] if total[1] else 0.0:.1f} % of "
+            f"selinv_flops), {twigs.size} twigs, "
+            f"{100.0 * before / total[0] if total[0] else 0.0:.1f} % of "
+            "ldlt_flops before the loop")
 
 
 # ----------------------------------------------------------------- selinv

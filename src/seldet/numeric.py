@@ -6,29 +6,31 @@ scattered into L's storage through the slots that the analysis found
 once (``SymbolicFactor.a_slots``).  A matrix with another pattern is
 refused with PatternMismatchError.
 
-The factorization is left-looking and runs one Python iteration per
-fundamental supernode (``SymbolicFactor.supernodes``).  Column j of L is
-produced by applying the Schur updates of all earlier columns k with
-L_jk != 0, then dividing by the pivot.  Column k contributes L_jk times
-its pending segment (D L)[i, k], i >= j: the storage range from the
-position of L_jk to the end of column k.
+The factorization is left-looking.  Column j of L is produced by
+applying the Schur updates of all earlier columns k with L_jk != 0, then
+dividing by the pivot.  Column k contributes L_jk times its pending
+segment (D L)[i, k], i >= j: the storage range from the position of L_jk
+to the end of column k.  The leaves and the twigs (below) are done before
+the loop, which runs one Python iteration per other fundamental
+supernode (``SymbolicFactor.supernodes``): 446 of the 3 009 supernodes
+of the C of the benchmark's ``reml_fit`` under AMD.
 
-Every supernode reads the columns that update it from
-``SymbolicFactor.block_updates``.  For a single column j that is the
-position of every L_jk, k ascending, with the length of each one's
-segment.  It gathers those segments as one index array and scatters them
-into a dense workspace with one ``np.subtract.at``, which applies
-repeated rows one after the other.  Its time is the volume it gathers,
-not its loop.
+Every supernode of the loop reads the columns that update it, leaves
+left out, from ``SymbolicFactor.block_updates``.  For a single column j
+that is the position of every such L_jk, k ascending, with the length of
+each one's segment.  It gathers those segments as one index array and
+scatters them into a dense workspace with one ``np.subtract.at``, which
+applies repeated rows one after the other.  Its time is the volume it
+gathers, not its loop.
 
-Most of that volume goes into multi-column supernodes: 96 % on the C of
-the benchmark's ``reml_fit`` (91 % into its trailing supernode of 166
-columns), 93 % and 95 % on prob1 seeds 1000 and 1001 (81 % and 90 % into
-the trailing one) and 99.8 % on the 72x72 AR1 (x) AR1 field (94 % into
-supernodes of 8 columns or more), all under AMD.  A supernode of w
-columns whose last column has the pattern R is one dense front over
-the rows F = [s] + pattern(s), |F| = w + |R|, and takes that volume in
-as dense work (Ng & Peyton 1993):
+Most of the loop's structural work goes into multi-column supernodes:
+97 % on the C of the benchmark's ``reml_fit`` (92 % into its trailing
+supernode of 166 columns), 94 % and 95 % on prob1 seeds 1000 and 1001
+(82 % and 91 % into the trailing one) and 99.8 % on the 72x72 AR1 (x)
+AR1 field (94 % into supernodes of 8 columns or more), all under AMD.  A
+supernode of w columns whose last column has the pattern R is one dense
+front over the rows F = [s] + pattern(s), |F| = w + |R|, and takes that
+work in as dense work (Ng & Peyton 1993):
 
 - the columns k before it that reach its rows come from
   ``block_updates`` in panels of at most _PANEL columns.
@@ -52,18 +54,35 @@ columns took 43.9 ms against 48.9 ms unstripped, through the 166-column
 trailing supernode; on the field, whose supernodes are narrower, strips
 of 8 to 64 columns and none were within 3 % of each other.
 
-A single column that no earlier column reaches (``SymbolicFactor.leaves``:
-2 443 of the 3 362 columns of the C of the benchmark's ``reml_fit`` under
-AMD) is already (D L)[:, j] as loaded, and is only divided.  The leaves'
-pivots are checked in one step, and their columns divided before the
-loop, one batch of ``SymbolicFactor.leaf_batches`` at a time through its
-storage positions; the loop then runs over the other supernodes only.
-The step takes 0.2 ms on that C, and a factorization of it went from
-49.6 to 43.3 ms (medians of 41 calls alternated with the loop over
-every supernode in one process, 2 vCPU).  If any leaf pivot fails, no
-leaf is divided before the loop, which then runs over every supernode:
-it meets the pivots in column order and reports the first failing one,
-leaf or not, and no division by a failed pivot is ever issued.
+The leaves (``SymbolicFactor.leaves``: the single columns without a
+child in the elimination tree, 2 443 of the 3 362 columns of that C) are
+already (D L)[:, j] as loaded, since a column depends only on the
+columns of its subtree (Liu 1990), so each leaf's whole Schur update is
+applied before the loop.  The update of leaf k with pattern P
+subtracts L_{P[a],k} (D L)_{P[b],k} at the pair (P[b], P[a]) and
+L_{P[a],k} (D L)_{P[a],k} on the diagonal at P[a], through the slots of
+``SymbolicFactor.leaf_batches``: one ``np.subtract.at`` per batch into
+L's storage and one ``np.bincount`` into the diagonal.  A twig, a single
+column whose children are all leaves (120 on that C), is then final as
+well and is divided with the leaves.  Out of the panels, the leaves no
+longer enter the wide trailing fronts as rows that are mostly zero:
+``padded_flops`` went from 133.7 M to 37.6 M on that C, from 102.3 M to
+32.9 M on prob1 and from 1 078 M to 310 M on prob3 (seed 1000).  A
+factorization of that C went from 24.3 to 18.1 ms and one of prob3 from
+112.6 to 80.7 ms (medians of 41 and 15 calls alternated with the
+previous kernel in one process, 2 vCPU).  The step itself takes about
+1.2 ms on that C.  One ``np.bincount`` over all 151 581 pairs took 2.6
+ms there: its nnz(L)-long output and index casts are fresh pages on
+every call (1 280 page faults), where the batches' temporaries stay
+small and none fault.
+
+The first leaf or twig in column order whose pivot fails, a twig's pivot
+read after the leaves below it are in, is ``stop``: only the leaves and
+twigs before it are pushed and divided, the loop runs over the
+supernodes before it and raises the first failing column it meets, and
+otherwise ``stop`` is raised.  That is the column that the
+column-by-column kernel reports, and no division by a failed pivot is
+ever issued.
 
 Measured on the column-by-column kernel, before the dense supernodes:
 ``np.bincount`` in place of ``np.subtract.at`` changed nothing, and a
@@ -76,8 +95,9 @@ structural work as it is issued: two FLOPs per gathered segment entry of
 a single column (one multiply, one subtract), 2 (s_k r_k - s_k (s_k - 1)
 / 2) for each panel column k, where s_k of its r_k segment entries lie in
 the supernode's rows, the lower trapezoid of each rank-1 step and strip
-GEMM, and one division per below-diagonal entry of each finalized
-column, the leaves' step included.  The per-position products
+GEMM, q (q + 1) for the updates of a leaf with q entries below the
+diagonal, and one division per below-diagonal entry of each finalized
+column, the step before the loop included.  The per-position products
 d_k * L_ik needed by the updates are kept from the pre-division column
 values rather than recomputed, which is what keeps the count exact.
 What the dense calls issue beyond that (the zeros of the panels, the
@@ -164,7 +184,7 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
     # the pattern's maps first (built on the first call), so that their
     # builds do not stack on the work arrays
     ptr, _, upd_first, upd_len, _ = sym.block_updates
-    leaves, batches = sym.leaves, sym.leaf_batches
+    twigs = sym.leaf_batches.twigs
     bounds = sym.supernodes.tolist()
     n = sym.n
     colptr, rows = sym.l_col_ptr, sym.l_row_idx
@@ -179,18 +199,14 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
     x = np.zeros(n)         # a single column, over its rows
     where = np.zeros(n, dtype=np.int64)   # each row's place in a block's front
 
-    # a leaf's column of PAP^T is already (D L)[:, j]: the leaves are
-    # divided batch by batch before the loop.  If any leaf pivot fails,
-    # none is divided, and the loop meets every pivot in column order
-    flops = padded = 0
+    # the leaves and the twigs before the loop, up to the first of them
+    # whose pivot fails (n if none does); the loop then runs over the
+    # other supernodes before that column
+    flops, stop = _leaves_and_twigs(sym, ld_values, a_diag, l_values, d)
+    padded = 0
     rest = np.ones(n, dtype=bool)
-    pivots = a_diag[leaves]
-    if ((pivots > 0.0) & (pivots < math.inf)).all():
-        d[leaves] = pivots
-        for _, cols, at, _ in batches:
-            l_values[at] = ld_values[at] / d[cols][:, None]
-            flops += at.size
-        rest[leaves] = False
+    rest[sym.leaves] = rest[twigs] = False
+    rest[stop:] = False
     col_start, upd_start = colptr.tolist(), ptr.tolist()
     # one iteration per other supernode, columns j:e, taking the updates
     # u0:u1
@@ -224,6 +240,8 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
         col = ld_values[lo:hi] = x[pattern]
         l_values[lo:hi] = col / dj
         flops += hi - lo
+    if stop < n:
+        raise NonPositivePivotError(stop, float(a_diag[stop]))
 
     near = np.flatnonzero(d < threshold)
     if near.size:
@@ -235,6 +253,72 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
         )
     return LdlFactor(sym=sym, l_values=l_values, d=d, flops=flops,
                      padded_flops=padded)
+
+
+def _first_failure(cols: np.ndarray, pivots: np.ndarray, stop: int) -> int:
+    """The first of the ascending columns ``cols`` whose pivot is not
+    positive and finite, if it comes before ``stop``; else ``stop``."""
+    bad = np.flatnonzero(~((pivots > 0.0) & (pivots < math.inf)))
+    return min(stop, int(cols[bad[0]])) if bad.size else stop
+
+
+def _leaves_and_twigs(sym: SymbolicFactor, ld_values: np.ndarray,
+                      a_diag: np.ndarray, l_values: np.ndarray,
+                      d: np.ndarray) -> tuple[int, int]:
+    """The step before the factorization's loop: the leaves' Schur
+    updates, then the leaves and the twigs divided; returns (flops, stop).
+
+    ``stop`` is the first leaf or twig in column order whose pivot fails,
+    or n, a twig's pivot read after the updates of the leaves below it.
+    Only the leaves and twigs before it are pushed and divided, so no
+    division by a failed pivot is issued.  The updates of leaf k with the
+    pattern P go through the slots of :attr:`SymbolicFactor.leaf_batches`:
+    L_{P[a],k} (D L)_{P[b],k} off the diagonal, batch by batch, and
+    L_{P[a],k} (D L)_{P[a],k} on it, in one ``bincount``.
+    """
+    layout = sym.leaf_batches
+    n, colptr = sym.n, sym.l_col_ptr
+    leaves, cols, twigs = sym.leaves, layout.cols, layout.twigs
+    stop = _first_failure(leaves, a_diag[leaves], n)
+    q = sym.col_counts[cols] - 1
+    at = layout.at.astype(np.intp)
+    on = sym.l_row_idx[at]
+    while True:
+        early = cols < stop
+        ld, pivots = ld_values[at], a_diag[cols]
+        if stop < n:
+            # the leaves from stop on push nothing and are not divided
+            ld[~early.repeat(q)] = 0.0
+            pivots[~early] = 1.0
+        lv = ld / pivots.repeat(q)
+        onto_diag = np.bincount(on, lv * ld, minlength=n)
+        # a twig's column is final once its children, all leaves, are in
+        first = _first_failure(twigs, a_diag[twigs] - onto_diag[twigs], stop)
+        if first == stop:
+            break
+        stop = first
+    # the pairs batch by batch: one np.subtract.at each keeps every
+    # temporary at the batch's size.  The unsigned index arrays are cast
+    # to intp first, which indexes faster than numpy's buffered casts
+    e0 = p0 = 0
+    for _, _, batch_at, slots in layout.batches:
+        e1, p1 = e0 + batch_at.size, p0 + slots.size
+        pairs = lv[e0:e1].repeat(layout.rest[e0:e1])
+        pairs *= ld[e0:e1][layout.second[p0:p1].astype(np.intp)]
+        np.subtract.at(ld_values, slots.reshape(-1).astype(np.intp), pairs)
+        e0, p0 = e1, p1
+    a_diag -= onto_diag
+    done = leaves[leaves < stop]
+    d[done] = a_diag[done]
+    l_values[at] = lv
+    twigs = twigs[twigs < stop]
+    d[twigs] = pivots = a_diag[twigs]
+    count = colptr[twigs + 1] - colptr[twigs]
+    at = _segments(colptr[twigs], count)
+    l_values[at] = ld_values[at] / pivots.repeat(count)
+    # q (q + 1) for a leaf's updates and q divisions, a twig's divisions
+    q = q[early]
+    return int(np.sum(q * (q + 2))) + at.size, stop
 
 
 def _segments(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -335,13 +419,15 @@ def log_det(f: LdlFactor) -> float:
 def solve(f: LdlFactor, b: np.ndarray) -> np.ndarray:
     """Solve A x = b through the factor: x = P^T L^-T D^-1 L^-1 P b.
 
-    Both sweeps loop over the columns that are not leaves.  A leaf's y_j
-    is final as loaded in the forward sweep, so the leaves' updates come
-    first, one ``bincount`` per batch of ``SymbolicFactor.leaf_batches``;
-    no column reads a leaf's y_j in the backward sweep, so the leaves'
-    dot products come last, one batch at a time.  That changes the order
-    of the sums, not their terms: the result agrees with the column loop
-    to roundoff.
+    Both sweeps loop over the columns that are neither leaves nor twigs,
+    which come as two levels, one ``bincount`` per level and sweep.  A
+    leaf's y_j is final as loaded in the forward sweep, and a twig's once
+    the leaves' updates are in, so the leaves' updates come first, then
+    the twigs'.  No column of the loop reads a twig's or a leaf's y_j in
+    the backward sweep, and a leaf reads its twig's, so the twigs' dot
+    products come last but one and the leaves' last.  That changes the
+    order of the sums, not their terms: the result agrees with the column
+    loop to roundoff.
 
     A NaN or infinite entry of b raises NonFiniteValueError naming its
     index."""
@@ -357,23 +443,30 @@ def solve(f: LdlFactor, b: np.ndarray) -> np.ndarray:
     sym = f.sym
     colptr, rows = sym.l_col_ptr, sym.l_row_idx
     lv = f.l_values
-    # the columns with entries below the diagonal that are not leaves,
-    # and where each starts and ends, as Python ints
+    layout = sym.leaf_batches
+    twigs = layout.twigs
+    q = sym.col_counts[layout.cols] - 1
+    count = colptr[twigs + 1] - colptr[twigs]
+    # the leaves, then the twigs: each level's storage positions and the
+    # column of each
+    levels = ((layout.at.astype(np.intp), layout.cols.repeat(q)),
+              (_segments(colptr[twigs], count), twigs.repeat(count)))
+    # the other columns with entries below the diagonal, and where each
+    # starts and ends, as Python ints
     inner = np.diff(colptr) > 0
-    inner[sym.leaves] = False
+    inner[sym.leaves] = inner[twigs] = False
     cols = np.flatnonzero(inner)
     walk = list(zip(cols.tolist(), colptr[cols].tolist(), colptr[cols + 1].tolist()))
     y = b[perm].copy()
-    for _, leaves, at, _ in sym.leaf_batches:
-        y -= np.bincount(rows[at].ravel(), (y[leaves][:, None] * lv[at]).ravel(),
-                         minlength=n)
+    for at, owner in levels:
+        y -= np.bincount(rows[at], y[owner] * lv[at], minlength=n)
     for j, lo, hi in walk:
         y[rows[lo:hi]] -= y[j] * lv[lo:hi]
     y /= f.d
     for j, lo, hi in reversed(walk):
         y[j] -= lv[lo:hi] @ y[rows[lo:hi]]
-    for _, leaves, at, _ in sym.leaf_batches:
-        y[leaves] -= (lv[at] * y[rows[at]]).sum(axis=1)
+    for at, owner in reversed(levels):
+        y -= np.bincount(owner, lv[at] * y[rows[at]], minlength=n)
     x = np.empty(n)
     x[perm] = y
     return x

@@ -567,8 +567,13 @@ class RemlPlan:
       (the smallest unsigned type for dim(C)^2, per stored entry of L),
       the slot of each stored entry of C in the factor's and selected
       inverse's storage (``sym.a_slots``, the smallest unsigned type for
-      nnz(L)) and, after the first factorization, the supernodes and the
-      updates each takes in (``sym.supernodes``, ``sym.block_updates``);
+      nnz(L)) and, after the first factorization, the supernodes, the
+      updates each takes in from columns other than the leaves
+      (``sym.supernodes``, ``sym.block_updates``) and the layout through
+      which the leaves' updates are applied before the factorization's
+      loop and their selected inverse read after the sweep
+      (``sym.leaves``, ``sym.leaf_batches``: 1.06 MB on the C of the
+      benchmark's ``reml_fit``);
     - the template table (:class:`_Table`): C's pattern, one int64 per
       column and per stored entry, and one row per structural entry of
       every template, a slot (the smallest unsigned type for nnz(C)), a

@@ -24,17 +24,18 @@ outside it.  Each supernode gathers the block of its last column's
 pattern once from its parent's front, with two ``take`` calls through
 ``SymbolicFactor.parent_positions`` (Liu 1992's relative indices; SelInv,
 Lin et al. 2011, reads its blocks the same way).  A width-1 supernode is
-one column step, and one whose children are all leaves keeps no front.
+one column step, and one whose children are all leaves (a twig) keeps no
+front.
 That map, the partition and the traversal order,
 ``SymbolicFactor.preorder``, depend on the pattern only: they are built
 on first use and kept on the symbolic factor, so a plan that evaluates
 many parameter points builds them once.  A pattern that is not closed
 has no map, and raises PatternMismatchError.
 
-The leaves (``SymbolicFactor.leaves``: single columns without a child)
-are most of the columns and little of the work: 2 443 of 3 362 columns
-and 4.7 % of the forecast on the C of the benchmark's ``reml_fit``
-under AMD.  No column reads a leaf's entries, and a leaf's pattern holds
+The leaves (``SymbolicFactor.leaves``: the width-1 supernodes without a
+child in the elimination tree) are most of the columns and little of the
+work: 2 443 of 3 362 columns and 4.7 % of the forecast on the C of the
+benchmark's ``reml_fit`` under AMD.  No column reads a leaf's entries, and a leaf's pattern holds
 ancestors only, which are all finished when the sweep ends.  So the
 sweep leaves them out, and they do not count as children that keep a
 front alive.  After it they run in the batches of
@@ -51,9 +52,10 @@ another order and is not.  A batch holds at most 2^15 block entries
 (0.25 MB).  A selected inversion went from 57.0 to 31.8 ms on the
 ``reml_fit`` C and from 69.5 to 53.2 ms on the 72x72 AR1 (x) AR1 field
 (medians of 41 calls alternated with the sweep over every column in one
-process, 2 vCPU).  The batches are pattern work, built with the first
-factorization of a pattern and kept on the symbolic factor: 0.71 MB on
-that C and 0.17 MB on the field.
+process, 2 vCPU).  The batches are views into the one leaf layout that
+the factorization reads too, pattern work built with the first
+factorization of a pattern and kept on the symbolic factor: 1.06 MB on
+that C and 0.26 MB on the field.
 
 A front is dropped as soon as its last child has gathered from it, so
 the fronts held at any time belong to ancestors of the current supernode
@@ -125,7 +127,7 @@ def selected_inverse(f: LdlFactor) -> SelectedInverse:
     parent = sym.parent.tolist()
     # the pattern's maps first (built on the first call), so that their
     # builds do not stack on the work arrays
-    pos, batches = sym.parent_positions, sym.leaf_batches
+    pos, batches = sym.parent_positions, sym.leaf_batches.batches
     lv = f.l_values
     z = np.empty(lv.size)
     z_diag = 1.0 / f.d

@@ -25,7 +25,9 @@ first use and kept on the symbolic factor.  Among them is the one
 layout of the etree's leaves, the single columns without a child
 (``SymbolicFactor.leaf_batches``): most of the columns and little of the
 work, which the factorization, the selected inversion and the solve do
-in batches outside their loops.
+in batches outside their loops.  The layout also holds the twigs, the
+single columns whose children are all leaves, which the factorization
+and the solve do outside their loops too.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .sparse_core import (Permutation, SparseSymmetric, _entry_columns,
                           _group_by_row)
 
 __all__ = [
+    "LeafBatches",
     "SymbolicFactor",
     "symbolic_factor",
     "predict_flops",
@@ -88,6 +91,56 @@ def _row_subtrees(n: int, rows: np.ndarray,
 
 
 @dataclass(frozen=True, eq=False)
+class LeafBatches:
+    """The layout of the columns that the kernels do outside their loops.
+
+    The leaves with q >= 1 entries below the diagonal come in
+    ``(q, cols, at, slots)`` batches, grouped by q (ascending) and cut
+    into at most ``max(1, _LEAF_BATCH // q^2)`` columns, ascending within
+    a group (``batches``).  For the G columns
+    ``cols`` of a batch, with P the pattern of ``cols[g]``:
+
+    - ``at[g]`` (G, q) is the storage range
+      ``l_col_ptr[cols[g]]:l_col_ptr[cols[g] + 1]`` of the column, so that
+      ``l_row_idx[at[g]]`` is P;
+    - ``slots[g]`` (G, q (q - 1) / 2) holds, for the pairs (a, b) of
+      ``np.triu_indices(q, 1)``, the storage position of (P[b], P[a]), in
+      column P[a]: where the leaf's Schur update L_{P[a],k} (D L)_{P[b],k}
+      lands in the factorization, and where its block Z[P, P] lies in a
+      selected inverse's ``z_values``, besides its diagonal ``z_diag[P]``.
+
+    Each batch's arrays are views into the flat arrays of every batch in
+    order: ``cols`` (int64), ``at`` and ``slots`` (the smallest unsigned
+    type that holds ``nnz_L``).  Besides them, per entry of ``at``,
+    ``rest`` is q - 1 - a, the number of pairs whose first row P[a] it
+    is, and per pair ``second`` is the place of its second row P[b] in
+    its batch's ``at.ravel()``, each in the smallest unsigned type that
+    holds it (a batch holds at most ``max(_LEAF_BATCH, q)`` entries): the
+    pairs come leaf by leaf in the order of ``np.triu_indices``, so that
+    for values ``v`` over a batch's entries, ``v.repeat(rest)`` and
+    ``v[second]`` line up with its slots.
+
+    The twigs are the width-1 supernodes with children, all of them
+    leaves (int64, ascending).  Once the leaves' updates are in, a twig's
+    column is final: its own updaters are its children.
+
+    All arrays are read-only.  On the C of the benchmark's ``reml_fit``
+    under AMD (2 443 leaves, 120 twigs): 0.10 MB of positions and 0.61 MB
+    of slots (151 581 pairs), and 0.33 MB for ``rest`` and ``second``;
+    0.04 and 0.13 MB, and 0.08 MB, on the 72x72 AR1 (x) AR1 field
+    (1 260 leaves, 678 twigs).
+    """
+
+    batches: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
+    cols: np.ndarray
+    at: np.ndarray
+    slots: np.ndarray
+    rest: np.ndarray
+    second: np.ndarray
+    twigs: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class SymbolicFactor:
     """Pattern-level factorization plan for PAP^T.
 
@@ -111,16 +164,17 @@ class SymbolicFactor:
     smallest unsigned type that holds n^2: 4 bytes for 256 <= n < 65 536).
     The first factorization builds the supernode maps: the partition
     :attr:`supernodes` (one entry per supernode) and :attr:`block_updates`
-    (one entry per pair of a supernode and a column that updates it),
-    together 0.14 MB on a prob1 C, 0.11 MB on the C of the benchmark's
-    ``reml_fit`` and 0.17 MB on the 72x72 AR1 (x) AR1 field, all under
-    AMD, and the one layout of the etree's leaves: :attr:`leaves` (one
-    int64 each) and :attr:`leaf_batches` (each leaf's storage positions
-    and the slots of the pairs of its pattern, in the smallest unsigned
-    type that holds ``nnz_L``: 0.71 MB on the C of the benchmark's
-    ``reml_fit`` and 0.17 MB on the field).  The selected inversion
-    builds two on its first call: :attr:`preorder` (one int64 per
-    column) and :attr:`parent_positions` (one entry of L each, in the
+    (one entry per pair of a supernode and a column other than a leaf
+    that updates it), together 0.06 MB on a prob1 C, 0.04 MB on the C of
+    the benchmark's ``reml_fit`` and 0.13 MB on the 72x72 AR1 (x) AR1
+    field, all under AMD, and the one layout of the etree's leaves:
+    :attr:`leaves` (one int64 each) and :attr:`leaf_batches` (each leaf's
+    storage positions and the slots of the pairs of its pattern, in the
+    smallest unsigned type that holds ``nnz_L``, an index of each pair's
+    rows within its batch, and the twigs: 1.06 MB on the C of the
+    benchmark's ``reml_fit`` and 0.26 MB on the field).  The selected
+    inversion builds two on its first call: :attr:`preorder` (one int64
+    per column) and :attr:`parent_positions` (one entry of L each, in the
     smallest unsigned type that holds the largest column count: 1 byte,
     0.10 MB, on a prob1 C under AMD).
     """
@@ -193,34 +247,42 @@ class SymbolicFactor:
         """The Schur updates that each supernode takes in:
         ``(ptr, cols, first, length, inside)``, read-only.
 
-        The columns k that update supernode b, with columns s:e, from
-        outside it (k < s and L_jk != 0 for some j in s:e) are
+        The columns k, not leaves, that update supernode b, with columns
+        s:e, from outside it (k < s and L_jk != 0 for some j in s:e) are
         ``cols[ptr[b]:ptr[b + 1]]``, in the order of their first row in
         s:e, k ascending among equal rows.  For each, ``first`` is the
         storage position of that first entry and ``length`` the number of
         entries from there to the end of column k: its segment
         (D L)[i, k], i >= s.  ``inside`` is the number of those entries in
         the rows s:e.  For a single column j these are every L_jk, k
-        ascending, each with its segment, and ``inside`` is 1.
+        ascending and not a leaf, each with its segment, and ``inside`` is
+        1.  The leaves' updates are applied before the factorization's
+        loop, through :attr:`leaf_batches`, so a twig's range is empty.
 
         Each array is in the smallest unsigned type that holds its values:
         ``ptr`` and ``first`` that of ``nnz_L``, ``cols`` that of n, and
         ``length`` and ``inside`` that of the largest column count.  One
-        entry per (supernode, column) pair: 12 017 pairs, 108 KB in all, on
-        the C of the benchmark's ``reml_fit`` (6 678 of them into
-        multi-column supernodes), and 18 782, 161 KB, on the 72x72 AR1 (x)
-        AR1 field, both under AMD.  Built with array work on the first
-        factorization and kept for the factor's life.
+        entry per (supernode, column) pair: 2 633 pairs, 33 KB in all, on
+        the C of the benchmark's ``reml_fit`` (1 370 of them into
+        multi-column supernodes; 12 017 with the leaves), and 13 900,
+        122 KB, on the 72x72 AR1 (x) AR1 field, both under AMD.  Built with
+        array work on the first factorization and kept for the factor's
+        life.
         """
         bounds, rows = self.supernodes, self.l_row_idx
         width = np.diff(bounds.astype(np.int64))
         column = np.min_scalar_type(self.n)
         cols = np.repeat(np.arange(self.n, dtype=column), self.col_counts - 1)
         # per stored entry of L, through its row: the supernode of the row,
-        # and whether the entry's column updates that supernode from outside
+        # and whether the entry's column, not a leaf, updates that
+        # supernode from outside
         sup_of = np.repeat(np.arange(width.size, dtype=column), width)
         block = sup_of[rows]
         updates = cols < np.repeat(bounds[:-1], width)[rows]
+        branch = np.ones(self.n, dtype=bool)
+        branch[self.leaves] = False
+        updates &= branch[cols]
+        del branch
         # a column's entries in one supernode are consecutive in storage:
         # the first of them opens its run and the last closes it
         ends_run = (block[1:] != block[:-1]) | (cols[1:] != cols[:-1])
@@ -316,43 +378,24 @@ class SymbolicFactor:
     @cached_property
     def leaves(self) -> np.ndarray:
         """The leaves, ascending, as int64, read-only: the width-1
-        supernodes whose :attr:`block_updates` range is empty, that is
-        the columns without a child in the elimination tree that are
-        supernodes of their own.  No column updates a leaf, and no column
-        reads a leaf's entries of Z or of a solve's backward sweep, so
-        every kernel does the leaves as the batches of
-        :attr:`leaf_batches`, outside its loop.  Built on first use and
-        kept for the factor's life."""
-        bounds, ptr = self.supernodes, self.block_updates[0]
-        leaf = (np.diff(bounds) == 1) & (ptr[:-1] == ptr[1:])
-        out = bounds[:-1][leaf].astype(np.int64)
+        supernodes without a child in the elimination tree.  No column
+        updates a leaf, and no column reads a leaf's entries of Z or of a
+        solve's backward sweep, so every kernel does the leaves as the
+        batches of :attr:`leaf_batches`, outside its loop.  Built on first
+        use and kept for the factor's life."""
+        bounds, parent = self.supernodes, self.parent
+        children = np.bincount(parent[parent >= 0], minlength=self.n)
+        alone = bounds[:-1][np.diff(bounds) == 1].astype(np.int64)
+        out = alone[children[alone] == 0]
         out.flags.writeable = False
         return out
 
     @cached_property
-    def leaf_batches(self) -> tuple[tuple[int, np.ndarray, np.ndarray,
-                                          np.ndarray], ...]:
-        """The one layout of the leaves with q >= 1 entries below the
-        diagonal: ``(q, cols, at, slots)`` batches, grouped by q
-        (ascending) and cut into at most ``max(1, _LEAF_BATCH // q^2)``
-        columns, ascending within a group.  For the G columns ``cols``
-        (int64) of a batch, with P the pattern of ``cols[g]``:
-
-        - ``at[g]`` (G, q) is the storage range
-          ``l_col_ptr[cols[g]]:l_col_ptr[cols[g] + 1]`` of the column, so
-          that ``l_row_idx[at[g]]`` is P;
-        - ``slots[g]`` (G, q (q - 1) / 2) holds, for the pairs (a, b) of
-          ``np.triu_indices(q, 1)``, the storage position of (P[b], P[a]),
-          in column P[a]: where the leaf's block Z[P, P] lies in a
-          selected inverse's ``z_values``, besides its diagonal
-          ``z_diag[P]``.
-
-        ``at`` and ``slots`` are in the smallest unsigned type that holds
-        ``nnz_L``, and all three arrays are read-only.  Built on first use
-        (the first factorization) and kept for the factor's life: 4 bytes
-        per entry, 0.10 MB of positions and 0.61 MB of slots (151 581
-        pairs of 2 443 leaves) on the C of the benchmark's ``reml_fit``,
-        0.04 and 0.13 MB on the 72x72 AR1 (x) AR1 field, both under AMD.
+    def leaf_batches(self) -> LeafBatches:
+        """The layout of the columns that the kernels do outside their
+        loops: the leaves with q >= 1 entries below the diagonal, in
+        batches, and the twigs (see :class:`LeafBatches`).  Built on first
+        use (the first factorization) and kept for the factor's life.
 
         One ``searchsorted`` per batch against :attr:`lower_keys`, with
         the keys formed in its own type: P is sorted, so P[a] < P[b] and
@@ -361,19 +404,32 @@ class SymbolicFactor:
         """
         leaves = self.leaves
         q = self.col_counts[leaves] - 1
+        leaves, q = leaves[q > 0], q[q > 0]
         order = np.argsort(q, kind="stable")
         leaves, q = leaves[order], q[order]
-        # where each group starts: the leaves with q = 0 open none
         starts = np.flatnonzero(np.diff(q, prepend=0)).tolist()
         colptr, rows, keys = self.l_col_ptr, self.l_row_idx, self.lower_keys
         kind = np.min_scalar_type(self.nnz_L)
-        batches = []
+        n_entries = int(q.sum())
+        n_pairs = int((q * (q - 1) // 2).sum())
+        at_all = np.empty(n_entries, dtype=kind)
+        slots_all = np.empty(n_pairs, dtype=kind)
+        # a batch holds G q <= max(_LEAF_BATCH, q) entries
+        widest = int(q.max(initial=0))
+        second = np.empty(n_pairs, dtype=np.min_scalar_type(max(_LEAF_BATCH, widest)))
+        rest = np.empty(n_entries, dtype=np.min_scalar_type(widest))
+        # each batch's q and slices of the leaves, entries and pairs; the
+        # views are taken once the flat arrays are read-only
+        cuts = []
+        e0 = p0 = 0
         for g0, g1 in zip(starts, starts[1:] + [q.size]):
             k = int(q[g0])
             step = max(1, _LEAF_BATCH // (k * k))
             upper, lower = np.triu_indices(k, 1)
             for t in range(g0, g1, step):
                 cols = leaves[t:min(t + step, g1)]
+                e1 = e0 + cols.size * k
+                p1 = p0 + cols.size * upper.size
                 at = colptr[cols][:, None] + np.arange(k)
                 pattern = rows[at].astype(keys.dtype)
                 want = pattern[:, upper] * self.n + pattern[:, lower]
@@ -382,11 +438,30 @@ class SymbolicFactor:
                     raise PatternMismatchError(
                         "selected pattern is not closed: a pair of a leaf's "
                         "pattern is missing from L")
-                batch = (k, cols, at.astype(kind), found.astype(kind))
-                for a in batch[1:]:
-                    a.flags.writeable = False
-                batches.append(batch)
-        return tuple(batches)
+                at_all[e0:e1] = at.ravel()
+                slots_all[p0:p1] = found.ravel()
+                second[p0:p1] = (k * np.arange(cols.size)[:, None] + lower).ravel()
+                rest[e0:e1] = np.tile(np.arange(k - 1, -1, -1), cols.size)
+                cuts.append((k, slice(t, t + cols.size), slice(e0, e1),
+                             slice(p0, p1)))
+                e0, p0 = e1, p1
+        # the twigs: the single columns, not leaves, whose children are
+        # all leaves
+        parent = self.parent
+        branch = np.ones(self.n, dtype=bool)
+        branch[self.leaves] = False
+        branches = np.bincount(parent[(parent >= 0) & branch], minlength=self.n)
+        bounds = self.supernodes
+        alone = bounds[:-1][np.diff(bounds) == 1].astype(np.int64)
+        twigs = alone[branch[alone] & (branches[alone] == 0)]
+        for a in (leaves, at_all, slots_all, second, rest, twigs):
+            a.flags.writeable = False
+        batches = tuple(
+            (k, leaves[t], at_all[e].reshape(-1, k),
+             slots_all[p].reshape(t.stop - t.start, k * (k - 1) // 2))
+            for k, t, e, p in cuts)
+        return LeafBatches(batches, leaves, at_all, slots_all, rest,
+                           second, twigs)
 
     def require_pattern(self, a: SparseSymmetric):
         """Raise unless ``a`` has exactly the pattern this factor was

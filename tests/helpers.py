@@ -548,14 +548,22 @@ def reference_supernodes(lpat):
 
 def reference_block_updates(lpat, bounds):
     """For each supernode, columns s:e, the columns k < s with an entry in
-    the rows s:e, each as (k, row of its first entry there, entries from
-    there down, entries in the rows s:e), in the order of that first row
-    and k ascending among equal rows: for a single column j, every L_jk, k
-    ascending."""
+    the rows s:e that are not leaves, each as (k, row of its first entry
+    there, entries from there down, entries in the rows s:e), in the order
+    of that first row and k ascending among equal rows: for a single
+    column j, every L_jk, k ascending, k not a leaf.  A leaf is a
+    supernode of one column that is no column's parent."""
+    parents = set(etree_from_pattern(lpat).tolist())
+    leaves = set()
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        if e - s == 1 and s not in parents:
+            leaves.add(s)
     out = []
     for s, e in zip(bounds[:-1], bounds[1:]):
         pairs = []
         for k in range(s):
+            if k in leaves:
+                continue
             below = np.flatnonzero(lpat[s:, k])
             if below.size:
                 inside = int(np.sum(below < e - s))

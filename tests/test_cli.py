@@ -10,8 +10,8 @@ import pytest
 
 import seldet as sd
 from seldet.cli import main
-from helpers import (arrowhead, etree_from_pattern, fill_pattern, grid_laplacian,
-                     random_spd, tridiag)
+from helpers import (arrowhead, bordered_spd, etree_from_pattern, fill_pattern,
+                     grid_laplacian, random_spd, reference_supernodes, tridiag)
 
 
 @pytest.fixture
@@ -46,30 +46,61 @@ def test_analyze_reports_identity_pass(matrix_file, capsys):
     assert "nnz(L)" in out
 
 
-def test_analyze_reports_the_supernodes(tmp_path, capsys):
-    # a 4x4 grid under the natural order: columns 11..15, whose counts
-    # fall 5, 4, ..., 1, are the one multi-column supernode
-    a = grid_laplacian(4)
-    path = tmp_path / "grid.mtx"
+def analyze_line(tmp_path, capsys, a, prefix):
+    """The text line of ``seldet analyze`` (natural order) that starts
+    with ``prefix``."""
+    path = tmp_path / "a.mtx"
     with open(path, "w", encoding="utf-8") as fh:
         sd.write_matrix_market(a, fh)
     assert main(["analyze", str(path), "--ordering", "natural"]) == 0
-    line = [s for s in capsys.readouterr().out.splitlines()
-            if s.startswith("supernodes")]
-    sym = sd.symbolic_factor(a, sd.natural_order(a.n))
-    bounds = sym.supernodes.tolist()
-    assert bounds[-2:] == [11, 16] and all(
-        e - s == 1 for s, e in zip(bounds[:-2], bounds[1:-1]))
-    # the work column j takes in: 2 per entry i >= j of each column k < j
-    # with L_jk != 0, and a division per entry below its diagonal
-    lpat = fill_pattern(a)
-    work = [2 * sum(int(lpat[j:, k].sum()) for k in range(j) if lpat[j, k])
-            + int(lpat[j + 1:, j].sum()) for j in range(a.n)]
-    assert sum(work) == sd.predict_flops(sym)[0]
-    share = 100.0 * sum(work[11:]) / sum(work)
-    assert line == [f"supernodes    : {len(bounds) - 1} (widest 5, "
-                    f"{share:.1f} % of ldlt_flops in multi-column ones)"]
+    return [s for s in capsys.readouterr().out.splitlines()
+            if s.startswith(prefix)]
+
+
+def leaves_and_twigs(lpat, bounds):
+    """The single-column supernodes without a child, and those whose
+    children are all such leaves."""
+    parent = etree_from_pattern(lpat).tolist()
+    children = {j: [k for k, p in enumerate(parent) if p == j]
+                for j in range(len(parent))}
+    alone = [s for s, e in zip(bounds[:-1], bounds[1:]) if e - s == 1]
+    leaves = [j for j in alone if not children[j]]
+    twigs = [j for j in alone if children[j]
+             and all(k in leaves for k in children[j])]
+    return leaves, twigs
+
+
+def test_analyze_reports_the_supernodes(tmp_path, capsys):
+    # a 4x4 grid under the natural order: columns 11..15, whose counts
+    # fall 5, 4, ..., 1, are the one multi-column supernode; a clique
+    # bordering a sparse part, last: the clique is one supernode, and
+    # leaves of the sparse part reach it
+    rng = np.random.default_rng(5)
+    for grid, a in ((True, grid_laplacian(4)), (False, bordered_spd(rng, 12, 4))):
+        line = analyze_line(tmp_path, capsys, a, "supernodes")
+        sym = sd.symbolic_factor(a, sd.natural_order(a.n))
+        lpat = fill_pattern(a)
+        bounds = reference_supernodes(lpat)
+        assert sym.supernodes.tolist() == bounds
+        leaves, _ = leaves_and_twigs(lpat, bounds)
+        multi = [j for s, e in zip(bounds[:-1], bounds[1:]) if e - s > 1
+                 for j in range(s, e)]
+        # the work column j takes in inside the loop: 2 per entry i >= j
+        # of each column k < j, not a leaf, with L_jk != 0, and a division
+        # per entry below its diagonal; the leaves' updates come before
+        work = sum(2 * sum(int(lpat[j:, k].sum()) for k in range(j)
+                           if lpat[j, k] and k not in leaves)
+                   + int(lpat[j + 1:, j].sum()) for j in multi)
+        if grid:
+            assert bounds[-2:] == [11, 16] and multi == list(range(11, 16))
+        else:
+            assert any(lpat[multi, k].any() for k in leaves)
+        share = 100.0 * work / sd.predict_flops(sym)[0]
+        widest = max(e - s for s, e in zip(bounds[:-1], bounds[1:]))
+        assert line == [f"supernodes    : {len(bounds) - 1} (widest {widest}, "
+                        f"{share:.1f} % of ldlt_flops in multi-column ones)"]
     # the line is text only: the CSV keeps its columns
+    path = tmp_path / "a.mtx"
     assert main(["analyze", str(path), "--ordering", "natural", "--csv"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == ("name,n,nnz,nnz_per_col,per_mille,ordering,nnz_L,"
@@ -79,35 +110,31 @@ def test_analyze_reports_the_supernodes(tmp_path, capsys):
 
 def test_analyze_reports_the_leaves(tmp_path, capsys):
     # a star whose hub is last: the 8 spokes are the leaves, each with the
-    # hub as its one entry below the diagonal (2 + 3 of selinv's work);
-    # the hub's own column is empty
+    # hub as its one entry below the diagonal (2 + 3 of selinv's work, and
+    # 2 + 1 of ldlt's before the loop); the hub, a twig, has an empty column
     a = arrowhead(9, dense_first=False)
-    path = tmp_path / "star.mtx"
-    with open(path, "w", encoding="utf-8") as fh:
-        sd.write_matrix_market(a, fh)
-    assert main(["analyze", str(path), "--ordering", "natural"]) == 0
-    line = [s for s in capsys.readouterr().out.splitlines()
-            if s.startswith("leaves")]
-    assert sd.predict_flops(sd.symbolic_factor(a, sd.natural_order(9)))[1] == 40
+    line = analyze_line(tmp_path, capsys, a, "leaves")
+    assert sd.predict_flops(sd.symbolic_factor(a, sd.natural_order(9))) == (24, 40)
     assert line == [f"leaves        : 8 ({100.0 * 8 / 9:.1f} % of columns, "
-                    "100.0 % of selinv_flops)"]
-    # counted from the elimination tree of the grid: the columns without
-    # a child, and 2q^2 + 3q of each against the whole forecast
+                    "100.0 % of selinv_flops), 1 twigs, 100.0 % of ldlt_flops "
+                    "before the loop"]
+    # counted from the elimination tree of the grid: 2q^2 + 3q of each
+    # leaf against the selinv forecast, and q (q + 2) of each leaf and q
+    # of each twig against the ldlt forecast
     grid = grid_laplacian(4)
-    with open(path, "w", encoding="utf-8") as fh:
-        sd.write_matrix_market(grid, fh)
-    assert main(["analyze", str(path), "--ordering", "natural"]) == 0
-    line = [s for s in capsys.readouterr().out.splitlines()
-            if s.startswith("leaves")]
+    line = analyze_line(tmp_path, capsys, grid, "leaves")
     lpat = fill_pattern(grid)
-    parent = etree_from_pattern(lpat)
+    leaves, twigs = leaves_and_twigs(lpat, reference_supernodes(lpat))
     q = lpat.sum(axis=0) - 1
-    leaves = [j for j in range(grid.n) if j not in parent]
     work = sum(2 * q[j] ** 2 + 3 * q[j] for j in leaves)
+    before = sum(q[j] * (q[j] + 2) for j in leaves) + sum(q[j] for j in twigs)
     total = int(np.sum(2 * q * q + 3 * q))
     assert line == [f"leaves        : {len(leaves)} "
                     f"({100.0 * len(leaves) / grid.n:.1f} % of columns, "
-                    f"{100.0 * work / total:.1f} % of selinv_flops)"]
+                    f"{100.0 * work / total:.1f} % of selinv_flops), "
+                    f"{len(twigs)} twigs, "
+                    f"{100.0 * before / int(np.sum(q * q + 2 * q)):.1f} % of "
+                    "ldlt_flops before the loop"]
 
 
 def test_analyze_identity_can_fail(matrix_file, monkeypatch, capsys):

@@ -17,7 +17,10 @@ place in its parent's front, ``preorder`` puts parents first, and
 patterns are factored under both orderings: the exact counters must equal
 the symbolic forecasts, D and L must match dense LDL^T, the selected
 entries must match the dense inverse (and the column kernel bit for bit),
-and a solve must match a dense one.
+and a solve must match a dense one.  A third strategy draws random
+elimination trees whose leaves reach twigs, single columns and a dense
+tail: the leaves' updates, applied before the factorization's loop, must
+leave the factor equal to the column kernel's to roundoff.
 """
 
 import numpy as np
@@ -219,8 +222,10 @@ def test_dense_supernode_path_matches_oracles_and_forecasts(case):
     n = a.n
     sym = sd.symbolic_factor(a, p)
     width = np.diff(sym.supernodes.astype(np.int64))
-    ptr = sym.block_updates[0]
-    assert width[-1] > 1 and ptr[-1] > ptr[-2]
+    # the last supernode takes updates from columns before it: through
+    # its panels, or, from leaves, before the loop
+    s = int(sym.supernodes[-2])
+    assert width[-1] > 1 and (sym.l_row_idx[:sym.l_col_ptr[s]] >= s).any()
     f = sd.ldlt_factorize(a, sym)
     z = sd.selected_inverse(f)
     assert (f.flops, z.flops) == sd.predict_flops(sym)
@@ -248,3 +253,89 @@ def test_dense_supernode_path_matches_oracles_and_forecasts(case):
     zref = reference_selected_inverse(f)
     assert np.array_equal(z.z_values, zref.z_values)
     assert np.array_equal(z.z_diag, zref.z_diag)
+
+
+@st.composite
+def leaf_trees(draw):
+    """SPD matrices on random elimination trees under the natural order,
+    with a dense tail of t columns: one supernode.  The first five
+    columns are fixed: the leaves 0 (rows 2, 4) and 1 (rows 2 and the
+    tail) below the twig 2, which with the leaf 3 hangs below the single
+    column 4, below the tail.  Each later column of the head hangs below
+    a random later one or the tail, with up to two more rows drawn from
+    the path above its parent, so that the leaves hold patterns of
+    several rows and reach twigs, single columns and the tail alike."""
+    h, t = draw(st.integers(5, 20)), draw(st.integers(2, 5))
+    n, top = h + t, h
+    parent = {0: 2, 1: 2, 2: 4, 3: 4, 4: top}
+    rows = {0: {2, 4}, 1: {2, top}, 2: {4, top}, 3: {4, top}, 4: {top}}
+    for j in range(h - 1, 4, -1):
+        p = draw(st.sampled_from(list(range(j + 1, h)) + [top]))
+        path, k = [], p
+        while k < h:
+            k = parent[k]
+            path.append(k)
+        path += range(top + 1, n)
+        parent[j] = p
+        rows[j] = {p} | draw(st.sets(st.sampled_from(path), max_size=2))
+    pairs = sorted({(i, j) for j, r in rows.items() for i in r}
+                   | {(i, j) for i in range(top, n) for j in range(top, i)})
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i = np.array([p[0] for p in pairs], dtype=np.int64)
+    j = np.array([p[1] for p in pairs], dtype=np.int64)
+    v = rng.uniform(-1.0, 1.0, size=i.size)
+    diag = rng.uniform(0.5, 2.0, size=n)
+    np.add.at(diag, i, np.abs(v))
+    np.add.at(diag, j, np.abs(v))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    return sd.from_coo_arrays(n, np.concatenate([i, np.arange(n)]),
+                              np.concatenate([j, np.arange(n)]),
+                              scale * np.concatenate([v, diag]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(a=leaf_trees())
+def test_leaves_pushed_before_the_loop_match_the_column_kernel(a):
+    n = a.n
+    sym = sd.symbolic_factor(a, sd.natural_order(n))
+    bounds = sym.supernodes.astype(np.int64)
+    leaves, twigs = sym.leaves, sym.leaf_batches.twigs
+    assert {0, 1, 3} <= set(leaves.tolist()) and 2 in twigs
+    # the leaves reach a twig, a single column of the loop and the tail
+    cols = np.repeat(np.arange(n), np.diff(sym.l_col_ptr))
+    reached = sym.l_row_idx[np.isin(cols, leaves)]
+    tail = int(bounds[-2])
+    assert bounds[-1] - tail > 1 and (reached >= tail).any()
+    assert 4 in bounds and 5 in bounds and np.isin([2, 4], reached).all()
+    # no leaf is among the updaters the loop reads
+    assert not np.isin(sym.block_updates[1], leaves).any()
+
+    f = sd.ldlt_factorize(a, sym)
+    z = sd.selected_inverse(f)
+    assert (f.flops, z.flops) == sd.predict_flops(sym)
+    ref = reference_ldlt_factorize(a, sym)
+    assert ref.flops == f.flops
+    np.testing.assert_allclose(f.d, ref.d, rtol=1e-10, atol=0)
+    a_diag = np.diag(a.to_dense())
+    scale = np.sqrt(a_diag[sym.l_row_idx] / ref.d[cols])
+    assert np.all(np.abs(f.l_values - ref.l_values) <= 1e-10 * scale)
+    zref = reference_selected_inverse(f)
+    assert np.array_equal(z.z_values, zref.z_values)
+    assert np.array_equal(z.z_diag, zref.z_diag)
+
+    b = np.linspace(-1.0, 1.0, n)
+    want = np.linalg.solve(a.to_dense(), b)
+    x = sd.solve(f, b)
+    assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_prob1_padded_flops_are_pinned():
+    # the leaves' updates come before the loop, not as rows of the panels:
+    # 102 346 380 padded flops before, on the same pattern
+    d = sd.generate(sd.preset_config("prob1", seed=1000))
+    v = sd.VarianceParams(1.0, np.ones(len(d.factors)),
+                          np.ones(d.n_residual_blocks))
+    c = sd.assemble_mme(d, v).C
+    f = sd.ldlt_factorize(c, sd.symbolic_factor(c, sd.amd_order(c)))
+    assert f.flops == sd.predict_flops(f.sym)[0] == 7_630_787
+    assert f.padded_flops == 32_869_844

@@ -1,11 +1,11 @@
 """The leaves of the elimination tree, done in batches outside the loops of
-``ldlt_factorize``, ``selected_inverse`` and ``solve``.
+``ldlt_factorize``, ``selected_inverse`` and ``solve``, and the twigs.
 
-A leaf is a width-1 supernode that no column updates: a column without a
-child in the elimination tree that is a supernode of its own.  On
-leaf-heavy patterns (a star, two hubs, random trees, a diagonal matrix,
-prob1 under AMD) the batches must leave the selected inverse
-bit-identical to the column kernel, both counters equal to the
+A leaf is a width-1 supernode without a child in the elimination tree,
+so no column updates it; a twig is a width-1 supernode whose children
+are all leaves.  On leaf-heavy patterns (a star, two hubs, random trees,
+a diagonal matrix, prob1 under AMD) the batches must leave the selected
+inverse bit-identical to the column kernel, both counters equal to the
 forecasts, and the solve equal to a dense one.
 """
 
@@ -72,15 +72,26 @@ def test_leaf_batches_and_slots_match_their_definitions():
     sym = sd.symbolic_factor(a, sd.amd_order(a))
     colptr, rows = sym.l_col_ptr, sym.l_row_idx
     cols_of = np.repeat(np.arange(a.n), np.diff(colptr))
-    batches = sym.leaf_batches
-    assert sym.leaf_batches is batches and isinstance(batches, tuple)
+    layout = sym.leaf_batches
+    assert sym.leaf_batches is layout and isinstance(layout, sd.LeafBatches)
     assert sym.leaves is sym.leaves and not sym.leaves.flags.writeable
-    seen = np.concatenate([cols for _, cols, _, _ in batches])
+    batches = layout.batches
     q_all = sym.col_counts[sym.leaves] - 1
-    assert np.array_equal(np.sort(seen), sym.leaves[q_all > 0])
+    assert np.array_equal(np.sort(layout.cols), sym.leaves[q_all > 0])
     assert [b[0] for b in batches] == sorted(b[0] for b in batches)
     kind = np.min_scalar_type(sym.nnz_L)
+    assert layout.at.dtype == layout.slots.dtype == kind
+    assert layout.second.dtype == np.uint16 and layout.rest.dtype == np.uint8
+    for arr in (layout.cols, layout.at, layout.slots, layout.rest,
+                layout.second, layout.twigs):
+        assert not arr.flags.writeable
+    e0 = p0 = g0 = 0
     for q, cols, at, s in batches:
+        # each batch is a view of its stretch of the flat arrays
+        for view, flat, start in ((cols, layout.cols, g0), (at, layout.at, e0),
+                                  (s, layout.slots, p0)):
+            assert np.shares_memory(view, flat)
+            assert np.array_equal(view.ravel(), flat[start:start + view.size])
         assert cols.dtype == np.int64 and np.all(np.diff(cols) > 0)
         assert np.all(sym.col_counts[cols] == q + 1)
         assert cols.size * q * q <= max(1 << 15, q * q)
@@ -88,13 +99,30 @@ def test_leaf_batches_and_slots_match_their_definitions():
         assert s.shape == (cols.size, q * (q - 1) // 2)
         for arr in (cols, at, s):
             assert not arr.flags.writeable
-        assert at.dtype == s.dtype == kind
         upper, lower = np.triu_indices(q, 1)
+        rest = layout.rest[e0:e0 + at.size].reshape(cols.size, q)
+        second = layout.second[p0:p0 + s.size].reshape(s.shape)
         for g, j in enumerate(cols.tolist()):
             assert np.array_equal(at[g], np.arange(colptr[j], colptr[j + 1]))
             pattern = rows[colptr[j]:colptr[j + 1]]
             assert np.array_equal(cols_of[s[g]], pattern[upper])
             assert np.array_equal(rows[s[g]], pattern[lower])
+            # entry a opens q - 1 - a pairs; a pair's second row is entry
+            # b of the same leaf, counted from the batch's first entry
+            assert rest[g].tolist() == list(range(q - 1, -1, -1))
+            assert np.array_equal(second[g], g * q + lower)
+        e0, p0, g0 = e0 + at.size, p0 + s.size, g0 + cols.size
+    assert (e0, p0, g0) == (layout.at.size, layout.slots.size, layout.cols.size)
+    # the twigs: single-column supernodes with children, all of them leaves
+    leaf = set(sym.leaves.tolist())
+    children = {}
+    for k, p in enumerate(sym.parent.tolist()):
+        children.setdefault(p, []).append(k)
+    bounds = sym.supernodes.astype(np.int64)
+    alone = bounds[:-1][np.diff(bounds) == 1].tolist()
+    twigs = [j for j in alone if j in children
+             and all(k in leaf for k in children[j])]
+    assert twigs and layout.twigs.tolist() == twigs
 
 
 def test_a_leaf_pair_off_the_pattern_is_refused():
@@ -110,6 +138,7 @@ def test_a_leaf_pair_off_the_pattern_is_refused():
         a_col_ptr=np.array([0, 3, 5, 6, 7]),
         a_row_idx=np.array([0, 2, 3, 1, 2, 2, 3]),
     )
-    assert sym.leaves.tolist() == [0, 1]
+    # the leaves come from the tree: 3 has no child in ``parent``
+    assert sym.leaves.tolist() == [0, 1, 3]
     with pytest.raises(PatternMismatchError, match="not closed"):
         sym.leaf_batches

@@ -1,15 +1,15 @@
 """Dense supernodes in both kernels, against the column-by-column kernels
 kept in helpers as oracles.
 
-``ldlt_factorize`` takes each multi-column fundamental supernode in as one
-dense front (panel GEMMs for the updates from outside, rank-1 steps
-inside), and ``selected_inverse`` computes a supernode's columns in place
-in one dense front.  The column kernels do the same arithmetic one column
-at a time, so the factors agree to roundoff and the selected inverses of
-one shared factor agree bit for bit, as do the factors when every
-supernode is a single column.  The partition and the per-supernode
-update maps are checked against naive readings of their definitions on
-the dense fill pattern.
+``ldlt_factorize`` applies the leaves' updates before its loop, takes each
+multi-column fundamental supernode in as one dense front (panel GEMMs for
+the updates from outside, rank-1 steps inside), and ``selected_inverse``
+computes a supernode's columns in place in one dense front.  The column
+kernels do the same arithmetic one column at a time, so the factors
+agree to roundoff, a leaf's own column bit for bit, and the selected
+inverses of one shared factor agree bit for bit.  The partition and the
+per-supernode update maps are checked against naive readings of their
+definitions on the dense fill pattern.
 """
 
 import dataclasses
@@ -90,7 +90,7 @@ def test_diagonal_matrix_pads_nothing():
     assert np.array_equal(f.d, np.full(7, 3.0))
 
 
-def test_single_column_supernodes_match_column_kernel_bit_for_bit():
+def test_single_column_supernodes_match_column_kernel():
     rng = np.random.default_rng(23)
     # a star whose hub is last; two hubs, each spoke reaching both (every
     # update a segment of two rows) and one more spoke reaching the last
@@ -107,10 +107,14 @@ def test_single_column_supernodes_match_column_kernel_bit_for_bit():
     for a in cases:
         sym = sd.symbolic_factor(a, sd.natural_order(a.n))
         assert not has_block(sym)
-        f, ref = sd.ldlt_factorize(a, sym), reference_ldlt_factorize(a, sym)
-        assert np.array_equal(f.l_values, ref.l_values)
-        assert np.array_equal(f.d, ref.d)
-        assert f.flops == ref.flops == sd.predict_flops(sym)[0]
+        # the leaves' updates are summed apart, before the loop, so the
+        # columns they reach agree to roundoff; a leaf's own column is
+        # only divided, in the same order, and agrees bit for bit
+        f, ref = assert_factors_agree(a, sym)
+        leaves = sym.leaves
+        at = sym.leaf_batches.at
+        assert leaves.size and np.array_equal(f.d[leaves], ref.d[leaves])
+        assert np.array_equal(f.l_values[at], ref.l_values[at])
         assert f.padded_flops == 0
 
 
@@ -145,41 +149,55 @@ def test_non_positive_pivot_inside_a_block_names_the_reference_column():
     assert got.value.value == pytest.approx(ref.value.value, rel=1e-10)
 
 
-def tree_matrix(diag):
-    """Unit entries (2, 0), (2, 1), (4, 2), (4, 3) below the given
-    diagonal, built directly so that a NaN reaches the kernel: the leaves
-    0 and 1 hang below 2, and 2 and the leaf 3 below the root 4, all
-    single columns; d_2 = A_22 - 2 when A_00 = A_11 = 1."""
-    rows = np.array([0, 1, 2, 3, 4, 2, 2, 4, 4])
-    cols = np.array([0, 1, 2, 3, 4, 0, 1, 2, 3])
-    shape = sd.from_coo_arrays(5, rows, cols, np.ones(9))
-    on_diagonal = shape.row_idx == np.repeat(np.arange(5), np.diff(shape.col_ptr))
+def tree_matrix(diag, parent=(2, 2, 4, 4, -1)):
+    """Unit entries (parent[j], j) below the given diagonal, built directly
+    so that a NaN reaches the kernel.  By default the leaves 0 and 1 hang
+    below the twig 2, and 2 and the leaf 3 below the root 4, all single
+    columns; d_2 = A_22 - 2 when A_00 = A_11 = 1."""
+    n = len(diag)
+    child = np.flatnonzero(np.asarray(parent) >= 0)
+    rows = np.concatenate([np.arange(n), np.asarray(parent)[child]])
+    cols = np.concatenate([np.arange(n), child])
+    shape = sd.from_coo_arrays(n, rows, cols, np.ones(rows.size))
+    on_diagonal = shape.row_idx == np.repeat(np.arange(n), np.diff(shape.col_ptr))
     values = np.where(on_diagonal, np.asarray(diag)[shape.row_idx], 1.0)
-    return sd.SparseSymmetric(n=5, col_ptr=shape.col_ptr,
+    return sd.SparseSymmetric(n=n, col_ptr=shape.col_ptr,
                               row_idx=shape.row_idx, values=values)
+
+
+# the leaf 0 below the twig 1 below 2, the leaf 3 below the twig 4, and 2,
+# 4 and the leaf 5 below the root 6: column 2 takes its update from a twig
+# and runs in the loop, before the twig 4
+TWIGS = (1, 2, 6, 4, 6, 6, -1)
 
 
 @pytest.mark.parametrize("a, column", [
     (sd.from_coo_arrays(4, np.arange(4), np.arange(4),
                         np.array([1.0, 2.0, -3.0, 4.0])), 2),
     # nodes 0-3 (unit diagonals) joined to a hub 4 (0.5): the hub is a
-    # single column with four updates, and fails at 0.5 - 4 = -3.5
+    # twig whose four leaves push their updates before the loop, and it
+    # fails at 0.5 - 4 = -3.5
     (sd.from_coo_arrays(5, np.array([0, 1, 2, 3, 4, 4, 4, 4, 4]),
                         np.array([0, 1, 2, 3, 0, 1, 2, 3, 4]),
                         np.array([1.0] * 8 + [0.5])), 4),
     # built directly: from_coo_arrays refuses NaN
     (sd.SparseSymmetric(n=3, col_ptr=np.arange(4), row_idx=np.arange(3),
                         values=np.array([1.0, np.nan, 1.0])), 1),
-    # the leaves are divided before the loop, but the first failure in
-    # column order is raised: the non-leaf 2 (1.5 - 2 < 0) before the
-    # leaf 3, the leaf 1 before the non-leaf 2, the leaf 3 before the
+    # the leaves and twigs are divided before the loop, but the first
+    # failure in column order is raised: the twig 2 (1.5 - 2 < 0) before
+    # the leaf 3, the leaf 1 before the twig 2, the leaf 3 before the
     # root 4, and a NaN leaf after good columns
     (tree_matrix([1.0, 1.0, 1.5, -1.0, 9.0]), 2),
     (tree_matrix([1.0, -1.0, -5.0, 1.0, 9.0]), 1),
     (tree_matrix([1.0, 1.0, 3.0, 0.0, -1.0]), 3),
     (tree_matrix([1.0, 1.0, 3.0, np.nan, 9.0]), 3),
+    # after the loop's column 2, the twig 4 fails at 1 - 1 = 0 (a division
+    # by it would warn), and the leaf 3 fails after the twig 1
+    (tree_matrix([1.0, 2.0, 2.0, 1.0, 1.0, 1.0, 9.0], TWIGS), 4),
+    (tree_matrix([1.0, 2.0, 2.0, -1.0, 9.0, 1.0, 9.0], TWIGS), 3),
 ], ids=["negative-leaf", "star-hub", "nan-leaf", "non-leaf-before-leaf",
-        "leaf-before-non-leaf", "leaf-before-root", "nan-leaf-in-tree"])
+        "leaf-before-non-leaf", "leaf-before-root", "nan-leaf-in-tree",
+        "twig-fails", "leaf-fails-after-a-twig"])
 def test_non_positive_pivot_in_a_single_column_names_the_reference_column(
         a, column):
     sym = sd.symbolic_factor(a, sd.natural_order(a.n))
@@ -191,6 +209,15 @@ def test_non_positive_pivot_in_a_single_column_names_the_reference_column(
         sd.ldlt_factorize(a, sym)
     assert got.value.index == ref.value.index == column
     assert np.array_equal([got.value.value], [ref.value.value], equal_nan=True)
+
+
+def test_the_failure_trees_have_their_leaves_and_twigs():
+    for a, leaves, twigs in ((tree_matrix([1.0] * 5), [0, 1, 3], [2]),
+                             (tree_matrix([1.0] * 7, TWIGS), [0, 3, 5], [1, 4])):
+        sym = sd.symbolic_factor(a, sd.natural_order(a.n))
+        assert sym.leaves.tolist() == leaves
+        assert sym.leaf_batches.twigs.tolist() == twigs
+        assert sym.supernodes.tolist() == list(range(a.n + 1))
 
 
 def test_nan_inside_a_block_fails_with_typed_error():

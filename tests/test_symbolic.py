@@ -108,7 +108,8 @@ def test_symbolic_factor_holds_the_slots_of_its_matrix():
 
 
 def test_row_structure_groups_the_pattern_of_l_by_row():
-    # the update list of a single-column supernode j is row j of L
+    # the update list of a single-column supernode j is row j of L, less
+    # the leaves, whose updates the factorization applies before its loop
     a = random_spd(np.random.default_rng(29), 40)
     sym = sd.symbolic_factor(a, sd.amd_order(a))
     ptr, cols, first, length, _ = sym.block_updates
@@ -121,10 +122,12 @@ def test_row_structure_groups_the_pattern_of_l_by_row():
     singles = [b for b in range(bounds.size - 1)
                if bounds[b + 1] - bounds[b] == 1]
     assert len(singles) > bounds.size // 2
+    leaves = set(sym.leaves.tolist())
+    assert leaves
     for b in singles:
         j = int(bounds[b])
-        # (position, column) of every L_jk, k ascending
-        at = [(p, k) for k in range(sym.n)
+        # (position, column) of every L_jk, k ascending, k not a leaf
+        at = [(p, k) for k in range(sym.n) if k not in leaves
               for p in range(colptr[k], colptr[k + 1]) if rows[p] == j]
         seg = slice(int(ptr[b]), int(ptr[b + 1]))
         assert cols[seg].tolist() == [k for _, k in at]
