@@ -105,10 +105,10 @@ def _supernode_line(sym) -> str:
     update segments) + m_j - 1, and the leaves' updates, q (q + 1) for a
     leaf with q entries below the diagonal, which come before the loop."""
     width = np.diff(sym.supernodes.astype(np.int64))
-    ptr, _, _, length, _ = sym.block_updates
+    updates = sym.block_updates
     single = width == 1
-    gathered = int(length[np.repeat(single, np.diff(ptr.astype(np.int64)))]
-                   .sum(dtype=np.int64))
+    gathered = int(updates.length[np.repeat(
+        single, np.diff(updates.ptr.astype(np.int64)))].sum(dtype=np.int64))
     columns = sym.supernodes[:-1][single]
     q = sym.col_counts[sym.leaves] - 1
     work = (2 * gathered + int((sym.col_counts[columns] - 1).sum())
@@ -123,9 +123,12 @@ def _leaf_line(sym) -> str:
     """The leaves of the elimination tree, which every kernel does in
     batches outside its loop, as a share of the columns and of the selinv
     forecast (2q^2 + 3q for a leaf with q entries below the diagonal);
-    the twigs; and the share of the ldlt forecast that the factorization
-    does before its loop: q (q + 2) for a leaf, its updates and its
-    divisions, and q for a twig, its divisions."""
+    the twigs; and the share of the ldlt forecast of the leaves and the
+    twigs: q (q + 2) for a leaf, its updates and its divisions, which the
+    factorization does before its loop, and q for a twig, its divisions,
+    which it does in the loop's first batch of single columns.  The line
+    calls that share "before the loop", as it was worded when the twigs
+    were divided there, so that the output stays the same."""
     q = sym.col_counts[sym.leaves] - 1
     work = int(np.sum(2 * q * q + 3 * q))
     total = predict_flops(sym)

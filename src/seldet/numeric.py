@@ -10,18 +10,38 @@ The factorization is left-looking.  Column j of L is produced by
 applying the Schur updates of all earlier columns k with L_jk != 0, then
 dividing by the pivot.  Column k contributes L_jk times its pending
 segment (D L)[i, k], i >= j: the storage range from the position of L_jk
-to the end of column k.  The leaves and the twigs (below) are done before
-the loop, which runs one Python iteration per other fundamental
-supernode (``SymbolicFactor.supernodes``): 446 of the 3 009 supernodes
-of the C of the benchmark's ``reml_fit`` under AMD.
+to the end of column k.  A column depends only on the columns of its
+own subtree (Liu 1990), so the supernodes of one height of the
+supernodal elimination tree do not depend on each other.  The leaves
+(below) are done before the loop, which then runs the heights in
+ascending order through the schedule that ``SymbolicFactor.block_updates``
+holds, built once per pattern.  Per height, each multi-column supernode
+is one Python iteration, and the height's single columns are one batch,
+or a few where they gather more than 16 384 elements
+(``symbolic._GROUP``), which keeps the batches' temporaries small.  On
+the C of the benchmark's ``reml_fit`` under AMD the loop runs the
+heights 0 to 11: 157 multi-column supernodes, one iteration each, and
+409 single columns in 8 batches, of the 3 009 supernodes.
 
-Every supernode of the loop reads the columns that update it, leaves
-left out, from ``SymbolicFactor.block_updates``.  For a single column j
-that is the position of every such L_jk, k ascending, with the length of
-each one's segment.  It gathers those segments as one index array and
-scatters them into a dense workspace with one ``np.subtract.at``, which
-applies repeated rows one after the other.  Its time is the volume it
-gathers, not its loop.
+The single columns of a batch gather the segments of the columns that
+update them, leaves left out, as one index array: for column j the
+position of every such L_jk, k ascending, with the length of each one's
+segment.  One ``np.subtract.at``, which applies repeated slots one after
+the other, scatters them into the batch's workspace, where each column
+has its own slots (held by the schedule), and one division finishes the
+columns.  A column's updates land in the order of its own column step,
+so its values are that step's to the bit.  The twigs, single columns
+whose children are all leaves, have no updates left and go in the batch
+of height 1.  Moving the index work into the schedule and the single
+columns into batches took a warm factorization from 18.0 to 13.0 ms on
+that C, from 25.5 to 18.8 ms on prob1 (seed 1000) and from 77.4 to 62.0
+ms on the 72x72 AR1 (x) AR1 field (medians of 41 calls alternated with
+the loop over every supernode in one process, faster in 39 of 41 each,
+2 vCPU), with the same ``l_values``, ``d`` and counters to the bit.
+Building the schedule takes about 10 ms on prob1 and 11 ms on the
+field, so a first factorization, the build included, is no slower than
+before: 42.7 ms against 44.7 ms on prob1 and 75.6 against 81.8 ms on the
+field (medians of 41 alternated calls).
 
 Most of the loop's structural work goes into multi-column supernodes:
 97 % on the C of the benchmark's ``reml_fit`` (92 % into its trailing
@@ -33,10 +53,11 @@ front over the rows F = [s] + pattern(s), |F| = w + |R|, and takes that
 work in as dense work (Ng & Peyton 1993):
 
 - the columns k before it that reach its rows come from
-  ``block_updates`` in panels of at most _PANEL columns.
-  Each column's segment from the supernode's first row is scattered
-  once into one row of a dense panel, and one GEMM subtracts the panel
-  from the front;
+  ``block_updates`` in panels of at most 128 columns.  The schedule
+  holds each panel's gather positions in L's storage and their flat
+  targets in the panel: each column's segment from the supernode's
+  first row fills one row of a dense panel, and one GEMM subtracts the
+  panel from the front;
 - the front then factors itself in strips of _STRIP columns: rank-1
   steps on contiguous slices inside a strip, checking each pivot in
   column order, and one GEMM for the strip's update of the later
@@ -56,33 +77,28 @@ of 8 to 64 columns and none were within 3 % of each other.
 
 The leaves (``SymbolicFactor.leaves``: the single columns without a
 child in the elimination tree, 2 443 of the 3 362 columns of that C) are
-already (D L)[:, j] as loaded, since a column depends only on the
-columns of its subtree (Liu 1990), so each leaf's whole Schur update is
+already (D L)[:, j] as loaded, so each leaf's whole Schur update is
 applied before the loop.  The update of leaf k with pattern P
 subtracts L_{P[a],k} (D L)_{P[b],k} at the pair (P[b], P[a]) and
 L_{P[a],k} (D L)_{P[a],k} on the diagonal at P[a], through the slots of
 ``SymbolicFactor.leaf_batches``: one ``np.subtract.at`` per batch into
-L's storage and one ``np.bincount`` into the diagonal.  A twig, a single
-column whose children are all leaves (120 on that C), is then final as
-well and is divided with the leaves.  Out of the panels, the leaves no
-longer enter the wide trailing fronts as rows that are mostly zero:
-``padded_flops`` went from 133.7 M to 37.6 M on that C, from 102.3 M to
-32.9 M on prob1 and from 1 078 M to 310 M on prob3 (seed 1000).  A
-factorization of that C went from 24.3 to 18.1 ms and one of prob3 from
-112.6 to 80.7 ms (medians of 41 and 15 calls alternated with the
-previous kernel in one process, 2 vCPU).  The step itself takes about
-1.2 ms on that C.  One ``np.bincount`` over all 151 581 pairs took 2.6
-ms there: its nnz(L)-long output and index casts are fresh pages on
-every call (1 280 page faults), where the batches' temporaries stay
-small and none fault.
+L's storage and one ``np.bincount`` into the diagonal.  Out of the
+panels, the leaves no longer enter the wide trailing fronts as rows that
+are mostly zero: ``padded_flops`` went from 133.7 M to 37.6 M on that C,
+from 102.3 M to 32.9 M on prob1 and from 1 078 M to 310 M on prob3 (seed
+1000).  The step itself takes about 1.2 ms on that C.  One
+``np.bincount`` over all 151 581 pairs took 2.6 ms there: its
+nnz(L)-long output and index casts are fresh pages on every call (1 280
+page faults), where the batches' temporaries stay small and none fault.
 
-The first leaf or twig in column order whose pivot fails, a twig's pivot
-read after the leaves below it are in, is ``stop``: only the leaves and
-twigs before it are pushed and divided, the loop runs over the
-supernodes before it and raises the first failing column it meets, and
-otherwise ``stop`` is raised.  That is the column that the
-column-by-column kernel reports, and no division by a failed pivot is
-ever issued.
+The first leaf in column order whose pivot fails is ``stop``: only the
+leaves before it are pushed and divided.  Each height then runs only
+its supernodes before ``stop``, and a failure there lowers ``stop`` to
+the failing column, with its pivot.  Once the heights are done,
+``stop`` is raised: the first failing column in column order, which is
+the column that the column-by-column kernel reports, with its value,
+though a later column of a lower height may fail first.  No division by
+a failed pivot is ever issued.
 
 Measured on the column-by-column kernel, before the dense supernodes:
 ``np.bincount`` in place of ``np.subtract.at`` changed nothing, and a
@@ -94,7 +110,8 @@ symbolic prediction sum(m_i^2) - n on every input.  It adds the
 structural work as it is issued: two FLOPs per gathered segment entry of
 a single column (one multiply, one subtract), 2 (s_k r_k - s_k (s_k - 1)
 / 2) for each panel column k, where s_k of its r_k segment entries lie in
-the supernode's rows, the lower trapezoid of each rank-1 step and strip
+the supernode's rows (summed per panel in the schedule, and added as the
+panel is issued), the lower trapezoid of each rank-1 step and strip
 GEMM, q (q + 1) for the updates of a leaf with q entries below the
 diagonal, and one division per below-diagonal entry of each finalized
 column, the step before the loop included.  The per-position products
@@ -123,15 +140,13 @@ from .errors import (
     NonPositivePivotError,
     SizeMismatchError,
 )
-from .sparse_core import Permutation, SparseSymmetric
-from .symbolic import SymbolicFactor
+from .sparse_core import Permutation, SparseSymmetric, _segments
+from .symbolic import BlockUpdates, SymbolicFactor
 
 __all__ = ["LdlFactor", "ldlt_factorize", "log_det", "solve"]
 
 # An accepted pivot below this times max |A_ii| is reported as near-singular.
 NEAR_SINGULAR_RTOL = 1e-13
-# Updating columns per dense panel of a supernode's Schur update.
-_PANEL = 128
 # Columns per strip of a supernode's own factorization.
 _STRIP = 16
 
@@ -183,65 +198,48 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
     sym.require_pattern(a)
     # the pattern's maps first (built on the first call), so that their
     # builds do not stack on the work arrays
-    ptr, _, upd_first, upd_len, _ = sym.block_updates
-    twigs = sym.leaf_batches.twigs
-    bounds = sym.supernodes.tolist()
-    n = sym.n
-    colptr, rows = sym.l_col_ptr, sym.l_row_idx
-    placed = np.zeros(rows.size + n)
+    plan = sym.block_updates
+    sym.leaf_batches
+    levels, blocks = plan.levels.tolist(), plan.blocks.tolist()
+    panels = plan.panels.tolist()
+    n, nnz = sym.n, sym.l_row_idx.size
+    placed = np.zeros(nnz + n)
     placed[sym.a_slots] = a.values
     # ld_values: column j is overwritten with (D L)[:, j] when it is
     # finalized, and the updates read finalized columns only.
-    ld_values, a_diag = placed[:rows.size], placed[rows.size:]
+    ld_values, a_diag = placed[:nnz], placed[nnz:]
     threshold = NEAR_SINGULAR_RTOL * float(np.max(np.abs(a_diag), initial=0.0))
-    l_values = np.empty(rows.size)
+    l_values = np.empty(nnz)
     d = np.empty(n)
-    x = np.zeros(n)         # a single column, over its rows
-    where = np.zeros(n, dtype=np.int64)   # each row's place in a block's front
 
-    # the leaves and the twigs before the loop, up to the first of them
-    # whose pivot fails (n if none does); the loop then runs over the
-    # other supernodes before that column
-    flops, stop = _leaves_and_twigs(sym, ld_values, a_diag, l_values, d)
+    # the leaves before the loop, up to the first of them whose pivot
+    # fails (n if none does); then the heights in ascending order, each
+    # row of levels running its supernodes before the first failing
+    # column found so far
+    flops, stop = _leaves(sym, ld_values, a_diag, l_values, d)
+    value = float(a_diag[stop]) if stop < n else 0.0
     padded = 0
-    rest = np.ones(n, dtype=bool)
-    rest[sym.leaves] = rest[twigs] = False
-    rest[stop:] = False
-    col_start, upd_start = colptr.tolist(), ptr.tolist()
-    # one iteration per other supernode, columns j:e, taking the updates
-    # u0:u1
-    for b in np.flatnonzero(rest[sym.supernodes[:-1]]).tolist():
-        j, e, u0, u1 = bounds[b], bounds[b + 1], upd_start[b], upd_start[b + 1]
-        if e - j > 1:
-            block_flops, block_padded = _factor_block(
-                j, e, u0, u1, sym, ld_values, l_values, a_diag, d, where)
+    for b0, b1, c0, c1 in levels:
+        for s, e, p0, p1 in blocks[b0:b1]:
+            if s >= stop:
+                break
+            try:
+                block_flops, block_padded = _factor_block(
+                    s, e, panels[p0:p1], plan, sym, ld_values, l_values,
+                    a_diag, d)
+            except NonPositivePivotError as exc:
+                stop, value = exc.index, exc.value
+                break
             flops += block_flops
             padded += block_padded
-            continue
-        lo, hi = col_start[j], col_start[j + 1]
-        pattern = rows[lo:hi]
-        # load column j of PAP^T into the workspace; updates from earlier
-        # columns touch only row j and the rows of this pattern
-        x[pattern] = ld_values[lo:hi]
-        x[j] = a_diag[j]
-        # every segment (D L)[p_jk:end_k] that reaches row j, as one index
-        # array: one gather, one scatter.  Index arithmetic in int64: the
-        # update maps are unsigned (``upd_len`` as small as uint8), and
-        # unsigned arithmetic would wrap or turn to floats
-        p = upd_first[u0:u1].astype(np.int64)
-        lens = upd_len[u0:u1].astype(np.int64)
-        idx = _segments(p, lens)
-        np.subtract.at(x, rows[idx], l_values[p].repeat(lens) * ld_values[idx])
-        flops += 2 * idx.size
-        dj = float(x[j])
-        if not (dj > 0.0 and math.isfinite(dj)):
-            raise NonPositivePivotError(j, dj)
-        d[j] = dj
-        col = ld_values[lo:hi] = x[pattern]
-        l_values[lo:hi] = col / dj
-        flops += hi - lo
+        if c1 > c0:
+            try:
+                flops += _singles(c0, c1, stop, plan, sym, ld_values,
+                                  l_values, a_diag, d)
+            except NonPositivePivotError as exc:
+                stop, value = exc.index, exc.value
     if stop < n:
-        raise NonPositivePivotError(stop, float(a_diag[stop]))
+        raise NonPositivePivotError(stop, value)
 
     near = np.flatnonzero(d < threshold)
     if near.size:
@@ -262,41 +260,30 @@ def _first_failure(cols: np.ndarray, pivots: np.ndarray, stop: int) -> int:
     return min(stop, int(cols[bad[0]])) if bad.size else stop
 
 
-def _leaves_and_twigs(sym: SymbolicFactor, ld_values: np.ndarray,
-                      a_diag: np.ndarray, l_values: np.ndarray,
-                      d: np.ndarray) -> tuple[int, int]:
+def _leaves(sym: SymbolicFactor, ld_values: np.ndarray, a_diag: np.ndarray,
+            l_values: np.ndarray, d: np.ndarray) -> tuple[int, int]:
     """The step before the factorization's loop: the leaves' Schur
-    updates, then the leaves and the twigs divided; returns (flops, stop).
+    updates, then the leaves divided; returns (flops, stop).
 
-    ``stop`` is the first leaf or twig in column order whose pivot fails,
-    or n, a twig's pivot read after the updates of the leaves below it.
-    Only the leaves and twigs before it are pushed and divided, so no
+    ``stop`` is the first leaf in column order whose pivot fails, or n.
+    Only the leaves before it push their updates and are divided, so no
     division by a failed pivot is issued.  The updates of leaf k with the
     pattern P go through the slots of :attr:`SymbolicFactor.leaf_batches`:
     L_{P[a],k} (D L)_{P[b],k} off the diagonal, batch by batch, and
     L_{P[a],k} (D L)_{P[a],k} on it, in one ``bincount``.
     """
     layout = sym.leaf_batches
-    n, colptr = sym.n, sym.l_col_ptr
-    leaves, cols, twigs = sym.leaves, layout.cols, layout.twigs
+    n, leaves, cols = sym.n, sym.leaves, layout.cols
     stop = _first_failure(leaves, a_diag[leaves], n)
     q = sym.col_counts[cols] - 1
     at = layout.at.astype(np.intp)
-    on = sym.l_row_idx[at]
-    while True:
-        early = cols < stop
-        ld, pivots = ld_values[at], a_diag[cols]
-        if stop < n:
-            # the leaves from stop on push nothing and are not divided
-            ld[~early.repeat(q)] = 0.0
-            pivots[~early] = 1.0
-        lv = ld / pivots.repeat(q)
-        onto_diag = np.bincount(on, lv * ld, minlength=n)
-        # a twig's column is final once its children, all leaves, are in
-        first = _first_failure(twigs, a_diag[twigs] - onto_diag[twigs], stop)
-        if first == stop:
-            break
-        stop = first
+    early = cols < stop
+    ld, pivots = ld_values[at], a_diag[cols]
+    if stop < n:
+        # the leaves from stop on push nothing and are not divided
+        ld[~early.repeat(q)] = 0.0
+        pivots[~early] = 1.0
+    lv = ld / pivots.repeat(q)
     # the pairs batch by batch: one np.subtract.at each keeps every
     # temporary at the batch's size.  The unsigned index arrays are cast
     # to intp first, which indexes faster than numpy's buffered casts
@@ -307,48 +294,71 @@ def _leaves_and_twigs(sym: SymbolicFactor, ld_values: np.ndarray,
         pairs *= ld[e0:e1][layout.second[p0:p1].astype(np.intp)]
         np.subtract.at(ld_values, slots.reshape(-1).astype(np.intp), pairs)
         e0, p0 = e1, p1
-    a_diag -= onto_diag
+    a_diag -= np.bincount(sym.l_row_idx[at], lv * ld, minlength=n)
     done = leaves[leaves < stop]
     d[done] = a_diag[done]
     l_values[at] = lv
-    twigs = twigs[twigs < stop]
-    d[twigs] = pivots = a_diag[twigs]
-    count = colptr[twigs + 1] - colptr[twigs]
-    at = _segments(colptr[twigs], count)
-    l_values[at] = ld_values[at] / pivots.repeat(count)
-    # q (q + 1) for a leaf's updates and q divisions, a twig's divisions
+    # q (q + 1) for a leaf's updates and q divisions
     q = q[early]
-    return int(np.sum(q * (q + 2))) + at.size, stop
+    return int(np.sum(q * (q + 2))), stop
 
 
-def _segments(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The storage positions of the ranges first[t]:first[t] + lens[t],
-    concatenated in order, as int64 (``lens`` in int64)."""
-    ends = lens.cumsum()
-    out = (first - (ends - lens)).repeat(lens)
-    out += np.arange(out.size)
-    return out
+def _singles(c0: int, c1: int, stop: int, plan: BlockUpdates,
+             sym: SymbolicFactor, ld_values: np.ndarray, l_values: np.ndarray,
+             a_diag: np.ndarray, d: np.ndarray) -> int:
+    """Factor the batch ``plan.singles[c0:c1]`` of the single columns of
+    one height, those before ``stop``; returns the flops.
+
+    Every update segment (D L)[p_jk:end_k] of the columns is gathered as
+    one index array and subtracted, times L_jk, into the batch's
+    workspace with one ``np.subtract.at``, which applies repeated slots
+    one after the other; each column's slots are its own.  The columns
+    are then divided up to the first whose pivot fails, which raises
+    NonPositivePivotError."""
+    cols = plan.singles[c0:c1]
+    keep = c0 + int(np.count_nonzero(cols < stop))
+    (u0, x0, s0), (uk, xk, _), (_, _, s1) = (
+        plan.single_ptr[[c0, keep, c1]].tolist())
+    count = np.diff(plan.single_ptr[c0:c1 + 1, 2])
+    at = _segments(sym.l_col_ptr[cols], count)
+    work = np.concatenate((ld_values[at], a_diag[cols]))
+    # index arithmetic in int64: the update maps are unsigned, and
+    # unsigned arithmetic would wrap or turn to floats
+    first = plan.single_first[u0:uk]
+    length = plan.single_length[u0:uk].astype(np.int64)
+    idx = _segments(first, length)
+    np.subtract.at(work, plan.single_target[x0:xk].astype(np.intp),
+                   l_values[first].repeat(length) * ld_values[idx])
+    pivots = work[s1 - s0:s1 - s0 + keep - c0]
+    bad = np.flatnonzero(~((pivots > 0.0) & (pivots < math.inf)))
+    done = int(bad[0]) if bad.size else keep - c0
+    stored = int(count[:done].sum())
+    d[cols[:done]] = pivots[:done]
+    ld_values[at[:stored]] = work[:stored]
+    l_values[at[:stored]] = work[:stored] / pivots[:done].repeat(count[:done])
+    if bad.size:
+        raise NonPositivePivotError(int(cols[done]), float(pivots[done]))
+    # two flops per gathered element, one per division
+    return 2 * idx.size + stored
 
 
-def _factor_block(s: int, e: int, u0: int, u1: int, sym: SymbolicFactor,
-                  ld_values: np.ndarray, l_values: np.ndarray,
-                  a_diag: np.ndarray, d: np.ndarray,
-                  where: np.ndarray) -> tuple[int, int]:
+def _factor_block(s: int, e: int, panels: list, plan: BlockUpdates,
+                  sym: SymbolicFactor, ld_values: np.ndarray,
+                  l_values: np.ndarray, a_diag: np.ndarray,
+                  d: np.ndarray) -> tuple[int, int]:
     """Factor the supernode of columns s:e as one dense front; returns
     (structural flops, padded flops).
 
     The front holds the block's w columns over its rows F = [s] +
     pattern(s), transposed so that each column is one contiguous row of
-    ``front``.  The panels of updates from outside come first, then the
-    strips of the block's own factorization (see the module docstring).
+    ``front``.  The panels of updates from outside come first, each
+    gathered through its row of ``plan.panels``, then the strips of the
+    block's own factorization (see the module docstring).
     """
-    _, upd_cols, upd_first, upd_len, upd_inside = sym.block_updates
-    colptr, rows = sym.l_col_ptr, sym.l_row_idx
+    colptr = sym.l_col_ptr
     w = e - s
     lo, hi, end = int(colptr[s]), int(colptr[s + 1]), int(colptr[e])
     size = hi - lo + 1
-    where[s] = 0
-    where[rows[lo:hi]] = np.arange(1, size)
     front = np.zeros((w, size))
     flat = front.reshape(-1)
     # column c of the block holds the rows c + 1: of F
@@ -358,27 +368,14 @@ def _factor_block(s: int, e: int, u0: int, u1: int, sym: SymbolicFactor,
     flat[::size + 1] = a_diag[s:e]
     flops = padded = 0
 
-    for t0 in range(u0, u1, _PANEL):
-        t1 = min(t0 + _PANEL, u1)
-        seg = upd_len[t0:t1].astype(np.int64)
-        # the columns come in the order of their first row: every segment
-        # of this panel starts at row s + top or below
-        top = int(rows[upd_first[t0]]) - s
-        k, width = t1 - t0, size - top
-        panel = np.zeros((k, width))
-        idx = _segments(upd_first[t0:t1], seg)
-        target = where[rows[idx]]
-        target += np.arange(-top, k * width - top, width).repeat(seg)
-        panel.reshape(-1)[target] = ld_values[idx]
-        del idx, target
+    for t0, t1, g0, g1, top, structural, issued in panels:
+        panel = np.zeros((t1 - t0, size - top))
+        panel.reshape(-1)[plan.target[g0:g1]] = ld_values[plan.gather[g0:g1]]
         # L_jk (D L)_ik = (D L)_jk (D L)_ik / d_k, one square root each way
-        panel /= np.sqrt(d[upd_cols[t0:t1]])[:, None]
+        panel /= np.sqrt(d[plan.cols[t0:t1]])[:, None]
         front[top:, top:] -= panel[:, :w - top].T @ panel
-        inside = upd_inside[t0:t1]
-        # 2 (s_k r_k - s_k (s_k - 1) / 2) for each column k
-        structural = int(inside @ (2 * seg - inside + 1))
         flops += structural
-        padded += 2 * k * width * (w - top) + k * (width + 1) - structural
+        padded += issued
 
     for c0 in range(0, w, _STRIP):
         c1 = min(c0 + _STRIP, w)

@@ -185,9 +185,12 @@ def selected_inverse(f: LdlFactor) -> SelectedInverse:
             fronts[s] = front
 
     # the leaves, G with q rows each at a time: each slice of the stacked
-    # products is the column step's own gemv and dot
+    # products is the column step's own gemv and dot.  Each batch's
+    # unsigned index arrays are cast to intp once, which indexes faster
+    # than numpy's buffered casts
     rows = sym.l_row_idx
     for q, cols, at, slots in batches:
+        at, slots = at.astype(np.intp), slots.astype(np.intp)
         block = np.empty((cols.size, q, q))
         upper, lower = np.triu_indices(q, 1)
         block[:, upper, lower] = block[:, lower, upper] = z[slots]

@@ -9,6 +9,7 @@ matrix even where their values vanish at a particular parameter point.
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -37,6 +38,8 @@ __all__ = [
 
 # Relative tolerance for explicit (i,j)/(j,i) pairs to count as consistent.
 SYMMETRY_RTOL = 1e-12
+# Records that read_matrix_market splits and converts at a time.
+_RECORD_CHUNK = 1 << 12
 
 
 def _index_array(values, name: str, error: type[SeldetError]) -> np.ndarray:
@@ -54,6 +57,15 @@ def _index_array(values, name: str, error: type[SeldetError]) -> np.ndarray:
 def _entry_columns(col_ptr: np.ndarray) -> np.ndarray:
     """The column index of each stored entry of a compressed-column pattern."""
     return np.repeat(np.arange(col_ptr.size - 1, dtype=np.int64), np.diff(col_ptr))
+
+
+def _segments(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The positions of the ranges first[t]:first[t] + lens[t],
+    concatenated in order, as int64 (``lens`` in int64)."""
+    ends = lens.cumsum()
+    out = (first - (ends - lens)).repeat(lens)
+    out += np.arange(out.size)
+    return out
 
 
 def _group_by_row(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -273,37 +285,73 @@ def read_matrix_market(stream: IO[str] | str) -> SparseSymmetric:
     if nrows > 2 ** 31:  # beyond it the keys of from_coo_arrays overflow int64
         raise ParseError(f"dimension {nrows} exceeds 2**31")
 
-    # The records are collected before their count is compared with the
-    # declared one, so that a header cannot size memory on its own.
-    rows, cols, vals = [], [], []
+    # The records are read _RECORD_CHUNK lines at a time into arrays, and
+    # their count is compared with the declared one after that, so that a
+    # header cannot size memory on its own.
     want = 2 if is_pattern else 3
-    for line in stream:
-        s = line.strip()
-        if not s or s.startswith("%"):
-            continue
+    kept = (s for s in map(str.strip, stream) if s and s[0] != "%")
+    parts = []
+    while chunk := list(itertools.islice(kept, _RECORD_CHUNK)):
+        parts.append(_read_records(chunk, want, nrows))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*parts)) if parts else (
+        np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+    if rows.size != nnz:
+        raise ParseError(f"declared {nnz} records, found {rows.size}")
+    if is_pattern:
+        vals = np.ones(rows.size)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        k = bad[0]
+        raise NonFiniteValueError(
+            f"record {k + 1}: entry ({rows[k]},{cols[k]}) has the "
+            f"value {float(vals[k])!r}")
+    return from_coo_arrays(nrows, rows - 1, cols - 1, vals)
+
+
+def _read_records(kept: list[str], want: int, nrows: int):
+    """The 1-based indices and the values (none for ``want`` = 2) of the
+    stripped coordinate records ``kept``.
+
+    The records are split as one text, joined by a ";" token: each then
+    spans want + 1 tokens, the last of them ";".  A record with another
+    number of tokens shows as a ";" out of place, and one with a ";" of
+    its own as a token that does not convert; either way the records are
+    read again one by one for the error, the first in file order."""
+    tokens = " ; ".join(kept).split()
+    step = want + 1
+    try:
+        if (len(tokens) != step * len(kept) - 1
+                or set(tokens[want::step]) - {";"}):
+            raise ValueError("records of another length")
+        rows = np.array(tokens[0::step], dtype=np.int64)
+        cols = np.array(tokens[1::step], dtype=np.int64)
+        vals = np.array(tokens[2::step] if want == 3 else (), dtype=np.float64)
+    except (ValueError, OverflowError):
+        _raise_first_bad_record(kept, want, nrows)
+        raise
+    outside = np.flatnonzero((rows < 1) | (rows > nrows) | (cols < 1) | (cols > nrows))
+    if outside.size:
+        k = outside[0]
+        raise ParseError(f"coordinate ({rows[k]},{cols[k]}) outside 1..{nrows}")
+    return rows, cols, vals
+
+
+def _raise_first_bad_record(kept: list[str], want: int, nrows: int):
+    """Raise ParseError for the first of the records, in file order, that
+    has other than ``want`` tokens, whose indices or value do not convert,
+    or whose indices lie outside 1..nrows."""
+    for s in kept:
         toks = s.split()
         if len(toks) != want:
             raise ParseError(f"bad coordinate record: {s!r}")
         try:
             i, j = int(toks[0]), int(toks[1])
-            v = 1.0 if is_pattern else float(toks[2])
+            if want == 3:
+                float(toks[2])
         except ValueError as exc:
             raise ParseError(f"bad coordinate record: {s!r}") from exc
         if not (1 <= i <= nrows and 1 <= j <= nrows):
             raise ParseError(f"coordinate ({i},{j}) outside 1..{nrows}")
-        rows.append(i - 1)
-        cols.append(j - 1)
-        vals.append(v)
-    if len(vals) != nnz:
-        raise ParseError(f"declared {nnz} records, found {len(vals)}")
-    vals = np.asarray(vals, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        k = bad[0]
-        raise NonFiniteValueError(
-            f"record {k + 1}: entry ({rows[k] + 1},{cols[k] + 1}) has the "
-            f"value {float(vals[k])!r}")
-    return from_coo_arrays(nrows, rows, cols, vals)
 
 
 def write_matrix_market(a: SparseSymmetric, stream: IO[str]):

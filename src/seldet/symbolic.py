@@ -26,8 +26,13 @@ layout of the etree's leaves, the single columns without a child
 (``SymbolicFactor.leaf_batches``): most of the columns and little of the
 work, which the factorization, the selected inversion and the solve do
 in batches outside their loops.  The layout also holds the twigs, the
-single columns whose children are all leaves, which the factorization
-and the solve do outside their loops too.
+single columns whose children are all leaves, which the solve does
+outside its loops too.  Another is the factorization's schedule
+(``SymbolicFactor.block_updates``): the updates each supernode takes
+in, the heights of the supernodes, and the index work of the panels of
+the multi-column supernodes and of the batches of single columns (a
+height's single columns, cut where they gather more than ``_GROUP``
+elements).
 """
 
 from __future__ import annotations
@@ -40,9 +45,10 @@ import numpy as np
 
 from .errors import PatternMismatchError, SizeMismatchError
 from .sparse_core import (Permutation, SparseSymmetric, _entry_columns,
-                          _group_by_row)
+                          _group_by_row, _segments)
 
 __all__ = [
+    "BlockUpdates",
     "LeafBatches",
     "SymbolicFactor",
     "symbolic_factor",
@@ -50,10 +56,18 @@ __all__ = [
     "selinv_flops_from_ldlt",
 ]
 
+# Updating columns per dense panel of a supernode's Schur update.
+_PANEL = 128
 # Block entries per batch of leaves: a (G, q, q) stack of 0.25 MB at most.
 # Uncut, one q-group's stack is 0.45 MB on the C of the benchmark's
 # reml_fit, 1.77 MB on prob3 and 5.68 MB on prob5, all under AMD.
 _LEAF_BATCH = 1 << 15
+# Entries of the dense table that maps the rows of a group of fronts in
+# the schedule's build, and the gathered elements that a group of the
+# build and a batch of single columns take, a height's single columns
+# being cut into batches of about that many (0.13 MB in int64).
+_ROW_MAP = 1 << 18
+_GROUP = 1 << 14
 
 
 def _row_subtrees(n: int, rows: np.ndarray,
@@ -141,6 +155,282 @@ class LeafBatches:
 
 
 @dataclass(frozen=True, eq=False)
+class BlockUpdates:
+    """The Schur updates that each supernode takes in, and the
+    factorization's schedule over them, all read-only.
+
+    The five update arrays: the columns k, not leaves, that update
+    supernode b, with columns s:e, from outside it (k < s and L_jk != 0
+    for some j in s:e) are ``cols[ptr[b]:ptr[b + 1]]``, in the order of
+    their first row in s:e, k ascending among equal rows.  For each,
+    ``first`` is the storage position of that first entry and ``length``
+    the number of entries from there to the end of column k: its segment
+    (D L)[i, k], i >= s.  ``inside`` is the number of those entries in the
+    rows s:e.  For a single column j these are every L_jk, k ascending and
+    not a leaf, each with its segment, and ``inside`` is 1.  The leaves'
+    updates are applied before the factorization's loop, through
+    :attr:`SymbolicFactor.leaf_batches`, so a twig's range is empty.
+    ``ptr`` and ``first`` are in the smallest unsigned type that holds
+    ``nnz_L``, ``cols`` in that of n, and ``length`` and ``inside`` in
+    that of the largest column count.
+
+    The rest is the factorization's schedule.  ``height`` is each
+    supernode's height in the supernodal elimination tree: 0 without a
+    child, else one more than its highest child.  A column depends only
+    on its own subtree (Liu 1990), so the supernodes of one height do not
+    depend on each other, and the factorization runs the heights in
+    ascending order.  The single columns of height 0 are the leaves,
+    which it does before.  The rows ``(b0, b1, c0, c1)`` of ``levels``
+    come in ascending height, each with the multi-column supernodes in
+    the rows b0:b1 of ``blocks`` and a batch of single columns
+    ``singles[c0:c1]``, each in column order.  A height's single columns
+    are cut into batches where their gathered elements, counted from the
+    height's first one, pass a multiple of ``_GROUP``, which keeps a
+    batch's temporaries near ``_GROUP`` elements unless one column gathers
+    more.  Each batch is one row, its height's multi-column supernodes go
+    with the height's first row, and a height without single columns has
+    one row with an empty batch.
+
+    - A row of ``blocks`` is ``(s, e, p0, p1)``: a multi-column
+      supernode's columns s:e and its panels, the rows p0:p1 of
+      ``panels``.  Its updates come in panels of at most ``_PANEL``
+      columns.  A panel of the update entries t0:t1 is a dense
+      (t1 - t0)-by-(|F| - top) array over the rows of the front
+      F = [s] + pattern(s) from place ``top`` on, one row per column.  A
+      row of ``panels`` is ``(t0, t1, g0, g1, top, structural,
+      padded)``: ``gather[g0:g1]`` are the storage positions of the
+      panel's segments and ``target[g0:g1]`` their flat positions in the
+      panel; ``structural`` is the structural work of the panel's GEMM
+      and ``padded`` what the GEMM and the panel's scaling issue beyond
+      it.
+    - ``singles`` are the single columns of height 1 or more.  Row c of
+      ``single_ptr`` holds where the update entries, the gathered
+      elements and the stored entries of ``singles[c]`` start among those
+      of the columns before it, and a last row holds the totals.
+      ``single_first`` and ``single_length`` are the update segments of
+      the five arrays in the order of ``singles``.  The single columns of
+      one batch are updated in one workspace, their stored entries in
+      storage order and then their diagonals, and ``single_target`` is
+      where each gathered element lands in it.
+
+    ``levels``, ``blocks``, ``panels``, ``singles`` and ``single_ptr``
+    are int64; ``gather`` and ``single_first`` are in the type of
+    ``first``, ``single_length`` in that of ``length``, and ``height``,
+    ``target`` and ``single_target`` each in the smallest unsigned type
+    that holds its values.  Under AMD, the five update arrays and the
+    schedule hold 33 KB and 0.90 MB on the C of the benchmark's
+    ``reml_fit`` (152 panels gather 111 196 elements, and 409 single
+    columns 97 109), 51 KB and 1.73 MB on prob1 (seed 1000), and 122 KB
+    and 1.76 MB on the 72x72 AR1 (x) AR1 field (711 panels, 277 900
+    elements).  A panel's element takes 6 bytes, in ``gather`` and
+    ``target``, and a single column's 2, in ``single_target``: its
+    gather positions are the segments, formed on each call.
+    """
+
+    ptr: np.ndarray
+    cols: np.ndarray
+    first: np.ndarray
+    length: np.ndarray
+    inside: np.ndarray
+    height: np.ndarray
+    levels: np.ndarray
+    blocks: np.ndarray
+    panels: np.ndarray
+    gather: np.ndarray
+    target: np.ndarray
+    singles: np.ndarray
+    single_ptr: np.ndarray
+    single_first: np.ndarray
+    single_length: np.ndarray
+    single_target: np.ndarray
+
+
+def _heights(up: np.ndarray) -> np.ndarray:
+    """The height of each node of the forest whose parents are ``up``
+    (-1 at a root): 0 without a child, else one more than its highest
+    child.  One step per height, over the nodes of that height."""
+    pending = np.bincount(up[up >= 0], minlength=up.size)
+    height = np.zeros(up.size, dtype=np.int64)
+    level, h = np.flatnonzero(pending == 0), 0
+    while level.size:
+        height[level] = h
+        above = up[level]
+        above = above[above >= 0]
+        np.subtract.at(pending, above, 1)
+        # each parent whose last child is in, once (np.unique would import
+        # numpy.ma on its first call)
+        level = np.sort(above[pending[above] == 0])
+        level = level[np.diff(level, prepend=-1) > 0]
+        h += 1
+    return height
+
+
+def _segment_places(sym: SymbolicFactor, fronts: np.ndarray, own: np.ndarray,
+                    e_cut: np.ndarray, first: np.ndarray, length: np.ndarray):
+    """The elements of update segments and their places in the fronts
+    they update, a group of fronts at a time.
+
+    The segments ``first[t]:first[t] + length[t]`` for t in
+    ``e_cut[f]:e_cut[f + 1]`` update the front [s] + pattern(s) of
+    s = ``fronts[f]``; all are int64.  Yields ``(t0, t1, at, place)`` per
+    group: its segments t0:t1 and, for each of their elements, its
+    storage position and the place of its row in the front: ``own[f]``
+    for s itself, else one more than the row's rank in pattern(s).  A
+    group's fronts are scattered into their own n-long rows of one dense
+    table of at most ``_ROW_MAP`` entries, and its elements' rows are read
+    back through it.  A group holds at most ``_GROUP`` elements, or one
+    front, so that its temporaries stay small."""
+    n, colptr, rows = sym.n, sym.l_col_ptr, sym.l_row_idx
+    # a front without segments needs no place
+    some = np.diff(e_cut) > 0
+    fronts, own = fronts[some], own[some]
+    e_cut = np.append(e_cut[:-1][some], e_cut[-1])
+    per = max(1, _ROW_MAP // max(n, 1))
+    table = np.empty(min(per, fronts.size) * n, dtype=np.int32)
+    ends = _starts(length)[e_cut]
+    f0 = 0
+    while f0 < fronts.size:
+        most = int(np.searchsorted(ends, ends[f0] + _GROUP, side="right")) - 1
+        f1 = min(f0 + per, max(f0 + 1, most))
+        s = fronts[f0:f1]
+        base = np.arange(s.size) * n
+        m = sym.col_counts[s] - 1
+        at = _segments(colptr[s], m)
+        table[np.repeat(base, m) + rows[at]] = at - np.repeat(colptr[s] - 1, m)
+        table[base + s] = own[f0:f1]
+        t0, t1 = e_cut[f0], e_cut[f1]
+        seg = length[t0:t1]
+        at = _segments(first[t0:t1], seg)
+        key = np.repeat(base, np.diff(e_cut[f0:f1 + 1])).repeat(seg)
+        key += rows[at]
+        yield t0, t1, at, table[key]
+        f0 = f1
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each of the consecutive runs of ``counts`` starts, and their
+    total last."""
+    out = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _schedule(sym: SymbolicFactor, width: np.ndarray, ptr: np.ndarray,
+              first: np.ndarray, length: np.ndarray,
+              inside: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The schedule fields of :class:`BlockUpdates`, in order, from the
+    supernodes' widths and the update arrays, all in int64."""
+    rows = sym.l_row_idx
+    starts = sym.supernodes[:-1].astype(np.int64)
+    up = sym.parent[starts + width - 1]
+    sup_of = np.repeat(np.arange(width.size), width)
+    height = _heights(np.where(up >= 0, sup_of[up], -1))
+    del sup_of
+    # the loop's supernodes by height, then by first column
+    order = np.lexsort((starts, height))
+    multi = width[order] > 1
+    blocks_b = order[multi]
+    singles_b = order[~multi & (height[order] > 0)]
+    cuts = np.arange(int(height.max(initial=-1)) + 2)
+    b_cut = np.searchsorted(height[blocks_b], cuts)
+    c_cut = np.searchsorted(height[singles_b], cuts)
+
+    # the panels, block by block in the order of blocks
+    n_upd = np.diff(ptr)
+    p_cut = _starts(-(-n_upd[blocks_b] // _PANEL))
+    n_pan = np.diff(p_cut)
+    blocks = np.column_stack((starts[blocks_b],
+                              starts[blocks_b] + width[blocks_b],
+                              p_cut[:-1], p_cut[1:]))
+    pb = np.repeat(blocks_b, n_pan)
+    t0 = ptr[pb] + _PANEL * (np.arange(pb.size) - np.repeat(p_cut[:-1], n_pan))
+    t1 = np.minimum(t0 + _PANEL, ptr[pb + 1])
+    k = t1 - t0
+    s = starts[pb]
+    # the columns come in the order of their first row: every segment of
+    # a panel starts at row s + top or below
+    top = rows[first[t0]] - s
+    span = sym.col_counts[s] - top
+    entry = _segments(t0, k)
+    seg, within = length[entry], inside[entry]
+    e_cut = _starts(k)
+    g_cut = _starts(seg)
+    # 2 (s_k r_k - s_k (s_k - 1) / 2) for each column k
+    structural = np.diff(_starts(within * (2 * seg - within + 1))[e_cut])
+    padded = 2 * k * span * (width[pb] - top) + k * (span + 1) - structural
+    panels = np.column_stack((t0, t1, g_cut[e_cut[:-1]], g_cut[e_cut[1:]], top,
+                              structural, padded))
+    # each column's segment fills its own row of the panel, at the places
+    # of its rows in the front, less top
+    panel_of = np.repeat(np.arange(pb.size), k)
+    shift = (np.arange(entry.size) - e_cut[panel_of]) * span[panel_of]
+    shift -= top[panel_of]
+    del panel_of
+    kind = np.min_scalar_type(sym.nnz_L)
+    gather = np.empty(g_cut[-1], dtype=kind)
+    flat = np.min_scalar_type(int((k * span).max(initial=0)))
+    target = np.empty(g_cut[-1], dtype=flat)
+    for u0, u1, at, place in _segment_places(
+            sym, blocks[:, 0], np.zeros(blocks_b.size, dtype=np.int64),
+            _starts(n_upd[blocks_b]), first[entry], seg):
+        gather[g_cut[u0]:g_cut[u1]] = at
+        place += np.repeat(shift[u0:u1], seg[u0:u1])
+        target[g_cut[u0]:g_cut[u1]] = place
+    del entry, seg, within, shift
+
+    # the single columns, in the order of singles
+    cols = starts[singles_b]
+    entry = _segments(ptr[singles_b], n_upd[singles_b])
+    single_first, single_length = first[entry], length[entry]
+    e_cut = _starts(n_upd[singles_b])
+    e_of = np.repeat(np.arange(cols.size), n_upd[singles_b])
+    g_cut = _starts(single_length)
+    single_ptr = np.column_stack((e_cut, g_cut[e_cut],
+                                  _starts(sym.col_counts[cols] - 1)))
+    # a height's single columns are cut into batches where their gathered
+    # elements, counted from the height's first one, pass a multiple of
+    # _GROUP; every batch is a row of levels, and every height without
+    # single columns a row with none, the height's blocks going with its
+    # first row
+    c = np.arange(cols.size)
+    h = height[singles_b]
+    gathered = single_ptr[:-1, 1]
+    chunk = (gathered - gathered[c_cut[h]]) // _GROUP
+    opens = np.ones(cols.size, dtype=bool)
+    opens[1:] = (h[1:] != h[:-1]) | (chunk[1:] != chunk[:-1])
+    batch0 = np.flatnonzero(opens)
+    batch1 = np.append(batch0, cols.size)[1:]
+    none = np.flatnonzero(np.diff(c_cut) == 0)
+    row_h = np.concatenate((h[batch0], none))
+    row_c0 = np.concatenate((batch0, c_cut[none]))
+    row_c1 = np.concatenate((batch1, c_cut[none]))
+    order = np.lexsort((row_c0, row_h))
+    row_h, row_c0, row_c1 = row_h[order], row_c0[order], row_c1[order]
+    later = np.zeros(row_h.size, dtype=bool)
+    later[1:] = row_h[1:] == row_h[:-1]
+    levels = np.column_stack((np.where(later, b_cut[row_h + 1], b_cut[row_h]),
+                              b_cut[row_h + 1], row_c0, row_c1))
+    # in its batch's workspace, a column's stored entries follow those of
+    # the columns before it, and its diagonal follows all of them
+    lo = np.repeat(batch0, batch1 - batch0)
+    hi = np.repeat(batch1, batch1 - batch0)
+    stored = single_ptr[:, 2]
+    offset = stored[c] - stored[lo] - 1
+    room = int((stored[hi] - stored[lo] + hi - lo).max(initial=0))
+    single_target = np.empty(g_cut[-1], dtype=np.min_scalar_type(room))
+    for u0, u1, _, place in _segment_places(
+            sym, cols, stored[hi] - stored[c] + c - lo + 1, e_cut,
+            single_first, single_length):
+        place += np.repeat(offset[e_of[u0:u1]], single_length[u0:u1])
+        single_target[g_cut[u0]:g_cut[u1]] = place
+    count = np.min_scalar_type(int(sym.col_counts.max(initial=1)))
+    return (height.astype(np.min_scalar_type(int(height.max(initial=0)))),
+            levels, blocks, panels, gather, target, cols, single_ptr,
+            single_first.astype(kind), single_length.astype(count),
+            single_target)
+
+
+@dataclass(frozen=True, eq=False)
 class SymbolicFactor:
     """Pattern-level factorization plan for PAP^T.
 
@@ -165,9 +455,12 @@ class SymbolicFactor:
     The first factorization builds the supernode maps: the partition
     :attr:`supernodes` (one entry per supernode) and :attr:`block_updates`
     (one entry per pair of a supernode and a column other than a leaf
-    that updates it), together 0.06 MB on a prob1 C, 0.04 MB on the C of
-    the benchmark's ``reml_fit`` and 0.13 MB on the 72x72 AR1 (x) AR1
-    field, all under AMD, and the one layout of the etree's leaves:
+    that updates it, and the factorization's schedule: mostly one
+    position and one target per gathered element of a panel and one
+    target per gathered element of a single column), together 1.78 MB
+    on a prob1 C, 0.94 MB on the C of the benchmark's ``reml_fit`` and
+    1.88 MB on the 72x72 AR1 (x) AR1 field, all under AMD, and the one
+    layout of the etree's leaves:
     :attr:`leaves` (one int64 each) and :attr:`leaf_batches` (each leaf's
     storage positions and the slots of the pairs of its pattern, in the
     smallest unsigned type that holds ``nnz_L``, an index of each pair's
@@ -243,33 +536,12 @@ class SymbolicFactor:
         return out
 
     @cached_property
-    def block_updates(self) -> tuple[np.ndarray, ...]:
-        """The Schur updates that each supernode takes in:
-        ``(ptr, cols, first, length, inside)``, read-only.
-
-        The columns k, not leaves, that update supernode b, with columns
-        s:e, from outside it (k < s and L_jk != 0 for some j in s:e) are
-        ``cols[ptr[b]:ptr[b + 1]]``, in the order of their first row in
-        s:e, k ascending among equal rows.  For each, ``first`` is the
-        storage position of that first entry and ``length`` the number of
-        entries from there to the end of column k: its segment
-        (D L)[i, k], i >= s.  ``inside`` is the number of those entries in
-        the rows s:e.  For a single column j these are every L_jk, k
-        ascending and not a leaf, each with its segment, and ``inside`` is
-        1.  The leaves' updates are applied before the factorization's
-        loop, through :attr:`leaf_batches`, so a twig's range is empty.
-
-        Each array is in the smallest unsigned type that holds its values:
-        ``ptr`` and ``first`` that of ``nnz_L``, ``cols`` that of n, and
-        ``length`` and ``inside`` that of the largest column count.  One
-        entry per (supernode, column) pair: 2 633 pairs, 33 KB in all, on
-        the C of the benchmark's ``reml_fit`` (1 370 of them into
-        multi-column supernodes; 12 017 with the leaves), and 13 900,
-        122 KB, on the 72x72 AR1 (x) AR1 field, both under AMD.  Built with
-        array work on the first factorization and kept for the factor's
-        life.
-        """
-        bounds, rows = self.supernodes, self.l_row_idx
+    def block_updates(self) -> BlockUpdates:
+        """The Schur updates that each supernode takes in, and the
+        factorization's schedule over them (see :class:`BlockUpdates`).
+        Built with array work on the first factorization, with no Python
+        loop per supernode, and kept for the factor's life."""
+        bounds, rows, colptr = self.supernodes, self.l_row_idx, self.l_col_ptr
         width = np.diff(bounds.astype(np.int64))
         column = np.min_scalar_type(self.n)
         cols = np.repeat(np.arange(self.n, dtype=column), self.col_counts - 1)
@@ -298,17 +570,18 @@ class SymbolicFactor:
         by_row = np.argsort(rows[first], kind="stable")
         first, inside = first[by_row], inside[by_row]
         cols = cols[first]
-        kind = np.min_scalar_type(self.nnz_L)
-        ptr = np.zeros(bounds.size, dtype=kind)
+        ptr = np.zeros(bounds.size, dtype=np.int64)
         np.cumsum(np.bincount(sup_of[rows[first]], minlength=width.size),
                   out=ptr[1:])
+        length = colptr[cols.astype(np.int64) + 1] - first
+        kind = np.min_scalar_type(self.nnz_L)
         count = np.min_scalar_type(int(self.col_counts.max(initial=1)))
-        out = (ptr, cols, first.astype(kind),
-               (self.l_col_ptr[cols.astype(np.int64) + 1] - first).astype(count),
-               inside.astype(count))
-        for a in out:
+        schedule = _schedule(self, width, ptr, first, length, inside)
+        arrays = (ptr.astype(kind), cols, first.astype(kind),
+                  length.astype(count), inside.astype(count), *schedule)
+        for a in arrays:
             a.flags.writeable = False
-        return out
+        return BlockUpdates(*arrays)
 
     @cached_property
     def preorder(self) -> np.ndarray:

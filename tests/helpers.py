@@ -126,9 +126,16 @@ def field_precision(m, rho_row, rho_col):
         i = np.arange(m - 1)
         q[i, i + 1] = q[i + 1, i] = -rho
         return q / (1.0 - rho * rho)
-    dense = np.kron(ar1(rho_col), ar1(rho_row))
-    rows, cols = np.nonzero(np.tril(dense))
-    return sd.from_coo_arrays(m * m, rows, cols, dense[rows, cols])
+    # the nonzeros of np.kron(ar1(rho_col), ar1(rho_row)), without the
+    # dense m^2-by-m^2 product
+    qc, qr = ar1(rho_col), ar1(rho_row)
+    ic, jc = np.nonzero(qc)
+    ir, jr = np.nonzero(qr)
+    rows = (ic[:, None] * m + ir).ravel()
+    cols = (jc[:, None] * m + jr).ravel()
+    vals = np.multiply.outer(qc[ic, jc], qr[ir, jr]).ravel()
+    low = rows >= cols
+    return sd.from_coo_arrays(m * m, rows[low], cols[low], vals[low])
 
 
 def pattern_spd(rng, n, rows, cols):
@@ -572,3 +579,97 @@ def reference_block_updates(lpat, bounds):
         pairs.sort(key=lambda pair: pair[1])
         out.append(pairs)
     return out
+
+
+def reference_schedule(lpat, bounds, panel=128, group=1 << 14):
+    """The factorization's schedule, read naively off the dense pattern of
+    L and the supernode partition, one supernode at a time.
+
+    Returns ``(height, rows)``.  ``height[b]`` is the most supernodes a
+    walk up the elimination tree enters from a supernode below b.  The
+    rows come by height, each ``(blocks, singles)``.  A height's single
+    columns (height 1 or more) are cut into batches, one row each, where
+    their gathered elements, counted from the height's first one, pass a
+    multiple of ``group``; its multi-column supernodes go with its first
+    row, and a height without single columns has one row.  A
+    multi-column supernode is ``(s, e, panels)``, each panel ``(t0, t1,
+    gather, target, top, structural, padded)`` over at most ``panel`` of
+    its entries in :func:`reference_block_updates` (t0:t1 counted over
+    every supernode's entries in order).  A single column j is ``(j,
+    segments, targets, stored)``: its segments ``(first, length)``, where
+    each gathered element lands in its batch's workspace (the stored
+    entries of the batch's columns, then their diagonals) and the number
+    of its stored entries.  Storage positions count the entries below
+    the diagonal column by column."""
+    n = lpat.shape[0]
+    parent = etree_from_pattern(lpat)
+    below = [(np.flatnonzero(lpat[k + 1:, k]) + k + 1).tolist() for k in range(n)]
+    start = np.concatenate([[0], np.cumsum([len(r) for r in below])]).tolist()
+
+    def position(i, k):
+        return start[k] + below[k].index(i)
+
+    sup = {j: b for b, (s, e) in enumerate(zip(bounds[:-1], bounds[1:]))
+           for j in range(s, e)}
+    height = [0] * (len(bounds) - 1)
+    for b in range(len(bounds) - 1):
+        j, steps = bounds[b + 1] - 1, 0
+        while parent[j] >= 0:
+            up = int(parent[j])
+            if sup[up] != sup[j]:
+                steps += 1
+                height[sup[up]] = max(height[sup[up]], steps)
+            j = up
+    updates = reference_block_updates(lpat, bounds)
+    ptr = np.concatenate([[0], np.cumsum([len(u) for u in updates])]).tolist()
+    rows_out = []
+    for h in range(max(height, default=-1) + 1):
+        blocks, singles = [], []
+        for b in range(len(bounds) - 1):
+            s, e = bounds[b], bounds[b + 1]
+            if height[b] != h:
+                continue
+            front = [s] + below[s]
+            if e - s > 1:
+                panels = []
+                for c in range(0, len(updates[b]), panel):
+                    chunk = updates[b][c:c + panel]
+                    top = chunk[0][1] - s
+                    width = len(front) - top
+                    gather, target, structural = [], [], 0
+                    for r, (k, row, length, inside) in enumerate(chunk):
+                        rows = below[k][below[k].index(row):]
+                        assert len(rows) == length
+                        gather += [position(i, k) for i in rows]
+                        target += [r * width + front.index(i) - top for i in rows]
+                        structural += inside * (2 * length - inside + 1)
+                    size = len(chunk)
+                    padded = (2 * size * width * (e - s - top)
+                              + size * (width + 1) - structural)
+                    panels.append((ptr[b] + c, ptr[b] + c + size, gather,
+                                   target, top, structural, padded))
+                blocks.append((s, e, panels))
+            elif h > 0:
+                segments = [(position(row, k), length)
+                            for k, row, length, _ in updates[b]]
+                rows = [i for k, row, _, _ in updates[b]
+                        for i in below[k][below[k].index(row):]]
+                singles.append((s, segments, rows, len(below[s])))
+        batches, gathered = {}, 0
+        for single in singles:
+            batches.setdefault(gathered // group, []).append(single)
+            gathered += len(single[2])
+        if not batches:
+            rows_out.append((blocks, []))
+        for k, batch in enumerate(batches.values()):
+            # the workspace: the stored entries of the batch's columns,
+            # then their diagonals
+            stored = sum(single[3] for single in batch)
+            offset = 0
+            for c, (j, segments, rows, count) in enumerate(batch):
+                places = [stored + c if i == j else offset + below[j].index(i)
+                          for i in rows]
+                batch[c] = (j, segments, places, count)
+                offset += count
+            rows_out.append((blocks if k == 0 else [], batch))
+    return height, rows_out

@@ -187,6 +187,26 @@ def test_matrix_market_round_trip_exact():
     assert np.array_equal(a.values, b.values)  # bitwise, via 17 sig digits
 
 
+def test_matrix_market_reads_records_chunk_by_chunk():
+    # 5 999 records, more than one chunk of the reader: the round trip is
+    # exact, and a bad record or value past the first chunk is named
+    n = 3000
+    a = tridiag(np.full(n, 4.0), np.full(n - 1, -1.0))
+    buf = io.StringIO()
+    sd.write_matrix_market(a, buf)
+    lines = buf.getvalue().splitlines()
+    b = sd.read_matrix_market(buf.getvalue())
+    assert np.array_equal(a.col_ptr, b.col_ptr)
+    assert np.array_equal(a.row_idx, b.row_idx)
+    assert np.array_equal(a.values, b.values)
+    bad = lines[:5001] + ["3000 3000 nan"] + lines[5002:]
+    with pytest.raises(NonFiniteValueError, match=r"record 5000: entry \(3000,3000\)"):
+        sd.read_matrix_market("\n".join(bad) + "\n")
+    bad = lines[:5001] + ["7 x 1.0", "1 1 x"] + lines[5003:]
+    with pytest.raises(ParseError, match=re.escape("bad coordinate record: '7 x 1.0'")):
+        sd.read_matrix_market("\n".join(bad) + "\n")
+
+
 def test_matrix_market_reads_upper_triangle_form():
     text = """%%MatrixMarket matrix coordinate real symmetric
 3 3 4
@@ -252,6 +272,13 @@ HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
     (HEADER + "2 2 1\n1 1\n", ParseError, "bad coordinate record: '1 1'"),
     ("%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n1 1 1.0\n",
      ParseError, "bad coordinate record: '1 1 1.0'"),
+    # records of 2 and 4 tokens, 6 in all, and records holding ";", the
+    # token that joins the records for their one split
+    (HEADER + "2 2 2\n1 1\n2 2 3.0 4.0\n", ParseError,
+     "bad coordinate record: '1 1'"),
+    (HEADER + "2 2 1\n1 ; 2.0\n", ParseError, "bad coordinate record: '1 ; 2.0'"),
+    (HEADER + "2 2 2\n1 1 2.0 ;\n2 2\n", ParseError,
+     "bad coordinate record: '1 1 2.0 ;'"),
 ])
 def test_matrix_market_bad_header_or_record_is_typed(text, error, says):
     with pytest.raises(error, match=re.escape(says)):

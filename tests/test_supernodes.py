@@ -7,23 +7,28 @@ the updates from outside, rank-1 steps inside), and ``selected_inverse``
 computes a supernode's columns in place in one dense front.  The column
 kernels do the same arithmetic one column at a time, so the factors
 agree to roundoff, a leaf's own column bit for bit, and the selected
-inverses of one shared factor agree bit for bit.  The partition and the
-per-supernode update maps are checked against naive readings of their
-definitions on the dense fill pattern.
+inverses of one shared factor agree bit for bit.  The partition, the
+per-supernode update maps and the factorization's schedule (heights,
+panels, batches of single columns) are checked against naive readings
+of their definitions on the dense fill pattern.  The failure cases put
+the first failing column in column order at a greater height than a
+column that fails earlier in the loop.
 """
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
 import seldet as sd
+from seldet import symbolic
 from seldet.errors import NearSingularWarning, NonPositivePivotError
 from helpers import (arrowhead, bordered_spd, field_precision, fill_pattern,
                      pattern_spd, random_spd, reference_block_updates,
-                     reference_ldlt_factorize, reference_selected_inverse,
-                     reference_supernodes)
+                     reference_ldlt_factorize, reference_schedule,
+                     reference_selected_inverse, reference_supernodes)
 
 
 def prob1_c():
@@ -130,7 +135,7 @@ def block_matrix(values):
                               values=values[rows, cols])
 
 
-def test_non_positive_pivot_inside_a_block_names_the_reference_column():
+def dense_block_failing_at_3():
     # a dense 6x6 block is one supernode; its Schur complement turns
     # indefinite at column 3
     rng = np.random.default_rng(5)
@@ -138,14 +143,71 @@ def test_non_positive_pivot_inside_a_block_names_the_reference_column():
     spd = g @ g.T + 6.0 * np.eye(6)
     vals = spd.copy()
     vals[3, 3] = vals[3, :3] @ np.linalg.solve(spd[:3, :3], vals[:3, 3]) - 0.5
-    a = block_matrix(vals)
-    sym = sd.symbolic_factor(a, sd.natural_order(6))
-    assert sym.supernodes.tolist() == [0, 6]
+    return block_matrix(vals)
+
+
+def unit_tree(below, diag):
+    """Unit entries at the positions ``below`` (row, column) under the
+    given diagonal."""
+    rows, cols = np.array(below).T
+    i = np.arange(len(diag))
+    return sd.from_coo_arrays(len(diag), np.concatenate([rows, i]),
+                              np.concatenate([cols, i]),
+                              np.concatenate([np.ones(rows.size), diag]))
+
+
+def block_over_a_twig():
+    """The leaf 0 below the twig 1 below the supernode 2:5 (height 2), and
+    the leaf 5 below the twig 6 (height 1), all below the root 7.
+    d_2 = 4 - 1 = 3 and d_3 = 1/4 - 1/3 fails inside the block; the twig
+    6 fails too (1/2 - 1), at a lower height and later in column order."""
+    return unit_tree([(1, 0), (2, 1), (3, 2), (4, 2), (7, 2), (4, 3), (7, 3),
+                      (7, 4), (6, 5), (7, 6)],
+                     [1.0, 2.0, 4.0, 0.25, 5.0, 1.0, 0.5, 20.0])
+
+
+# the chain 0 -> 1 -> 2 below the root 8, the supernode 3:6 without a
+# child (height 0), and the leaves 6 and 7: the block fails at column 4
+# (1 - 2^2 / 2) before the loop reaches column 2 (1/2 - 1, height 2)
+BLOCK_FIRST = unit_tree(
+    [(1, 0), (2, 1), (8, 2), (4, 3), (5, 3), (8, 3), (5, 4), (8, 4), (8, 5),
+     (8, 6), (8, 7)],
+    [1.0, 2.0, 0.5, 0.5, 1.0, 5.0, 1.0, 1.0, 20.0])
+# the leaf 0 below the twig 1 (1/2 - 1), and the leaf 2 below the
+# supernode 3:6 (1 - 2^2 / 2 at column 4), both of height 1: the blocks of
+# a height run before its single columns
+SAME_HEIGHT = unit_tree(
+    [(1, 0), (8, 1), (3, 2), (4, 3), (5, 3), (8, 3), (5, 4), (8, 4), (8, 5),
+     (8, 6), (8, 7)],
+    [1.0, 0.5, 1.0, 1.5, 1.0, 5.0, 1.0, 1.0, 20.0])
+# the leaf 0 below the twig 1 (fails at 1/2 - 1, height 1), and the leaf
+# 2 below the twig 3 below the supernode 4:7 (height 2), which fails at
+# column 5 (1/2 - 1) but comes after column 1
+BLOCK_AFTER = unit_tree(
+    [(1, 0), (8, 1), (3, 2), (4, 3), (5, 4), (6, 4), (8, 4), (6, 5), (8, 5),
+     (8, 6), (8, 7)],
+    [1.0, 0.5, 1.0, 2.0, 2.0, 0.5, 5.0, 1.0, 20.0])
+
+
+@pytest.mark.parametrize("a, column, block", [
+    (dense_block_failing_at_3(), 3, [0, 6]),
+    (block_over_a_twig(), 3, [2, 5]),
+    (BLOCK_FIRST, 2, [3, 6]),
+    (BLOCK_AFTER, 1, [4, 7]),
+    (SAME_HEIGHT, 1, [3, 6]),
+], ids=["dense", "higher-block-before-lower-twig",
+        "lower-block-after-higher-single", "higher-block-after-lower-twig",
+        "twig-before-block-of-its-height"])
+def test_non_positive_pivot_inside_a_block_names_the_reference_column(
+        a, column, block):
+    sym = sd.symbolic_factor(a, sd.natural_order(a.n))
+    k = int(np.searchsorted(sym.supernodes, block[0]))
+    assert sym.supernodes[k:k + 2].tolist() == block
     with pytest.raises(NonPositivePivotError) as ref:
         reference_ldlt_factorize(a, sym)
     with pytest.raises(NonPositivePivotError) as got:
         sd.ldlt_factorize(a, sym)
-    assert got.value.index == ref.value.index == 3
+    assert got.value.index == ref.value.index == column
     assert got.value.value == pytest.approx(ref.value.value, rel=1e-10)
 
 
@@ -169,6 +231,9 @@ def tree_matrix(diag, parent=(2, 2, 4, 4, -1)):
 # 4 and the leaf 5 below the root 6: column 2 takes its update from a twig
 # and runs in the loop, before the twig 4
 TWIGS = (1, 2, 6, 4, 6, 6, -1)
+# the chain 0 -> 1 -> 2 and the pairs 3 -> 4 and 5 -> 6 below the root 7:
+# column 2 has height 2, the twigs 1, 4 and 6 height 1
+HEIGHTS = (1, 2, 7, 4, 7, 6, 7, -1)
 
 
 @pytest.mark.parametrize("a, column", [
@@ -195,9 +260,16 @@ TWIGS = (1, 2, 6, 4, 6, 6, -1)
     # by it would warn), and the leaf 3 fails after the twig 1
     (tree_matrix([1.0, 2.0, 2.0, 1.0, 1.0, 1.0, 9.0], TWIGS), 4),
     (tree_matrix([1.0, 2.0, 2.0, -1.0, 9.0, 1.0, 9.0], TWIGS), 3),
+    # the heights run in ascending order, but the first failure in column
+    # order is raised: column 2 (0.5 - 1 < 0, height 2) before the twig 4
+    # (1 - 1 = 0, height 1) that fails first; a NaN at column 2 before
+    # the leaf 5 and the twig 4, which fail before the loop reaches it
+    (tree_matrix([1.0, 2.0, 0.5, 1.0, 1.0, 1.0, 3.0, 9.0], HEIGHTS), 2),
+    (tree_matrix([1.0, 2.0, np.nan, 1.0, 1.0, -1.0, 3.0, 9.0], HEIGHTS), 2),
 ], ids=["negative-leaf", "star-hub", "nan-leaf", "non-leaf-before-leaf",
         "leaf-before-non-leaf", "leaf-before-root", "nan-leaf-in-tree",
-        "twig-fails", "leaf-fails-after-a-twig"])
+        "twig-fails", "leaf-fails-after-a-twig", "higher-before-lower",
+        "nan-higher-before-lower"])
 def test_non_positive_pivot_in_a_single_column_names_the_reference_column(
         a, column):
     sym = sd.symbolic_factor(a, sd.natural_order(a.n))
@@ -212,12 +284,26 @@ def test_non_positive_pivot_in_a_single_column_names_the_reference_column(
 
 
 def test_the_failure_trees_have_their_leaves_and_twigs():
-    for a, leaves, twigs in ((tree_matrix([1.0] * 5), [0, 1, 3], [2]),
-                             (tree_matrix([1.0] * 7, TWIGS), [0, 3, 5], [1, 4])):
+    for a, leaves, twigs, height in (
+            (tree_matrix([1.0] * 5), [0, 1, 3], [2], [0, 0, 1, 0, 2]),
+            (tree_matrix([1.0] * 7, TWIGS), [0, 3, 5], [1, 4],
+             [0, 1, 2, 0, 1, 0, 3]),
+            (tree_matrix([1.0] * 8, HEIGHTS), [0, 3, 5], [1, 4, 6],
+             [0, 1, 2, 0, 1, 0, 1, 3])):
         sym = sd.symbolic_factor(a, sd.natural_order(a.n))
         assert sym.leaves.tolist() == leaves
         assert sym.leaf_batches.twigs.tolist() == twigs
         assert sym.supernodes.tolist() == list(range(a.n + 1))
+        assert sym.block_updates.height.tolist() == height
+    # the blocks of the failure cases and the heights around them
+    for a, bounds, height in (
+            (block_over_a_twig(), [0, 1, 2, 5, 6, 7, 8], [0, 1, 2, 0, 1, 3]),
+            (BLOCK_FIRST, [0, 1, 2, 3, 6, 7, 8, 9], [0, 1, 2, 0, 0, 0, 3]),
+            (BLOCK_AFTER, [0, 1, 2, 3, 4, 7, 8, 9], [0, 1, 0, 1, 2, 0, 3]),
+            (SAME_HEIGHT, [0, 1, 2, 3, 6, 7, 8, 9], [0, 1, 0, 1, 0, 0, 2])):
+        sym = sd.symbolic_factor(a, sd.natural_order(a.n))
+        assert sym.supernodes.tolist() == bounds
+        assert sym.block_updates.height.tolist() == height
 
 
 def test_nan_inside_a_block_fails_with_typed_error():
@@ -270,7 +356,9 @@ def test_selected_inverse_is_bit_identical_to_column_kernel(case):
 # ------------------------------------------------------- pattern-only maps
 
 
-def test_partition_and_update_maps_match_their_definitions():
+def map_cases():
+    """Each case's matrix, symbolic factor and dense pattern of L, under
+    the natural order and AMD."""
     rng = np.random.default_rng(17)
     cases = [field_precision(5, 0.5, 0.5), bordered_spd(rng, 20, 5)]
     cases += [random_spd(rng, int(rng.integers(1, 40)),
@@ -278,31 +366,90 @@ def test_partition_and_update_maps_match_their_definitions():
               for _ in range(10)]
     for a in cases:
         for p in (sd.natural_order(a.n), sd.amd_order(a)):
-            sym = sd.symbolic_factor(a, p)
-            lpat = fill_pattern(sd.permute_symmetric(a, p))
-            bounds = reference_supernodes(lpat)
-            assert sym.supernodes.tolist() == bounds
-            ptr, cols, first, length, inside = sym.block_updates
-            for arr in (sym.supernodes, ptr, cols, first, length, inside):
-                assert not arr.flags.writeable
-            assert ptr.dtype == first.dtype == np.min_scalar_type(sym.nnz_L)
-            assert cols.dtype == np.min_scalar_type(a.n)
-            count = np.min_scalar_type(int(sym.col_counts.max(initial=1)))
-            assert length.dtype == inside.dtype == count
-            colptr = sym.l_col_ptr
-            for b, pairs in enumerate(reference_block_updates(lpat, bounds)):
-                t = slice(int(ptr[b]), int(ptr[b + 1]))
-                # in their exact order; a single column j gets every L_jk,
-                # k ascending, as the rows of L group them
-                got = list(zip(cols[t].tolist(),
-                               sym.l_row_idx[first[t]].tolist(),
-                               length[t].tolist(), inside[t].tolist()))
-                assert got == pairs
-                # each first position lies in its own column, and the
-                # length runs to that column's end
-                k = cols[t].astype(np.int64)
-                assert np.all(colptr[k] <= first[t])
-                assert np.array_equal(first[t] + length[t], colptr[k + 1])
+            yield a, sd.symbolic_factor(a, p), fill_pattern(sd.permute_symmetric(a, p))
+
+
+def test_partition_and_update_maps_match_their_definitions():
+    for a, sym, lpat in map_cases():
+        bounds = reference_supernodes(lpat)
+        assert sym.supernodes.tolist() == bounds
+        updates = sym.block_updates
+        ptr, cols, first, length, inside = (
+            updates.ptr, updates.cols, updates.first, updates.length,
+            updates.inside)
+        for arr in (sym.supernodes, ptr, cols, first, length, inside):
+            assert not arr.flags.writeable
+        assert ptr.dtype == first.dtype == np.min_scalar_type(sym.nnz_L)
+        assert cols.dtype == np.min_scalar_type(a.n)
+        count = np.min_scalar_type(int(sym.col_counts.max(initial=1)))
+        assert length.dtype == inside.dtype == count
+        colptr = sym.l_col_ptr
+        for b, pairs in enumerate(reference_block_updates(lpat, bounds)):
+            t = slice(int(ptr[b]), int(ptr[b + 1]))
+            # in their exact order; a single column j gets every L_jk,
+            # k ascending, as the rows of L group them
+            got = list(zip(cols[t].tolist(),
+                           sym.l_row_idx[first[t]].tolist(),
+                           length[t].tolist(), inside[t].tolist()))
+            assert got == pairs
+            # each first position lies in its own column, and the
+            # length runs to that column's end
+            k = cols[t].astype(np.int64)
+            assert np.all(colptr[k] <= first[t])
+            assert np.array_equal(first[t] + length[t], colptr[k + 1])
+
+
+@pytest.mark.parametrize("group", [1 << 14, 4])
+def test_schedule_matches_its_definition(monkeypatch, group):
+    # groups of 4 gathered elements cut the heights' single columns into
+    # several batches, and the build into many groups
+    monkeypatch.setattr(symbolic, "_GROUP", group)
+    # the border of the last case takes its updates in two panels
+    border = bordered_spd(np.random.default_rng(3), 300, 4)
+    cases = [(border, sd.symbolic_factor(border, sd.natural_order(border.n)),
+              fill_pattern(border))]
+    assert np.diff(cases[0][1].block_updates.blocks[:, 2:4]).max() == 2
+    split = 0       # rows beyond one per height
+    for a, sym, lpat in itertools.chain(map_cases(), cases):
+        bounds = reference_supernodes(lpat)
+        height, levels = reference_schedule(lpat, bounds, group=group)
+        plan = sym.block_updates
+        assert plan.height.tolist() == height
+        assert plan.levels.shape == (len(levels), 4)
+        got = []
+        for b0, b1, c0, c1 in plan.levels.tolist():
+            blocks = [(s, e, [(t0, t1, plan.gather[g0:g1].tolist(),
+                               plan.target[g0:g1].tolist(), top, structural,
+                               padded)
+                              for t0, t1, g0, g1, top, structural, padded
+                              in plan.panels[p0:p1].tolist()])
+                      for s, e, p0, p1 in plan.blocks[b0:b1].tolist()]
+            singles = []
+            for c in range(c0, c1):
+                (u0, x0, s0), (u1, x1, s1) = plan.single_ptr[c:c + 2].tolist()
+                segments = list(zip(plan.single_first[u0:u1].tolist(),
+                                    plan.single_length[u0:u1].tolist()))
+                singles.append((int(plan.singles[c]), segments,
+                                plan.single_target[x0:x1].tolist(), s1 - s0))
+            got.append((blocks, singles))
+        assert got == levels
+        split += len(levels) - (max(height, default=-1) + 1)
+        # the tables close: every panel, update and element is scheduled
+        assert np.array_equal(np.append(plan.panels[:, 2], plan.gather.size),
+                              np.append(0, plan.panels[:, 3]))
+        assert plan.single_ptr[-1].tolist()[:2] == [plan.single_first.size,
+                                                    plan.single_target.size]
+        kind = np.min_scalar_type(sym.nnz_L)
+        assert plan.gather.dtype == plan.single_first.dtype == kind
+        assert plan.single_length.dtype == plan.length.dtype
+        for name in ("height", "target", "single_target"):
+            arr = getattr(plan, name)
+            assert arr.dtype == np.min_scalar_type(int(arr.max(initial=0)))
+        for field in dataclasses.fields(plan):
+            assert not getattr(plan, field.name).flags.writeable
+        # and the factorization runs it, batches cut or not
+        assert_factors_agree(a, sym)
+    assert (split > 0) == (group == 4)
 
 
 def test_kernels_cache_only_the_maps_they_read():
@@ -314,3 +461,29 @@ def test_kernels_cache_only_the_maps_they_read():
                                        "block_updates", "preorder",
                                        "parent_positions", "leaves",
                                        "leaf_batches"}
+
+
+SCHEDULE = ("height", "levels", "blocks", "panels", "gather", "target",
+            "singles", "single_ptr", "single_first", "single_length",
+            "single_target")
+
+
+@pytest.mark.parametrize("case", ["prob1", "field"])
+def test_pattern_maps_stay_within_their_memory_budget(case):
+    # measured: the schedule takes 1.73 MB on prob1 and 1.76 MB on the
+    # 72x72 field, and the maps in all 2.81 and 2.15 MB; a map whose dtype
+    # widens (a position to int64, say) breaks its budget
+    a = prob1_c() if case == "prob1" else field_precision(72, 0.6, 0.3)
+    sym = sd.symbolic_factor(a, sd.amd_order(a))
+    sd.ldlt_factorize(a, sym)
+    plan, layout = sym.block_updates, sym.leaf_batches
+    schedule = [getattr(plan, name) for name in SCHEDULE]
+    assert {f.name for f in dataclasses.fields(plan)} == (
+        set(SCHEDULE) | {"ptr", "cols", "first", "length", "inside"})
+    assert not any(arr.flags.writeable for arr in schedule)
+    held = ([sym.supernodes] + [getattr(plan, f.name)
+                                for f in dataclasses.fields(plan)]
+            + [layout.cols, layout.at, layout.slots, layout.rest,
+               layout.second, layout.twigs])
+    assert sum(arr.nbytes for arr in schedule) <= 2_000_000
+    assert sum(arr.nbytes for arr in held) <= 3_000_000

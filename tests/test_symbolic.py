@@ -112,7 +112,9 @@ def test_row_structure_groups_the_pattern_of_l_by_row():
     # the leaves, whose updates the factorization applies before its loop
     a = random_spd(np.random.default_rng(29), 40)
     sym = sd.symbolic_factor(a, sd.amd_order(a))
-    ptr, cols, first, length, _ = sym.block_updates
+    updates = sym.block_updates
+    ptr, cols, first, length = (updates.ptr, updates.cols, updates.first,
+                                updates.length)
     kind = np.min_scalar_type(sym.nnz_L)
     assert ptr.dtype == first.dtype == kind
     assert not (ptr.flags.writeable or first.flags.writeable
