@@ -102,14 +102,12 @@ def _supernode_line(sym) -> str:
     """The supernode count, the widest, and the share of the ldlt forecast
     that the factorization does in multi-column supernodes: all of it but
     the single columns, single column j taking 2 * (the lengths of its
-    update segments) + m_j - 1, and the leaves' updates, q (q + 1) for a
-    leaf with q entries below the diagonal, which come before the loop."""
+    update segments, which the schedule totals) + m_j - 1, and the
+    leaves' updates, q (q + 1) for a leaf with q entries below the
+    diagonal, which come before the loop."""
     width = np.diff(sym.supernodes.astype(np.int64))
-    updates = sym.block_updates
-    single = width == 1
-    gathered = int(updates.length[np.repeat(
-        single, np.diff(updates.ptr.astype(np.int64)))].sum(dtype=np.int64))
-    columns = sym.supernodes[:-1][single]
+    gathered = int(sym.block_updates.single_ptr[-1, 1])
+    columns = sym.supernodes[:-1][width == 1]
     q = sym.col_counts[sym.leaves] - 1
     work = (2 * gathered + int((sym.col_counts[columns] - 1).sum())
             + int(np.sum(q * (q + 1))))
@@ -122,22 +120,17 @@ def _supernode_line(sym) -> str:
 def _leaf_line(sym) -> str:
     """The leaves of the elimination tree, which every kernel does in
     batches outside its loop, as a share of the columns and of the selinv
-    forecast (2q^2 + 3q for a leaf with q entries below the diagonal);
-    the twigs; and the share of the ldlt forecast of the leaves and the
-    twigs: q (q + 2) for a leaf, its updates and its divisions, which the
-    factorization does before its loop, and q for a twig, its divisions,
-    which it does in the loop's first batch of single columns.  The line
-    calls that share "before the loop", as it was worded when the twigs
-    were divided there, so that the output stays the same."""
+    forecast (2q^2 + 3q for a leaf with q entries below the diagonal),
+    and of the ldlt forecast: q (q + 2) for a leaf, its updates and its
+    divisions, which the factorization does before its loop."""
     q = sym.col_counts[sym.leaves] - 1
     work = int(np.sum(2 * q * q + 3 * q))
     total = predict_flops(sym)
-    twigs = sym.leaf_batches.twigs
-    before = int(np.sum(q * (q + 2)) + np.sum(sym.col_counts[twigs] - 1))
+    before = int(np.sum(q * (q + 2)))
     return (f"leaves        : {q.size} "
             f"({100.0 * q.size / sym.n if sym.n else 0.0:.1f} % of columns, "
             f"{100.0 * work / total[1] if total[1] else 0.0:.1f} % of "
-            f"selinv_flops), {twigs.size} twigs, "
+            f"selinv_flops), "
             f"{100.0 * before / total[0] if total[0] else 0.0:.1f} % of "
             "ldlt_flops before the loop")
 

@@ -30,9 +30,9 @@ segment.  One ``np.subtract.at``, which applies repeated slots one after
 the other, scatters them into the batch's workspace, where each column
 has its own slots (held by the schedule), and one division finishes the
 columns.  A column's updates land in the order of its own column step,
-so its values are that step's to the bit.  The twigs, single columns
-whose children are all leaves, have no updates left and go in the batch
-of height 1.  Moving the index work into the schedule and the single
+so its values are that step's to the bit.  A single column whose
+children are all leaves has no updates left and goes in the batch of
+height 1.  Moving the index work into the schedule and the single
 columns into batches took a warm factorization from 18.0 to 13.0 ms on
 that C, from 25.5 to 18.8 ms on prob1 (seed 1000) and from 77.4 to 62.0
 ms on the 72x72 AR1 (x) AR1 field (medians of 41 calls alternated with
@@ -82,11 +82,16 @@ applied before the loop.  The update of leaf k with pattern P
 subtracts L_{P[a],k} (D L)_{P[b],k} at the pair (P[b], P[a]) and
 L_{P[a],k} (D L)_{P[a],k} on the diagonal at P[a], through the slots of
 ``SymbolicFactor.leaf_batches``: one ``np.subtract.at`` per batch into
-L's storage and one ``np.bincount`` into the diagonal.  Out of the
-panels, the leaves no longer enter the wide trailing fronts as rows that
-are mostly zero: ``padded_flops`` went from 133.7 M to 37.6 M on that C,
-from 102.3 M to 32.9 M on prob1 and from 1 078 M to 310 M on prob3 (seed
-1000).  The step itself takes about 1.2 ms on that C.  One
+L's storage and one ``np.bincount`` into the diagonal.  A batch's pairs
+are formed over its (G, q) views of L and D L, ``lv[:, upper] *
+ld[:, lower]`` with ``upper, lower = np.triu_indices(q, 1)``, the way
+the selected inversion reads its blocks, so the layout holds no per-pair
+index of its own.  Out of the panels, the leaves no longer enter the
+wide trailing fronts as rows that are mostly zero: ``padded_flops`` went
+from 133.7 M to 37.6 M on that C, from 102.3 M to 32.9 M on prob1 and
+from 1 078 M to 310 M on prob3 (seed 1000).  The step itself takes about
+1.5 to 2.3 ms on that C, 0.3 to 0.6 ms more than with a held per-pair
+index of 0.33 MB (medians of 201 alternated calls, 2 vCPU).  One
 ``np.bincount`` over all 151 581 pairs took 2.6 ms there: its
 nnz(L)-long output and index casts are fresh pages on every call (1 280
 page faults), where the batches' temporaries stay small and none fault.
@@ -253,10 +258,15 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
                      padded_flops=padded)
 
 
+def _failing(pivots: np.ndarray) -> np.ndarray:
+    """The places of the pivots that are not positive and finite."""
+    return np.flatnonzero(~((pivots > 0.0) & (pivots < math.inf)))
+
+
 def _first_failure(cols: np.ndarray, pivots: np.ndarray, stop: int) -> int:
-    """The first of the ascending columns ``cols`` whose pivot is not
-    positive and finite, if it comes before ``stop``; else ``stop``."""
-    bad = np.flatnonzero(~((pivots > 0.0) & (pivots < math.inf)))
+    """The first of the ascending columns ``cols`` whose pivot fails, if it
+    comes before ``stop``; else ``stop``."""
+    bad = _failing(pivots)
     return min(stop, int(cols[bad[0]])) if bad.size else stop
 
 
@@ -284,16 +294,19 @@ def _leaves(sym: SymbolicFactor, ld_values: np.ndarray, a_diag: np.ndarray,
         ld[~early.repeat(q)] = 0.0
         pivots[~early] = 1.0
     lv = ld / pivots.repeat(q)
-    # the pairs batch by batch: one np.subtract.at each keeps every
-    # temporary at the batch's size.  The unsigned index arrays are cast
-    # to intp first, which indexes faster than numpy's buffered casts
-    e0 = p0 = 0
-    for _, _, batch_at, slots in layout.batches:
-        e1, p1 = e0 + batch_at.size, p0 + slots.size
-        pairs = lv[e0:e1].repeat(layout.rest[e0:e1])
-        pairs *= ld[e0:e1][layout.second[p0:p1].astype(np.intp)]
-        np.subtract.at(ld_values, slots.reshape(-1).astype(np.intp), pairs)
-        e0, p0 = e1, p1
+    # the pairs batch by batch, over the batch's (G, q) views in the order
+    # of its slots: one np.subtract.at each keeps every temporary at the
+    # batch's size.  The unsigned slots are cast to intp first, which
+    # indexes faster than numpy's buffered casts
+    e0 = 0
+    for k, _, batch_at, slots in layout.batches:
+        e1 = e0 + batch_at.size
+        upper, lower = np.triu_indices(k, 1)
+        pairs = (lv[e0:e1].reshape(batch_at.shape)[:, upper]
+                 * ld[e0:e1].reshape(batch_at.shape)[:, lower])
+        np.subtract.at(ld_values, slots.reshape(-1).astype(np.intp),
+                       pairs.reshape(-1))
+        e0 = e1
     a_diag -= np.bincount(sym.l_row_idx[at], lv * ld, minlength=n)
     done = leaves[leaves < stop]
     d[done] = a_diag[done]
@@ -330,7 +343,7 @@ def _singles(c0: int, c1: int, stop: int, plan: BlockUpdates,
     np.subtract.at(work, plan.single_target[x0:xk].astype(np.intp),
                    l_values[first].repeat(length) * ld_values[idx])
     pivots = work[s1 - s0:s1 - s0 + keep - c0]
-    bad = np.flatnonzero(~((pivots > 0.0) & (pivots < math.inf)))
+    bad = _failing(pivots)
     done = int(bad[0]) if bad.size else keep - c0
     stored = int(count[:done].sum())
     d[cols[:done]] = pivots[:done]
@@ -416,15 +429,21 @@ def log_det(f: LdlFactor) -> float:
 def solve(f: LdlFactor, b: np.ndarray) -> np.ndarray:
     """Solve A x = b through the factor: x = P^T L^-T D^-1 L^-1 P b.
 
-    Both sweeps loop over the columns that are neither leaves nor twigs,
-    which come as two levels, one ``bincount`` per level and sweep.  A
-    leaf's y_j is final as loaded in the forward sweep, and a twig's once
-    the leaves' updates are in, so the leaves' updates come first, then
-    the twigs'.  No column of the loop reads a twig's or a leaf's y_j in
-    the backward sweep, and a leaf reads its twig's, so the twigs' dot
-    products come last but one and the leaves' last.  That changes the
-    order of the sums, not their terms: the result agrees with the column
-    loop to roundoff.
+    Both sweeps walk the factorization's own schedule
+    (``SymbolicFactor.block_updates.levels``).  The forward sweep pushes
+    the leaves' level first, one ``bincount``, then the rows of
+    ``levels`` in ascending height: each row's single columns as one
+    ``bincount`` level, and its multi-column supernodes' columns one by
+    one in column order.  The backward sweep takes the rows in reverse,
+    each one's block columns last to first and then its single columns
+    as one ``bincount``, and the leaves last.  The order is valid because
+    every descendant of a supernode has a lower height: in the forward
+    sweep y_j is final once its descendants have pushed, and in the
+    backward sweep once its ancestors are done.  Inside a supernode,
+    column c + 1 is the parent of column c.  The levels change the order
+    of the sums, not their terms: the result agrees with the column loop
+    to roundoff.  The step list is built on each call from ``levels``,
+    ``blocks``, ``singles`` and ``l_col_ptr``.
 
     A NaN or infinite entry of b raises NonFiniteValueError naming its
     index."""
@@ -436,35 +455,38 @@ def solve(f: LdlFactor, b: np.ndarray) -> np.ndarray:
     if bad.size:
         k = int(bad[0])
         raise NonFiniteValueError(f"right-hand side b[{k}] = {float(b[k])!r}")
-    perm = f.perm.perm
-    sym = f.sym
+    sym, lv = f.sym, f.l_values
     colptr, rows = sym.l_col_ptr, sym.l_row_idx
-    lv = f.l_values
-    layout = sym.leaf_batches
-    twigs = layout.twigs
-    q = sym.col_counts[layout.cols] - 1
-    count = colptr[twigs + 1] - colptr[twigs]
-    # the leaves, then the twigs: each level's storage positions and the
-    # column of each
-    levels = ((layout.at.astype(np.intp), layout.cols.repeat(q)),
-              (_segments(colptr[twigs], count), twigs.repeat(count)))
-    # the other columns with entries below the diagonal, and where each
-    # starts and ends, as Python ints
-    inner = np.diff(colptr) > 0
-    inner[sym.leaves] = inner[twigs] = False
-    cols = np.flatnonzero(inner)
-    walk = list(zip(cols.tolist(), colptr[cols].tolist(), colptr[cols + 1].tolist()))
+    plan, layout = sym.block_updates, sym.leaf_batches
+    blocks = plan.blocks
+    # per step: a level's storage positions, their rows and the column of
+    # each, then the block columns with entries as (j, lo, hi)
+    at = layout.at.astype(np.intp)
+    steps = [(at, rows[at], layout.cols.repeat(sym.col_counts[layout.cols] - 1),
+              [])]
+    for b0, b1, c0, c1 in plan.levels.tolist():
+        cols = plan.singles[c0:c1]
+        count = colptr[cols + 1] - colptr[cols]
+        at = _segments(colptr[cols], count)
+        s, e = blocks[b0:b1, 0], blocks[b0:b1, 1]
+        inner = _segments(s, e - s)
+        inner = inner[colptr[inner + 1] > colptr[inner]]
+        steps.append((at, rows[at], cols.repeat(count),
+                      list(zip(inner.tolist(), colptr[inner].tolist(),
+                               colptr[inner + 1].tolist()))))
+    perm = f.perm.perm
     y = b[perm].copy()
-    for at, owner in levels:
-        y -= np.bincount(rows[at], y[owner] * lv[at], minlength=n)
-    for j, lo, hi in walk:
-        y[rows[lo:hi]] -= y[j] * lv[lo:hi]
+    for at, row, owner, walk in steps:
+        if at.size:
+            y -= np.bincount(row, y[owner] * lv[at], minlength=n)
+        for j, lo, hi in walk:
+            y[rows[lo:hi]] -= y[j] * lv[lo:hi]
     y /= f.d
-    for j, lo, hi in reversed(walk):
-        y[j] -= lv[lo:hi] @ y[rows[lo:hi]]
-    for at, owner in reversed(levels):
-        y -= np.bincount(owner, lv[at] * y[rows[at]], minlength=n)
+    for at, row, owner, walk in reversed(steps):
+        for j, lo, hi in reversed(walk):
+            y[j] -= lv[lo:hi] @ y[rows[lo:hi]]
+        if at.size:
+            y -= np.bincount(owner, lv[at] * y[row], minlength=n)
     x = np.empty(n)
     x[perm] = y
     return x
-

@@ -574,7 +574,7 @@ class RemlPlan:
       ``reml_fit``) and the layout through
       which the leaves' updates are applied before the factorization's
       loop and their selected inverse read after the sweep
-      (``sym.leaves``, ``sym.leaf_batches``: 1.06 MB on the C of the
+      (``sym.leaves``, ``sym.leaf_batches``: 0.73 MB on the C of the
       benchmark's ``reml_fit``);
     - the template table (:class:`_Table`): C's pattern, one int64 per
       column and per stored entry, and one row per structural entry of

@@ -24,9 +24,8 @@ outside it.  Each supernode gathers the block of its last column's
 pattern once from its parent's front, with two ``take`` calls through
 ``SymbolicFactor.parent_positions`` (Liu 1992's relative indices; SelInv,
 Lin et al. 2011, reads its blocks the same way).  A width-1 supernode is
-one column step, and one whose children are all leaves (a twig) keeps no
-front.
-That map, the partition and the traversal order,
+one column step, and a width-1 supernode whose children are all leaves
+keeps no front.  That map, the partition and the traversal order,
 ``SymbolicFactor.preorder``, depend on the pattern only: they are built
 on first use and kept on the symbolic factor, so a plan that evaluates
 many parameter points builds them once.  A pattern that is not closed
@@ -54,8 +53,9 @@ another order and is not.  A batch holds at most 2^15 block entries
 (medians of 41 calls alternated with the sweep over every column in one
 process, 2 vCPU).  The batches are views into the one leaf layout that
 the factorization reads too, pattern work built with the first
-factorization of a pattern and kept on the symbolic factor: 1.06 MB on
-that C and 0.26 MB on the field.
+factorization of a pattern and kept on the symbolic factor: 0.73 MB on
+that C and 0.18 MB on the field.  The factorization pairs a batch's
+entries through the same ``np.triu_indices`` as the stacks here.
 
 A front is dropped as soon as its last child has gathered from it, so
 the fronts held at any time belong to ancestors of the current supernode

@@ -25,14 +25,12 @@ first use and kept on the symbolic factor.  Among them is the one
 layout of the etree's leaves, the single columns without a child
 (``SymbolicFactor.leaf_batches``): most of the columns and little of the
 work, which the factorization, the selected inversion and the solve do
-in batches outside their loops.  The layout also holds the twigs, the
-single columns whose children are all leaves, which the solve does
-outside its loops too.  Another is the factorization's schedule
+in batches outside their loops.  Another is the factorization's schedule
 (``SymbolicFactor.block_updates``): the updates each supernode takes
 in, the heights of the supernodes, and the index work of the panels of
 the multi-column supernodes and of the batches of single columns (a
 height's single columns, cut where they gather more than ``_GROUP``
-elements).
+elements).  The solve walks the same heights.
 """
 
 from __future__ import annotations
@@ -125,33 +123,19 @@ class LeafBatches:
 
     Each batch's arrays are views into the flat arrays of every batch in
     order: ``cols`` (int64), ``at`` and ``slots`` (the smallest unsigned
-    type that holds ``nnz_L``).  Besides them, per entry of ``at``,
-    ``rest`` is q - 1 - a, the number of pairs whose first row P[a] it
-    is, and per pair ``second`` is the place of its second row P[b] in
-    its batch's ``at.ravel()``, each in the smallest unsigned type that
-    holds it (a batch holds at most ``max(_LEAF_BATCH, q)`` entries): the
-    pairs come leaf by leaf in the order of ``np.triu_indices``, so that
-    for values ``v`` over a batch's entries, ``v.repeat(rest)`` and
-    ``v[second]`` line up with its slots.
-
-    The twigs are the width-1 supernodes with children, all of them
-    leaves (int64, ascending).  Once the leaves' updates are in, a twig's
-    column is final: its own updaters are its children.
+    type that holds ``nnz_L``).  The kernels pair a batch's values over
+    its (G, q) views with the ``np.triu_indices(q, 1)`` of its slots.
 
     All arrays are read-only.  On the C of the benchmark's ``reml_fit``
-    under AMD (2 443 leaves, 120 twigs): 0.10 MB of positions and 0.61 MB
-    of slots (151 581 pairs), and 0.33 MB for ``rest`` and ``second``;
-    0.04 and 0.13 MB, and 0.08 MB, on the 72x72 AR1 (x) AR1 field
-    (1 260 leaves, 678 twigs).
+    under AMD (2 443 leaves): 0.10 MB of positions and 0.61 MB of slots
+    (151 581 pairs); 0.04 and 0.13 MB on the 72x72 AR1 (x) AR1 field
+    (1 260 leaves).
     """
 
     batches: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
     cols: np.ndarray
     at: np.ndarray
     slots: np.ndarray
-    rest: np.ndarray
-    second: np.ndarray
-    twigs: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +153,8 @@ class BlockUpdates:
     rows s:e.  For a single column j these are every L_jk, k ascending and
     not a leaf, each with its segment, and ``inside`` is 1.  The leaves'
     updates are applied before the factorization's loop, through
-    :attr:`SymbolicFactor.leaf_batches`, so a twig's range is empty.
+    :attr:`SymbolicFactor.leaf_batches`, so a single column whose
+    children are all leaves has an empty range.
     ``ptr`` and ``first`` are in the smallest unsigned type that holds
     ``nnz_L``, ``cols`` in that of n, and ``length`` and ``inside`` in
     that of the largest column count.
@@ -463,9 +448,8 @@ class SymbolicFactor:
     layout of the etree's leaves:
     :attr:`leaves` (one int64 each) and :attr:`leaf_batches` (each leaf's
     storage positions and the slots of the pairs of its pattern, in the
-    smallest unsigned type that holds ``nnz_L``, an index of each pair's
-    rows within its batch, and the twigs: 1.06 MB on the C of the
-    benchmark's ``reml_fit`` and 0.26 MB on the field).  The selected
+    smallest unsigned type that holds ``nnz_L``: 0.73 MB on the C of the
+    benchmark's ``reml_fit`` and 0.18 MB on the field).  The selected
     inversion builds two on its first call: :attr:`preorder` (one int64
     per column) and :attr:`parent_positions` (one entry of L each, in the
     smallest unsigned type that holds the largest column count: 1 byte,
@@ -667,8 +651,8 @@ class SymbolicFactor:
     def leaf_batches(self) -> LeafBatches:
         """The layout of the columns that the kernels do outside their
         loops: the leaves with q >= 1 entries below the diagonal, in
-        batches, and the twigs (see :class:`LeafBatches`).  Built on first
-        use (the first factorization) and kept for the factor's life.
+        batches (see :class:`LeafBatches`).  Built on first use (the first
+        factorization) and kept for the factor's life.
 
         One ``searchsorted`` per batch against :attr:`lower_keys`, with
         the keys formed in its own type: P is sorted, so P[a] < P[b] and
@@ -683,14 +667,8 @@ class SymbolicFactor:
         starts = np.flatnonzero(np.diff(q, prepend=0)).tolist()
         colptr, rows, keys = self.l_col_ptr, self.l_row_idx, self.lower_keys
         kind = np.min_scalar_type(self.nnz_L)
-        n_entries = int(q.sum())
-        n_pairs = int((q * (q - 1) // 2).sum())
-        at_all = np.empty(n_entries, dtype=kind)
-        slots_all = np.empty(n_pairs, dtype=kind)
-        # a batch holds G q <= max(_LEAF_BATCH, q) entries
-        widest = int(q.max(initial=0))
-        second = np.empty(n_pairs, dtype=np.min_scalar_type(max(_LEAF_BATCH, widest)))
-        rest = np.empty(n_entries, dtype=np.min_scalar_type(widest))
+        at_all = np.empty(int(q.sum()), dtype=kind)
+        slots_all = np.empty(int((q * (q - 1) // 2).sum()), dtype=kind)
         # each batch's q and slices of the leaves, entries and pairs; the
         # views are taken once the flat arrays are read-only
         cuts = []
@@ -713,28 +691,16 @@ class SymbolicFactor:
                         "pattern is missing from L")
                 at_all[e0:e1] = at.ravel()
                 slots_all[p0:p1] = found.ravel()
-                second[p0:p1] = (k * np.arange(cols.size)[:, None] + lower).ravel()
-                rest[e0:e1] = np.tile(np.arange(k - 1, -1, -1), cols.size)
                 cuts.append((k, slice(t, t + cols.size), slice(e0, e1),
                              slice(p0, p1)))
                 e0, p0 = e1, p1
-        # the twigs: the single columns, not leaves, whose children are
-        # all leaves
-        parent = self.parent
-        branch = np.ones(self.n, dtype=bool)
-        branch[self.leaves] = False
-        branches = np.bincount(parent[(parent >= 0) & branch], minlength=self.n)
-        bounds = self.supernodes
-        alone = bounds[:-1][np.diff(bounds) == 1].astype(np.int64)
-        twigs = alone[branch[alone] & (branches[alone] == 0)]
-        for a in (leaves, at_all, slots_all, second, rest, twigs):
+        for a in (leaves, at_all, slots_all):
             a.flags.writeable = False
         batches = tuple(
             (k, leaves[t], at_all[e].reshape(-1, k),
              slots_all[p].reshape(t.stop - t.start, k * (k - 1) // 2))
             for k, t, e, p in cuts)
-        return LeafBatches(batches, leaves, at_all, slots_all, rest,
-                           second, twigs)
+        return LeafBatches(batches, leaves, at_all, slots_all)
 
     def require_pattern(self, a: SparseSymmetric):
         """Raise unless ``a`` has exactly the pattern this factor was

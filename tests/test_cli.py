@@ -57,17 +57,11 @@ def analyze_line(tmp_path, capsys, a, prefix):
             if s.startswith(prefix)]
 
 
-def leaves_and_twigs(lpat, bounds):
-    """The single-column supernodes without a child, and those whose
-    children are all such leaves."""
+def etree_leaves(lpat, bounds):
+    """The single-column supernodes without a child."""
     parent = etree_from_pattern(lpat).tolist()
-    children = {j: [k for k, p in enumerate(parent) if p == j]
-                for j in range(len(parent))}
-    alone = [s for s, e in zip(bounds[:-1], bounds[1:]) if e - s == 1]
-    leaves = [j for j in alone if not children[j]]
-    twigs = [j for j in alone if children[j]
-             and all(k in leaves for k in children[j])]
-    return leaves, twigs
+    return [s for s, e in zip(bounds[:-1], bounds[1:])
+            if e - s == 1 and s not in parent]
 
 
 def test_analyze_reports_the_supernodes(tmp_path, capsys):
@@ -82,7 +76,7 @@ def test_analyze_reports_the_supernodes(tmp_path, capsys):
         lpat = fill_pattern(a)
         bounds = reference_supernodes(lpat)
         assert sym.supernodes.tolist() == bounds
-        leaves, _ = leaves_and_twigs(lpat, bounds)
+        leaves = etree_leaves(lpat, bounds)
         multi = [j for s, e in zip(bounds[:-1], bounds[1:]) if e - s > 1
                  for j in range(s, e)]
         # the work column j takes in inside the loop: 2 per entry i >= j
@@ -111,28 +105,27 @@ def test_analyze_reports_the_supernodes(tmp_path, capsys):
 def test_analyze_reports_the_leaves(tmp_path, capsys):
     # a star whose hub is last: the 8 spokes are the leaves, each with the
     # hub as its one entry below the diagonal (2 + 3 of selinv's work, and
-    # 2 + 1 of ldlt's before the loop); the hub, a twig, has an empty column
+    # 2 + 1 of ldlt's before the loop); the hub has an empty column
     a = arrowhead(9, dense_first=False)
     line = analyze_line(tmp_path, capsys, a, "leaves")
     assert sd.predict_flops(sd.symbolic_factor(a, sd.natural_order(9))) == (24, 40)
     assert line == [f"leaves        : 8 ({100.0 * 8 / 9:.1f} % of columns, "
-                    "100.0 % of selinv_flops), 1 twigs, 100.0 % of ldlt_flops "
+                    "100.0 % of selinv_flops), 100.0 % of ldlt_flops "
                     "before the loop"]
     # counted from the elimination tree of the grid: 2q^2 + 3q of each
-    # leaf against the selinv forecast, and q (q + 2) of each leaf and q
-    # of each twig against the ldlt forecast
+    # leaf against the selinv forecast, and q (q + 2) of each leaf against
+    # the ldlt forecast
     grid = grid_laplacian(4)
     line = analyze_line(tmp_path, capsys, grid, "leaves")
     lpat = fill_pattern(grid)
-    leaves, twigs = leaves_and_twigs(lpat, reference_supernodes(lpat))
+    leaves = etree_leaves(lpat, reference_supernodes(lpat))
     q = lpat.sum(axis=0) - 1
     work = sum(2 * q[j] ** 2 + 3 * q[j] for j in leaves)
-    before = sum(q[j] * (q[j] + 2) for j in leaves) + sum(q[j] for j in twigs)
+    before = sum(q[j] * (q[j] + 2) for j in leaves)
     total = int(np.sum(2 * q * q + 3 * q))
     assert line == [f"leaves        : {len(leaves)} "
                     f"({100.0 * len(leaves) / grid.n:.1f} % of columns, "
                     f"{100.0 * work / total:.1f} % of selinv_flops), "
-                    f"{len(twigs)} twigs, "
                     f"{100.0 * before / int(np.sum(q * q + 2 * q)):.1f} % of "
                     "ldlt_flops before the loop"]
 

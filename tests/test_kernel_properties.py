@@ -299,9 +299,15 @@ def test_leaves_pushed_before_the_loop_match_the_column_kernel(a):
     n = a.n
     sym = sd.symbolic_factor(a, sd.natural_order(n))
     bounds = sym.supernodes.astype(np.int64)
-    leaves, twigs = sym.leaves, sym.leaf_batches.twigs
-    assert {0, 1, 3} <= set(leaves.tolist()) and 2 in twigs
-    # the leaves reach a twig, a single column of the loop and the tail
+    leaves = sym.leaves
+    assert {0, 1, 3} <= set(leaves.tolist())
+    # column 2 is a single column whose children are all leaves: the
+    # height-1 batch holds it
+    children = np.flatnonzero(sym.parent == 2)
+    assert children.size and np.isin(children, leaves).all()
+    assert 2 in bounds and 3 in bounds
+    assert sym.block_updates.height[np.searchsorted(bounds, 2)] == 1
+    # the leaves reach it, a single column of the loop and the tail
     cols = np.repeat(np.arange(n), np.diff(sym.l_col_ptr))
     reached = sym.l_row_idx[np.isin(cols, leaves)]
     tail = int(bounds[-2])

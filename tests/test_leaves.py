@@ -1,12 +1,11 @@
 """The leaves of the elimination tree, done in batches outside the loops of
-``ldlt_factorize``, ``selected_inverse`` and ``solve``, and the twigs.
+``ldlt_factorize``, ``selected_inverse`` and ``solve``.
 
 A leaf is a width-1 supernode without a child in the elimination tree,
-so no column updates it; a twig is a width-1 supernode whose children
-are all leaves.  On leaf-heavy patterns (a star, two hubs, random trees,
-a diagonal matrix, prob1 under AMD) the batches must leave the selected
-inverse bit-identical to the column kernel, both counters equal to the
-forecasts, and the solve equal to a dense one.
+so no column updates it.  On leaf-heavy patterns (a star, two hubs,
+random trees, a diagonal matrix, prob1 under AMD) the batches must leave
+the selected inverse bit-identical to the column kernel, both counters
+equal to the forecasts, and the solve equal to a dense one.
 """
 
 import numpy as np
@@ -81,9 +80,7 @@ def test_leaf_batches_and_slots_match_their_definitions():
     assert [b[0] for b in batches] == sorted(b[0] for b in batches)
     kind = np.min_scalar_type(sym.nnz_L)
     assert layout.at.dtype == layout.slots.dtype == kind
-    assert layout.second.dtype == np.uint16 and layout.rest.dtype == np.uint8
-    for arr in (layout.cols, layout.at, layout.slots, layout.rest,
-                layout.second, layout.twigs):
+    for arr in (layout.cols, layout.at, layout.slots):
         assert not arr.flags.writeable
     e0 = p0 = g0 = 0
     for q, cols, at, s in batches:
@@ -100,29 +97,13 @@ def test_leaf_batches_and_slots_match_their_definitions():
         for arr in (cols, at, s):
             assert not arr.flags.writeable
         upper, lower = np.triu_indices(q, 1)
-        rest = layout.rest[e0:e0 + at.size].reshape(cols.size, q)
-        second = layout.second[p0:p0 + s.size].reshape(s.shape)
         for g, j in enumerate(cols.tolist()):
             assert np.array_equal(at[g], np.arange(colptr[j], colptr[j + 1]))
             pattern = rows[colptr[j]:colptr[j + 1]]
             assert np.array_equal(cols_of[s[g]], pattern[upper])
             assert np.array_equal(rows[s[g]], pattern[lower])
-            # entry a opens q - 1 - a pairs; a pair's second row is entry
-            # b of the same leaf, counted from the batch's first entry
-            assert rest[g].tolist() == list(range(q - 1, -1, -1))
-            assert np.array_equal(second[g], g * q + lower)
         e0, p0, g0 = e0 + at.size, p0 + s.size, g0 + cols.size
     assert (e0, p0, g0) == (layout.at.size, layout.slots.size, layout.cols.size)
-    # the twigs: single-column supernodes with children, all of them leaves
-    leaf = set(sym.leaves.tolist())
-    children = {}
-    for k, p in enumerate(sym.parent.tolist()):
-        children.setdefault(p, []).append(k)
-    bounds = sym.supernodes.astype(np.int64)
-    alone = bounds[:-1][np.diff(bounds) == 1].tolist()
-    twigs = [j for j in alone if j in children
-             and all(k in leaf for k in children[j])]
-    assert twigs and layout.twigs.tolist() == twigs
 
 
 def test_a_leaf_pair_off_the_pattern_is_refused():
