@@ -15,13 +15,15 @@ own subtree (Liu 1990), so the supernodes of one height of the
 supernodal elimination tree do not depend on each other.  The leaves
 (below) are done before the loop, which then runs the heights in
 ascending order through the schedule that ``SymbolicFactor.block_updates``
-holds, built once per pattern.  Per height, each multi-column supernode
-is one Python iteration, and the height's single columns are one batch,
-or a few where they gather more than 16 384 elements
-(``symbolic._GROUP``), which keeps the batches' temporaries small.  On
-the C of the benchmark's ``reml_fit`` under AMD the loop runs the
-heights 0 to 11: 157 multi-column supernodes, one iteration each, and
-409 single columns in 8 batches, of the 3 009 supernodes.
+holds, built once per pattern.  Per height, the multi-column supernodes
+of one shape are one group, factored as one stack (below), and the
+height's single columns are one batch, or a few where they gather more
+than 16 384 elements (``symbolic._GROUP``), which keeps the batches'
+temporaries small.  On the C of the benchmark's ``reml_fit`` under AMD
+the loop runs the heights 0 to 11: 157 multi-column supernodes in 101
+groups, and 409 single columns in 8 batches, of the 3 009 supernodes.
+On the 72x72 AR1 (x) AR1 field the 673 multi-column supernodes are 97
+groups, the largest of 255 supernodes.
 
 The single columns of a batch gather the segments of the columns that
 update them, leaves left out, as one index array: for column j the
@@ -64,6 +66,24 @@ work in as dense work (Ng & Peyton 1993):
   columns;
 - its columns are written back through their storage range.
 
+The supernodes of one height with the same width w, front size |F| and
+panel shapes (k, top), position by position, are one group
+(``BlockUpdates.groups``), factored as one stack of G fronts: one
+gather fills the (G, w, |F|) fronts, one ``matmul`` per panel position
+applies the (G, k, |F| - top) panels, each rank-1 step and strip GEMM
+covers the G fronts, and one write-back stores them.  ``matmul`` runs
+the BLAS call of one front on each of the stack's, with the same shapes
+and strides, and the rest is elementwise, so the factor is that of the
+supernodes one by one to the bit, and so are both counters.  A
+supernode alone in its group runs on 2-D arrays, as before.  Stacked,
+the field's 673 dense steps are 97: a warm factorization went from 36.2
+to 21.3 ms there, and from 11.4 to 11.3 ms on the ``reml_fit`` C, where
+nearly every group is one supernode (medians of 21 calls alternated
+with the supernodes one by one in one process, faster in 21 and 13 of
+21, 2 vCPU).  The stacks hold no more than the largest panel or front
+alone on prob3 and prob5, and the tracemalloc peak of a repeat
+factorization of the field went from 3.62 to 3.73 MB.
+
 Both sizes were measured on the ``reml_fit`` C (2 vCPU, medians of 9).
 Panels of 64, 128, 256, 512 and 4096 columns took 51.1, 48.1, 45.6,
 44.9 and 45.2 ms, and the tracemalloc peak of a repeat factorization
@@ -84,10 +104,12 @@ L_{P[a],k} (D L)_{P[a],k} on the diagonal at P[a], through the slots of
 ``SymbolicFactor.leaf_batches``: one ``np.subtract.at`` per batch into
 L's storage and one ``np.bincount`` into the diagonal.  A batch's pairs
 are formed over its (G, q) views of L and D L, ``lv[:, upper] *
-ld[:, lower]`` with ``upper, lower = np.triu_indices(q, 1)``, the way
-the selected inversion reads its blocks, so the layout holds no per-pair
-index of its own.  Out of the panels, the leaves no longer enter the
-wide trailing fronts as rows that are mostly zero: ``padded_flops`` went
+ld[:, lower]`` with ``upper, lower`` the arrays of ``np.triu_indices(q,
+1)`` (built by ``sparse_core._upper_pairs`` in a quarter of its time),
+the way the selected inversion reads its blocks, so the layout holds no
+per-pair index of its own.  Out of the panels, the leaves no longer
+enter the wide trailing fronts as rows that are mostly zero:
+``padded_flops`` went
 from 133.7 M to 37.6 M on that C, from 102.3 M to 32.9 M on prob1 and
 from 1 078 M to 310 M on prob3 (seed 1000).  The step itself takes about
 1.5 to 2.3 ms on that C, 0.3 to 0.6 ms more than with a held per-pair
@@ -99,11 +121,14 @@ page faults), where the batches' temporaries stay small and none fault.
 The first leaf in column order whose pivot fails is ``stop``: only the
 leaves before it are pushed and divided.  Each height then runs only
 its supernodes before ``stop``, and a failure there lowers ``stop`` to
-the failing column, with its pivot.  Once the heights are done,
-``stop`` is raised: the first failing column in column order, which is
-the column that the column-by-column kernel reports, with its value,
-though a later column of a lower height may fail first.  No division by
-a failed pivot is ever issued.
+the failing column, with its pivot.  In a stack, each step checks the G
+pivots before it divides: where one fails, the stack shrinks to the
+fronts before it, whose columns all come earlier, and they finish and
+are written back, since a later height may read them.  Once the heights
+are done, ``stop`` is raised: the first failing column in column order,
+which is the column that the column-by-column kernel reports, with its
+value, though a later column of a lower height may fail first.  No
+division by a failed pivot is ever issued.
 
 Measured on the column-by-column kernel, before the dense supernodes:
 ``np.bincount`` in place of ``np.subtract.at`` changed nothing, and a
@@ -133,6 +158,7 @@ accepted pivots below 1e-13 * max |A_ii| are reported by one warning.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -145,7 +171,7 @@ from .errors import (
     NonPositivePivotError,
     SizeMismatchError,
 )
-from .sparse_core import Permutation, SparseSymmetric, _segments
+from .sparse_core import Permutation, SparseSymmetric, _segments, _upper_pairs
 from .symbolic import BlockUpdates, SymbolicFactor
 
 __all__ = ["LdlFactor", "ldlt_factorize", "log_det", "solve"]
@@ -205,8 +231,10 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
     # builds do not stack on the work arrays
     plan = sym.block_updates
     sym.leaf_batches
-    levels, blocks = plan.levels.tolist(), plan.blocks.tolist()
-    panels = plan.panels.tolist()
+    levels, groups = plan.levels.tolist(), plan.groups.tolist()
+    panels, blocks = plan.panels.tolist(), plan.blocks.tolist()
+    starts = [s for s, _ in blocks]
+    lows = sym.l_col_ptr[plan.blocks[:, 0]].tolist()
     n, nnz = sym.n, sym.l_row_idx.size
     placed = np.zeros(nnz + n)
     placed[sym.a_slots] = a.values
@@ -224,17 +252,20 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
     flops, stop = _leaves(sym, ld_values, a_diag, l_values, d)
     value = float(a_diag[stop]) if stop < n else 0.0
     padded = 0
-    for b0, b1, c0, c1 in levels:
-        for s, e, p0, p1 in blocks[b0:b1]:
-            if s >= stop:
-                break
+    for g0, g1, c0, c1 in levels:
+        for b0, b1, p0, p1 in groups[g0:g1]:
+            # the group's blocks before stop
+            run = bisect.bisect_left(starts, stop, b0, b1) - b0
+            if not run:
+                continue
             try:
-                block_flops, block_padded = _factor_block(
-                    s, e, panels[p0:p1], plan, sym, ld_values, l_values,
-                    a_diag, d)
+                block_flops, block_padded = _factor_group(
+                    starts[b0:b0 + run], lows[b0:b0 + run],
+                    blocks[b0][1] - blocks[b0][0], b1 - b0, panels[p0:p1],
+                    plan, sym, ld_values, l_values, a_diag, d)
             except NonPositivePivotError as exc:
                 stop, value = exc.index, exc.value
-                break
+                continue
             flops += block_flops
             padded += block_padded
         if c1 > c0:
@@ -301,7 +332,7 @@ def _leaves(sym: SymbolicFactor, ld_values: np.ndarray, a_diag: np.ndarray,
     e0 = 0
     for k, _, batch_at, slots in layout.batches:
         e1 = e0 + batch_at.size
-        upper, lower = np.triu_indices(k, 1)
+        upper, lower = _upper_pairs(k)
         pairs = (lv[e0:e1].reshape(batch_at.shape)[:, upper]
                  * ld[e0:e1].reshape(batch_at.shape)[:, lower])
         np.subtract.at(ld_values, slots.reshape(-1).astype(np.intp),
@@ -355,69 +386,112 @@ def _singles(c0: int, c1: int, stop: int, plan: BlockUpdates,
     return 2 * idx.size + stored
 
 
-def _factor_block(s: int, e: int, panels: list, plan: BlockUpdates,
-                  sym: SymbolicFactor, ld_values: np.ndarray,
-                  l_values: np.ndarray, a_diag: np.ndarray,
-                  d: np.ndarray) -> tuple[int, int]:
-    """Factor the supernode of columns s:e as one dense front; returns
-    (structural flops, padded flops).
+def _ranges(starts: list, count: int):
+    """The index ranges ``starts[m]:starts[m] + count``: one slice for a
+    single range, else a (G, count) array."""
+    if len(starts) == 1:
+        return slice(starts[0], starts[0] + count)
+    return np.array(starts)[:, None] + np.arange(count)
 
-    The front holds the block's w columns over its rows F = [s] +
-    pattern(s), transposed so that each column is one contiguous row of
-    ``front``.  The panels of updates from outside come first, each
-    gathered through its row of ``plan.panels``, then the strips of the
-    block's own factorization (see the module docstring).
+
+def _factor_group(starts: list, lo: list, w: int, group: int, panels: list,
+                  plan: BlockUpdates, sym: SymbolicFactor,
+                  ld_values: np.ndarray, l_values: np.ndarray,
+                  a_diag: np.ndarray, d: np.ndarray) -> tuple[int, int]:
+    """Factor the first G blocks of a group of ``group`` blocks of w
+    columns, those starting at the columns ``starts`` and at the storage
+    positions ``lo``, as one stack of dense fronts; returns (structural
+    flops, padded flops).
+
+    Each front holds its block's w columns over its rows F = [s] +
+    pattern(s), transposed so that each column is one contiguous row.
+    ``panels`` are the group's rows of ``plan.panels``, position-major:
+    the panels of one position fill one stacked panel through one slice
+    of ``plan.gather`` and ``plan.target``.  Each step of the blocks' own
+    factorization (see the module docstring) covers the whole stack and
+    checks every front's pivot first: where one fails, the stack shrinks
+    to the fronts before it, which finish and are written back, and the
+    first failure in column order is raised.  A lone block runs on 2-D
+    arrays and slices, as a block factored by itself; a stack adds the
+    leading axis G, and ``...`` indexes both alike.
     """
-    colptr = sym.l_col_ptr
-    w = e - s
-    lo, hi, end = int(colptr[s]), int(colptr[s + 1]), int(colptr[e])
-    size = hi - lo + 1
-    front = np.zeros((w, size))
-    flat = front.reshape(-1)
-    # column c of the block holds the rows c + 1: of F
+    g = len(starts)
+    lead = (g,) if g > 1 else ()
+    size = int(sym.l_col_ptr[starts[0] + 1]) - lo[0] + 1
+    # column c of a block holds the rows c + 1: of F
     lens = np.arange(size - 1, size - 1 - w, -1)
     stored = _segments(np.arange(1, w * (size + 1), size + 1), lens)
-    flat[stored] = ld_values[lo:end]
-    flat[::size + 1] = a_diag[s:e]
+    at, cols = _ranges(lo, stored.size), _ranges(starts, w)
+    # the stored entries' places in the stack, as one flat index
+    if g > 1:
+        stored = (np.arange(g) * (w * size))[:, None] + stored
+    fronts = np.zeros(lead + (w, size))
+    flat = fronts.reshape(lead + (-1,))
+    fronts.reshape(-1)[stored] = ld_values[at]
+    flat[..., ::size + 1] = a_diag[cols]
     flops = padded = 0
 
-    for t0, t1, g0, g1, top, structural, issued in panels:
-        panel = np.zeros((t1 - t0, size - top))
-        panel.reshape(-1)[plan.target[g0:g1]] = ld_values[plan.gather[g0:g1]]
+    if panels:
         # L_jk (D L)_ik = (D L)_jk (D L)_ik / d_k, one square root each way
-        panel /= np.sqrt(d[plan.cols[t0:t1]])[:, None]
-        front[top:, top:] -= panel[:, :w - top].T @ panel
-        flops += structural
-        padded += issued
+        n_upd = panels[-group][1] - panels[0][0]
+        root = np.sqrt(d[plan.cols[_ranges([row[0] for row in panels[:g]],
+                                           n_upd)]])
+        u = 0
+        for j in range(0, len(panels), group):
+            t0, t1, x0, _, top, _, _ = panels[j]
+            k, x1 = t1 - t0, panels[j + g - 1][3]
+            panel = np.zeros(lead + (k, size - top))
+            panel.reshape(-1)[plan.target[x0:x1]] = ld_values[plan.gather[x0:x1]]
+            panel /= root[..., u:u + k, None]
+            fronts[..., top:, top:] -= panel[..., :w - top].mT @ panel
+            u += k
+            for row in panels[j:j + g]:
+                flops += row[5]
+                padded += row[6]
 
+    failed = None
     for c0 in range(0, w, _STRIP):
         c1 = min(c0 + _STRIP, w)
         for c in range(c0, c1):
-            dj = float(front[c, c])
-            if not (dj > 0.0 and math.isfinite(dj)):
-                raise NonPositivePivotError(s + c, dj)
+            # a lone block divides by its pivot as a float, a stack by a
+            # column of G pivots
+            pivots = fronts[..., c, c]
+            piv = pivots.tolist() if lead else [float(pivots)]
+            bad = [m for m, dj in enumerate(piv) if not 0.0 < dj < math.inf]
+            if bad:
+                # the fronts from the failing one on hold later columns only
+                g = bad[0]
+                failed = NonPositivePivotError(starts[g] + c, piv[g])
+                if not g:
+                    raise failed
+                fronts, flat, pivots = fronts[:g], flat[:g], pivots[:g]
+                at, cols, stored = at[:g], cols[:g], stored[:g]
             rest = c1 - c - 1
             if rest:
-                lcol = front[c, c + 1:c1] / dj
-                front[c + 1:c1, c + 1:] -= lcol[:, None] * front[c, c + 1:]
+                lcol = fronts[..., c, c + 1:c1] / (pivots[:, None] if lead
+                                                   else piv[0])
+                fronts[..., c + 1:c1, c + 1:] -= (lcol[..., :, None]
+                                                  * fronts[..., c, None, c + 1:])
                 # the issued update less the upper triangle of the strip's
                 # square, and the L entries divided for it
-                flops += 2 * rest * (size - c - 1) - rest * (rest - 1)
-                padded += rest * (rest - 1) + rest
+                flops += g * (2 * rest * (size - c - 1) - rest * (rest - 1))
+                padded += g * (rest * (rest - 1) + rest)
         if c1 < w:
-            # the strip's update of the block's later columns, one GEMM
+            # the strip's update of the blocks' later columns, one GEMM
             k, later = c1 - c0, w - c1
-            pivots = flat[c0 * (size + 1):c1 * (size + 1):size + 1]
-            strip = front[c0:c1, c1:w] / pivots[:, None]
-            front[c1:, c1:] -= strip.T @ front[c0:c1, c1:]
+            diag = flat[..., c0 * (size + 1):c1 * (size + 1):size + 1]
+            strip = fronts[..., c0:c1, c1:w] / diag[..., :, None]
+            fronts[..., c1:, c1:] -= strip.mT @ fronts[..., c0:c1, c1:]
             # 2 (size - c') for each later column c' and strip column
             structural = k * later * (2 * size - c1 - w + 1)
-            flops += structural
-            padded += (2 * (size - c1) + 1) * k * later - structural
-    d[s:e] = flat[::size + 1]
-    ld_values[lo:end] = flat[stored]
-    l_values[lo:end] = ld_values[lo:end] / d[s:e].repeat(lens)
-    flops += end - lo
+            flops += g * structural
+            padded += g * ((2 * (size - c1) + 1) * k * later - structural)
+    d[cols] = pivots = flat[..., ::size + 1]
+    ld_values[at] = values = fronts.reshape(-1)[stored]
+    l_values[at] = values / pivots.repeat(lens, axis=-1)
+    if failed is not None:
+        raise failed
+    flops += stored.size
     return flops, padded
 
 
@@ -443,7 +517,7 @@ def solve(f: LdlFactor, b: np.ndarray) -> np.ndarray:
     column c + 1 is the parent of column c.  The levels change the order
     of the sums, not their terms: the result agrees with the column loop
     to roundoff.  The step list is built on each call from ``levels``,
-    ``blocks``, ``singles`` and ``l_col_ptr``.
+    ``groups``, ``blocks``, ``singles`` and ``l_col_ptr``.
 
     A NaN or infinite entry of b raises NonFiniteValueError naming its
     index."""
@@ -458,17 +532,19 @@ def solve(f: LdlFactor, b: np.ndarray) -> np.ndarray:
     sym, lv = f.sym, f.l_values
     colptr, rows = sym.l_col_ptr, sym.l_row_idx
     plan, layout = sym.block_updates, sym.leaf_batches
-    blocks = plan.blocks
+    # a row of levels holds the blocks of its groups, taken here in
+    # column order (they are disjoint: their starts and ends sort alike)
+    opens = np.append(plan.groups[:, 0], plan.blocks.shape[0])
     # per step: a level's storage positions, their rows and the column of
     # each, then the block columns with entries as (j, lo, hi)
     at = layout.at.astype(np.intp)
     steps = [(at, rows[at], layout.cols.repeat(sym.col_counts[layout.cols] - 1),
               [])]
-    for b0, b1, c0, c1 in plan.levels.tolist():
+    for g0, g1, c0, c1 in plan.levels.tolist():
         cols = plan.singles[c0:c1]
         count = colptr[cols + 1] - colptr[cols]
         at = _segments(colptr[cols], count)
-        s, e = blocks[b0:b1, 0], blocks[b0:b1, 1]
+        s, e = np.sort(plan.blocks[opens[g0]:opens[g1]], axis=0).T
         inner = _segments(s, e - s)
         inner = inner[colptr[inner + 1] > colptr[inner]]
         steps.append((at, rows[at], cols.repeat(count),

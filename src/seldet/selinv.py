@@ -89,7 +89,7 @@ from .errors import (
     TooLargeError,
 )
 from .numeric import LdlFactor
-from .sparse_core import Permutation, SparseSymmetric, _index_array
+from .sparse_core import Permutation, SparseSymmetric, _index_array, _upper_pairs
 from .symbolic import SymbolicFactor
 
 __all__ = ["SelectedInverse", "selected_inverse", "get_entry", "dense_inverse_oracle"]
@@ -192,7 +192,7 @@ def selected_inverse(f: LdlFactor) -> SelectedInverse:
     for q, cols, at, slots in batches:
         at, slots = at.astype(np.intp), slots.astype(np.intp)
         block = np.empty((cols.size, q, q))
-        upper, lower = np.triu_indices(q, 1)
+        upper, lower = _upper_pairs(q)
         block[:, upper, lower] = block[:, lower, upper] = z[slots]
         block[:, np.arange(q), np.arange(q)] = z_diag[rows[at]]
         lcol = lv[at][:, :, None]

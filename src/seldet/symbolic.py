@@ -27,10 +27,11 @@ layout of the etree's leaves, the single columns without a child
 work, which the factorization, the selected inversion and the solve do
 in batches outside their loops.  Another is the factorization's schedule
 (``SymbolicFactor.block_updates``): the updates each supernode takes
-in, the heights of the supernodes, and the index work of the panels of
-the multi-column supernodes and of the batches of single columns (a
-height's single columns, cut where they gather more than ``_GROUP``
-elements).  The solve walks the same heights.
+in, the heights of the supernodes, the groups of multi-column
+supernodes of one shape that the factorization stacks, and the index
+work of their panels and of the batches of single columns (a height's
+single columns, cut where they gather more than ``_GROUP`` elements).
+The solve walks the same heights.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import PatternMismatchError, SizeMismatchError
 from .sparse_core import (Permutation, SparseSymmetric, _entry_columns,
-                          _group_by_row, _segments)
+                          _group_by_row, _segments, _upper_pairs)
 
 __all__ = [
     "BlockUpdates",
@@ -165,29 +166,39 @@ class BlockUpdates:
     on its own subtree (Liu 1990), so the supernodes of one height do not
     depend on each other, and the factorization runs the heights in
     ascending order.  The single columns of height 0 are the leaves,
-    which it does before.  The rows ``(b0, b1, c0, c1)`` of ``levels``
-    come in ascending height, each with the multi-column supernodes in
-    the rows b0:b1 of ``blocks`` and a batch of single columns
-    ``singles[c0:c1]``, each in column order.  A height's single columns
-    are cut into batches where their gathered elements, counted from the
-    height's first one, pass a multiple of ``_GROUP``, which keeps a
-    batch's temporaries near ``_GROUP`` elements unless one column gathers
-    more.  Each batch is one row, its height's multi-column supernodes go
+    which it does before.  The rows ``(g0, g1, c0, c1)`` of ``levels``
+    come in ascending height, each with the groups of multi-column
+    supernodes in the rows g0:g1 of ``groups`` and a batch of single
+    columns ``singles[c0:c1]`` in column order.  A height's single
+    columns are cut into batches where their gathered elements, counted
+    from the height's first one, pass a multiple of ``_GROUP``, which
+    keeps a batch's temporaries near ``_GROUP`` elements unless one
+    column gathers more.  Each batch is one row, its height's groups go
     with the height's first row, and a height without single columns has
     one row with an empty batch.
 
-    - A row of ``blocks`` is ``(s, e, p0, p1)``: a multi-column
-      supernode's columns s:e and its panels, the rows p0:p1 of
-      ``panels``.  Its updates come in panels of at most ``_PANEL``
+    - A row of ``blocks`` is ``(s, e)``: a multi-column supernode's
+      columns.  Its updates come in panels of at most ``_PANEL``
       columns.  A panel of the update entries t0:t1 is a dense
       (t1 - t0)-by-(|F| - top) array over the rows of the front
-      F = [s] + pattern(s) from place ``top`` on, one row per column.  A
-      row of ``panels`` is ``(t0, t1, g0, g1, top, structural,
+      F = [s] + pattern(s) from place ``top`` on, one row per column.
+    - The supernodes of one height with the same width, front size |F|
+      and panel shapes (t1 - t0, top), position by position, are a
+      group, factored as one stack.  A row of ``groups`` is ``(b0, b1,
+      p0, p1)``: the group's supernodes, the rows b0:b1 of ``blocks`` in
+      column order, and their panels, the rows p0:p1 of ``panels``,
+      position-major: the panel at position j of the m-th of G
+      supernodes is row p0 + j G + m.  The groups of a height come in
+      the column order of their first supernodes, so each group is a
+      run of ``blocks`` and of ``panels``, and the G panels of a
+      position are one run of ``gather``.
+    - A row of ``panels`` is ``(t0, t1, g0, g1, top, structural,
       padded)``: ``gather[g0:g1]`` are the storage positions of the
       panel's segments and ``target[g0:g1]`` their flat positions in the
-      panel; ``structural`` is the structural work of the panel's GEMM
-      and ``padded`` what the GEMM and the panel's scaling issue beyond
-      it.
+      stack of its position's G panels, the m-th panel holding its
+      stack's rows m (t1 - t0):(m + 1) (t1 - t0); ``structural`` is the
+      structural work of the panel's GEMM and ``padded`` what the GEMM
+      and the panel's scaling issue beyond it.
     - ``singles`` are the single columns of height 1 or more.  Row c of
       ``single_ptr`` holds where the update entries, the gathered
       elements and the stored entries of ``singles[c]`` start among those
@@ -198,18 +209,20 @@ class BlockUpdates:
       storage order and then their diagonals, and ``single_target`` is
       where each gathered element lands in it.
 
-    ``levels``, ``blocks``, ``panels``, ``singles`` and ``single_ptr``
-    are int64; ``gather`` and ``single_first`` are in the type of
-    ``first``, ``single_length`` in that of ``length``, and ``height``,
-    ``target`` and ``single_target`` each in the smallest unsigned type
-    that holds its values.  Under AMD, the five update arrays and the
-    schedule hold 33 KB and 0.90 MB on the C of the benchmark's
-    ``reml_fit`` (152 panels gather 111 196 elements, and 409 single
-    columns 97 109), 51 KB and 1.73 MB on prob1 (seed 1000), and 122 KB
-    and 1.76 MB on the 72x72 AR1 (x) AR1 field (711 panels, 277 900
-    elements).  A panel's element takes 6 bytes, in ``gather`` and
-    ``target``, and a single column's 2, in ``single_target``: its
-    gather positions are the segments, formed on each call.
+    ``levels``, ``groups``, ``blocks``, ``panels``, ``singles`` and
+    ``single_ptr`` are int64; ``gather`` and ``single_first`` are in the
+    type of ``first``, ``single_length`` in that of ``length``, and
+    ``height``, ``target`` and ``single_target`` each in the smallest
+    unsigned type that holds its values.  Under AMD, the five update
+    arrays and the schedule hold 33 KB and 0.90 MB on the C of the
+    benchmark's ``reml_fit`` (157 supernodes in 101 groups; 152 panels
+    gather 111 196 elements, and 409 single columns 97 109), 51 KB and
+    1.73 MB on prob1 (seed 1000, 157 supernodes in 99 groups), and
+    122 KB and 1.75 MB on the 72x72 AR1 (x) AR1 field (673 supernodes in
+    97 groups; 711 panels, 277 900 elements).  A panel's element takes
+    6 bytes, in ``gather`` and ``target``, and a single column's 2, in
+    ``single_target``: its gather positions are the segments, formed on
+    each call.
     """
 
     ptr: np.ndarray
@@ -219,6 +232,7 @@ class BlockUpdates:
     inside: np.ndarray
     height: np.ndarray
     levels: np.ndarray
+    groups: np.ndarray
     blocks: np.ndarray
     panels: np.ndarray
     gather: np.ndarray
@@ -292,6 +306,39 @@ def _segment_places(sym: SymbolicFactor, fronts: np.ndarray, own: np.ndarray,
         f0 = f1
 
 
+def _classes(*keys: np.ndarray) -> np.ndarray:
+    """An id for each place of the equal-length ``keys``, the same for two
+    places exactly when every key agrees there."""
+    order = np.lexsort(keys)
+    new = np.zeros(order.size, dtype=bool)
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    ids = np.empty(order.size, dtype=np.int64)
+    ids[order] = np.cumsum(new)
+    return ids
+
+
+def _groups(keys: tuple[np.ndarray, ...], owner: np.ndarray, pos: np.ndarray,
+            top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks, in groups: ``(order, opens)``, the blocks in their new
+    order and where each group opens in it.
+
+    Two blocks share a group when their ``keys`` agree and so do their
+    panels' ``top`` position by position; ``owner`` and ``pos`` are each
+    panel's block and position.  A group keeps its blocks in their
+    order, and the groups come in the order of their first blocks."""
+    n = keys[0].size
+    tops = np.full((int(pos.max(initial=-1)) + 1, n), -1)
+    tops[pos, owner] = top
+    same = _classes(*tops[::-1], *keys)
+    first = np.full(n, n)
+    np.minimum.at(first, same, np.arange(n))
+    order = np.argsort(first[same], kind="stable")
+    opens = np.flatnonzero(np.diff(same[order], prepend=-1) != 0)
+    return order, opens
+
+
 def _starts(counts: np.ndarray) -> np.ndarray:
     """Where each of the consecutive runs of ``counts`` starts, and their
     total last."""
@@ -317,24 +364,46 @@ def _schedule(sym: SymbolicFactor, width: np.ndarray, ptr: np.ndarray,
     blocks_b = order[multi]
     singles_b = order[~multi & (height[order] > 0)]
     cuts = np.arange(int(height.max(initial=-1)) + 2)
-    b_cut = np.searchsorted(height[blocks_b], cuts)
     c_cut = np.searchsorted(height[singles_b], cuts)
 
-    # the panels, block by block in the order of blocks
+    # the panels, block by block: panel j of a block holds its updates
+    # from j _PANEL on, and the columns come in the order of their first
+    # row, so every segment of a panel starts at row s + top or below
     n_upd = np.diff(ptr)
-    p_cut = _starts(-(-n_upd[blocks_b] // _PANEL))
-    n_pan = np.diff(p_cut)
-    blocks = np.column_stack((starts[blocks_b],
-                              starts[blocks_b] + width[blocks_b],
-                              p_cut[:-1], p_cut[1:]))
+    n_pan = -(-n_upd[blocks_b] // _PANEL)
     pb = np.repeat(blocks_b, n_pan)
-    t0 = ptr[pb] + _PANEL * (np.arange(pb.size) - np.repeat(p_cut[:-1], n_pan))
+    pos = np.arange(pb.size) - np.repeat(_starts(n_pan)[:-1], n_pan)
+    t0 = ptr[pb] + _PANEL * pos
+    top = rows[first[t0]] - starts[pb]
+    # the blocks in groups, each a run of blocks in column order, and the
+    # panels block by block in that order
+    regroup, opens = _groups(
+        (n_upd[blocks_b], sym.col_counts[starts[blocks_b]], width[blocks_b],
+         height[blocks_b]),
+        np.repeat(np.arange(blocks_b.size), n_pan), pos, top)
+    moved = _segments(_starts(n_pan)[regroup], n_pan[regroup])
+    blocks_b, n_pan = blocks_b[regroup], n_pan[regroup]
+    pb, pos, t0, top = pb[moved], pos[moved], t0[moved], top[moved]
+    del moved
+    blocks = np.column_stack((starts[blocks_b],
+                              starts[blocks_b] + width[blocks_b]))
+    closes = np.append(opens, blocks_b.size)[1:]
+    p_cut = _starts(n_pan)
+    groups = np.column_stack((opens, closes, p_cut[opens], p_cut[closes]))
+    h_cut = np.searchsorted(height[blocks_b[opens]], cuts)
+    # each panel's group, its block's place in the group and the group's
+    # size; the panel of place m at position j is row j G + m of the
+    # group's panels (position-major)
+    group_of = np.repeat(np.arange(opens.size), closes - opens)
+    member = (np.arange(blocks_b.size) - opens[group_of]).repeat(n_pan)
+    group_of = group_of.repeat(n_pan)
+    many = (closes - opens)[group_of]
+    row = p_cut[opens][group_of] + pos * many + member
+    del group_of, pos
+
     t1 = np.minimum(t0 + _PANEL, ptr[pb + 1])
     k = t1 - t0
     s = starts[pb]
-    # the columns come in the order of their first row: every segment of
-    # a panel starts at row s + top or below
-    top = rows[first[t0]] - s
     span = sym.col_counts[s] - top
     entry = _segments(t0, k)
     seg, within = length[entry], inside[entry]
@@ -343,17 +412,23 @@ def _schedule(sym: SymbolicFactor, width: np.ndarray, ptr: np.ndarray,
     # 2 (s_k r_k - s_k (s_k - 1) / 2) for each column k
     structural = np.diff(_starts(within * (2 * seg - within + 1))[e_cut])
     padded = 2 * k * span * (width[pb] - top) + k * (span + 1) - structural
-    panels = np.column_stack((t0, t1, g_cut[e_cut[:-1]], g_cut[e_cut[1:]], top,
-                              structural, padded))
-    # each column's segment fills its own row of the panel, at the places
-    # of its rows in the front, less top
+    elems = np.diff(g_cut[e_cut])
+    x0 = np.empty(row.size, dtype=np.int64)
+    x0[row] = elems
+    x0 = _starts(x0)[row]
+    panels = np.empty((row.size, 7), dtype=np.int64)
+    panels[row] = np.column_stack((t0, t1, x0, x0 + elems, top, structural,
+                                   padded))
+    # each column's segment fills its own row of its group's stacked
+    # panel, at the places of its rows in the front, less top: the panel
+    # of place m holds the rows m k:(m + 1) k of the stack
     panel_of = np.repeat(np.arange(pb.size), k)
-    shift = (np.arange(entry.size) - e_cut[panel_of]) * span[panel_of]
-    shift -= top[panel_of]
+    shift = ((np.arange(entry.size) - e_cut[panel_of] + (member * k)[panel_of])
+             * span[panel_of] - top[panel_of])
     del panel_of
     kind = np.min_scalar_type(sym.nnz_L)
     gather = np.empty(g_cut[-1], dtype=kind)
-    flat = np.min_scalar_type(int((k * span).max(initial=0)))
+    flat = np.min_scalar_type(int((many * k * span).max(initial=0)))
     target = np.empty(g_cut[-1], dtype=flat)
     for u0, u1, at, place in _segment_places(
             sym, blocks[:, 0], np.zeros(blocks_b.size, dtype=np.int64),
@@ -362,6 +437,13 @@ def _schedule(sym: SymbolicFactor, width: np.ndarray, ptr: np.ndarray,
         place += np.repeat(shift[u0:u1], seg[u0:u1])
         target[g_cut[u0]:g_cut[u1]] = place
     del entry, seg, within, shift
+    # filled block by block; a group of several blocks with several
+    # panels each is moved to position-major order
+    if (row != np.arange(row.size)).any():
+        moved = np.empty(row.size, dtype=np.int64)
+        moved[row] = np.arange(row.size)
+        moved = _segments(g_cut[e_cut[:-1]][moved], elems[moved])
+        gather, target = gather[moved], target[moved]
 
     # the single columns, in the order of singles
     cols = starts[singles_b]
@@ -393,8 +475,8 @@ def _schedule(sym: SymbolicFactor, width: np.ndarray, ptr: np.ndarray,
     row_h, row_c0, row_c1 = row_h[order], row_c0[order], row_c1[order]
     later = np.zeros(row_h.size, dtype=bool)
     later[1:] = row_h[1:] == row_h[:-1]
-    levels = np.column_stack((np.where(later, b_cut[row_h + 1], b_cut[row_h]),
-                              b_cut[row_h + 1], row_c0, row_c1))
+    levels = np.column_stack((np.where(later, h_cut[row_h + 1], h_cut[row_h]),
+                              h_cut[row_h + 1], row_c0, row_c1))
     # in its batch's workspace, a column's stored entries follow those of
     # the columns before it, and its diagonal follows all of them
     lo = np.repeat(batch0, batch1 - batch0)
@@ -410,7 +492,7 @@ def _schedule(sym: SymbolicFactor, width: np.ndarray, ptr: np.ndarray,
         single_target[g_cut[u0]:g_cut[u1]] = place
     count = np.min_scalar_type(int(sym.col_counts.max(initial=1)))
     return (height.astype(np.min_scalar_type(int(height.max(initial=0)))),
-            levels, blocks, panels, gather, target, cols, single_ptr,
+            levels, groups, blocks, panels, gather, target, cols, single_ptr,
             single_first.astype(kind), single_length.astype(count),
             single_target)
 
@@ -442,7 +524,7 @@ class SymbolicFactor:
     (one entry per pair of a supernode and a column other than a leaf
     that updates it, and the factorization's schedule: mostly one
     position and one target per gathered element of a panel and one
-    target per gathered element of a single column), together 1.78 MB
+    target per gathered element of a single column), together 1.79 MB
     on a prob1 C, 0.94 MB on the C of the benchmark's ``reml_fit`` and
     1.88 MB on the 72x72 AR1 (x) AR1 field, all under AMD, and the one
     layout of the etree's leaves:
@@ -537,7 +619,7 @@ class SymbolicFactor:
         updates = cols < np.repeat(bounds[:-1], width)[rows]
         branch = np.ones(self.n, dtype=bool)
         branch[self.leaves] = False
-        updates &= branch[cols]
+        updates &= branch.repeat(self.col_counts - 1)
         del branch
         # a column's entries in one supernode are consecutive in storage:
         # the first of them opens its run and the last closes it
@@ -550,8 +632,9 @@ class SymbolicFactor:
         first = np.flatnonzero(opens)
         inside = np.flatnonzero(updates) - first + 1
         del opens, updates
-        # grouped by supernode, each in the order of its first row
-        by_row = np.argsort(rows[first], kind="stable")
+        # grouped by supernode, each in the order of its first row (rows
+        # in the type of n: numpy sorts 16-bit keys by radix)
+        by_row = np.argsort(rows[first].astype(column), kind="stable")
         first, inside = first[by_row], inside[by_row]
         cols = cols[first]
         ptr = np.zeros(bounds.size, dtype=np.int64)
@@ -676,7 +759,7 @@ class SymbolicFactor:
         for g0, g1 in zip(starts, starts[1:] + [q.size]):
             k = int(q[g0])
             step = max(1, _LEAF_BATCH // (k * k))
-            upper, lower = np.triu_indices(k, 1)
+            upper, lower = _upper_pairs(k)
             for t in range(g0, g1, step):
                 cols = leaves[t:min(t + step, g1)]
                 e1 = e0 + cols.size * k

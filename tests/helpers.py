@@ -587,20 +587,27 @@ def reference_schedule(lpat, bounds, panel=128, group=1 << 14):
 
     Returns ``(height, rows)``.  ``height[b]`` is the most supernodes a
     walk up the elimination tree enters from a supernode below b.  The
-    rows come by height, each ``(blocks, singles)``.  A height's single
+    rows come by height, each ``(groups, singles)``.  A height's single
     columns (height 1 or more) are cut into batches, one row each, where
     their gathered elements, counted from the height's first one, pass a
     multiple of ``group``; its multi-column supernodes go with its first
     row, and a height without single columns has one row.  A
-    multi-column supernode is ``(s, e, panels)``, each panel ``(t0, t1,
-    gather, target, top, structural, padded)`` over at most ``panel`` of
-    its entries in :func:`reference_block_updates` (t0:t1 counted over
-    every supernode's entries in order).  A single column j is ``(j,
-    segments, targets, stored)``: its segments ``(first, length)``, where
-    each gathered element lands in its batch's workspace (the stored
-    entries of the batch's columns, then their diagonals) and the number
-    of its stored entries.  Storage positions count the entries below
-    the diagonal column by column."""
+    multi-column supernode s:e has panels ``(t0, t1, gather, target, top,
+    structural, padded)``, each over at most ``panel`` of its entries in
+    :func:`reference_block_updates` (t0:t1 counted over every
+    supernode's entries in order), with ``target`` its flat positions in
+    a (t1 - t0)-by-(|F| - top) panel.  The supernodes of a height with
+    equal width, front size |F| and panel shapes (t1 - t0, top) form a
+    group ``(blocks, panels)``: its supernodes ``(s, e)`` in column order,
+    and their panels position-major, the panel at position j of the m-th
+    supernode next to the others of position j, its targets moved by m
+    panel sizes into their stack.  The groups come in the column order of
+    their first supernodes.  A single column j is ``(j, segments,
+    targets, stored)``: its segments ``(first, length)``, where each
+    gathered element lands in its batch's workspace (the stored entries
+    of the batch's columns, then their diagonals) and the number of its
+    stored entries.  Storage positions count the entries below the
+    diagonal column by column."""
     n = lpat.shape[0]
     parent = etree_from_pattern(lpat)
     below = [(np.flatnonzero(lpat[k + 1:, k]) + k + 1).tolist() for k in range(n)]
@@ -624,7 +631,7 @@ def reference_schedule(lpat, bounds, panel=128, group=1 << 14):
     ptr = np.concatenate([[0], np.cumsum([len(u) for u in updates])]).tolist()
     rows_out = []
     for h in range(max(height, default=-1) + 1):
-        blocks, singles = [], []
+        groups, singles = {}, []
         for b in range(len(bounds) - 1):
             s, e = bounds[b], bounds[b + 1]
             if height[b] != h:
@@ -648,19 +655,31 @@ def reference_schedule(lpat, bounds, panel=128, group=1 << 14):
                               + size * (width + 1) - structural)
                     panels.append((ptr[b] + c, ptr[b] + c + size, gather,
                                    target, top, structural, padded))
-                blocks.append((s, e, panels))
+                shapes = tuple((p[1] - p[0], p[4]) for p in panels)
+                groups.setdefault((e - s, len(front), shapes), []).append(
+                    (s, e, panels))
             elif h > 0:
                 segments = [(position(row, k), length)
                             for k, row, length, _ in updates[b]]
                 rows = [i for k, row, _, _ in updates[b]
                         for i in below[k][below[k].index(row):]]
                 singles.append((s, segments, rows, len(below[s])))
+        grouped = []
+        for (_, size, shapes), members in groups.items():
+            stacked = []
+            for j, (k, top) in enumerate(shapes):
+                for m, (_, _, panels) in enumerate(members):
+                    t0, t1, gather, target, _, structural, padded = panels[j]
+                    shift = m * k * (size - top)
+                    stacked.append((t0, t1, gather, [x + shift for x in target],
+                                    top, structural, padded))
+            grouped.append(([(s, e) for s, e, _ in members], stacked))
         batches, gathered = {}, 0
         for single in singles:
             batches.setdefault(gathered // group, []).append(single)
             gathered += len(single[2])
         if not batches:
-            rows_out.append((blocks, []))
+            rows_out.append((grouped, []))
         for k, batch in enumerate(batches.values()):
             # the workspace: the stored entries of the batch's columns,
             # then their diagonals
@@ -671,5 +690,5 @@ def reference_schedule(lpat, bounds, panel=128, group=1 << 14):
                           for i in rows]
                 batch[c] = (j, segments, places, count)
                 offset += count
-            rows_out.append((blocks if k == 0 else [], batch))
+            rows_out.append((grouped if k == 0 else [], batch))
     return height, rows_out

@@ -25,6 +25,7 @@ import pytest
 import seldet as sd
 from seldet import symbolic
 from seldet.errors import NearSingularWarning, NonPositivePivotError
+from seldet.numeric import NEAR_SINGULAR_RTOL
 from helpers import (arrowhead, bordered_spd, field_precision, fill_pattern,
                      pattern_spd, random_spd, reference_block_updates,
                      reference_ldlt_factorize, reference_schedule,
@@ -72,11 +73,15 @@ def test_prob1_factor_matches_column_kernel():
 
 
 def test_field_factor_matches_column_kernel():
-    a = field_precision(6, 0.6, 0.3)
-    for p in (sd.natural_order(a.n), sd.amd_order(a)):
-        sym = sd.symbolic_factor(a, p)
-        assert has_block(sym)
-        assert_factors_agree(a, sym)
+    for side in (6, 20):
+        a = field_precision(side, 0.6, 0.3)
+        for p in (sd.natural_order(a.n), sd.amd_order(a)):
+            sym = sd.symbolic_factor(a, p)
+            assert has_block(sym)
+            assert_factors_agree(a, sym)
+    # the 20x20 field under AMD factors blocks of one shape as a stack
+    groups = sym.block_updates.groups
+    assert np.diff(groups[:, :2]).max() >= 2
 
 
 def test_random_factors_match_column_kernel():
@@ -307,6 +312,68 @@ def test_the_failure_trees_have_their_leaves_and_twigs():
         assert sym.block_updates.height.tolist() == height
 
 
+def stacked_units(diag, nan=None):
+    """Units of five columns each, all alike but for their diagonals
+    ``diag`` (five per unit): the leaf 0 below the twig 1 below the dense
+    block 2:5, with unit entries.  The blocks are one group of three
+    fronts, each taking one panel from its twig.  With the diagonal
+    (1, 2, 2, 2, 3) a unit's pivots are (1, 1, 1, 1, 2); A_22 = 1 or A_33 = 1
+    makes the pivot of column 2 or 3 zero.  ``nan`` names a unit whose
+    entry (4, 2) is NaN instead, which makes its pivot of column 4 NaN.
+    Built directly so that the NaN reaches the kernel."""
+    n = len(diag)
+    values = np.diag(np.asarray(diag, dtype=float))
+    for u in range(0, n, 5):
+        for i, j in ((1, 0), (2, 1), (3, 2), (4, 2), (4, 3)):
+            values[u + i, u + j] = values[u + j, u + i] = 1.0
+    if nan is not None:
+        values[5 * nan + 4, 5 * nan + 2] = np.nan
+    rows, cols = np.nonzero(np.tril(values != 0.0))
+    order = np.lexsort((rows, cols))
+    rows, cols = rows[order], cols[order]
+    col_ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    return sd.SparseSymmetric(n=n, col_ptr=col_ptr, row_idx=rows,
+                              values=values[rows, cols])
+
+
+UNIT = [1.0, 2.0, 2.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("a, column", [
+    # the middle front's pivot of column 7 is zero; a division by it
+    # would warn
+    (stacked_units(UNIT + [1.0, 2.0, 1.0, 2.0, 3.0] + UNIT), 7),
+    # the last front fails at its first step, column 12, and the first
+    # at its second, column 3, which comes first in column order
+    (stacked_units([1.0, 2.0, 2.0, 1.0, 3.0] + UNIT + [1.0, 2.0, 1.0, 2.0, 3.0]), 3),
+    (stacked_units(UNIT * 3, nan=1), 9),
+], ids=["later-front", "earlier-front-later-step", "nan-in-later-front"])
+def test_failing_pivot_inside_a_stack_names_the_reference_column(a, column):
+    sym = sd.symbolic_factor(a, sd.natural_order(a.n))
+    plan = sym.block_updates
+    assert plan.groups.tolist() == [[0, 3, 0, 3]]
+    assert plan.blocks.tolist() == [[2, 5], [7, 10], [12, 15]]
+    with pytest.raises(NonPositivePivotError) as ref:
+        reference_ldlt_factorize(a, sym)
+    with pytest.raises(NonPositivePivotError) as got:
+        sd.ldlt_factorize(a, sym)
+    assert got.value.index == ref.value.index == column
+    assert np.array_equal([got.value.value], [ref.value.value], equal_nan=True)
+
+
+def test_near_singular_pivot_inside_a_stack_warns_once():
+    # the middle front's last pivot is (1 + 1e-14) - 1, about 1e-14, far
+    # below 1e-13 * max |A_ii|
+    a = stacked_units(UNIT + [1.0, 2.0, 2.0, 2.0, 1.0 + 1e-14] + UNIT)
+    sym = sd.symbolic_factor(a, sd.natural_order(a.n))
+    assert sym.block_updates.groups.tolist() == [[0, 3, 0, 3]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        f = sd.ldlt_factorize(a, sym)
+    assert [w.category for w in caught] == [NearSingularWarning]
+    assert f.d[9] < NEAR_SINGULAR_RTOL
+
+
 def test_nan_inside_a_block_fails_with_typed_error():
     vals = np.full((5, 5), 0.5) + 4.0 * np.eye(5)
     vals[3, 1] = vals[1, 3] = np.nan
@@ -400,31 +467,43 @@ def test_partition_and_update_maps_match_their_definitions():
             assert np.array_equal(first[t] + length[t], colptr[k + 1])
 
 
-@pytest.mark.parametrize("group", [1 << 14, 4])
-def test_schedule_matches_its_definition(monkeypatch, group):
+@pytest.mark.parametrize("group, panel", [(1 << 14, 128), (4, 2)])
+def test_schedule_matches_its_definition(monkeypatch, group, panel):
     # groups of 4 gathered elements cut the heights' single columns into
-    # several batches, and the build into many groups
+    # several batches, and the build into many groups; panels of 2
+    # columns give groups of several blocks with several panels each
     monkeypatch.setattr(symbolic, "_GROUP", group)
-    # the border of the last case takes its updates in two panels
+    monkeypatch.setattr(symbolic, "_PANEL", panel)
+    # the border of the last case takes its updates in two panels of 128
     border = bordered_spd(np.random.default_rng(3), 300, 4)
     cases = [(border, sd.symbolic_factor(border, sd.natural_order(border.n)),
               fill_pattern(border))]
-    assert np.diff(cases[0][1].block_updates.blocks[:, 2:4]).max() == 2
+    groups = cases[0][1].block_updates.groups
+    most = (np.diff(groups[:, 2:4]) // np.diff(groups[:, :2])).max()
+    assert most == 2 if panel == 128 else most > 2
+    # under AMD, a group of the 7x7 field takes two panels of 2 per block
+    field = field_precision(7, 0.5, 0.5)
+    p = sd.amd_order(field)
+    cases.append((field, sd.symbolic_factor(field, p),
+                  fill_pattern(sd.permute_symmetric(field, p))))
     split = 0       # rows beyond one per height
+    stacked = 0     # groups of several blocks with several panels each
     for a, sym, lpat in itertools.chain(map_cases(), cases):
         bounds = reference_supernodes(lpat)
-        height, levels = reference_schedule(lpat, bounds, group=group)
+        height, levels = reference_schedule(lpat, bounds, panel=panel,
+                                            group=group)
         plan = sym.block_updates
         assert plan.height.tolist() == height
         assert plan.levels.shape == (len(levels), 4)
         got = []
-        for b0, b1, c0, c1 in plan.levels.tolist():
-            blocks = [(s, e, [(t0, t1, plan.gather[g0:g1].tolist(),
-                               plan.target[g0:g1].tolist(), top, structural,
-                               padded)
-                              for t0, t1, g0, g1, top, structural, padded
-                              in plan.panels[p0:p1].tolist()])
-                      for s, e, p0, p1 in plan.blocks[b0:b1].tolist()]
+        for g0, g1, c0, c1 in plan.levels.tolist():
+            blocks = [([tuple(b) for b in plan.blocks[b0:b1].tolist()],
+                       [(t0, t1, plan.gather[x0:x1].tolist(),
+                         plan.target[x0:x1].tolist(), top, structural, padded)
+                        for t0, t1, x0, x1, top, structural, padded
+                        in plan.panels[p0:p1].tolist()])
+                      for b0, b1, p0, p1 in plan.groups[g0:g1].tolist()]
+            stacked += sum(len(b) > 1 and len(p) > len(b) for b, p in blocks)
             singles = []
             for c in range(c0, c1):
                 (u0, x0, s0), (u1, x1, s1) = plan.single_ptr[c:c + 2].tolist()
@@ -435,6 +514,10 @@ def test_schedule_matches_its_definition(monkeypatch, group):
             got.append((blocks, singles))
         assert got == levels
         split += len(levels) - (max(height, default=-1) + 1)
+        # the groups are runs of blocks and panels, in the order of levels
+        assert np.array_equal(plan.groups[:, 0], np.append(0, plan.groups[:-1, 1]))
+        assert np.array_equal(plan.groups[:, 2], np.append(0, plan.groups[:-1, 3]))
+        assert plan.groups[-1:, 1].tolist() in ([], [len(plan.blocks)])
         # the tables close: every panel, update and element is scheduled
         assert np.array_equal(np.append(plan.panels[:, 2], plan.gather.size),
                               np.append(0, plan.panels[:, 3]))
@@ -454,6 +537,7 @@ def test_schedule_matches_its_definition(monkeypatch, group):
         x, want = sd.solve(f, b), np.linalg.solve(a.to_dense(), b)
         assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
     assert (split > 0) == (group == 4)
+    assert (stacked > 0) == (panel == 2)
 
 
 def test_kernels_cache_only_the_maps_they_read():
@@ -467,14 +551,14 @@ def test_kernels_cache_only_the_maps_they_read():
                                        "leaf_batches"}
 
 
-SCHEDULE = ("height", "levels", "blocks", "panels", "gather", "target",
+SCHEDULE = ("height", "levels", "groups", "blocks", "panels", "gather", "target",
             "singles", "single_ptr", "single_first", "single_length",
             "single_target")
 
 
 @pytest.mark.parametrize("case", ["prob1", "field"])
 def test_pattern_maps_stay_within_their_memory_budget(case):
-    # measured: the schedule takes 1.73 MB on prob1 and 1.76 MB on the
+    # measured: the schedule takes 1.73 MB on prob1 and 1.75 MB on the
     # 72x72 field, and the maps in all 2.49 and 2.06 MB; a map whose dtype
     # widens (a position to int64, say) breaks its budget
     a = prob1_c() if case == "prob1" else field_precision(72, 0.6, 0.3)
