@@ -42,11 +42,23 @@ member.  With this storage the ordering of prob1 / prob2 / prob3 (seed
 1000) took 0.49 / 0.86 / 1.87 s against 0.70 / 1.45 / 3.30 s with the
 lists converted at every heavy pivot (medians of 10 alternated calls on
 2 vCPUs).
+
+A new pattern also pays the ordering's set-up and its list scan, which
+on a mesh run once per pivot and member.  ``_adjacency`` slices each
+node's list from one ``tolist()`` of the grouped neighbours, and when no
+row is dense (the field's case) the variable lists are those lists
+themselves, not filtered copies; prob1 and the C of the benchmark's
+``reml_fit``, with 17 and 18 dense rows, keep the copy.  In the list
+scan a member whose variable list is already empty skips its pass (15
+981 of the field's 26 463 member updates), the reach is one
+``dict.fromkeys`` over a chain of the lists, and ``_indistinguishable``
+returns at once when no two keys are equal.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from array import array
 from typing import IO
@@ -131,8 +143,8 @@ def _adjacency(a: SparseSymmetric) -> list[list[int]]:
     # column and then its larger ones down column v, so grouping by node
     # in the order given leaves every list ascending.
     order, row_ptr = _group_by_row(np.concatenate([r, c]), a.n)
-    dst = np.concatenate([c, r])[order]
-    return [seg.tolist() for seg in np.split(dst, row_ptr[1:-1])]
+    flat = np.concatenate([c, r])[order].tolist()
+    return [flat[s:e] for s, e in itertools.pairwise(row_ptr.tolist())]
 
 
 # A pivot whose scan visits at least this many list entries runs it as
@@ -187,8 +199,10 @@ def amd_order(a: SparseSymmetric) -> Permutation:
     dense = [i for i in range(n) if not nv[i]]
     n_sparse = n - len(dense)
     members: list[list[int]] = [[i] for i in range(n)]
-    adj_v = [[j for j in nbrs if nv[j]] if nv[i] else []  # variable neighbors
-             for i, nbrs in enumerate(adj)]
+    # variable neighbors: the adjacency lists themselves when no row is
+    # dense, else a copy without the dense nodes
+    adj_v = [[j for j in nbrs if nv[j]] if nv[i] else []
+             for i, nbrs in enumerate(adj)] if dense else adj
     adj_e: list[list[int] | array] = [[] for _ in range(n)]  # element neighbors
     elem_vars: list[list[int]] = [[] for _ in range(n)]
     elem_weight = [0] * n
@@ -224,9 +238,9 @@ def amd_order(a: SparseSymmetric) -> Permutation:
 
         # --- Le: live variables adjacent to p directly or through one of
         # p's elements, which the new element p absorbs.
-        reach = dict.fromkeys(adj_v[p])
+        reach = dict.fromkeys(itertools.chain(
+            adj_v[p], *map(elem_vars.__getitem__, adj_e[p])))
         for e in adj_e[p]:
-            reach.update(dict.fromkeys(elem_vars[e]))
             elem_vars[e] = []
             w_a[e] = 0
         le = [v for v in reach if nv[v] and v != p]
@@ -252,15 +266,21 @@ def amd_order(a: SparseSymmetric) -> Permutation:
                     elem_vars[e] = []
                     w_a[e] = 0
 
-            # --- prune, attach p, approximate external degrees and keys.
+            # --- prune, attach p, approximate external degrees and keys;
+            # an empty variable list (most members' on a mesh) stays as
+            # it is and adds nothing.
             tmp_deg = {}
             keys = []
             for i in le:
                 ae = adj_e[i] = [e for e in adj_e[i] if elem_vars[e]]
-                av = adj_v[i] = [v for v in adj_v[i] if nv[v] and v not in reach]
-                tmp_deg[i] = (sum(map(residual.__getitem__, ae))
-                              + sum(map(nv.__getitem__, av)))
-                keys.append((len(ae), sum(ae), len(av), sum(av)))
+                d = sum(map(residual.__getitem__, ae))
+                if adj_v[i]:
+                    av = adj_v[i] = [v for v in adj_v[i] if nv[v] and v not in reach]
+                    tmp_deg[i] = d + sum(map(nv.__getitem__, av))
+                    keys.append((len(ae), sum(ae), len(av), sum(av)))
+                else:
+                    tmp_deg[i] = d
+                    keys.append((len(ae), sum(ae), 0, 0))
                 ae.append(p)
             groups = _indistinguishable(le, keys, adj_e, adj_v)
 
@@ -372,7 +392,11 @@ def _indistinguishable(le, keys, adj_e, adj_v) -> list[list[int]]:
     """The classes of two or more members of ``le`` whose element and
     variable lists are equal as sets.  Members are bucketed by their
     ``keys``, the lengths and id sums of their pruned lists, and their
-    sorted lists are compared only on a key hit."""
+    sorted lists are compared only on a key hit; with no key shared there
+    is no class."""
+    keys = list(keys)
+    if len(set(keys)) == len(keys):
+        return []
     buckets: dict[tuple, list[list[int]]] = {}
     for i, key in zip(le, keys):
         bucket = buckets.get(key)

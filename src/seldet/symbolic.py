@@ -685,33 +685,54 @@ class SymbolicFactor:
 
         The pattern of a factor is closed: pattern(j) minus p lies inside
         pattern(p).  A row that is missing there raises
-        PatternMismatchError.  One ``searchsorted`` of the keys of the
-        positions (i, p) against :attr:`lower_keys` finds every row; the
+        PatternMismatchError.  A chain column j, whose parent is j + 1 and
+        whose count is one more than its parent's, has the pattern
+        ``[j + 1] + pattern(j + 1)`` when closed, so its rows sit at the
+        positions 0, 1, ... of the parent's front; one comparison of the
+        chain columns' rows with their parents' checks that closure.  The
+        rows of the other columns are found by one ``searchsorted`` of the
+        keys of the positions (i, p) against :attr:`lower_keys`.  The
         build holds at most two int64 arrays of nnz(L) entries at once,
-        and the keys in :attr:`lower_keys`' type for the search.
+        besides the keys in :attr:`lower_keys`' type and boolean masks.
         """
-        colptr, rows = self.l_col_ptr, self.l_row_idx
+        colptr, rows, parent, n = (self.l_col_ptr, self.l_row_idx,
+                                   self.parent, self.n)
         counts = np.diff(colptr)
-        nonempty = np.flatnonzero(counts)
-        first, last = colptr[nonempty], colptr[nonempty + 1] - 1
-        want = np.repeat(self.parent * self.n, counts)
-        want += rows                # the key of position (i, p)
-        at = np.searchsorted(self.lower_keys, want.astype(self.lower_keys.dtype))
-        # the row stored in each slot found, written over the keys
-        np.take(rows, at, out=want, mode="clip")
-        found = want == rows
-        del want
-        at -= np.repeat(colptr[self.parent] - 1, counts)
+        chain = np.zeros(n, dtype=bool)
+        chain[:-1] = (parent[:-1] == np.arange(1, n)) & (counts[:-1] == counts[1:] + 1)
+        on_chain = np.repeat(chain, counts)
+        off_chain = ~on_chain
+        # a chain column's rows after its first, against its parent's rows
+        tail = on_chain.copy()
+        tail[colptr[:-1][chain]] = False
+        after = np.zeros(n, dtype=bool)
+        after[1:] = chain[:-1]
+        closed = np.array_equal(rows[tail], rows[np.repeat(after, counts)])
+        del tail, after
+        # the other columns: the slot of the key of each position (i, p)
+        other = np.flatnonzero(~chain & (counts > 0))
+        m = counts[other]
+        keys = np.repeat(parent[other] * n, m)
+        keys += rows[off_chain]
+        keys = keys.astype(self.lower_keys.dtype)
+        at = np.searchsorted(self.lower_keys, keys)
+        found = self.lower_keys[at] == keys     # (i, p) is stored in column p
+        del keys
+        at -= np.repeat(colptr[parent[other]] - 1, m)
+        first = np.cumsum(m) - m
         found[first] = True
         at[first] = 0
-        # positions grow down a column: its last one shows whether every
-        # slot found lies inside the parent's column
-        inside = at[last] < self.col_counts[self.parent[nonempty]]
-        if not (found.all() and inside.all()):
+        if not (closed and found.all()):
             raise PatternMismatchError(
                 "selected pattern is not closed: a row of a column is "
                 "missing from its parent's pattern")
-        pos = at.astype(np.min_scalar_type(int(self.col_counts.max(initial=1))))
+        kind = np.min_scalar_type(int(self.col_counts.max(initial=1)))
+        pos = np.empty(rows.size, dtype=kind)
+        pos[off_chain] = at
+        del at
+        # a chain column's own positions 0, 1, ...
+        pos[on_chain] = _segments(np.zeros(int(chain.sum()), dtype=np.int64),
+                                  counts[chain])
         pos.flags.writeable = False
         return pos
 

@@ -6,6 +6,7 @@ that makes the intent obvious.  The point is independence from the library
 code under test.
 """
 
+import dataclasses
 import heapq
 import math
 import warnings
@@ -14,7 +15,8 @@ import numpy as np
 
 import seldet as sd
 from seldet.errors import (NearSingularWarning, NonPositivePivotError,
-                           NotAPermutationError)
+                           NotAPermutationError, ParseError,
+                           PatternMismatchError)
 from seldet.numeric import NEAR_SINGULAR_RTOL
 
 
@@ -136,6 +138,23 @@ def field_precision(m, rho_row, rho_col):
     vals = np.multiply.outer(qc[ic, jc], qr[ir, jr]).ravel()
     low = rows >= cols
     return sd.from_coo_arrays(m * m, rows[low], cols[low], vals[low])
+
+
+def unit_c(d):
+    """C at unit variance ratios; its pattern is the same at every ratio."""
+    v = sd.VarianceParams(1.0, np.ones(len(d.factors)),
+                          np.ones(d.n_residual_blocks))
+    return sd.assemble_mme(d, v).C
+
+
+def per_year_c(seed):
+    """C of a prob1 trial with one residual block per year: the matrix of
+    the benchmark's ``reml_fit``."""
+    d = sd.generate(sd.preset_config("prob1", seed=seed))
+    year = next(f for f in d.factors if f.name == "year")
+    return unit_c(dataclasses.replace(
+        d, residual_codes=year.codes, n_residual_blocks=year.n_levels,
+        residual_labels=year.labels))
 
 
 def pattern_spd(rng, n, rows, cols):
@@ -425,6 +444,68 @@ def reference_amd_order(a):
     if len(order) != n:
         raise NotAPermutationError("internal ordering error: incomplete elimination")
     return sd.Permutation(np.asarray(order, dtype=np.int64))
+
+
+def reference_read_records(kept, want, nrows):
+    """The token-split record parser that numpy's reader replaced in
+    ``read_matrix_market``, kept as the reader's oracle: the 1-based
+    indices and the values (none for ``want`` = 2) of the stripped
+    coordinate records ``kept``, or the ParseError of the first record,
+    in file order, that has other than ``want`` tokens, whose indices or
+    value do not convert, or whose indices lie outside 1..nrows.
+
+    The records are split as one text, joined by a ";" token: each then
+    spans want + 1 tokens, the last of them ";"."""
+    tokens = " ; ".join(kept).split()
+    step = want + 1
+    try:
+        if (len(tokens) != step * len(kept) - 1
+                or set(tokens[want::step]) - {";"}):
+            raise ValueError("records of another length")
+        rows = np.array(tokens[0::step], dtype=np.int64)
+        cols = np.array(tokens[1::step], dtype=np.int64)
+        vals = np.array(tokens[2::step] if want == 3 else (), dtype=np.float64)
+    except (ValueError, OverflowError):
+        for s in kept:
+            toks = s.split()
+            if len(toks) != want:
+                raise ParseError(f"bad coordinate record: {s!r}")
+            try:
+                i, j = int(toks[0]), int(toks[1])
+                if want == 3:
+                    float(toks[2])
+            except ValueError as exc:
+                raise ParseError(f"bad coordinate record: {s!r}") from exc
+            if not (1 <= i <= nrows and 1 <= j <= nrows):
+                raise ParseError(f"coordinate ({i},{j}) outside 1..{nrows}")
+        raise
+    outside = np.flatnonzero((rows < 1) | (rows > nrows) | (cols < 1) | (cols > nrows))
+    if outside.size:
+        k = outside[0]
+        raise ParseError(f"coordinate ({rows[k]},{cols[k]}) outside 1..{nrows}")
+    return rows, cols, vals
+
+
+def reference_parent_positions(sym):
+    """``SymbolicFactor.parent_positions`` as one search over every stored
+    entry of L, kept as its oracle: the key of each position (i, p), p the
+    column's parent, is looked up in ``sym.lower_keys``; the row stored in
+    the slot found must be i, and the slot must lie in column p, or
+    PatternMismatchError is raised.  Returned as int64."""
+    colptr, rows = sym.l_col_ptr, sym.l_row_idx
+    counts = np.diff(colptr)
+    nonempty = np.flatnonzero(counts)
+    first, last = colptr[nonempty], colptr[nonempty + 1] - 1
+    keys = np.repeat(sym.parent * sym.n, counts) + rows
+    at = np.searchsorted(sym.lower_keys, keys.astype(sym.lower_keys.dtype))
+    found = rows.take(at, mode="clip") == rows
+    at -= np.repeat(colptr[sym.parent] - 1, counts)
+    found[first] = True         # row p, the first of every column
+    at[first] = 0
+    inside = at[last] < sym.col_counts[sym.parent[nonempty]]
+    if not (found.all() and inside.all()):
+        raise PatternMismatchError("selected pattern is not closed")
+    return at
 
 
 def reference_ldlt_factorize(a, sym):

@@ -1,6 +1,5 @@
 """Fill-reducing and user-supplied orderings."""
 
-import dataclasses
 import functools
 import hashlib
 import io
@@ -15,8 +14,8 @@ import pytest
 import seldet as sd
 from seldet import ordering
 from seldet.errors import NotAPermutationError, ParseError, SizeMismatchError
-from helpers import (arrowhead, grid_laplacian, random_spd,
-                     reference_amd_order, tridiag)
+from helpers import (arrowhead, grid_laplacian, per_year_c, random_spd,
+                     reference_amd_order, tridiag, unit_c)
 
 
 def nnz_l(a, p):
@@ -126,24 +125,8 @@ def test_amd_never_worse_than_natural_on_random():
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
-def unit_c(d):
-    """C at unit variance ratios; its pattern is the same at every ratio."""
-    v = sd.VarianceParams(1.0, np.ones(len(d.factors)),
-                          np.ones(d.n_residual_blocks))
-    return sd.assemble_mme(d, v).C
-
-
 def prob1_c(seed):
     return unit_c(sd.generate(sd.preset_config("prob1", seed=seed)))
-
-
-def per_year_c(seed):
-    """C of a prob1 trial with one residual block per year."""
-    d = sd.generate(sd.preset_config("prob1", seed=seed))
-    year = next(f for f in d.factors if f.name == "year")
-    return unit_c(dataclasses.replace(
-        d, residual_codes=year.codes, n_residual_blocks=year.n_levels,
-        residual_labels=year.labels))
 
 
 def field_pattern(m):
@@ -172,6 +155,18 @@ def test_amd_permutation_matches_benchmark_reference(workload, key, build):
     with open(REFERENCE, encoding="utf-8") as fh:
         want = json.load(fh)[workload][key]["fingerprint"]["perm_sha256"]
     perm = sd.amd_order(build()).perm
+    assert hashlib.sha256(perm.astype("<i8").tobytes()).hexdigest()[:16] == want
+
+
+@pytest.mark.parametrize("preset, want", [
+    ("prob2", "332488633e4fd412"),
+    ("prob3", "d427f82a6107abf7"),
+])
+def test_amd_permutation_is_pinned_on_the_ladder(preset, want):
+    # the same hash of the permutation as above, of the C of the larger
+    # rungs at seed 1000, recorded from the ordering that the list scan's
+    # shortcuts left unchanged (prob1 at seed 1000 is reml_cold-1000 above)
+    perm = sd.amd_order(unit_c(sd.generate(sd.preset_config(preset, seed=1000)))).perm
     assert hashlib.sha256(perm.astype("<i8").tobytes()).hexdigest()[:16] == want
 
 
@@ -251,6 +246,11 @@ def test_amd_matches_the_list_reference(monkeypatch, volume):
     monkeypatch.setattr(ordering, "_ARRAY_SCAN_VOLUME", volume)
     cases = oracle_permutations()
     assert len(cases) >= 200
+    # patterns with dense rows, whose variable lists are filtered copies
+    # of the adjacency, and without, whose lists are the adjacency itself
+    dense = sum(any(len(x) > 10 * np.sqrt(a.n) for x in ordering._adjacency(a))
+                for a, _ in cases)
+    assert 20 <= dense <= len(cases) - 100
     for k, (a, want) in enumerate(cases):
         assert np.array_equal(sd.amd_order(a).perm, want), f"case {k}, n={a.n}"
 

@@ -14,7 +14,8 @@ from seldet.errors import (
 )
 from seldet.numeric import LdlFactor
 from seldet.symbolic import SymbolicFactor
-from helpers import random_spd, tridiag
+from helpers import (field_precision, per_year_c, random_spd,
+                     reference_parent_positions, tridiag, unit_c)
 
 
 def pipeline(a, ordering="natural"):
@@ -136,6 +137,21 @@ def test_unclosed_pattern_is_rejected():
     f = LdlFactor(sym=sym, l_values=lv, d=np.full(4, 4.0), flops=0)
     with pytest.raises(PatternMismatchError, match="not closed"):
         sd.selected_inverse(f)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: unit_c(sd.generate(sd.preset_config("prob1", seed=1000))),
+    lambda: per_year_c(2000),
+    lambda: field_precision(72, 0.3, 0.6),
+], ids=["prob1", "reml_fit", "field"])
+def test_parent_positions_equal_the_search_over_every_entry(build):
+    # chain columns take their positions from their place in the column,
+    # the others from the search; the benchmark's matrices under AMD
+    a = build()
+    sym = sd.symbolic_factor(a, sd.amd_order(a))
+    pos = sym.parent_positions
+    assert np.array_equal(pos, reference_parent_positions(sym))
+    assert pos.dtype == np.min_scalar_type(int(sym.col_counts.max()))
 
 
 def test_front_memory_stays_small():

@@ -6,8 +6,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import seldet as sd
+from seldet import sparse_core
 from seldet.errors import (
     AsymmetricInputError,
     IndexOutOfRangeError,
@@ -17,7 +19,7 @@ from seldet.errors import (
     SizeMismatchError,
     UnsupportedFormatError,
 )
-from helpers import random_spd, tridiag
+from helpers import field_precision, random_spd, reference_read_records, tridiag
 
 
 # ------------------------------------------------------------ construction
@@ -279,6 +281,19 @@ HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
     (HEADER + "2 2 1\n1 ; 2.0\n", ParseError, "bad coordinate record: '1 ; 2.0'"),
     (HEADER + "2 2 2\n1 1 2.0 ;\n2 2\n", ParseError,
      "bad coordinate record: '1 1 2.0 ;'"),
+    # tokens that Python's int and float read and numpy's reader does
+    # not: "_" between digits, a digit outside ASCII, a line break inside
+    # a record; and an index written as a float, which neither reads
+    (HEADER + "12 12 1\n1_0 1 1.0\n", ParseError,
+     "bad coordinate record: '1_0 1 1.0'"),
+    (HEADER + "2 2 1\n\u0661 1 1.0\n", ParseError,
+     "bad coordinate record: '\u0661 1 1.0'"),
+    (HEADER + "2 2 1\n1 1 1_0.5\n", ParseError,
+     "bad coordinate record: '1 1 1_0.5'"),
+    (HEADER + "2 2 2\n2 2 1.0\n1 1\r2.0\n", ParseError,
+     "bad coordinate record: '1 1\\r2.0'"),
+    (HEADER + "2 2 1\n1.0 1 1.0\n", ParseError,
+     "bad coordinate record: '1.0 1 1.0'"),
 ])
 def test_matrix_market_bad_header_or_record_is_typed(text, error, says):
     with pytest.raises(error, match=re.escape(says)):
@@ -303,3 +318,75 @@ def test_matrix_market_comments_and_blanks_ignored():
 """
     a = sd.read_matrix_market(text)
     assert np.array_equal(np.diag(a.to_dense()), [4.0, 9.0])
+
+
+def test_write_matrix_market_gives_the_bytes_of_a_loop_over_entries():
+    # the 72x72 field's 25 490 records, more than one chunk of the writer
+    for a in (field_precision(72, 0.3, 0.6), random_spd(np.random.default_rng(2), 40)):
+        buf = io.StringIO()
+        sd.write_matrix_market(a, buf)
+        want = io.StringIO()
+        want.write("%%MatrixMarket matrix coordinate real symmetric\n")
+        want.write(f"{a.n} {a.n} {a.nnz}\n")
+        for i, j, v in zip(*a.triplets()):
+            want.write(f"{i + 1} {j + 1} {v:.17g}\n")
+        assert buf.getvalue() == want.getvalue()
+
+
+# Tokens that both record parsers read the same way, and corruptions that
+# both refuse with the same message.
+INDEX_FORMS = ("{}", "+{}", "0{}")
+VALUE_TOKENS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["1e3", "-2.5E-3", ".5", "5.", "nan", "-inf", "Infinity"]))
+CORRUPTIONS = ("x", "1.5", "0", "{n1}", "99999999999999999999", ";", "1,0",
+               "", "extra", "--1")
+
+
+@st.composite
+def record_chunks(draw):
+    """``(kept, want, nrows)``: 1 to 40 stripped coordinate records of a
+    matrix of order 1 to 50, with ``want`` = 2 or 3 tokens each joined by
+    runs of spaces and tabs, and at most one record corrupted: a token
+    replaced, dropped or added."""
+    nrows = draw(st.integers(1, 50))
+    want = draw(st.sampled_from([2, 3]))
+    size = draw(st.integers(1, 40))
+    index = st.integers(1, nrows)
+    sep = st.text(" \t", min_size=1, max_size=3)
+    records = []
+    for _ in range(size):
+        toks = [draw(st.sampled_from(INDEX_FORMS)).format(draw(index))
+                for _ in range(2)]
+        if want == 3:
+            toks.append(draw(VALUE_TOKENS))
+        records.append(toks)
+    if draw(st.booleans()):
+        toks = records[draw(st.integers(0, size - 1))]
+        at = draw(st.integers(0, len(toks) - 1))
+        bad = draw(st.sampled_from(CORRUPTIONS)).format(n1=nrows + 1)
+        if bad == "extra":
+            toks.insert(at, str(draw(index)))
+        elif bad:
+            toks[at] = bad
+        else:
+            del toks[at]
+    kept = ["".join(t + draw(sep) for t in toks[:-1]) + toks[-1] for toks in records]
+    return kept, want, nrows
+
+
+def _outcome(read, kept, want, nrows):
+    try:
+        return [(x.dtype, x.tobytes()) for x in read(kept, want, nrows)]
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_chunks())
+def test_record_reader_matches_the_token_split_reference(case):
+    kept, want, nrows = case
+    assert (_outcome(sparse_core._read_records, kept, want, nrows)
+            == _outcome(reference_read_records, kept, want, nrows))
