@@ -19,6 +19,7 @@ changing the missingness rate does not perturb the variety lifetimes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,11 @@ class TrialConfig:
             if not isinstance(value, int) or value < least:
                 raise InvalidConfigError(
                     f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("centers_per_year_fraction", "mean_persistence",
+                     "missing_fraction"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise InvalidConfigError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.centers_per_year_fraction <= 1.0:
             raise InvalidConfigError("centers_per_year_fraction must be in (0, 1]")
         if not 1.0 <= self.mean_persistence < math.inf:
@@ -75,6 +81,9 @@ class TrialConfig:
         for key, val in self.variance_components.items():
             if key not in merged:
                 raise InvalidConfigError(f"unknown random term {key!r}")
+            if not isinstance(val, numbers.Real):
+                raise InvalidConfigError(
+                    f"variance for {key!r} must be a number, got {val!r}")
             if not 0 < val < math.inf:
                 raise InvalidConfigError(
                     f"variance for {key!r} must be positive and finite")

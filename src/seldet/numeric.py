@@ -166,6 +166,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    InvalidParameterError,
     NearSingularWarning,
     NonFiniteValueError,
     NonPositivePivotError,
@@ -520,8 +521,11 @@ def solve(f: LdlFactor, b: np.ndarray) -> np.ndarray:
     ``groups``, ``blocks``, ``singles`` and ``l_col_ptr``.
 
     A NaN or infinite entry of b raises NonFiniteValueError naming its
-    index."""
-    b = np.asarray(b, dtype=np.float64)
+    index, and a b that is not numeric InvalidParameterError."""
+    try:
+        b = np.asarray(b, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"right-hand side is not numeric: {exc}") from exc
     n = f.n
     if b.shape != (n,):
         raise SizeMismatchError(f"right-hand side has shape {b.shape}, expected ({n},)")

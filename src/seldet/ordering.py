@@ -72,7 +72,8 @@ from .errors import (
     SizeMismatchError,
     _open_text,
 )
-from .sparse_core import Permutation, SparseSymmetric, _group_by_row
+from .sparse_core import (Permutation, SparseSymmetric, _group_by_row,
+                          _index_array)
 
 __all__ = ["natural_order", "amd_order", "load_order", "write_order",
            "resolve_ordering"]
@@ -88,16 +89,17 @@ def load_order(stream: IO[str], n: int) -> Permutation:
 
     Raises SizeMismatchError if the count differs from n, ParseError on a
     non-integer token, NotAPermutationError if indices repeat or fall
-    outside 0..n-1.
+    outside 0..n-1 (an index beyond int64 included).
     """
     tokens = stream.read().split()
     if len(tokens) != n:
         raise SizeMismatchError(f"expected {n} indices, found {len(tokens)}")
     try:
-        perm = np.asarray([int(t) for t in tokens], dtype=np.int64)
+        values = [int(t) for t in tokens]
     except ValueError as exc:
         raise ParseError(f"non-integer token in permutation file: {exc}") from exc
-    return Permutation(perm)
+    return Permutation(_index_array(values, "permutation file index",
+                                    NotAPermutationError))
 
 
 def write_order(p: Permutation, stream: IO[str]):

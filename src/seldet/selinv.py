@@ -11,8 +11,10 @@ Those entries satisfy a closed recurrence in terms of L and D alone:
 Column j needs the whole q-by-q block Z[pat, pat] of its pattern, and
 every row of the pattern is an ancestor of j in the elimination tree.
 
-The sweep runs one Python iteration per fundamental supernode
-(``SymbolicFactor.supernodes``), parents before children, and keeps the
+The sweep runs one Python iteration per fundamental supernode other
+than a leaf (``SymbolicFactor.supernodes``), parents before children:
+the steps of ``SymbolicFactor.selinv_sweep``, a depth-first preorder of
+the supernodal elimination tree, children ascending.  It keeps the
 front of each finished supernode: the dense Z[F, F] with F = [s] +
 pattern(s) for its first column s.  Inside a supernode of w columns,
 column s + c has the trailing rows c + 1: of F as its pattern, so its
@@ -22,14 +24,16 @@ contiguous trailing slice of the one front, which then serves the
 supernode's children.  Only a supernode's first column can have children
 outside it.  Each supernode gathers the block of its last column's
 pattern once from its parent's front, with two ``take`` calls through
-``SymbolicFactor.parent_positions`` (Liu 1992's relative indices; SelInv,
-Lin et al. 2011, reads its blocks the same way).  A width-1 supernode is
-one column step, and a width-1 supernode whose children are all leaves
-keeps no front.  That map, the partition and the traversal order,
-``SymbolicFactor.preorder``, depend on the pattern only: they are built
-on first use and kept on the symbolic factor, so a plan that evaluates
-many parameter points builds them once.  A pattern that is not closed
-has no map, and raises PatternMismatchError.
+the places that the plan holds for that column's rows, and for no other
+column's (Liu 1992's relative indices; SelInv, Lin et al. 2011, reads
+its blocks the same way).  A width-1 supernode is one column step.  Each
+step says whether the supernode keeps its front (a width-1 supernode
+whose children are all leaves keeps none) and whether it is the last
+to gather from its parent's front, which then goes.  The plan depends
+on the pattern only: it is built on the first call and kept on the
+symbolic factor, so an analysis that evaluates many parameter points
+builds it once.  A pattern that is not closed has no plan, and raises
+PatternMismatchError.
 
 The leaves (``SymbolicFactor.leaves``: the width-1 supernodes without a
 child in the elimination tree) are most of the columns and little of the
@@ -124,45 +128,26 @@ def selected_inverse(f: LdlFactor) -> SelectedInverse:
     """Compute the selected inverse from an LDL^T factor."""
     sym = f.sym
     colptr = sym.l_col_ptr.tolist()
-    parent = sym.parent.tolist()
     # the pattern's maps first (built on the first call), so that their
     # builds do not stack on the work arrays
-    pos, batches = sym.parent_positions, sym.leaf_batches.batches
+    sweep, batches = sym.selinv_sweep, sym.leaf_batches.batches
+    places = sweep.places
     lv = f.l_values
     z = np.empty(lv.size)
     z_diag = 1.0 / f.d
-    leaves = sym.leaves
-    inner = np.ones(sym.n, dtype=bool)
-    inner[leaves] = False
-    # children in the sweep that have yet to gather from each column's
-    # front; only the first column of a supernode has children outside it
-    up = sym.parent[inner]
-    pending = np.bincount(up[up >= 0], minlength=sym.n).tolist()
     fronts: dict[int, np.ndarray] = {}
-    flops = 0
+    flops = x = 0
 
-    # a supernode's columns come together in the preorder, last column
-    # first: its position there is its last column's.  The leaves are
-    # left out of the sweep
-    bounds = sym.supernodes.astype(np.int64)
-    width = np.diff(bounds)
-    last = np.zeros(sym.n, dtype=bool)
-    last[bounds[1:] - 1] = True
-    last[leaves] = False
-    ends = sym.preorder[last[sym.preorder]] + 1
-    starts = ends - np.repeat(width, width)[ends - 1]
-
-    for s, e in zip(starts.tolist(), ends.tolist()):
+    for s, e, p, keep, drop in sweep.steps.tolist():
         lo, hi = colptr[e - 1], colptr[e]
         q = hi - lo
         if q:
-            p = parent[e - 1]
-            r = pos[lo:hi]
+            r = places[x:x + q]
+            x += q
             block = fronts[p].take(r, 0).take(r, 1)
-            pending[p] -= 1
-            if not pending[p]:
+            if drop:
                 del fronts[p]
-        if e - s == 1 and not pending[s]:
+        if e - s == 1 and not keep:
             # a single column whose children are all leaves keeps no front
             if q:
                 flops += _column(s, block, lv[lo:hi], z[lo:hi], z_diag)
@@ -181,7 +166,7 @@ def selected_inverse(f: LdlFactor) -> SelectedInverse:
                                  z_diag)
                 front[c, c + 1:] = front[c + 1:, c] = z[lo:hi]
             front[c, c] = z_diag[j]
-        if pending[s]:
+        if keep:
             fronts[s] = front
 
     # the leaves, G with q rows each at a time: each slice of the stacked

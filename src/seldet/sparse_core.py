@@ -45,14 +45,34 @@ _RECORD_CHUNK = 1 << 12
 
 
 def _index_array(values, name: str, error: type[SeldetError]) -> np.ndarray:
-    """``values`` as contiguous int64; a value that a cast would truncate
-    raises ``error`` naming ``name`` and its first such position."""
+    """``values`` as contiguous int64; a value that the cast would
+    truncate or wrap, or that is not a number, raises ``error`` naming
+    ``name``, its first such position and the value."""
     arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        # Python ints beyond int64, strings, None: one by one, as given
+        flat = (list(values) if isinstance(values, (list, tuple))
+                else arr.ravel().tolist())
+        for k, v in enumerate(flat):
+            if isinstance(v, float) and v.is_integer():
+                v = int(v)
+            if not isinstance(v, (int, np.integer)):
+                raise error(f"{name}[{k}] = {v!r} is not an integer")
+            if not -2**63 <= v < 2**63:
+                raise error(f"{name}[{k}] = {v!r} is outside the int64 range")
+        return np.array(flat, dtype=np.int64).reshape(arr.shape)
     if arr.dtype.kind == "f":
         bad = np.flatnonzero(np.isinf(arr) | (arr != np.floor(arr)))
         if bad.size:
             k = int(bad[0])
             raise error(f"{name}[{k}] = {float(arr.flat[k])!r} is not an integer")
+        bad = np.flatnonzero((arr >= 2.0**63) | (arr < -2.0**63))
+    else:
+        bad = np.flatnonzero(arr > np.iinfo(np.int64).max)
+    if bad.size:
+        k = int(bad[0])
+        raise error(f"{name}[{k}] = {arr.flat[k].item()!r} is outside the "
+                    "int64 range")
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 

@@ -49,6 +49,7 @@ from .sparse_core import (Permutation, SparseSymmetric, _entry_columns,
 __all__ = [
     "BlockUpdates",
     "LeafBatches",
+    "SelinvSweep",
     "SymbolicFactor",
     "symbolic_factor",
     "predict_flops",
@@ -141,24 +142,18 @@ class LeafBatches:
 
 @dataclass(frozen=True, eq=False)
 class BlockUpdates:
-    """The Schur updates that each supernode takes in, and the
-    factorization's schedule over them, all read-only.
+    """The factorization's schedule over the Schur updates that each
+    supernode takes in, all read-only.
 
-    The five update arrays: the columns k, not leaves, that update
-    supernode b, with columns s:e, from outside it (k < s and L_jk != 0
-    for some j in s:e) are ``cols[ptr[b]:ptr[b + 1]]``, in the order of
-    their first row in s:e, k ascending among equal rows.  For each,
-    ``first`` is the storage position of that first entry and ``length``
-    the number of entries from there to the end of column k: its segment
-    (D L)[i, k], i >= s.  ``inside`` is the number of those entries in the
-    rows s:e.  For a single column j these are every L_jk, k ascending and
-    not a leaf, each with its segment, and ``inside`` is 1.  The leaves'
-    updates are applied before the factorization's loop, through
+    The updates are those of :func:`_updates`, supernode after supernode:
+    the columns k, not leaves, that update a supernode with columns s:e
+    from outside it (k < s and L_jk != 0 for some j in s:e), each with
+    its segment (D L)[i, k], i >= s, to the end of column k.  ``cols``
+    keeps their columns, in the smallest unsigned type that holds n; the
+    factorization reads there the pivots of a panel's columns.  The
+    leaves' updates are applied before the factorization's loop, through
     :attr:`SymbolicFactor.leaf_batches`, so a single column whose
-    children are all leaves has an empty range.
-    ``ptr`` and ``first`` are in the smallest unsigned type that holds
-    ``nnz_L``, ``cols`` in that of n, and ``length`` and ``inside`` in
-    that of the largest column count.
+    children are all leaves has none.
 
     The rest is the factorization's schedule.  ``height`` is each
     supernode's height in the supernodal elimination tree: 0 without a
@@ -203,33 +198,30 @@ class BlockUpdates:
       ``single_ptr`` holds where the update entries, the gathered
       elements and the stored entries of ``singles[c]`` start among those
       of the columns before it, and a last row holds the totals.
-      ``single_first`` and ``single_length`` are the update segments of
-      the five arrays in the order of ``singles``.  The single columns of
+      ``single_first`` and ``single_length`` are the storage position of
+      each update segment's first entry and its length, in the order of
+      ``singles``.  The single columns of
       one batch are updated in one workspace, their stored entries in
       storage order and then their diagonals, and ``single_target`` is
       where each gathered element lands in it.
 
     ``levels``, ``groups``, ``blocks``, ``panels``, ``singles`` and
     ``single_ptr`` are int64; ``gather`` and ``single_first`` are in the
-    type of ``first``, ``single_length`` in that of ``length``, and
-    ``height``, ``target`` and ``single_target`` each in the smallest
-    unsigned type that holds its values.  Under AMD, the five update
-    arrays and the schedule hold 33 KB and 0.90 MB on the C of the
-    benchmark's ``reml_fit`` (157 supernodes in 101 groups; 152 panels
-    gather 111 196 elements, and 409 single columns 97 109), 51 KB and
-    1.73 MB on prob1 (seed 1000, 157 supernodes in 99 groups), and
-    122 KB and 1.75 MB on the 72x72 AR1 (x) AR1 field (673 supernodes in
-    97 groups; 711 panels, 277 900 elements).  A panel's element takes
-    6 bytes, in ``gather`` and ``target``, and a single column's 2, in
-    ``single_target``: its gather positions are the segments, formed on
-    each call.
+    smallest unsigned type that holds ``nnz_L``, ``single_length`` in
+    that of the largest column count, and ``height``, ``target`` and
+    ``single_target`` each in the smallest unsigned type that holds its
+    values.  Under AMD, ``cols`` and the schedule hold 5 KB and 0.90 MB
+    on the C of the benchmark's ``reml_fit`` (157 supernodes in 101
+    groups; 152 panels gather 111 196 elements, and 409 single columns
+    97 109), 10 KB and 1.73 MB on prob1 (seed 1000, 157 supernodes in 99
+    groups), and 28 KB and 1.75 MB on the 72x72 AR1 (x) AR1 field (673
+    supernodes in 97 groups; 711 panels, 277 900 elements).  A panel's
+    element takes 6 bytes, in ``gather`` and ``target``, and a single
+    column's 2, in ``single_target``: its gather positions are the
+    segments, formed on each call.
     """
 
-    ptr: np.ndarray
     cols: np.ndarray
-    first: np.ndarray
-    length: np.ndarray
-    inside: np.ndarray
     height: np.ndarray
     levels: np.ndarray
     groups: np.ndarray
@@ -242,6 +234,95 @@ class BlockUpdates:
     single_first: np.ndarray
     single_length: np.ndarray
     single_target: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class SelinvSweep:
+    """The selected inversion's walk over the supernodes, read-only.
+
+    The swept supernodes are all but the leaves, in a depth-first
+    preorder of the supernodal elimination tree, children in ascending
+    order: every parent comes before its children, and a subtree is
+    finished before its next sibling starts.  A row ``(s, e, p, keep,
+    drop)`` of ``steps`` is one of them: its columns s:e and p, the
+    parent of its last column e - 1, which is its parent supernode's
+    first column (n at a root); ``keep`` is 1 when it has a swept child,
+    whose gather needs its front, and ``drop`` is 1 when it is its
+    parent's last swept child, the last to gather from p's front.
+
+    ``places`` holds, step after step, the places of the rows of the
+    step's last column in the front [p] + pattern(p) (Liu 1992's
+    relative indices): 0 for p itself, which is the first row, else one
+    more than the row's rank in pattern(p).  A root has none.  ``steps``
+    is in the smallest unsigned type that holds n and ``places`` in that
+    of the largest column count.  Under AMD: 1 407 steps and 24 112
+    places, 38 KB, on the 72x72 AR1 (x) AR1 field, and 566 steps and
+    42 688 places, 48 KB, on the C of the benchmark's ``reml_fit``.
+    """
+
+    steps: np.ndarray
+    places: np.ndarray
+
+
+def _supernode_parents(sym: SymbolicFactor) -> np.ndarray:
+    """The parent of each supernode in the supernodal elimination tree,
+    -1 at a root, as int64: the supernode of its last column's parent.
+    Only a supernode's first column has children outside it."""
+    bounds = sym.supernodes.astype(np.int64)
+    up = sym.parent[bounds[1:] - 1]
+    return np.where(up >= 0, np.searchsorted(bounds, up), -1)
+
+
+def _updates(sym: SymbolicFactor) -> tuple[np.ndarray, ...]:
+    """The Schur updates that each supernode takes in: ``(ptr, cols,
+    first, length, inside)``.
+
+    The columns k, not leaves, that update supernode b, with columns s:e,
+    from outside it (k < s and L_jk != 0 for some j in s:e) are
+    ``cols[ptr[b]:ptr[b + 1]]``, in the order of their first row in s:e,
+    k ascending among equal rows.  For each, ``first`` is the storage
+    position of that first entry and ``length`` the number of entries
+    from there to the end of column k: its segment (D L)[i, k], i >= s.
+    ``inside`` is the number of those entries in the rows s:e.  For a
+    single column j these are every L_jk, k ascending and not a leaf,
+    each with its segment, and ``inside`` is 1.  ``cols`` is in the
+    smallest unsigned type that holds n, the rest int64.  Built with
+    array work, with no Python loop per supernode."""
+    bounds, rows, colptr = sym.supernodes, sym.l_row_idx, sym.l_col_ptr
+    width = np.diff(bounds.astype(np.int64))
+    column = np.min_scalar_type(sym.n)
+    cols = np.repeat(np.arange(sym.n, dtype=column), sym.col_counts - 1)
+    # per stored entry of L, through its row: the supernode of the row,
+    # and whether the entry's column, not a leaf, updates that
+    # supernode from outside
+    sup_of = np.repeat(np.arange(width.size, dtype=column), width)
+    block = sup_of[rows]
+    updates = cols < np.repeat(bounds[:-1], width)[rows]
+    branch = np.ones(sym.n, dtype=bool)
+    branch[sym.leaves] = False
+    updates &= branch.repeat(sym.col_counts - 1)
+    del branch
+    # a column's entries in one supernode are consecutive in storage:
+    # the first of them opens its run and the last closes it
+    ends_run = (block[1:] != block[:-1]) | (cols[1:] != cols[:-1])
+    del block
+    opens = updates.copy()
+    opens[1:] &= ends_run
+    updates[:-1] &= ends_run
+    del ends_run
+    first = np.flatnonzero(opens)
+    inside = np.flatnonzero(updates) - first + 1
+    del opens, updates
+    # grouped by supernode, each in the order of its first row (rows
+    # in the type of n: numpy sorts 16-bit keys by radix)
+    by_row = np.argsort(rows[first].astype(column), kind="stable")
+    first, inside = first[by_row], inside[by_row]
+    cols = cols[first]
+    ptr = np.zeros(bounds.size, dtype=np.int64)
+    np.cumsum(np.bincount(sup_of[rows[first]], minlength=width.size),
+              out=ptr[1:])
+    length = colptr[cols.astype(np.int64) + 1] - first
+    return ptr, cols, first, length, inside
 
 
 def _heights(up: np.ndarray) -> np.ndarray:
@@ -354,10 +435,7 @@ def _schedule(sym: SymbolicFactor, width: np.ndarray, ptr: np.ndarray,
     supernodes' widths and the update arrays, all in int64."""
     rows = sym.l_row_idx
     starts = sym.supernodes[:-1].astype(np.int64)
-    up = sym.parent[starts + width - 1]
-    sup_of = np.repeat(np.arange(width.size), width)
-    height = _heights(np.where(up >= 0, sup_of[up], -1))
-    del sup_of
+    height = _heights(_supernode_parents(sym))
     # the loop's supernodes by height, then by first column
     order = np.lexsort((starts, height))
     multi = width[order] > 1
@@ -521,21 +599,21 @@ class SymbolicFactor:
     smallest unsigned type that holds n^2: 4 bytes for 256 <= n < 65 536).
     The first factorization builds the supernode maps: the partition
     :attr:`supernodes` (one entry per supernode) and :attr:`block_updates`
-    (one entry per pair of a supernode and a column other than a leaf
-    that updates it, and the factorization's schedule: mostly one
+    (the column of each pair of a supernode and a column other than a
+    leaf that updates it, and the factorization's schedule: mostly one
     position and one target per gathered element of a panel and one
-    target per gathered element of a single column), together 1.79 MB
-    on a prob1 C, 0.94 MB on the C of the benchmark's ``reml_fit`` and
-    1.88 MB on the 72x72 AR1 (x) AR1 field, all under AMD, and the one
+    target per gathered element of a single column), together 1.74 MB
+    on a prob1 C, 0.91 MB on the C of the benchmark's ``reml_fit`` and
+    1.78 MB on the 72x72 AR1 (x) AR1 field, all under AMD, and the one
     layout of the etree's leaves:
     :attr:`leaves` (one int64 each) and :attr:`leaf_batches` (each leaf's
     storage positions and the slots of the pairs of its pattern, in the
     smallest unsigned type that holds ``nnz_L``: 0.73 MB on the C of the
     benchmark's ``reml_fit`` and 0.18 MB on the field).  The selected
-    inversion builds two on its first call: :attr:`preorder` (one int64
-    per column) and :attr:`parent_positions` (one entry of L each, in the
-    smallest unsigned type that holds the largest column count: 1 byte,
-    0.10 MB, on a prob1 C under AMD).
+    inversion builds one on its first call, :attr:`selinv_sweep`: a row
+    per supernode other than a leaf and the places of the rows of each
+    one's last column in its parent's front, 47 KB on a prob1 C, 48 KB
+    on the ``reml_fit`` C and 38 KB on the field under AMD.
     """
 
     n: int
@@ -603,138 +681,99 @@ class SymbolicFactor:
 
     @cached_property
     def block_updates(self) -> BlockUpdates:
-        """The Schur updates that each supernode takes in, and the
-        factorization's schedule over them (see :class:`BlockUpdates`).
-        Built with array work on the first factorization, with no Python
-        loop per supernode, and kept for the factor's life."""
-        bounds, rows, colptr = self.supernodes, self.l_row_idx, self.l_col_ptr
-        width = np.diff(bounds.astype(np.int64))
-        column = np.min_scalar_type(self.n)
-        cols = np.repeat(np.arange(self.n, dtype=column), self.col_counts - 1)
-        # per stored entry of L, through its row: the supernode of the row,
-        # and whether the entry's column, not a leaf, updates that
-        # supernode from outside
-        sup_of = np.repeat(np.arange(width.size, dtype=column), width)
-        block = sup_of[rows]
-        updates = cols < np.repeat(bounds[:-1], width)[rows]
-        branch = np.ones(self.n, dtype=bool)
-        branch[self.leaves] = False
-        updates &= branch.repeat(self.col_counts - 1)
-        del branch
-        # a column's entries in one supernode are consecutive in storage:
-        # the first of them opens its run and the last closes it
-        ends_run = (block[1:] != block[:-1]) | (cols[1:] != cols[:-1])
-        del block
-        opens = updates.copy()
-        opens[1:] &= ends_run
-        updates[:-1] &= ends_run
-        del ends_run
-        first = np.flatnonzero(opens)
-        inside = np.flatnonzero(updates) - first + 1
-        del opens, updates
-        # grouped by supernode, each in the order of its first row (rows
-        # in the type of n: numpy sorts 16-bit keys by radix)
-        by_row = np.argsort(rows[first].astype(column), kind="stable")
-        first, inside = first[by_row], inside[by_row]
-        cols = cols[first]
-        ptr = np.zeros(bounds.size, dtype=np.int64)
-        np.cumsum(np.bincount(sup_of[rows[first]], minlength=width.size),
-                  out=ptr[1:])
-        length = colptr[cols.astype(np.int64) + 1] - first
-        kind = np.min_scalar_type(self.nnz_L)
-        count = np.min_scalar_type(int(self.col_counts.max(initial=1)))
-        schedule = _schedule(self, width, ptr, first, length, inside)
-        arrays = (ptr.astype(kind), cols, first.astype(kind),
-                  length.astype(count), inside.astype(count), *schedule)
+        """The factorization's schedule over the Schur updates that each
+        supernode takes in (see :class:`BlockUpdates`).  Built with array
+        work on the first factorization, with no Python loop per
+        supernode, and kept for the factor's life."""
+        ptr, cols, first, length, inside = _updates(self)
+        width = np.diff(self.supernodes.astype(np.int64))
+        arrays = (cols, *_schedule(self, width, ptr, first, length, inside))
         for a in arrays:
             a.flags.writeable = False
         return BlockUpdates(*arrays)
 
     @cached_property
-    def preorder(self) -> np.ndarray:
-        """The columns in a depth-first preorder of the elimination forest,
-        read-only: every parent comes before its children, and a subtree
-        is finished before its next sibling starts.  One int64 per column,
-        built on first use and kept for the factor's life."""
-        children: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for j, p in enumerate(self.parent.tolist()):
-            children[p].append(j)           # roots go to children[-1]
-        order: list[int] = []
-        stack = children[-1][::-1]
-        while stack:
-            j = stack.pop()
-            order.append(j)
-            stack.extend(reversed(children[j]))
-        out = np.array(order, dtype=np.int64)
-        out.flags.writeable = False
-        return out
+    def selinv_sweep(self) -> SelinvSweep:
+        """The selected inversion's walk over the supernodes and the
+        places of its gathers (see :class:`SelinvSweep`), built on the
+        first selected inversion and kept for the factor's life.
 
-    @cached_property
-    def parent_positions(self) -> np.ndarray:
-        """Where each row of L's pattern sits in its column's parent front.
-
-        Column j's front is the index list ``[j] + pattern(j)``.  For a
-        stored entry of column j with row i, the value is the position of
-        i in the front of p = parent(j): 0 for i = p, which is the first
-        row of every column's pattern, and 1 + the position of i in
-        pattern(p) otherwise.  Aligned with ``l_row_idx``, in the smallest
-        unsigned type that holds the largest column count, read-only,
-        built on first use and kept for the factor's life: 1 byte per
-        entry while no column count exceeds 255, 0.10 MB for the 96 231
-        strictly-lower entries of a prob1 L under AMD.
-
-        The pattern of a factor is closed: pattern(j) minus p lies inside
-        pattern(p).  A row that is missing there raises
-        PatternMismatchError.  A chain column j, whose parent is j + 1 and
-        whose count is one more than its parent's, has the pattern
-        ``[j + 1] + pattern(j + 1)`` when closed, so its rows sit at the
-        positions 0, 1, ... of the parent's front; one comparison of the
-        chain columns' rows with their parents' checks that closure.  The
-        rows of the other columns are found by one ``searchsorted`` of the
-        keys of the positions (i, p) against :attr:`lower_keys`.  The
-        build holds at most two int64 arrays of nnz(L) entries at once,
-        besides the keys in :attr:`lower_keys`' type and boolean masks.
+        The order is one Python walk over the swept supernodes, the
+        places one ``searchsorted`` of the keys of the positions (i, p)
+        of the last columns' rows against :attr:`lower_keys`.  The
+        pattern of a factor is closed: pattern(j) minus p = parent(j)
+        lies inside pattern(p).  A row missing there raises
+        PatternMismatchError: the search checks the swept last columns;
+        a multi-column supernode's other columns j, whose parent is
+        j + 1, have the pattern ``[j + 1] + pattern(j + 1)`` when closed,
+        which one comparison of their rows with the next columns' checks;
+        and :attr:`leaf_batches` checks the leaves.  The comparison holds
+        at most two int64 arrays of nnz(L) entries at once, besides
+        boolean masks.
         """
+        bounds = self.supernodes.astype(np.int64)
         colptr, rows, parent, n = (self.l_col_ptr, self.l_row_idx,
                                    self.parent, self.n)
         counts = np.diff(colptr)
-        chain = np.zeros(n, dtype=bool)
-        chain[:-1] = (parent[:-1] == np.arange(1, n)) & (counts[:-1] == counts[1:] + 1)
-        on_chain = np.repeat(chain, counts)
-        off_chain = ~on_chain
-        # a chain column's rows after its first, against its parent's rows
-        tail = on_chain.copy()
-        tail[colptr[:-1][chain]] = False
-        after = np.zeros(n, dtype=bool)
-        after[1:] = chain[:-1]
-        closed = np.array_equal(rows[tail], rows[np.repeat(after, counts)])
-        del tail, after
-        # the other columns: the slot of the key of each position (i, p)
-        other = np.flatnonzero(~chain & (counts > 0))
-        m = counts[other]
-        keys = np.repeat(parent[other] * n, m)
-        keys += rows[off_chain]
+        # a multi-column supernode's columns but its last, after their
+        # first row, against the next columns' rows (the last column of
+        # all is never inner, so the roll brings in no column)
+        inner = np.ones(n, dtype=bool)
+        inner[bounds[1:] - 1] = False
+        tail = np.repeat(inner, counts)
+        tail[colptr[:-1][inner]] = False
+        closed = np.array_equal(rows[tail],
+                                rows[np.repeat(np.roll(inner, 1), counts)])
+        del tail
+
+        # the swept supernodes depth-first, children ascending
+        up = _supernode_parents(self)
+        swept = np.ones(up.size, dtype=bool)
+        swept[np.searchsorted(bounds, self.leaves)] = False
+        children: list[list[int]] = [[] for _ in range(up.size + 1)]
+        for b, p in zip(np.flatnonzero(swept).tolist(), up[swept].tolist()):
+            children[p].append(b)           # roots go to children[-1]
+        order: list[int] = []
+        stack = children[-1][::-1]
+        while stack:
+            b = stack.pop()
+            order.append(b)
+            stack.extend(reversed(children[b]))
+        order = np.array(order, dtype=np.int64)
+        # a front is kept for the swept children and dropped after the
+        # last of them, the highest
+        above = up[order]
+        child = above >= 0
+        last = np.full(up.size, -1)
+        np.maximum.at(last, above[child], order[child])
+        keep = np.bincount(above[child], minlength=up.size)[order] > 0
+        drop = child & (last[above] == order)
+
+        # the places of the last columns' rows: the first is p itself, the
+        # others are found in column p
+        end = bounds[order + 1] - 1
+        p = parent[end]
+        q = counts[end]
+        keys = np.repeat(p * n, q)
+        keys += rows[_segments(colptr[end], q)]
         keys = keys.astype(self.lower_keys.dtype)
         at = np.searchsorted(self.lower_keys, keys)
         found = self.lower_keys[at] == keys     # (i, p) is stored in column p
         del keys
-        at -= np.repeat(colptr[parent[other]] - 1, m)
-        first = np.cumsum(m) - m
+        at -= np.repeat(colptr[p] - 1, q)
+        first = _starts(q)[:-1][q > 0]
         found[first] = True
         at[first] = 0
         if not (closed and found.all()):
             raise PatternMismatchError(
                 "selected pattern is not closed: a row of a column is "
                 "missing from its parent's pattern")
-        kind = np.min_scalar_type(int(self.col_counts.max(initial=1)))
-        pos = np.empty(rows.size, dtype=kind)
-        pos[off_chain] = at
-        del at
-        # a chain column's own positions 0, 1, ...
-        pos[on_chain] = _segments(np.zeros(int(chain.sum()), dtype=np.int64),
-                                  counts[chain])
-        pos.flags.writeable = False
-        return pos
+        steps = np.column_stack((bounds[order], end + 1, np.where(child, p, n),
+                                 keep, drop)).astype(np.min_scalar_type(n))
+        places = at.astype(np.min_scalar_type(int(self.col_counts.max(initial=1))))
+        for a in (steps, places):
+            a.flags.writeable = False
+        return SelinvSweep(steps, places)
 
     @cached_property
     def leaves(self) -> np.ndarray:

@@ -487,11 +487,12 @@ def reference_read_records(kept, want, nrows):
 
 
 def reference_parent_positions(sym):
-    """``SymbolicFactor.parent_positions`` as one search over every stored
-    entry of L, kept as its oracle: the key of each position (i, p), p the
-    column's parent, is looked up in ``sym.lower_keys``; the row stored in
-    the slot found must be i, and the slot must lie in column p, or
-    PatternMismatchError is raised.  Returned as int64."""
+    """Where each stored entry of L sits in its column's parent front, as
+    one search over every stored entry, kept as the oracle of the places
+    of ``SymbolicFactor.selinv_sweep``: the key of each position (i, p),
+    p the column's parent, is looked up in ``sym.lower_keys``; the row
+    stored in the slot found must be i, and the slot must lie in column
+    p, or PatternMismatchError is raised.  Returned as int64."""
     colptr, rows = sym.l_col_ptr, sym.l_row_idx
     counts = np.diff(colptr)
     nonempty = np.flatnonzero(counts)
@@ -561,19 +562,12 @@ def reference_ldlt_factorize(a, sym):
     return sd.LdlFactor(sym=sym, l_values=l_values, d=d, flops=flops)
 
 
-def reference_selected_inverse(f):
-    """The column-by-column ``selected_inverse`` kept as the selected
-    inversion oracle: in a preorder of the elimination forest, every column
-    with a pattern gathers its q-by-q block from a copy of its parent's
-    front, and every column with children keeps a front of its own.  The
-    walk comes from ``sym.parent`` and each row's place in the parent's
-    front from the pattern of L, not from the symbolic factor's own
-    ``preorder`` and ``parent_positions``."""
-    sym = f.sym
-    colptr = sym.l_col_ptr.tolist()
-    rows = sym.l_row_idx.tolist()
-    parent = sym.parent.tolist()
-    children = [[] for _ in range(sym.n)]
+def reference_preorder(parent):
+    """The columns of the elimination forest whose parents are the list
+    ``parent`` (-1 at a root) in a depth-first preorder, children and
+    roots ascending, and each column's children: ``(preorder,
+    children)``."""
+    children = [[] for _ in parent]
     roots = []
     for k, p in enumerate(parent):
         (children[p] if p >= 0 else roots).append(k)
@@ -582,6 +576,22 @@ def reference_selected_inverse(f):
         j = stack.pop()
         preorder.append(j)
         stack.extend(reversed(children[j]))
+    return preorder, children
+
+
+def reference_selected_inverse(f):
+    """The column-by-column ``selected_inverse`` kept as the selected
+    inversion oracle: in a preorder of the elimination forest, every column
+    with a pattern gathers its q-by-q block from a copy of its parent's
+    front, and every column with children keeps a front of its own.  The
+    walk comes from ``sym.parent`` (:func:`reference_preorder`) and each
+    row's place in the parent's front from the pattern of L, not from the
+    symbolic factor's ``selinv_sweep``."""
+    sym = f.sym
+    colptr = sym.l_col_ptr.tolist()
+    rows = sym.l_row_idx.tolist()
+    parent = sym.parent.tolist()
+    preorder, children = reference_preorder(parent)
     lv = f.l_values
     z = np.empty(lv.size)
     z_diag = 1.0 / f.d

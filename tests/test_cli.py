@@ -165,6 +165,21 @@ def test_analyze_ordering_from_file(matrix_file, tmp_path, capsys):
     assert main(["analyze", path, "--ordering", f"file:{perm_path}"]) == 0
 
 
+def test_analyze_ordering_beyond_int64_is_one_line(matrix_file, tmp_path,
+                                                    capsys):
+    path, a = matrix_file
+    perm_path = tmp_path / "p.txt"
+    perm_path.write_text("99999999999999999999999 "
+                         + " ".join(map(str, range(1, a.n))) + "\n",
+                         encoding="utf-8")
+    assert main(["analyze", path, "--ordering", f"file:{perm_path}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "99999999999999999999999 is outside the int64 range" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_analyze_missing_file_fails(capsys):
     assert main(["analyze", "/nonexistent/x.mtx"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -44,6 +44,10 @@ def factor_by_name(d, name):
     dict(variance_components={"year": float("inf")}),
     dict(mean_persistence=float("nan")),
     dict(mean_persistence=float("inf")),
+    dict(centers_per_year_fraction="x"),
+    dict(mean_persistence=None),
+    dict(missing_fraction=[0.1]),
+    dict(variance_components={"year": "x"}),
 ])
 def test_invalid_configs_rejected(overrides):
     with pytest.raises(InvalidConfigError):

@@ -11,9 +11,9 @@ always exercised.  Under a random permutation, the elimination
 tree, the pattern of L, the column counts and the FLOP forecasts must
 match the boolean fill of PAP^T, and ``SymbolicFactor.locate`` must
 find every position of that fill and no other.  The selected inversion's
-pattern work must match it too: ``parent_positions`` gives each row's
-place in its parent's front, ``preorder`` puts parents first, and
-``leaves`` are the single-column supernodes without a child.  SPD matrices on such
+pattern work must match it too: ``selinv_sweep`` puts parents first and
+gives the rows of each swept last column their places in the parent's
+front, and ``leaves`` are the single-column supernodes without a child.  SPD matrices on such
 patterns are factored under both orderings: the exact counters must equal
 the symbolic forecasts, D and L must match dense LDL^T, the selected
 entries must match the dense inverse (and the column kernel bit for bit),
@@ -110,24 +110,22 @@ def test_symbolic_phase_matches_fill_oracle(case):
     assert np.array_equal(sym.l_row_idx[slots[below]], hi[below])
     assert np.array_equal(cols[slots[below]], lo[below])
     assert np.array_equal(slots[hi == lo], sym.l_row_idx.size + lo[hi == lo])
-    # parent_positions: each row's place in [parent] + pattern(parent)
-    pos = sym.parent_positions
-    assert not pos.flags.writeable
-    for j in range(n):
-        rows = np.flatnonzero(lpat[j + 1:, j]) + j + 1
+    # the sweep plan: the swept supernodes, parents first, and the places
+    # of each one's last column in [parent] + pattern(parent)
+    sweep = sym.selinv_sweep
+    assert not (sweep.steps.flags.writeable or sweep.places.flags.writeable)
+    steps = sweep.steps.astype(np.int64)
+    rank = np.full(n + 1, -1)
+    rank[steps[:, 0]] = np.arange(len(steps))
+    assert np.all(rank[steps[:, 2]] < np.arange(len(steps)))
+    places = []
+    for s, e, par in steps[:, :3].tolist():
+        rows = np.flatnonzero(lpat[e:, e - 1]) + e
+        assert par == (parent[e - 1] if rows.size else n)
         if rows.size:
-            par = parent[j]
             front = [par, *(np.flatnonzero(lpat[par + 1:, par]) + par + 1)]
-            want = [front.index(i) for i in rows]
-            assert pos[sym.l_col_ptr[j]:sym.l_col_ptr[j + 1]].tolist() == want
-    # preorder: a permutation in which every parent precedes its children
-    order = sym.preorder
-    assert not order.flags.writeable
-    assert np.array_equal(np.sort(order), np.arange(n))
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    child = np.flatnonzero(parent >= 0)
-    assert np.all(rank[parent[child]] < rank[child])
+            places += [front.index(i) for i in rows]
+    assert sweep.places.tolist() == places
     # leaves: the columns without a child that are supernodes of their own
     bounds = sym.supernodes.astype(np.int64)
     alone = bounds[:-1][np.diff(bounds) == 1]

@@ -5,6 +5,7 @@ import pytest
 
 import seldet as sd
 from seldet.errors import (
+    InvalidParameterError,
     NearSingularWarning,
     NonFiniteValueError,
     NonPositivePivotError,
@@ -153,6 +154,14 @@ def test_solve_rejects_wrong_length():
     f, _ = factorize(two_by_two())
     with pytest.raises(SizeMismatchError):
         sd.solve(f, np.ones(3))
+
+
+@pytest.mark.parametrize("b", [["a", "b", "c"], [1.0, {}, 2.0],
+                               [[1.0], [2.0, 3.0], 4.0]])
+def test_solve_rejects_non_numeric_right_hand_side(b):
+    f, _ = factorize(tridiag([2.0, 2.0, 2.0], [-1.0, -1.0]))
+    with pytest.raises(InvalidParameterError, match="not numeric"):
+        sd.solve(f, b)
 
 
 def test_solve_rejects_non_finite_right_hand_side():

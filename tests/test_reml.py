@@ -987,14 +987,12 @@ def test_selinv_pattern_work_is_done_once_per_plan(no_held_plan, monkeypatch):
 
     def spying(f):
         zsel = real(f)
-        seen.append((f.sym.parent_positions, f.sym.preorder,
-                     f.sym.leaf_batches, f.sym.leaves))
+        seen.append((f.sym.selinv_sweep, f.sym.leaf_batches, f.sym.leaves))
         return zsel
 
     monkeypatch.setattr(sd.reml, "selected_inverse", spying)
     for v in path[:2]:
         plan.evaluate(v)
-    (pos, order, batches, leaves), again = seen
-    assert again[0] is pos and again[1] is order
-    assert again[2] is batches and again[3] is leaves
-    assert not pos.flags.writeable and not order.flags.writeable
+    (sweep, batches, leaves), again = seen
+    assert again[0] is sweep and again[1] is batches and again[2] is leaves
+    assert not (sweep.steps.flags.writeable or sweep.places.flags.writeable)

@@ -15,7 +15,8 @@ from seldet.errors import (
 from seldet.numeric import LdlFactor
 from seldet.symbolic import SymbolicFactor
 from helpers import (field_precision, per_year_c, random_spd,
-                     reference_parent_positions, tridiag, unit_c)
+                     reference_parent_positions, reference_preorder, tridiag,
+                     unit_c)
 
 
 def pipeline(a, ordering="natural"):
@@ -99,10 +100,28 @@ def test_get_entry_range_check():
         sd.get_entry(z, 0, -1)
 
 
-def test_get_entry_refuses_non_integral_index():
+@pytest.mark.parametrize("i, j, says", [
+    (1.5, 0, r"\(i, j\)\[0\] = 1\.5 is not"),
+    (2**70, 0, r"\(i, j\)\[0\] = 1180591620717411303424 is outside"),
+    (0, 1e30, r"\(i, j\)\[1\] = 1e\+30 is outside"),
+    (0, np.uint64(2**63), r"\(i, j\)\[1\] = 9\.22\d*e\+18 is outside"),
+    ("1", 0, r"\(i, j\)\[0\] = '1' is not"),
+    (0, None, r"\(i, j\)\[1\] = None is not"),
+])
+def test_get_entry_refuses_non_integral_index(i, j, says):
     z, _ = pipeline(sd.identity_matrix(3))
-    with pytest.raises(IndexOutOfRangeError, match=r"\(i, j\)\[0\] = 1\.5"):
-        sd.get_entry(z, 1.5, 0)
+    with pytest.raises(IndexOutOfRangeError, match=says):
+        sd.get_entry(z, i, j)
+
+
+def test_index_arrays_beyond_int64_are_typed_errors():
+    with pytest.raises(sd.NotAPermutationError,
+                       match=rf"perm\[1\] = {2**70} is outside"):
+        sd.Permutation([0, 2**70])
+    with pytest.raises(IndexOutOfRangeError, match=r"rows\[0\]"):
+        sd.from_coo_arrays(2, [2**70], [0], [1.0])
+    with pytest.raises(IndexOutOfRangeError, match=r"cols\[0\]"):
+        sd.from_coo_arrays(2, [0], np.array([2**64 - 1], dtype=np.uint64), [1.0])
 
 
 def test_dense_oracle_guards():
@@ -139,19 +158,79 @@ def test_unclosed_pattern_is_rejected():
         sd.selected_inverse(f)
 
 
+def unclosed_factor(parent, l_col_ptr, l_row_idx):
+    """A factor of unit pivots on a hand-built pattern of L, with the
+    diagonal for its analyzed matrix."""
+    counts = np.diff(l_col_ptr) + 1
+    n = counts.size
+    sym = SymbolicFactor(
+        n=n, perm=sd.natural_order(n), parent=np.array(parent),
+        col_counts=counts, l_col_ptr=np.array(l_col_ptr),
+        l_row_idx=np.array(l_row_idx), nnz_L=int(counts.sum()),
+        a_col_ptr=np.arange(n + 1), a_row_idx=np.arange(n))
+    lv = np.full(len(l_row_idx), -0.25)
+    return LdlFactor(sym=sym, l_values=lv, d=np.full(n, 4.0), flops=0)
+
+
+def test_unclosed_inner_column_is_rejected():
+    # the supernodes 0:2, 2:3 and 3:5 (column 1's only child is 0, and its
+    # count is one less); column 0 holds row 4, which column 1 lacks
+    f = unclosed_factor([1, 2, 3, 4, -1], [0, 2, 3, 4, 5, 5],
+                        [1, 4, 2, 3, 4])
+    assert f.sym.supernodes.tolist()[:2] == [0, 2]
+    with pytest.raises(PatternMismatchError, match="not closed"):
+        sd.selected_inverse(f)
+
+
+def test_unclosed_last_column_is_rejected():
+    # the leaves 0 and 2 have one row each, and 4:6 is a root supernode;
+    # the swept single column 1 holds row 5, which its parent 3 lacks
+    f = unclosed_factor([1, 3, 3, 4, 5, -1], [0, 1, 3, 4, 5, 6, 6],
+                        [1, 3, 5, 3, 4, 5])
+    assert f.sym.supernodes.tolist() == [0, 1, 2, 3, 4, 6]
+    assert f.sym.leaves.tolist() == [0, 2]
+    with pytest.raises(PatternMismatchError, match="not closed"):
+        sd.selected_inverse(f)
+
+
 @pytest.mark.parametrize("build", [
     lambda: unit_c(sd.generate(sd.preset_config("prob1", seed=1000))),
     lambda: per_year_c(2000),
     lambda: field_precision(72, 0.3, 0.6),
 ], ids=["prob1", "reml_fit", "field"])
-def test_parent_positions_equal_the_search_over_every_entry(build):
-    # chain columns take their positions from their place in the column,
-    # the others from the search; the benchmark's matrices under AMD
+def test_sweep_plan_matches_the_column_preorder_and_search(build):
+    # the benchmark's matrices under AMD: the steps are the swept
+    # supernodes in the column preorder of the reference sweep, and the
+    # places are the search's at their last columns
     a = build()
     sym = sd.symbolic_factor(a, sd.amd_order(a))
-    pos = sym.parent_positions
-    assert np.array_equal(pos, reference_parent_positions(sym))
-    assert pos.dtype == np.min_scalar_type(int(sym.col_counts.max()))
+    sweep = sym.selinv_sweep
+    steps = sweep.steps.astype(np.int64)
+    bounds = sym.supernodes.astype(np.int64)
+    leaves = set(sym.leaves.tolist())
+    last = set((bounds[1:] - 1).tolist()) - leaves
+    preorder, children = reference_preorder(sym.parent.tolist())
+    ends = [j for j in preorder if j in last]
+    assert steps[:, 1].tolist() == [j + 1 for j in ends]
+    starts = bounds[np.searchsorted(bounds, steps[:, 1] - 1, side="right") - 1]
+    assert np.array_equal(steps[:, 0], starts)
+    parent = sym.parent[steps[:, 1] - 1]
+    assert np.array_equal(steps[:, 2], np.where(parent >= 0, parent, sym.n))
+    swept_children = [[k for k in children[s] if k not in leaves]
+                      for s in steps[:, 0].tolist()]
+    assert steps[:, 3].tolist() == [int(bool(c)) for c in swept_children]
+    # a front goes with the last of its swept children in the order
+    final = {p: i for i, p in enumerate(steps[:, 2].tolist())}
+    assert steps[:, 4].tolist() == [int(p < sym.n and final[p] == i)
+                                    for i, p in enumerate(steps[:, 2].tolist())]
+    pos = reference_parent_positions(sym)
+    colptr = sym.l_col_ptr
+    want = np.concatenate([pos[colptr[e - 1]:colptr[e]]
+                           for e in steps[:, 1].tolist()])
+    assert np.array_equal(sweep.places, want)
+    assert sweep.places.dtype == np.min_scalar_type(int(sym.col_counts.max()))
+    assert sweep.steps.dtype == np.min_scalar_type(sym.n)
+    assert not (sweep.steps.flags.writeable or sweep.places.flags.writeable)
 
 
 def test_front_memory_stays_small():

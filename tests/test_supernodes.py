@@ -441,16 +441,11 @@ def test_partition_and_update_maps_match_their_definitions():
     for a, sym, lpat in map_cases():
         bounds = reference_supernodes(lpat)
         assert sym.supernodes.tolist() == bounds
-        updates = sym.block_updates
-        ptr, cols, first, length, inside = (
-            updates.ptr, updates.cols, updates.first, updates.length,
-            updates.inside)
-        for arr in (sym.supernodes, ptr, cols, first, length, inside):
-            assert not arr.flags.writeable
-        assert ptr.dtype == first.dtype == np.min_scalar_type(sym.nnz_L)
+        ptr, cols, first, length, inside = symbolic._updates(sym)
+        assert not sym.supernodes.flags.writeable
+        assert not sym.block_updates.cols.flags.writeable
+        assert np.array_equal(sym.block_updates.cols, cols)
         assert cols.dtype == np.min_scalar_type(a.n)
-        count = np.min_scalar_type(int(sym.col_counts.max(initial=1)))
-        assert length.dtype == inside.dtype == count
         colptr = sym.l_col_ptr
         for b, pairs in enumerate(reference_block_updates(lpat, bounds)):
             t = slice(int(ptr[b]), int(ptr[b + 1]))
@@ -525,7 +520,8 @@ def test_schedule_matches_its_definition(monkeypatch, group, panel):
                                                     plan.single_target.size]
         kind = np.min_scalar_type(sym.nnz_L)
         assert plan.gather.dtype == plan.single_first.dtype == kind
-        assert plan.single_length.dtype == plan.length.dtype
+        assert plan.single_length.dtype == np.min_scalar_type(
+            int(sym.col_counts.max(initial=1)))
         for name in ("height", "target", "single_target"):
             arr = getattr(plan, name)
             assert arr.dtype == np.min_scalar_type(int(arr.max(initial=0)))
@@ -546,9 +542,8 @@ def test_kernels_cache_only_the_maps_they_read():
     sd.selected_inverse(sd.ldlt_factorize(a, sym))
     fields = {field.name for field in dataclasses.fields(sym)}
     assert set(vars(sym)) - fields == {"lower_keys", "supernodes",
-                                       "block_updates", "preorder",
-                                       "parent_positions", "leaves",
-                                       "leaf_batches"}
+                                       "block_updates", "selinv_sweep",
+                                       "leaves", "leaf_batches"}
 
 
 SCHEDULE = ("height", "levels", "groups", "blocks", "panels", "gather", "target",
@@ -559,20 +554,21 @@ SCHEDULE = ("height", "levels", "groups", "blocks", "panels", "gather", "target"
 @pytest.mark.parametrize("case", ["prob1", "field"])
 def test_pattern_maps_stay_within_their_memory_budget(case):
     # measured: the schedule takes 1.73 MB on prob1 and 1.75 MB on the
-    # 72x72 field, and the maps in all 2.49 and 2.06 MB; a map whose dtype
+    # 72x72 field, and the maps in all 2.49 and 2.00 MB; a map whose dtype
     # widens (a position to int64, say) breaks its budget
     a = prob1_c() if case == "prob1" else field_precision(72, 0.6, 0.3)
     sym = sd.symbolic_factor(a, sd.amd_order(a))
-    sd.ldlt_factorize(a, sym)
-    plan, layout = sym.block_updates, sym.leaf_batches
+    sd.selected_inverse(sd.ldlt_factorize(a, sym))
+    plan, layout, sweep = sym.block_updates, sym.leaf_batches, sym.selinv_sweep
     schedule = [getattr(plan, name) for name in SCHEDULE]
-    assert {f.name for f in dataclasses.fields(plan)} == (
-        set(SCHEDULE) | {"ptr", "cols", "first", "length", "inside"})
+    assert {f.name for f in dataclasses.fields(plan)} == set(SCHEDULE) | {"cols"}
     assert {f.name for f in dataclasses.fields(layout)} == {
         "batches", "cols", "at", "slots"}
-    assert not any(arr.flags.writeable for arr in schedule)
+    assert {f.name for f in dataclasses.fields(sweep)} == {"steps", "places"}
+    assert not any(arr.flags.writeable
+                   for arr in schedule + [sweep.steps, sweep.places])
     held = ([sym.supernodes] + [getattr(plan, f.name)
                                 for f in dataclasses.fields(plan)]
-            + [layout.cols, layout.at, layout.slots])
+            + [layout.cols, layout.at, layout.slots, sweep.steps, sweep.places])
     assert sum(arr.nbytes for arr in schedule) <= 2_000_000
     assert sum(arr.nbytes for arr in held) <= 2_600_000

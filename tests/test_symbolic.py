@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import seldet as sd
+from seldet import symbolic
 from seldet.errors import PatternMismatchError, SizeMismatchError
 from helpers import etree_from_pattern, fill_pattern, random_spd, tridiag
 
@@ -112,13 +113,7 @@ def test_row_structure_groups_the_pattern_of_l_by_row():
     # the leaves, whose updates the factorization applies before its loop
     a = random_spd(np.random.default_rng(29), 40)
     sym = sd.symbolic_factor(a, sd.amd_order(a))
-    updates = sym.block_updates
-    ptr, cols, first, length = (updates.ptr, updates.cols, updates.first,
-                                updates.length)
-    kind = np.min_scalar_type(sym.nnz_L)
-    assert ptr.dtype == first.dtype == kind
-    assert not (ptr.flags.writeable or first.flags.writeable
-                or length.flags.writeable)
+    ptr, cols, first, length, _ = symbolic._updates(sym)
     colptr, rows = sym.l_col_ptr, sym.l_row_idx
     bounds = sym.supernodes.astype(np.int64)
     singles = [b for b in range(bounds.size - 1)
