@@ -61,9 +61,8 @@ work in as dense work (Ng & Peyton 1993):
   first row fills one row of a dense panel, and one GEMM subtracts the
   panel from the front;
 - the front then factors itself in strips of _STRIP columns: rank-1
-  steps on contiguous slices inside a strip, checking each pivot in
-  column order, and one GEMM for the strip's update of the later
-  columns;
+  steps on contiguous slices inside a strip, and one GEMM for the
+  strip's update of the later columns;
 - its columns are written back through their storage range.
 
 The supernodes of one height with the same width w, front size |F| and
@@ -118,17 +117,21 @@ index of 0.33 MB (medians of 201 alternated calls, 2 vCPU).  One
 nnz(L)-long output and index casts are fresh pages on every call (1 280
 page faults), where the batches' temporaries stay small and none fault.
 
-The first leaf in column order whose pivot fails is ``stop``: only the
-leaves before it are pushed and divided.  Each height then runs only
-its supernodes before ``stop``, and a failure there lowers ``stop`` to
-the failing column, with its pivot.  In a stack, each step checks the G
-pivots before it divides: where one fails, the stack shrinks to the
-fronts before it, whose columns all come earlier, and they finish and
-are written back, since a later height may read them.  Once the heights
-are done, ``stop`` is raised: the first failing column in column order,
-which is the column that the column-by-column kernel reports, with its
-value, though a later column of a lower height may fail first.  No
-division by a failed pivot is ever issued.
+The pivots are checked once, after the loop: every column is computed,
+and the first failing one in column order is raised with its pivot,
+which is the column and value that the column-by-column kernel reports,
+though a later column of a lower height may fail first.  This is exact.
+A column reads only the columns of its own subtree, which come before
+it, and only they write into it: a leaf pushes into its ancestors only,
+a single column and a front gather from their descendants only, and the
+fronts of a stack never mix, since ``matmul`` and the elementwise steps
+run front by front.  So every column before the first failing one, and
+that column's pivot, come out as if the loop had stopped there.  Past a
+failure the loop may divide by zero, overflow or go invalid; it runs
+under ``np.errstate(all="ignore")``, and what it computes there is never
+returned.  When every pivot is positive and finite, no returned value is
+infinite or NaN: each stored L_ik enters d_i as L_ik (D L)_ik.  A
+failing matrix costs up to one whole factorization before the raise.
 
 Measured on the column-by-column kernel, before the dense supernodes:
 ``np.bincount`` in place of ``np.subtract.at`` changed nothing, and a
@@ -152,13 +155,13 @@ upper halves of the squares, and the divisions and square roots that
 scale the panels) is added up in ``LdlFactor.padded_flops``.
 
 The pivot policy is fixed: a pivot d_j <= 0 or not finite (the matrix is
-not positive definite, or holds NaN or inf) stops the factorization, and
-accepted pivots below 1e-13 * max |A_ii| are reported by one warning.
+not positive definite, or holds NaN or inf) raises NonPositivePivotError
+for the first such column, and accepted pivots below 1e-13 * max |A_ii|
+are reported by one warning.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -166,13 +169,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    InvalidParameterError,
     NearSingularWarning,
     NonFiniteValueError,
     NonPositivePivotError,
     SizeMismatchError,
 )
-from .sparse_core import Permutation, SparseSymmetric, _segments, _upper_pairs
+from .sparse_core import (Permutation, SparseSymmetric, _real_array,
+                          _segments, _upper_pairs)
 from .symbolic import BlockUpdates, SymbolicFactor
 
 __all__ = ["LdlFactor", "ldlt_factorize", "log_det", "solve"]
@@ -223,9 +226,10 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
     PatternMismatchError; store explicit zeros to keep one pattern across
     value changes.
 
-    Raises NonPositivePivotError as soon as a pivot d_j <= 0 or is not
-    finite.  Emits a single NearSingularWarning if any accepted pivot
-    falls below 1e-13 * max |A_ii|.
+    Raises NonPositivePivotError after the loop if a pivot d_j <= 0 or is
+    not finite, naming the first such column; a failing matrix costs up
+    to one whole factorization.  Emits a single NearSingularWarning if
+    any accepted pivot falls below 1e-13 * max |A_ii|.
     """
     sym.require_pattern(a)
     # the pattern's maps first (built on the first call), so that their
@@ -246,37 +250,26 @@ def ldlt_factorize(a: SparseSymmetric, sym: SymbolicFactor) -> LdlFactor:
     l_values = np.empty(nnz)
     d = np.empty(n)
 
-    # the leaves before the loop, up to the first of them whose pivot
-    # fails (n if none does); then the heights in ascending order, each
-    # row of levels running its supernodes before the first failing
-    # column found so far
-    flops, stop = _leaves(sym, ld_values, a_diag, l_values, d)
-    value = float(a_diag[stop]) if stop < n else 0.0
-    padded = 0
-    for g0, g1, c0, c1 in levels:
-        for b0, b1, p0, p1 in groups[g0:g1]:
-            # the group's blocks before stop
-            run = bisect.bisect_left(starts, stop, b0, b1) - b0
-            if not run:
-                continue
-            try:
+    # the leaves before the loop, then the heights in ascending order;
+    # every column is computed, whatever its pivot, and the pivots are
+    # checked once, after the loop (see the module docstring)
+    with np.errstate(all="ignore"):
+        flops = _leaves(sym, ld_values, a_diag, l_values, d)
+        padded = 0
+        for g0, g1, c0, c1 in levels:
+            for b0, b1, p0, p1 in groups[g0:g1]:
                 block_flops, block_padded = _factor_group(
-                    starts[b0:b0 + run], lows[b0:b0 + run],
-                    blocks[b0][1] - blocks[b0][0], b1 - b0, panels[p0:p1],
-                    plan, sym, ld_values, l_values, a_diag, d)
-            except NonPositivePivotError as exc:
-                stop, value = exc.index, exc.value
-                continue
-            flops += block_flops
-            padded += block_padded
-        if c1 > c0:
-            try:
-                flops += _singles(c0, c1, stop, plan, sym, ld_values,
-                                  l_values, a_diag, d)
-            except NonPositivePivotError as exc:
-                stop, value = exc.index, exc.value
-    if stop < n:
-        raise NonPositivePivotError(stop, value)
+                    starts[b0:b1], lows[b0:b1], blocks[b0][1] - blocks[b0][0],
+                    panels[p0:p1], plan, sym, ld_values, l_values, a_diag, d)
+                flops += block_flops
+                padded += block_padded
+            if c1 > c0:
+                flops += _singles(c0, c1, plan, sym, ld_values, l_values,
+                                  a_diag, d)
+    bad = _failing(d)
+    if bad.size:
+        first = int(bad[0])
+        raise NonPositivePivotError(first, float(d[first]))
 
     near = np.flatnonzero(d < threshold)
     if near.size:
@@ -295,37 +288,23 @@ def _failing(pivots: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~((pivots > 0.0) & (pivots < math.inf)))
 
 
-def _first_failure(cols: np.ndarray, pivots: np.ndarray, stop: int) -> int:
-    """The first of the ascending columns ``cols`` whose pivot fails, if it
-    comes before ``stop``; else ``stop``."""
-    bad = _failing(pivots)
-    return min(stop, int(cols[bad[0]])) if bad.size else stop
-
-
 def _leaves(sym: SymbolicFactor, ld_values: np.ndarray, a_diag: np.ndarray,
-            l_values: np.ndarray, d: np.ndarray) -> tuple[int, int]:
+            l_values: np.ndarray, d: np.ndarray) -> int:
     """The step before the factorization's loop: the leaves' Schur
-    updates, then the leaves divided; returns (flops, stop).
+    updates, then the leaves divided; returns the flops.
 
-    ``stop`` is the first leaf in column order whose pivot fails, or n.
-    Only the leaves before it push their updates and are divided, so no
-    division by a failed pivot is issued.  The updates of leaf k with the
-    pattern P go through the slots of :attr:`SymbolicFactor.leaf_batches`:
-    L_{P[a],k} (D L)_{P[b],k} off the diagonal, batch by batch, and
-    L_{P[a],k} (D L)_{P[a],k} on it, in one ``bincount``.
+    The updates of leaf k with the pattern P go through the slots of
+    :attr:`SymbolicFactor.leaf_batches`: L_{P[a],k} (D L)_{P[b],k} off the
+    diagonal, batch by batch, and L_{P[a],k} (D L)_{P[a],k} on it, in one
+    ``bincount``.  A leaf pushes into its ancestors only, so a failed
+    leaf pivot reaches no earlier column.
     """
     layout = sym.leaf_batches
-    n, leaves, cols = sym.n, sym.leaves, layout.cols
-    stop = _first_failure(leaves, a_diag[leaves], n)
+    cols = layout.cols
     q = sym.col_counts[cols] - 1
     at = layout.at.astype(np.intp)
-    early = cols < stop
-    ld, pivots = ld_values[at], a_diag[cols]
-    if stop < n:
-        # the leaves from stop on push nothing and are not divided
-        ld[~early.repeat(q)] = 0.0
-        pivots[~early] = 1.0
-    lv = ld / pivots.repeat(q)
+    ld = ld_values[at]
+    lv = ld / a_diag[cols].repeat(q)
     # the pairs batch by batch, over the batch's (G, q) views in the order
     # of its slots: one np.subtract.at each keeps every temporary at the
     # batch's size.  The unsigned slots are cast to intp first, which
@@ -339,50 +318,40 @@ def _leaves(sym: SymbolicFactor, ld_values: np.ndarray, a_diag: np.ndarray,
         np.subtract.at(ld_values, slots.reshape(-1).astype(np.intp),
                        pairs.reshape(-1))
         e0 = e1
-    a_diag -= np.bincount(sym.l_row_idx[at], lv * ld, minlength=n)
-    done = leaves[leaves < stop]
-    d[done] = a_diag[done]
+    a_diag -= np.bincount(sym.l_row_idx[at], lv * ld, minlength=sym.n)
+    d[sym.leaves] = a_diag[sym.leaves]
     l_values[at] = lv
     # q (q + 1) for a leaf's updates and q divisions
-    q = q[early]
-    return int(np.sum(q * (q + 2))), stop
+    return int(np.sum(q * (q + 2)))
 
 
-def _singles(c0: int, c1: int, stop: int, plan: BlockUpdates,
-             sym: SymbolicFactor, ld_values: np.ndarray, l_values: np.ndarray,
-             a_diag: np.ndarray, d: np.ndarray) -> int:
+def _singles(c0: int, c1: int, plan: BlockUpdates, sym: SymbolicFactor,
+             ld_values: np.ndarray, l_values: np.ndarray, a_diag: np.ndarray,
+             d: np.ndarray) -> int:
     """Factor the batch ``plan.singles[c0:c1]`` of the single columns of
-    one height, those before ``stop``; returns the flops.
+    one height; returns the flops.
 
     Every update segment (D L)[p_jk:end_k] of the columns is gathered as
     one index array and subtracted, times L_jk, into the batch's
     workspace with one ``np.subtract.at``, which applies repeated slots
-    one after the other; each column's slots are its own.  The columns
-    are then divided up to the first whose pivot fails, which raises
-    NonPositivePivotError."""
+    one after the other; each column's slots are its own.  One division
+    then finishes the columns."""
     cols = plan.singles[c0:c1]
-    keep = c0 + int(np.count_nonzero(cols < stop))
-    (u0, x0, s0), (uk, xk, _), (_, _, s1) = (
-        plan.single_ptr[[c0, keep, c1]].tolist())
+    (u0, x0, s0), (u1, x1, s1) = plan.single_ptr[[c0, c1]].tolist()
     count = np.diff(plan.single_ptr[c0:c1 + 1, 2])
     at = _segments(sym.l_col_ptr[cols], count)
     work = np.concatenate((ld_values[at], a_diag[cols]))
     # index arithmetic in int64: the update maps are unsigned, and
     # unsigned arithmetic would wrap or turn to floats
-    first = plan.single_first[u0:uk]
-    length = plan.single_length[u0:uk].astype(np.int64)
+    first = plan.single_first[u0:u1]
+    length = plan.single_length[u0:u1].astype(np.int64)
     idx = _segments(first, length)
-    np.subtract.at(work, plan.single_target[x0:xk].astype(np.intp),
+    np.subtract.at(work, plan.single_target[x0:x1].astype(np.intp),
                    l_values[first].repeat(length) * ld_values[idx])
-    pivots = work[s1 - s0:s1 - s0 + keep - c0]
-    bad = _failing(pivots)
-    done = int(bad[0]) if bad.size else keep - c0
-    stored = int(count[:done].sum())
-    d[cols[:done]] = pivots[:done]
-    ld_values[at[:stored]] = work[:stored]
-    l_values[at[:stored]] = work[:stored] / pivots[:done].repeat(count[:done])
-    if bad.size:
-        raise NonPositivePivotError(int(cols[done]), float(pivots[done]))
+    stored = s1 - s0
+    d[cols] = pivots = work[stored:]
+    ld_values[at] = work[:stored]
+    l_values[at] = work[:stored] / pivots.repeat(count)
     # two flops per gathered element, one per division
     return 2 * idx.size + stored
 
@@ -395,26 +364,23 @@ def _ranges(starts: list, count: int):
     return np.array(starts)[:, None] + np.arange(count)
 
 
-def _factor_group(starts: list, lo: list, w: int, group: int, panels: list,
+def _factor_group(starts: list, lo: list, w: int, panels: list,
                   plan: BlockUpdates, sym: SymbolicFactor,
                   ld_values: np.ndarray, l_values: np.ndarray,
                   a_diag: np.ndarray, d: np.ndarray) -> tuple[int, int]:
-    """Factor the first G blocks of a group of ``group`` blocks of w
-    columns, those starting at the columns ``starts`` and at the storage
-    positions ``lo``, as one stack of dense fronts; returns (structural
-    flops, padded flops).
+    """Factor the G blocks of w columns of one group, those starting at
+    the columns ``starts`` and at the storage positions ``lo``, as one
+    stack of dense fronts; returns (structural flops, padded flops).
 
     Each front holds its block's w columns over its rows F = [s] +
     pattern(s), transposed so that each column is one contiguous row.
     ``panels`` are the group's rows of ``plan.panels``, position-major:
     the panels of one position fill one stacked panel through one slice
     of ``plan.gather`` and ``plan.target``.  Each step of the blocks' own
-    factorization (see the module docstring) covers the whole stack and
-    checks every front's pivot first: where one fails, the stack shrinks
-    to the fronts before it, which finish and are written back, and the
-    first failure in column order is raised.  A lone block runs on 2-D
-    arrays and slices, as a block factored by itself; a stack adds the
-    leading axis G, and ``...`` indexes both alike.
+    factorization (see the module docstring) covers the whole stack, each
+    front divided by its own pivot.  A lone block runs on 2-D arrays and
+    slices, as a block factored by itself; a stack adds the leading axis
+    G, and ``...`` indexes both alike.
     """
     g = len(starts)
     lead = (g,) if g > 1 else ()
@@ -434,11 +400,11 @@ def _factor_group(starts: list, lo: list, w: int, group: int, panels: list,
 
     if panels:
         # L_jk (D L)_ik = (D L)_jk (D L)_ik / d_k, one square root each way
-        n_upd = panels[-group][1] - panels[0][0]
+        n_upd = panels[-g][1] - panels[0][0]
         root = np.sqrt(d[plan.cols[_ranges([row[0] for row in panels[:g]],
                                            n_upd)]])
         u = 0
-        for j in range(0, len(panels), group):
+        for j in range(0, len(panels), g):
             t0, t1, x0, _, top, _, _ = panels[j]
             k, x1 = t1 - t0, panels[j + g - 1][3]
             panel = np.zeros(lead + (k, size - top))
@@ -450,33 +416,17 @@ def _factor_group(starts: list, lo: list, w: int, group: int, panels: list,
                 flops += row[5]
                 padded += row[6]
 
-    failed = None
     for c0 in range(0, w, _STRIP):
         c1 = min(c0 + _STRIP, w)
-        for c in range(c0, c1):
-            # a lone block divides by its pivot as a float, a stack by a
-            # column of G pivots
-            pivots = fronts[..., c, c]
-            piv = pivots.tolist() if lead else [float(pivots)]
-            bad = [m for m, dj in enumerate(piv) if not 0.0 < dj < math.inf]
-            if bad:
-                # the fronts from the failing one on hold later columns only
-                g = bad[0]
-                failed = NonPositivePivotError(starts[g] + c, piv[g])
-                if not g:
-                    raise failed
-                fronts, flat, pivots = fronts[:g], flat[:g], pivots[:g]
-                at, cols, stored = at[:g], cols[:g], stored[:g]
+        for c in range(c0, c1 - 1):
             rest = c1 - c - 1
-            if rest:
-                lcol = fronts[..., c, c + 1:c1] / (pivots[:, None] if lead
-                                                   else piv[0])
-                fronts[..., c + 1:c1, c + 1:] -= (lcol[..., :, None]
-                                                  * fronts[..., c, None, c + 1:])
-                # the issued update less the upper triangle of the strip's
-                # square, and the L entries divided for it
-                flops += g * (2 * rest * (size - c - 1) - rest * (rest - 1))
-                padded += g * (rest * (rest - 1) + rest)
+            lcol = fronts[..., c, c + 1:c1] / fronts[..., c, c, None]
+            fronts[..., c + 1:c1, c + 1:] -= (lcol[..., :, None]
+                                              * fronts[..., c, None, c + 1:])
+            # the issued update less the upper triangle of the strip's
+            # square, and the L entries divided for it
+            flops += g * (2 * rest * (size - c - 1) - rest * (rest - 1))
+            padded += g * (rest * (rest - 1) + rest)
         if c1 < w:
             # the strip's update of the blocks' later columns, one GEMM
             k, later = c1 - c0, w - c1
@@ -490,8 +440,6 @@ def _factor_group(starts: list, lo: list, w: int, group: int, panels: list,
     d[cols] = pivots = flat[..., ::size + 1]
     ld_values[at] = values = fronts.reshape(-1)[stored]
     l_values[at] = values / pivots.repeat(lens, axis=-1)
-    if failed is not None:
-        raise failed
     flops += stored.size
     return flops, padded
 
@@ -521,11 +469,8 @@ def solve(f: LdlFactor, b: np.ndarray) -> np.ndarray:
     ``groups``, ``blocks``, ``singles`` and ``l_col_ptr``.
 
     A NaN or infinite entry of b raises NonFiniteValueError naming its
-    index, and a b that is not numeric InvalidParameterError."""
-    try:
-        b = np.asarray(b, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"right-hand side is not numeric: {exc}") from exc
+    index, and a b that is complex or not numeric InvalidParameterError."""
+    b = _real_array(b, "right-hand side")
     n = f.n
     if b.shape != (n,):
         raise SizeMismatchError(f"right-hand side has shape {b.shape}, expected ({n},)")

@@ -52,7 +52,8 @@ from .errors import (
 from .numeric import LdlFactor, ldlt_factorize, log_det, solve
 from .ordering import _named_order, resolve_ordering
 from .selinv import SelectedInverse, selected_inverse
-from .sparse_core import Permutation, SparseSymmetric, _from_lower_keys, _index_array
+from .sparse_core import (Permutation, SparseSymmetric, _from_lower_keys,
+                          _index_array, _real_array)
 from .symbolic import SymbolicFactor, predict_flops, symbolic_factor
 
 __all__ = [
@@ -118,8 +119,7 @@ class MixedModelDataset:
     residual_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        y = np.ascontiguousarray(self.y, dtype=np.float64)
-        x = np.ascontiguousarray(self.x, dtype=np.float64)
+        y, x = _real_array(self.y, "y"), _real_array(self.x, "x")
         rc = _index_array(self.residual_codes, "residual_codes",
                           IndexOutOfRangeError)
         object.__setattr__(self, "y", y)
@@ -180,11 +180,7 @@ class VarianceParams:
 
     def __post_init__(self):
         for name, ndim in (("sigma2", 0), ("gamma", 1), ("phi", 1)):
-            try:
-                vals = np.asarray(getattr(self, name), dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise InvalidParameterError(
-                    f"{name} = {getattr(self, name)!r}: not numeric") from exc
+            vals = _real_array(getattr(self, name), name)
             if vals.ndim > ndim:
                 raise InvalidParameterError(
                     f"{name} has shape {vals.shape}; it must be a number"

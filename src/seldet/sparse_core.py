@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import io
 import itertools
+import numbers
+import reprlib
 import warnings
 from dataclasses import dataclass, field
 from typing import IO
@@ -19,6 +21,7 @@ import numpy as np
 from .errors import (
     AsymmetricInputError,
     IndexOutOfRangeError,
+    InvalidParameterError,
     NonFiniteValueError,
     NotAPermutationError,
     ParseError,
@@ -49,14 +52,18 @@ def _index_array(values, name: str, error: type[SeldetError]) -> np.ndarray:
     truncate or wrap, or that is not a number, raises ``error`` naming
     ``name``, its first such position and the value."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "biuf":
+    given = isinstance(values, (list, tuple))
+    # a list that mixes Python ints with np.uint64 comes out float64,
+    # which would round the integers it was given
+    if arr.dtype.kind not in "biuf" or (
+            arr.dtype.kind == "f" and given
+            and all(isinstance(v, (int, np.integer)) for v in values)):
         # Python ints beyond int64, strings, None: one by one, as given
-        flat = (list(values) if isinstance(values, (list, tuple))
-                else arr.ravel().tolist())
+        flat = list(values) if given else arr.ravel().tolist()
         for k, v in enumerate(flat):
-            if isinstance(v, float) and v.is_integer():
-                v = int(v)
-            if not isinstance(v, (int, np.integer)):
+            if isinstance(v, np.integer) or isinstance(v, float) and v.is_integer():
+                v = flat[k] = int(v)
+            if not isinstance(v, int):
                 raise error(f"{name}[{k}] = {v!r} is not an integer")
             if not -2**63 <= v < 2**63:
                 raise error(f"{name}[{k}] = {v!r} is outside the int64 range")
@@ -74,6 +81,25 @@ def _index_array(values, name: str, error: type[SeldetError]) -> np.ndarray:
         raise error(f"{name}[{k}] = {arr.flat[k].item()!r} is outside the "
                     "int64 range")
     return np.ascontiguousarray(arr, dtype=np.int64)
+
+
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as contiguous float64.  Complex values, whose imaginary
+    part the cast would drop, and values that are not numbers (strings,
+    which the cast would parse, None, uneven nesting) raise
+    InvalidParameterError naming ``name`` and the values."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # nested unevenly
+        kind = "O"
+    else:
+        kind = arr.dtype.kind
+        if kind == "O" and all(isinstance(v, numbers.Real) for v in arr.flat):
+            kind = "f"
+    if kind in "biuf":
+        return np.asarray(arr, dtype=np.float64, order="C")
+    what = "complex, not real" if kind == "c" else "not numeric"
+    raise InvalidParameterError(f"{name} = {reprlib.repr(values)}: {what}")
 
 
 def _entry_columns(col_ptr: np.ndarray) -> np.ndarray:
@@ -132,7 +158,7 @@ class SparseSymmetric:
     def __post_init__(self):
         col_ptr = _index_array(self.col_ptr, "col_ptr", SizeMismatchError)
         row_idx = _index_array(self.row_idx, "row_idx", IndexOutOfRangeError)
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        values = _real_array(self.values, "values")
         object.__setattr__(self, "col_ptr", col_ptr)
         object.__setattr__(self, "row_idx", row_idx)
         object.__setattr__(self, "values", values)
@@ -220,7 +246,7 @@ def from_coo_arrays(n: int, rows: np.ndarray, cols: np.ndarray,
     """
     rows = _index_array(rows, "rows", IndexOutOfRangeError)
     cols = _index_array(cols, "cols", IndexOutOfRangeError)
-    vals = np.ascontiguousarray(vals, dtype=np.float64)
+    vals = _real_array(vals, "vals")
     if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
         raise IndexOutOfRangeError("triplet index outside 0..n-1")
     bad = np.flatnonzero(~np.isfinite(vals))

@@ -156,11 +156,14 @@ def test_solve_rejects_wrong_length():
         sd.solve(f, np.ones(3))
 
 
-@pytest.mark.parametrize("b", [["a", "b", "c"], [1.0, {}, 2.0],
-                               [[1.0], [2.0, 3.0], 4.0]])
-def test_solve_rejects_non_numeric_right_hand_side(b):
+@pytest.mark.parametrize("b, says", [
+    (["a", "b", "c"], "not numeric"), ([1.0, {}, 2.0], "not numeric"),
+    ([[1.0], [2.0, 3.0], 4.0], "not numeric"),
+    # numpy's cast would drop the imaginary parts
+    (np.array([1 + 2j, 1, 1]), "complex, not real")])
+def test_solve_rejects_non_numeric_right_hand_side(b, says):
     f, _ = factorize(tridiag([2.0, 2.0, 2.0], [-1.0, -1.0]))
-    with pytest.raises(InvalidParameterError, match="not numeric"):
+    with pytest.raises(InvalidParameterError, match=says):
         sd.solve(f, b)
 
 

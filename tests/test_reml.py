@@ -188,6 +188,17 @@ def test_non_finite_response_or_design_rejected(array, at, bad, where):
                              n_residual_blocks=1)
 
 
+@pytest.mark.parametrize("y, says", [
+    (np.array([1 + 1j, 2]), "y = array([1.+1.j, 2.+0.j]): complex"),
+    (["a", "b"], "y = ['a', 'b']: not numeric")])
+def test_response_must_be_real_numbers(y, says):
+    d = tiny_dataset()
+    with pytest.raises(InvalidParameterError, match=re.escape(says)):
+        sd.MixedModelDataset(y=y, x=d.x, fixed_names=d.fixed_names,
+                             factors=d.factors, residual_codes=d.residual_codes,
+                             n_residual_blocks=1)
+
+
 @pytest.mark.parametrize("change, says", [
     (dict(x=np.ones((3, 1))), "inconsistent dataset shapes"),
     (dict(x=np.ones(2)), "inconsistent dataset shapes"),
@@ -255,6 +266,7 @@ def test_variance_params_must_be_positive():
     (np.array([1.0, 2.0]), (1.0,), (1.0,), "sigma2 has shape (2,)"),
     (1.0, np.ones((2, 3)), (1.0,), "gamma has shape (2, 3)"),
     (1.0, (1.0,), ("x",), "phi = ('x',): not numeric"),
+    (1.0, np.array([1 + 1j]), (1.0,), "gamma = array([1.+1.j]): complex"),
 ])
 def test_variance_params_must_be_finite(sigma2, gamma, phi, where):
     with pytest.raises(InvalidParameterError, match=re.escape(where)):

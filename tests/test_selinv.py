@@ -104,7 +104,9 @@ def test_get_entry_range_check():
     (1.5, 0, r"\(i, j\)\[0\] = 1\.5 is not"),
     (2**70, 0, r"\(i, j\)\[0\] = 1180591620717411303424 is outside"),
     (0, 1e30, r"\(i, j\)\[1\] = 1e\+30 is outside"),
-    (0, np.uint64(2**63), r"\(i, j\)\[1\] = 9\.22\d*e\+18 is outside"),
+    (0, np.uint64(2**63), r"\(i, j\)\[1\] = 9223372036854775808 is outside"),
+    # a Python int beside np.uint64 would make a float64 list
+    (0, np.uint64(2**53 + 1), r"index \(0,9007199254740993\) outside 0\.\.2"),
     ("1", 0, r"\(i, j\)\[0\] = '1' is not"),
     (0, None, r"\(i, j\)\[1\] = None is not"),
 ])

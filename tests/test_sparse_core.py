@@ -69,6 +69,21 @@ def test_non_finite_value_rejected_with_its_entry(bad):
                            np.array([1.0, 1.0, bad]))
 
 
+@pytest.mark.parametrize("build, says", [
+    (lambda: sd.SparseSymmetric(1, np.array([0, 1]), np.array([0]),
+                                np.array([2 + 1j])),
+     "values = array([2.+1.j]): complex, not real"),
+    (lambda: sd.from_coo_arrays(1, [0], [0], np.array([2 + 1j])),
+     "vals = array([2.+1.j]): complex, not real"),
+    (lambda: sd.from_coo_arrays(1, [0], [0], ["x"]), "vals = ['x']: not numeric"),
+    (lambda: sd.from_coo_arrays(1, [0], [0], ["2.5"]),
+     "vals = ['2.5']: not numeric"),
+], ids=["complex-storage", "complex-triplets", "string", "numeric-string"])
+def test_values_that_are_not_real_are_refused(build, says):
+    with pytest.raises(sd.InvalidParameterError, match=re.escape(says)):
+        build()
+
+
 def test_array_dataclasses_compare_by_identity():
     # eq=False: == and hash are defined (object identity), never a numpy
     # "truth value is ambiguous" error
@@ -143,6 +158,7 @@ def test_permutation_refuses_non_integral_indices():
     with pytest.raises(NotAPermutationError, match=r"perm\[0\] = 0\.5"):
         sd.Permutation(np.array([0.5, 1.7]))
     assert np.array_equal(sd.Permutation(np.array([1.0, 0.0])).perm, [1, 0])
+    assert np.array_equal(sd.Permutation([np.uint64(1), 0]).perm, [1, 0])
 
 
 def test_storage_refuses_non_integral_indices():

@@ -27,7 +27,8 @@ from seldet import symbolic
 from seldet.errors import NearSingularWarning, NonPositivePivotError
 from seldet.numeric import NEAR_SINGULAR_RTOL
 from helpers import (arrowhead, bordered_spd, field_precision, fill_pattern,
-                     pattern_spd, random_spd, reference_block_updates,
+                     grid_laplacian, pattern_spd, random_spd,
+                     reference_block_updates,
                      reference_ldlt_factorize, reference_schedule,
                      reference_selected_inverse, reference_supernodes)
 
@@ -140,14 +141,26 @@ def block_matrix(values):
                               values=values[rows, cols])
 
 
+def dense_spd():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((6, 6))
+    return g @ g.T + 6.0 * np.eye(6)
+
+
 def dense_block_failing_at_3():
     # a dense 6x6 block is one supernode; its Schur complement turns
     # indefinite at column 3
-    rng = np.random.default_rng(5)
-    g = rng.standard_normal((6, 6))
-    spd = g @ g.T + 6.0 * np.eye(6)
+    spd = dense_spd()
     vals = spd.copy()
     vals[3, 3] = vals[3, :3] @ np.linalg.solve(spd[:3, :3], vals[:3, 3]) - 0.5
+    return block_matrix(vals)
+
+
+def dense_block_failing_at_0():
+    # the same block with a first pivot of -1e-310: a division by it
+    # overflows
+    vals = dense_spd()
+    vals[0, 0] = -1e-310
     return block_matrix(vals)
 
 
@@ -196,11 +209,13 @@ BLOCK_AFTER = unit_tree(
 
 @pytest.mark.parametrize("a, column, block", [
     (dense_block_failing_at_3(), 3, [0, 6]),
+    (dense_block_failing_at_0(), 0, [0, 6]),
     (block_over_a_twig(), 3, [2, 5]),
     (BLOCK_FIRST, 2, [3, 6]),
     (BLOCK_AFTER, 1, [4, 7]),
     (SAME_HEIGHT, 1, [3, 6]),
-], ids=["dense", "higher-block-before-lower-twig",
+], ids=["dense", "dense-subnormal-first-pivot",
+        "higher-block-before-lower-twig",
         "lower-block-after-higher-single", "higher-block-after-lower-twig",
         "twig-before-block-of-its-height"])
 def test_non_positive_pivot_inside_a_block_names_the_reference_column(
@@ -261,6 +276,8 @@ HEIGHTS = (1, 2, 7, 4, 7, 6, 7, -1)
     (tree_matrix([1.0, -1.0, -5.0, 1.0, 9.0]), 1),
     (tree_matrix([1.0, 1.0, 3.0, 0.0, -1.0]), 3),
     (tree_matrix([1.0, 1.0, 3.0, np.nan, 9.0]), 3),
+    # a leaf pivot of -1e-310: the divisions by it overflow
+    (tree_matrix([-1e-310, 1.0, 3.0, 1.0, 9.0]), 0),
     # after the loop's column 2, the twig 4 fails at 1 - 1 = 0 (a division
     # by it would warn), and the leaf 3 fails after the twig 1
     (tree_matrix([1.0, 2.0, 2.0, 1.0, 1.0, 1.0, 9.0], TWIGS), 4),
@@ -273,6 +290,7 @@ HEIGHTS = (1, 2, 7, 4, 7, 6, 7, -1)
     (tree_matrix([1.0, 2.0, np.nan, 1.0, 1.0, -1.0, 3.0, 9.0], HEIGHTS), 2),
 ], ids=["negative-leaf", "star-hub", "nan-leaf", "non-leaf-before-leaf",
         "leaf-before-non-leaf", "leaf-before-root", "nan-leaf-in-tree",
+        "subnormal-leaf",
         "twig-fails", "leaf-fails-after-a-twig", "higher-before-lower",
         "nan-higher-before-lower"])
 def test_non_positive_pivot_in_a_single_column_names_the_reference_column(
@@ -347,7 +365,12 @@ UNIT = [1.0, 2.0, 2.0, 2.0, 3.0]
     # at its second, column 3, which comes first in column order
     (stacked_units([1.0, 2.0, 2.0, 1.0, 3.0] + UNIT + [1.0, 2.0, 1.0, 2.0, 3.0]), 3),
     (stacked_units(UNIT * 3, nan=1), 9),
-], ids=["later-front", "earlier-front-later-step", "nan-in-later-front"])
+    # the middle front's pivots are (1, 1, 1e308, -1e-310, ...): its step
+    # at column 8 divides by -1e-310 and overflows
+    (stacked_units(UNIT + [1.0, 2.0, 1e308, 1.0 / 1e308 - 1e-310, 3.0] + UNIT),
+     8),
+], ids=["later-front", "earlier-front-later-step", "nan-in-later-front",
+        "subnormal-in-middle-front"])
 def test_failing_pivot_inside_a_stack_names_the_reference_column(a, column):
     sym = sd.symbolic_factor(a, sd.natural_order(a.n))
     plan = sym.block_updates
@@ -359,6 +382,65 @@ def test_failing_pivot_inside_a_stack_names_the_reference_column(a, column):
         sd.ldlt_factorize(a, sym)
     assert got.value.index == ref.value.index == column
     assert np.array_equal([got.value.value], [ref.value.value], equal_nan=True)
+
+
+def column_kinds(sym):
+    """Where each column is factored: 'leaf', 'single', 'lone' (a block
+    alone in its group) or 'stack'."""
+    plan = sym.block_updates
+    kind = np.full(sym.n, "single", dtype=object)
+    kind[sym.leaves] = "leaf"
+    for b0, b1, _, _ in plan.groups.tolist():
+        for s, e in plan.blocks[b0:b1].tolist():
+            kind[s:e] = "stack" if b1 - b0 > 1 else "lone"
+    return kind
+
+
+def test_random_failures_name_the_reference_column():
+    # 200 SPD matrices under natural order and AMD, each made to fail at
+    # one or two columns: a diagonal entry lowered by 1 to 3 times its
+    # pivot, or set to NaN.  The first failing column is drawn from one
+    # kind of column, so that every kind fails somewhere in the sweep
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for case in range(200):
+        pick = case % 4
+        if pick == 0:
+            a = random_spd(rng, int(rng.integers(10, 120)), 1.0)
+        elif pick == 1:
+            a = bordered_spd(rng, int(rng.integers(3, 100)),
+                             int(rng.integers(2, 8)))
+        elif pick == 2:
+            a = grid_laplacian(int(rng.integers(3, 8)))
+        else:
+            a = field_precision(int(rng.integers(5, 14)),
+                                *rng.uniform(0.2, 0.8, 2))
+        for order in (sd.natural_order(a.n), sd.amd_order(a)):
+            sym = sd.symbolic_factor(a, order)
+            d = reference_ldlt_factorize(a, sym).d
+            kind = column_kinds(sym)
+            kinds = sorted(set(kind))
+            first = rng.choice(np.flatnonzero(
+                kind == kinds[rng.integers(len(kinds))]))
+            cols = np.unique([first, rng.integers(a.n)][:rng.integers(1, 3)])
+            values = a.values.copy()
+            for j in cols:
+                # the diagonal entry opens its column
+                at = a.col_ptr[sym.perm.perm[j]]
+                if rng.random() < 0.2:
+                    values[at] = np.nan
+                else:
+                    values[at] -= d[j] * rng.uniform(1.0, 3.0)
+            b = sd.SparseSymmetric(a.n, a.col_ptr, a.row_idx, values)
+            with pytest.raises(NonPositivePivotError) as ref:
+                reference_ldlt_factorize(b, sym)
+            with pytest.raises(NonPositivePivotError) as got:
+                sd.ldlt_factorize(b, sym)
+            assert got.value.index == ref.value.index == cols[0]
+            assert np.allclose([got.value.value], [ref.value.value],
+                               rtol=1e-10, atol=0.0, equal_nan=True)
+            seen.add(kind[cols[0]])
+    assert seen == {"leaf", "single", "lone", "stack"}
 
 
 def test_near_singular_pivot_inside_a_stack_warns_once():
